@@ -1,107 +1,7 @@
 """Threshold dynamics for hyperbolic and classical mean curvature flow.
 
 The scheme alternates short wave-equation propagation of signed distance
-data with zero level set extraction and redistancing.  See the README for
-the module map and the reference experiment.
+data with zero level set extraction and redistancing.  Import the
+submodules (hmbo.flow, hmbo.harness, ...) directly; see the README for the
+module map and the reference experiment.
 """
-
-from .errors import NumericalError, ValidationError
-from .fields import (
-    Grid2D,
-    ScalarField,
-    constant_field,
-    eval_bilinear,
-    field_from_function,
-    laplacian,
-    make_grid,
-    write_field_csv,
-)
-from .flow import (
-    FlowState,
-    HmboConfig,
-    PhysicalParams,
-    RunRecord,
-    hmbo_step,
-    init_history,
-    mcf_c2,
-    run_flow,
-    wave_coefficients,
-)
-from .harness import (
-    ErrorReport,
-    ErrorRow,
-    ExperimentConfig,
-    convergence_study,
-    error_integral,
-    single_run,
-    verify_suite,
-)
-from .interfaces import (
-    InterfaceCurve,
-    SignConvention,
-    average_radius,
-    extract_zero_set,
-    has_interface,
-    min_segment_distance,
-    signed_distance,
-    write_interface_csv,
-)
-from .oracles import (
-    RadiusSeries,
-    exact_mcf_radius,
-    exact_mcf_series,
-    hmcf_circle_radius,
-    poisson_eval,
-    write_radius_csv,
-)
-from .wave import WaveParams, cfl_max_dt, cfl_number, discrete_energy, wave_solve
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Grid2D",
-    "ScalarField",
-    "make_grid",
-    "field_from_function",
-    "constant_field",
-    "laplacian",
-    "eval_bilinear",
-    "write_field_csv",
-    "WaveParams",
-    "cfl_max_dt",
-    "cfl_number",
-    "wave_solve",
-    "discrete_energy",
-    "InterfaceCurve",
-    "SignConvention",
-    "extract_zero_set",
-    "signed_distance",
-    "has_interface",
-    "average_radius",
-    "min_segment_distance",
-    "write_interface_csv",
-    "PhysicalParams",
-    "HmboConfig",
-    "FlowState",
-    "RunRecord",
-    "wave_coefficients",
-    "mcf_c2",
-    "init_history",
-    "hmbo_step",
-    "run_flow",
-    "RadiusSeries",
-    "exact_mcf_radius",
-    "exact_mcf_series",
-    "hmcf_circle_radius",
-    "poisson_eval",
-    "write_radius_csv",
-    "ExperimentConfig",
-    "ErrorReport",
-    "ErrorRow",
-    "error_integral",
-    "convergence_study",
-    "single_run",
-    "verify_suite",
-    "ValidationError",
-    "NumericalError",
-]

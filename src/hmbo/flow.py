@@ -4,8 +4,8 @@ One step of the scheme propagates wave initial data built from the current
 signed distance field(s) over a short window tau, extracts the zero level
 set of the result, and rebuilds a signed distance field from it:
 
-* damped mode ("hmcf"): u0 = a*(2*d_n - d_nm1), ut0 = -b*d_n, where
-  (a, b, c^2) = (alpha, -beta, 2*gamma/alpha) are derived from the physical
+* damped mode ("hmcf"): u0 = a*(2*d_n - d_nm1), ut0 = b*d_n, where
+  (a, b, c^2) = (alpha, beta, 2*gamma/alpha) are derived from the physical
   coefficients of  alpha * V' + beta * V = -gamma * curvature;
 * curvature-flow limit ("mcf"): u0 = 0, ut0 = d_n, with c^2 = lambda/tau
   and lambda = 6*gamma, which drives the interface with normal velocity
@@ -29,7 +29,7 @@ from .interfaces import (
     has_interface,
     signed_distance,
 )
-from .wave import WaveParams, cfl_max_dt, cfl_number, wave_solve
+from .wave import WaveParams, check_cfl, cfl_substep, wave_solve
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,12 @@ def wave_coefficients(p: PhysicalParams) -> tuple[float, float, float]:
     """Map physical coefficients to wave data coefficients (a, b, c2).
 
     a scales the initial displacement, b the initial velocity (the solver is
-    handed ut0 = -b*d_n), and c2 is the squared propagation speed:
-    a = alpha, b = -beta, c2 = 2*gamma/alpha.
+    handed ut0 = b*d_n), and c2 is the squared propagation speed:
+    a = alpha, b = beta, c2 = 2*gamma/alpha.
     """
     if p.alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {p.alpha}")
-    return p.alpha, -p.beta, 2.0 * p.gamma / p.alpha
+    return p.alpha, p.beta, 2.0 * p.gamma / p.alpha
 
 
 def mcf_c2(gamma: float, tau: float) -> float:
@@ -89,14 +89,9 @@ class HmboConfig:
     def __post_init__(self):
         if self.mode not in ("hmcf", "mcf"):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.tau <= 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not 0 < self.dt <= self.tau:
-            raise ValidationError(f"need 0 < dt <= tau, got dt={self.dt}, tau={self.tau}")
+        check_cfl(self.wave_params(), self.grid)
         if self.max_steps < 0:
             raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
-        if cfl_number(self.c2, self.dt, self.grid) > 1.0 + 1e-12:
-            raise ValidationError("dt violates the CFL bound for this grid and c2")
         if self.mode == "mcf":
             if self.lam is None:
                 raise ValidationError("MCF mode requires lam")
@@ -110,7 +105,7 @@ class HmboConfig:
             max_steps: int = 1, sign_convention: SignConvention = SignConvention()):
         c2 = mcf_c2(gamma, tau)
         if dt is None:
-            dt = min(0.5 * cfl_max_dt(c2, grid), tau)
+            dt = cfl_substep(c2, grid, tau, 0.5)
         return cls("mcf", 0.0, 0.0, c2, tau, dt, max_steps, grid,
                    sign_convention, lam=6.0 * gamma)
 
@@ -120,7 +115,7 @@ class HmboConfig:
              sign_convention: SignConvention = SignConvention()):
         a, b, c2 = wave_coefficients(params)
         if dt is None:
-            dt = min(0.5 * cfl_max_dt(c2, grid), tau)
+            dt = cfl_substep(c2, grid, tau, 0.5)
         return cls("hmcf", a, b, c2, tau, dt, max_steps, grid, sign_convention)
 
     def wave_params(self) -> WaveParams:
@@ -183,7 +178,7 @@ def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
         if state.d_nm1 is None:
             raise ValidationError("damped mode needs the previous field; run init_history")
         u0 = ScalarField(grid, cfg.a * (2.0 * state.d_n.values - state.d_nm1.values))
-        ut0 = ScalarField(grid, -cfg.b * state.d_n.values)
+        ut0 = ScalarField(grid, cfg.b * state.d_n.values)
     else:
         u0 = ScalarField(grid, np.zeros(grid.shape))
         ut0 = state.d_n
@@ -199,7 +194,7 @@ def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
 
 
 def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
-             record_interfaces: bool = False, center=(0.0, 0.0)) -> list[RunRecord]:
+             record_interfaces: bool = False) -> list[RunRecord]:
     """Iterate hmbo_step from d0 up to cfg.max_steps or extinction.
 
     Returns one record per executed step at time n*tau; the terminating
@@ -223,7 +218,7 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
         if state.extinct:
             records.append(RunRecord(n, t, None, True))
             break
-        r = average_radius(state.last_curve, center)
+        r = average_radius(state.last_curve)
         records.append(
             RunRecord(n, t, r, False, state.last_curve if record_interfaces else None)
         )

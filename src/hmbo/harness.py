@@ -16,16 +16,17 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .fields import ScalarField, field_from_function, make_grid
-from .flow import HmboConfig, PhysicalParams, RunRecord, run_flow, wave_coefficients
+from .flow import HmboConfig, PhysicalParams, RunRecord, mcf_c2, run_flow, wave_coefficients
 from .interfaces import average_radius, extract_zero_set, has_interface, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, poisson_eval
-from .wave import WaveParams, cfl_max_dt, wave_solve
+from .wave import WaveParams, cfl_substep, wave_solve
 
 THREADS_ENV = "HMCF_THREADS"
 
@@ -91,9 +92,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        """Load a flat-key JSON config; overrides win over file values."""
-        with open(path) as fh:
-            data = json.load(fh)
+        """Load a flat-key JSON config; overrides win over file values.
+
+        An unreadable file, malformed JSON or a value of the wrong type is
+        reported as a ValidationError naming the file.
+        """
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("config file must contain a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -101,10 +109,15 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
-        for key in ("grid_sizes", "bounds"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        try:
+            for key in ("grid_sizes", "bounds"):
+                if key in data:
+                    data[key] = tuple(data[key])
+            return cls(**data)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"invalid value in config {path}: {exc}") from exc
 
 
 @dataclass
@@ -152,15 +165,17 @@ def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
     tau = cfg.tau
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
     if cfg.mode == "mcf":
-        flow_cfg = HmboConfig.mcf(grid, cfg.gamma, tau, dt=None, max_steps=max_steps)
+        c2 = mcf_c2(cfg.gamma, tau)
+        make = partial(HmboConfig.mcf, grid, cfg.gamma, tau, max_steps=max_steps)
     else:
         phys = PhysicalParams(cfg.alpha, cfg.beta, cfg.gamma)
-        flow_cfg = HmboConfig.hmcf(grid, phys, tau, dt=None, max_steps=max_steps)
+        c2 = wave_coefficients(phys)[2]
+        make = partial(HmboConfig.hmcf, grid, phys, tau, max_steps=max_steps)
     if cfg.dt_policy == "fixed":
         dt = cfg.fixed_dt
     else:
-        dt = min(cfg.cfl_fraction * cfl_max_dt(flow_cfg.c2, grid), tau)
-    flow_cfg = replace(flow_cfg, dt=dt)
+        dt = cfl_substep(c2, grid, tau, cfg.cfl_fraction)
+    flow_cfg = make(dt=dt)
     d0 = field_from_function(grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     return flow_cfg, d0
 
@@ -394,7 +409,7 @@ def solver_vs_quadrature(n: int = 256, c: float = 1.0, t: float = 0.25,
 
     u0 = field_from_function(grid, u0_fn)
     ut0 = field_from_function(grid, lambda x, y: -v0_fn(x, y))
-    dt = cfl_fraction * cfl_max_dt(c * c, grid)
+    dt = cfl_substep(c * c, grid, t, cfl_fraction)
     u_num = wave_solve(u0, ut0, WaveParams(c * c, dt, t))
     got = eval_bilinear(u_num, point)
     want = poisson_eval(u0_fn, grad_u0_fn, v0_fn, c, t, point, n_quad)

@@ -9,9 +9,8 @@ endpoints exactly.
 
 Redistancing computes, for every grid node, the exact Euclidean distance
 to the nearest extracted segment (point-to-segment, not vertex-only) by an
-exhaustive scan over the segment soup.  The scan is compiled with numba
-when available and falls back to chunked numpy broadcasting otherwise;
-both engines visit segments in the same order and give identical results.
+exhaustive numpy-broadcast scan over the segment soup, taken in chunks of
+segments to bound memory.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import ScalarField
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
 
 # Unordered segment endpoints per marching-squares configuration, keyed by
 # s0 + 2*s1 + 4*s2 + 8*s3 (corner order: bottom-left, bottom-right,
@@ -218,40 +212,6 @@ def _min_sq_brute(px, py, a, b, seg_chunk=64):
     return best
 
 
-if numba is None:
-    _min_sq_scan = None
-else:
-
-    @numba.njit(cache=True)
-    def _min_sq_scan(px, py, ax, ay, bx, by):
-        # same arithmetic, in the same order, as _point_segment_sq so the
-        # compiled and broadcast engines agree bit for bit
-        n = px.shape[0]
-        m = ax.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            x = px[i]
-            y = py[i]
-            best = np.inf
-            for s in range(m):
-                ux = bx[s] - ax[s]
-                uy = by[s] - ay[s]
-                l2 = ux * ux + uy * uy
-                denom = l2 if l2 > 0.0 else 1.0
-                t = ((x - ax[s]) * ux + (y - ay[s]) * uy) / denom
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                cx = ax[s] + t * ux
-                cy = ay[s] + t * uy
-                d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy)
-                if d2 < best:
-                    best = d2
-            out[i] = best
-        return out
-
-
 def min_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest of the segments [a_i, b_i].
 
@@ -262,20 +222,7 @@ def min_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if a.shape[0] == 0:
         raise ValidationError("no segments to measure distance against")
-    px = np.ascontiguousarray(pts[:, 0])
-    py = np.ascontiguousarray(pts[:, 1])
-    if _min_sq_scan is not None:
-        d2 = _min_sq_scan(
-            px,
-            py,
-            np.ascontiguousarray(a[:, 0]),
-            np.ascontiguousarray(a[:, 1]),
-            np.ascontiguousarray(b[:, 0]),
-            np.ascontiguousarray(b[:, 1]),
-        )
-    else:
-        d2 = _min_sq_brute(px, py, a, b)
-    return np.sqrt(d2)
+    return np.sqrt(_min_sq_brute(pts[:, 0], pts[:, 1], a, b))
 
 
 def signed_distance(

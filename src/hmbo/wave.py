@@ -50,6 +50,18 @@ def cfl_max_dt(c2: float, grid: Grid2D) -> float:
     return 1.0 / (np.sqrt(c2) * np.sqrt(1.0 / grid.dx**2 + 1.0 / grid.dy**2))
 
 
+def cfl_substep(c2: float, grid: Grid2D, tau: float, fraction: float) -> float:
+    """Substep of `fraction` times the stability bound, capped at the window tau."""
+    return min(fraction * cfl_max_dt(c2, grid), tau)
+
+
+def check_cfl(params: WaveParams, grid: Grid2D) -> None:
+    """Raise ValidationError unless params.dt is stable on grid (CFL <= 1)."""
+    cfl = cfl_number(params.c2, params.dt, grid)
+    if cfl > 1.0 + 1e-12:
+        raise ValidationError(f"CFL violation: c*dt*sqrt(1/dx^2+1/dy^2) = {cfl:.6g} > 1")
+
+
 def _check_finite(v: np.ndarray, step: int) -> None:
     if not np.all(np.isfinite(v)):
         raise NumericalError(f"non-finite field values at substep {step}")
@@ -64,11 +76,7 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     grid = u0.grid
     if ut0.grid != grid:
         raise ValidationError("u0 and ut0 live on different grids")
-    if cfl_number(params.c2, params.dt, grid) > 1.0 + 1e-12:
-        raise ValidationError(
-            f"CFL violation: c*dt*sqrt(1/dx^2+1/dy^2) = "
-            f"{cfl_number(params.c2, params.dt, grid):.6g} > 1"
-        )
+    check_cfl(params, grid)
 
     c2, dt, tau = params.c2, params.dt, params.tau
     dx, dy = grid.dx, grid.dy

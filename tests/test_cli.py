@@ -90,13 +90,35 @@ def test_convergence_partial_failure_exit_code(capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert any(ln.startswith("16,") for ln in _lines(out))
-    assert "grid size 64 failed" in err
+    assert err.count("grid size 64 failed") == 1
 
 
 def test_validation_errors_exit_one(capsys):
     rc = cli_main(["run", "--r0", "5"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "config_text,extra",
+    [
+        (None, []),  # --config names a file that does not exist
+        ("{not json", []),
+        ('{"n_tau": "abc"}', []),
+        ('{"grid_sizes": 16}', []),
+        ("{}", ["--sizes", "16,abc"]),
+    ],
+    ids=["missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag"],
+)
+def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra):
+    cfg_path = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg_path.write_text(config_text)
+    rc = cli_main(["convergence", "--config", str(cfg_path)] + extra)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_passes(capsys):

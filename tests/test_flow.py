@@ -50,7 +50,7 @@ def test_physical_params_validation():
 @pytest.mark.parametrize(
     "params,expected",
     [
-        ((1.0, 1.0, 1.0), (1.0, -1.0, 2.0)),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 2.0)),
         ((2.0, 0.0, 1.0), (2.0, 0.0, 1.0)),
         ((1.0, 0.0, 3.0), (1.0, 0.0, 6.0)),
     ],
@@ -66,10 +66,10 @@ def test_wave_coefficients_need_positive_mass():
 
 @pytest.mark.parametrize("p", [(1.0, 1.0, 1.0), (2.5, 0.3, 0.9), (0.4, 0.0, 2.0)])
 def test_parameter_mapping_round_trip(p):
-    """Inverting a = alpha, b = -beta, c2 = 2 gamma / alpha recovers the
+    """Inverting a = alpha, b = beta, c2 = 2 gamma / alpha recovers the
     physical coefficients to machine precision."""
     a, b, c2 = wave_coefficients(PhysicalParams(*p))
-    assert (a, -b, a * c2 / 2.0) == pytest.approx(p, rel=1e-15)
+    assert (a, b, a * c2 / 2.0) == pytest.approx(p, rel=1e-15)
 
 
 def test_mcf_c2_values():
@@ -96,6 +96,11 @@ def test_config_validation():
         HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.05, 1, g, lam=6.0)  # CFL broken
     with pytest.raises(ValidationError):
         HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1e-4, -1, g, lam=6.0)
+    # the CFL boundary is shared with wave_solve: the bound itself is accepted
+    dt_max = cfl_max_dt(60.0, g)
+    assert HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, dt_max, 1, g, lam=6.0).dt == dt_max
+    with pytest.raises(ValidationError, match="CFL"):
+        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1.000001 * dt_max, 1, g, lam=6.0)
 
 
 def test_mcf_config_requires_consistent_threshold_constant():

@@ -169,7 +169,7 @@ def test_build_run_damped_mode():
     flow_cfg, _ = build_run(cfg, 32)
     assert flow_cfg.mode == "hmcf"
     assert flow_cfg.a == 1.0
-    assert flow_cfg.b == -1.0
+    assert flow_cfg.b == 1.0
     assert flow_cfg.c2 == pytest.approx(2.0 * cfg.gamma / cfg.alpha)
 
 

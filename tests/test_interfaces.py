@@ -8,8 +8,6 @@ from hmbo.fields import ScalarField, constant_field, field_from_function, make_g
 from hmbo.interfaces import (
     InterfaceCurve,
     SignConvention,
-    _min_sq_brute,
-    _min_sq_scan,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -142,25 +140,6 @@ def test_min_segment_distance_handcrafted():
 def test_min_segment_distance_rejects_empty():
     with pytest.raises(ValidationError):
         min_segment_distance(np.zeros((1, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
-
-
-def test_compiled_and_broadcast_engines_agree(rng):
-    """The optional compiled scan must be bit-identical to the numpy path."""
-    if _min_sq_scan is None:
-        pytest.skip("numba not installed")
-    pts = rng.uniform(-2, 2, size=(300, 2))
-    a = rng.uniform(-2, 2, size=(37, 2))
-    b = a + rng.uniform(-0.5, 0.5, size=(37, 2))
-    got = _min_sq_scan(
-        np.ascontiguousarray(pts[:, 0]),
-        np.ascontiguousarray(pts[:, 1]),
-        np.ascontiguousarray(a[:, 0]),
-        np.ascontiguousarray(a[:, 1]),
-        np.ascontiguousarray(b[:, 0]),
-        np.ascontiguousarray(b[:, 1]),
-    )
-    want = _min_sq_brute(pts[:, 0], pts[:, 1], a, b)
-    assert np.array_equal(got, want)
 
 
 def test_distance_against_dense_sampling(rng):

@@ -62,6 +62,12 @@ def test_wave_solve_rejects_cfl_violation():
     params = WaveParams(1.0, 2.0 * cfl_max_dt(1.0, g), 1.0)
     with pytest.raises(ValidationError):
         wave_solve(_zeros(g), _zeros(g), params)
+    # the CFL boundary is shared with HmboConfig: the bound itself is accepted
+    dt_max = cfl_max_dt(1.0, g)
+    u = wave_solve(_zeros(g), _zeros(g), WaveParams(1.0, dt_max, 4 * dt_max))
+    assert np.array_equal(u.values, np.zeros(g.shape))
+    with pytest.raises(ValidationError, match="CFL"):
+        wave_solve(_zeros(g), _zeros(g), WaveParams(1.0, 1.000001 * dt_max, 1.0))
 
 
 def test_wave_solve_rejects_grid_mismatch():
