@@ -95,7 +95,8 @@ class ExperimentConfig:
         """Load a flat-key JSON config; overrides win over file values.
 
         An unreadable file, malformed JSON or a value of the wrong type is
-        reported as a ValidationError naming the file.
+        reported as a ValidationError naming the file, and for a wrong type
+        the key.
         """
         try:
             with open(path) as fh:
@@ -109,15 +110,29 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
+        for key in ("grid_sizes", "bounds"):
+            if isinstance(data.get(key), list):
+                data[key] = tuple(data[key])
         try:
-            for key in ("grid_sizes", "bounds"):
-                if key in data:
-                    data[key] = tuple(data[key])
             return cls(**data)
         except ValidationError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"invalid value in config {path}: {exc}") from exc
+            key = next((k for k in data if _wrong_type(cls, k, data[k])), None)
+            where = f" for {key!r}" if key else ""
+            raise ValidationError(f"invalid value{where} in config {path}: {exc}") from exc
+
+
+def _wrong_type(cls, key, value) -> bool:
+    """True iff cls(key=value), every other field at its default, fails with
+    a TypeError or ValueError rather than a ValidationError."""
+    try:
+        cls(**{key: value})
+    except (TypeError, ValueError):
+        return True
+    except ValidationError:
+        pass
+    return False
 
 
 @dataclass

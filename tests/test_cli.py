@@ -100,17 +100,21 @@ def test_validation_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text,extra",
+    "config_text,extra,key",
     [
-        (None, []),  # --config names a file that does not exist
-        ("{not json", []),
-        ('{"n_tau": "abc"}', []),
-        ('{"grid_sizes": 16}', []),
-        ("{}", ["--sizes", "16,abc"]),
+        (None, [], None),  # --config names a file that does not exist
+        ("{not json", [], None),
+        ('{"n_tau": "abc"}', [], "n_tau"),
+        ('{"grid_sizes": 16}', [], "grid_sizes"),
+        ("{}", ["--sizes", "16,abc"], None),
+        ('{"bounds": [-2, 2, "a", 2]}', [], "bounds"),
     ],
-    ids=["missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag"],
+    ids=[
+        "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
+        "bounds-string-entry",
+    ],
 )
-def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra):
+def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
@@ -119,6 +123,8 @@ def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra):
     assert rc == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if key is not None:  # a wrongly typed value is reported with its key
+        assert repr(key) in err.splitlines()[0]
 
 
 def test_verify_passes(capsys):

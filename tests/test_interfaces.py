@@ -1,5 +1,7 @@
 """Zero-set extraction, exact segment distance, and redistancing tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ def test_distance_against_dense_sampling(rng):
     assert np.max(dense - exact) < 1e-6
 
     # the scan finds the reference minimum bit for bit, and the segment
-    # attaining it; 50 segments span several chunks, one of them partial
+    # attaining it, on 12 and on 50 segments
     many_a = rng.uniform(-1, 1, size=(50, 2))
     many_b = many_a + rng.uniform(-0.4, 0.4, size=(50, 2))
     for sa, sb in ((a, b), (many_a, many_b)):
@@ -188,7 +190,7 @@ def test_distance_against_dense_sampling(rng):
             _point_segment_sq(pts[:, 0], pts[:, 1], na[:, 0], na[:, 1], nb[:, 0], nb[:, 1]),
             d2,
         )
-    # on ties the first segment wins, within a chunk and across chunks
+    # on ties the first segment wins
     twice = _nearest_segment(pts[:, 0], pts[:, 1], np.vstack([a, a]), np.vstack([b, b]))
     assert np.all(twice[1] < len(a))
     d2, nearest = _nearest_segment(pts[:, 0], pts[:, 1], a, b)
@@ -210,6 +212,138 @@ def test_distance_against_dense_sampling(rng):
     assert np.all(bent <= dense_bent + 1e-12)
     assert np.max(dense_bent - bent) < 1e-6
     assert np.max(np.abs(bent - exact)) > 1e-3  # the bend is felt
+
+
+def _brute_nearest(px, py, a, b, rows=256):
+    """Exhaustive reference for _nearest_segment: _min_sq_brute's squared
+    distances, and the first segment attaining each minimum in the full
+    (point, segment) matrix of _point_segment_sq, taken in blocks of rows."""
+    first = [
+        _point_segment_sq(
+            px[s : s + rows, None], py[s : s + rows, None],
+            a[None, :, 0], a[None, :, 1], b[None, :, 0], b[None, :, 1],
+        ).argmin(axis=1)
+        for s in range(0, px.size, rows)
+    ]
+    return _min_sq_brute(px, py, a, b), np.concatenate(first)
+
+
+def _assert_scan_exact(px, py, a, b, check=slice(None)):
+    """_nearest_segment over all points equals the exhaustive reference, bit
+    for bit and in the index, on the points selected by check."""
+    d2, nearest = _nearest_segment(px, py, a, b)
+    ref_d2, ref_first = _brute_nearest(px[check], py[check], a, b)
+    assert np.array_equal(d2[check], ref_d2)
+    assert np.array_equal(nearest[check], ref_first)
+
+
+def _nodes(g):
+    X, Y = g.mesh()
+    return X.ravel(), Y.ravel()
+
+
+def test_nearest_segment_exact_on_degenerate_soups():
+    """Zero-length and duplicated segments, points exactly on segments and
+    vertices, and a single segment: the pruned scan keeps every tie and
+    returns the first segment, like the exhaustive scan."""
+    g = make_grid(24, 24, (-1, 1, -1, 1))
+    px, py = _nodes(g)
+    xs = g.x_coords()
+    # a closed square through grid nodes, each side twice, a zero-length
+    # segment on a node and one between nodes, and a chord along a grid line
+    corners = np.array([[xs[4], xs[4]], [xs[19], xs[4]], [xs[19], xs[19]], [xs[4], xs[19]]])
+    a = np.vstack([corners, corners, [[xs[10], xs[10]], [0.013, -0.41]], [[xs[2], xs[7]]]])
+    b = np.vstack([np.roll(corners, -1, axis=0)] * 2 + [[[xs[10], xs[10]], [0.013, -0.41]], [[xs[21], xs[7]]]])
+    _assert_scan_exact(px, py, a, b)
+    # points placed exactly on segment ends and inside segments
+    on = np.vstack([a, b, 0.5 * (a + b)])
+    _assert_scan_exact(on[:, 0], on[:, 1], a, b)
+    for k in range(len(a)):  # a single segment, each in turn
+        _assert_scan_exact(px, py, a[k : k + 1], b[k : k + 1])
+
+
+_SCAN_FIELDS = {
+    "noise": lambda g: ScalarField(g, np.random.default_rng(g.nx * g.ny).normal(size=g.shape)),
+    # interfaces that touch the walls: a line across the domain, a disk
+    # centred on a corner
+    "line": lambda g: field_from_function(g, lambda x, y: y - 0.3 * x - 0.1),
+    "corner-disk": lambda g: field_from_function(g, lambda x, y: np.hypot(x + 2, y + 1.5) - 1.3),
+}
+
+
+@pytest.mark.parametrize(
+    "nx, ny, field, check",
+    [
+        # white noise with more than 10k segments; 1 node in 11 is checked,
+        # as the exhaustive reference takes about 12 s for all of them
+        (128, 128, "noise", slice(None, None, 11)),
+        (37, 53, "noise", slice(None)),
+        (9, 8, "noise", slice(None)),
+        (53, 37, "line", slice(None)),
+        (64, 64, "corner-disk", slice(None)),
+    ],
+    ids=["noise-128x128", "noise-37x53", "noise-9x8", "wall-53x37", "wall-64x64"],
+)
+def test_nearest_segment_exact_on_grids(nx, ny, field, check):
+    g = make_grid(nx, ny, (-2, 2, -1.5, 1.7))
+    a, b = extract_zero_set(_SCAN_FIELDS[field](g)).segment_points()
+    if nx == 128:
+        assert len(a) > 10_000
+    _assert_scan_exact(*_nodes(g), a, b, check)
+
+
+def test_nearest_segment_exact_on_random_soups():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # coordinates on a coarse lattice make exact ties, shared ends and
+    # zero-length segments common
+    coord = st.integers(-12, 12).map(lambda i: i / 8.0) | st.floats(-2.0, 2.0)
+    point = st.tuples(coord, coord)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(point, min_size=1, max_size=300),
+        st.lists(st.tuples(point, point), min_size=1, max_size=40),
+    )
+    def check(points, segments):
+        pts = np.array(points)
+        a = np.array([s[0] for s in segments])
+        b = np.array([s[1] for s in segments])
+        _assert_scan_exact(pts[:, 0], pts[:, 1], a, b)
+
+    check()
+
+
+def test_signed_distance_equals_brute_build(rng, monkeypatch):
+    """Both reconstructions give the same field on the pruned scan as on
+    the exhaustive one."""
+    g = make_grid(57, 64, (-2, 2, -2, 2))
+    fields = (_circle_field(g), _smooth_random_field(g, rng))
+    pruned = [
+        signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
+    ]
+    monkeypatch.setattr("hmbo.interfaces._nearest_segment", _brute_nearest)
+    brute = [
+        signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
+    ]
+    for p, q in zip(pruned, brute):
+        assert np.array_equal(p.values, q.values)
+
+
+@pytest.mark.parametrize("curved", RECONSTRUCTIONS)
+def test_signed_distance_memory(curved):
+    """The traced peak of one redistance at N=128 stays under 8 MiB (the
+    exhaustive scan in work buffers of 3 x nodes x 16 floats took 7.4 MiB)."""
+    g = make_grid(128, 128, (-2, 2, -2, 2))
+    f = _circle_field(g)
+    curve = extract_zero_set(f, curved=curved)
+    tracemalloc.start()
+    try:
+        signed_distance(f, curve, curved=curved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
