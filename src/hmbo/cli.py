@@ -12,17 +12,12 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import NumericalError, ValidationError
 from .flow import PhysicalParams
 from .harness import ExperimentConfig, convergence_study, single_run, verify_suite
 from .oracles import exact_mcf_series, hmcf_circle_radius, write_radius_csv
-
-_OVERRIDE_KEYS = (
-    "mode", "r0", "n_tau", "gamma", "alpha", "beta", "dt_policy",
-    "cfl_fraction", "fixed_dt", "v0_normal", "max_steps",
-)
-
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
@@ -43,9 +38,10 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    overrides["out_dir"] = getattr(args, "out_dir", None)
-    overrides["save_interfaces"] = getattr(args, "snapshots", None)
+    """The experiment config from --config and the flags whose dest is an
+    ExperimentConfig field (plus --sizes); a flag left unset is None."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
     sizes = getattr(args, "sizes", None)
     if sizes is not None:
         try:
@@ -112,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single flow at one grid size")
     _add_experiment_args(p_run)
     p_run.add_argument("--n", type=int, help="grid size (nodes per axis)")
-    p_run.add_argument("--snapshots", action="store_true", default=None,
-                       help="write per-step interface vertex clouds")
+    p_run.add_argument("--snapshots", dest="save_interfaces", action="store_true",
+                       default=None, help="write per-step interface vertex clouds")
     p_run.set_defaults(func=_cmd_run)
 
     p_conv = sub.add_parser("convergence", help="grid-refinement error study")

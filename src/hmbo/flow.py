@@ -14,6 +14,11 @@ set of the result, and rebuilds a signed distance field from it:
 Iterating the step yields the flow; the interface is declared extinct when
 the propagated field no longer changes sign anywhere.
 
+A step reads only the wave data coefficients (a, b, c2, tau, dt), the grid
+and the mode.  It is odd under d -> -d, so either side of the interface may
+carry the positive sign of d0; the rebuilt fields keep the sign of the
+propagated field at each node.
+
 The damped step (and init_history) rebuilds the distance field with the
 curved reconstruction of hmbo.interfaces: the history term 2*d_n - d_nm1
 turns a per-step shift delta of the interface into a forcing of order
@@ -21,7 +26,8 @@ delta/tau^2, and the chord reconstruction's shift of about 0.05 dx^2 per
 step made the radius of a unit circle drift by 0.19 in 90 steps at N = 128,
 tau = 1/300.  The mcf step sees that shift only as delta/tau and keeps the
 chord reconstruction, which its frozen reference figures rest on.  The
-choice follows the mode; there is no separate option.
+choice follows the mode and is made in one place, CURVED, which the step,
+init_history and the harness's radius and interface outputs all read.
 """
 
 from dataclasses import dataclass
@@ -32,13 +38,16 @@ from .errors import ValidationError
 from .fields import Grid2D, ScalarField
 from .interfaces import (
     InterfaceCurve,
-    SignConvention,
     average_radius,
     extract_zero_set,
     has_interface,
     signed_distance,
 )
 from .wave import WaveParams, check_cfl, cfl_substep, wave_solve
+
+# The modes, each with whether it extracts and redistances with the curved
+# reconstruction (True) or the chord one; see the module docstring.
+CURVED = {"hmcf": True, "mcf": False}
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,9 @@ def mcf_c2(gamma: float, tau: float) -> float:
 class HmboConfig:
     """Frozen parameters of a threshold-dynamics run.
 
-    In damped mode the sign convention must keep positive_inside=True: the
-    two history fields enter one wave problem and have to share a single
-    orientation, which a per-step global flip would destroy.
+    a and b scale the damped mode's initial displacement and velocity; the
+    mcf step ignores them.  Build configs with HmboConfig.mcf or .hmcf,
+    which derive (a, b, c2) from the physical coefficients.
     """
 
     mode: str
@@ -92,40 +101,29 @@ class HmboConfig:
     dt: float
     max_steps: int
     grid: Grid2D
-    sign_convention: SignConvention = SignConvention()
-    lam: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("hmcf", "mcf"):
+        if self.mode not in CURVED:
             raise ValidationError(f"unknown mode {self.mode!r}")
         check_cfl(self.wave_params(), self.grid)
         if self.max_steps < 0:
             raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
-        if self.mode == "mcf":
-            if self.lam is None:
-                raise ValidationError("MCF mode requires lam")
-            if abs(self.c2 * self.tau - self.lam) > 1e-9 * self.lam:
-                raise ValidationError("MCF mode requires c2 = lam/tau")
-        if self.mode == "hmcf" and not self.sign_convention.positive_inside:
-            raise ValidationError("damped mode requires positive_inside=True")
 
     @classmethod
     def mcf(cls, grid: Grid2D, gamma: float, tau: float, dt: float | None = None,
-            max_steps: int = 1, sign_convention: SignConvention = SignConvention()):
+            max_steps: int = 1):
         c2 = mcf_c2(gamma, tau)
         if dt is None:
             dt = cfl_substep(c2, grid, tau, 0.5)
-        return cls("mcf", 0.0, 0.0, c2, tau, dt, max_steps, grid,
-                   sign_convention, lam=6.0 * gamma)
+        return cls("mcf", 0.0, 0.0, c2, tau, dt, max_steps, grid)
 
     @classmethod
     def hmcf(cls, grid: Grid2D, params: PhysicalParams, tau: float,
-             dt: float | None = None, max_steps: int = 1,
-             sign_convention: SignConvention = SignConvention()):
+             dt: float | None = None, max_steps: int = 1):
         a, b, c2 = wave_coefficients(params)
         if dt is None:
             dt = cfl_substep(c2, grid, tau, 0.5)
-        return cls("hmcf", a, b, c2, tau, dt, max_steps, grid, sign_convention)
+        return cls("hmcf", a, b, c2, tau, dt, max_steps, grid)
 
     def wave_params(self) -> WaveParams:
         return WaveParams(self.c2, self.dt, self.tau)
@@ -157,8 +155,7 @@ class RunRecord:
     curve: InterfaceCurve | None = None
 
 
-def init_history(d0: ScalarField, v0_normal: float, tau: float,
-                 convention: SignConvention = SignConvention()) -> ScalarField:
+def init_history(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
     """Synthesize the previous distance field for a damped-mode start.
 
     The previous interface is taken to be the level set {d0 = -v0_normal*tau}
@@ -172,8 +169,9 @@ def init_history(d0: ScalarField, v0_normal: float, tau: float,
         raise ValidationError(
             "offset level set is empty; initial speed too large for this field"
         )
-    curve = extract_zero_set(shifted, curved=True)
-    return signed_distance(shifted, curve, convention, curved=True)
+    curved = CURVED["hmcf"]
+    curve = extract_zero_set(shifted, curved=curved)
+    return signed_distance(shifted, curve, curved=curved)
 
 
 def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
@@ -197,9 +195,9 @@ def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
     if not has_interface(u_tau):
         return FlowState(state.d_n, state.d_nm1, state.step_index, extinct=True)
 
-    curved = cfg.mode == "hmcf"
+    curved = CURVED[cfg.mode]
     curve = extract_zero_set(u_tau, curved=curved)
-    d_new = signed_distance(u_tau, curve, cfg.sign_convention, curved=curved)
+    d_new = signed_distance(u_tau, curve, curved=curved)
     d_prev = state.d_n if cfg.mode == "hmcf" else None
     return FlowState(d_new, d_prev, state.step_index + 1, extinct=False, last_curve=curve)
 
@@ -219,7 +217,7 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
 
     d_nm1 = None
     if cfg.mode == "hmcf":
-        d_nm1 = init_history(d0, v0_normal, cfg.tau, cfg.sign_convention)
+        d_nm1 = init_history(d0, v0_normal, cfg.tau)
     state = FlowState(d0, d_nm1, step_index=0)
 
     records: list[RunRecord] = []

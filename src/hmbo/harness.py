@@ -13,28 +13,42 @@ where N_s is the last step at which the numerical interface still exists.
 """
 
 import json
+import numbers
 import os
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .errors import ValidationError
 from .fields import ScalarField, field_from_function, make_grid
-from .flow import HmboConfig, PhysicalParams, RunRecord, mcf_c2, run_flow, wave_coefficients
-from .interfaces import average_radius, extract_zero_set, has_interface, write_interface_csv
+from .flow import CURVED, HmboConfig, PhysicalParams, RunRecord, mcf_c2, run_flow, wave_coefficients
+from .interfaces import average_radius, extract_zero_set, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, poisson_eval
 from .wave import WaveParams, cfl_substep, wave_solve
 
 THREADS_ENV = "HMCF_THREADS"
 
-_CONFIG_KEYS = {
-    "mode", "r0", "n_tau", "grid_sizes", "bounds", "gamma", "alpha", "beta",
-    "dt_policy", "out_dir", "cfl_fraction", "fixed_dt", "v0_normal",
-    "max_steps", "save_interfaces",
-}
+
+def _conforms(value, tp) -> bool:
+    """True iff value has the annotated type tp: any real number passes for
+    float and any integer for int, but a bool passes only for bool."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(tp, types.UnionType):
+        return any(_conforms(value, t) for t in args)
+    if isinstance(value, bool) or tp is bool:
+        return tp is bool and isinstance(value, bool)
+    return isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(tp, tp))
 
 
 @dataclass(frozen=True)
@@ -45,13 +59,16 @@ class ExperimentConfig:
     extinction time of the circle divided into n_tau steps.  dt_policy is
     either "cfl-fraction" (dt = cfl_fraction times the stability bound,
     capped at tau) or "fixed" (dt = fixed_dt, checked against the bound).
+    The field names are the keys of a JSON config file.  Every value is
+    checked here, its type first, so a bad one fails on construction with a
+    ValidationError naming its key rather than inside a grid job.
     """
 
     mode: str = "mcf"
     r0: float = 1.0
     n_tau: int = 150
-    grid_sizes: tuple = (16, 32, 64, 128, 256)
-    bounds: tuple = (-2.0, 2.0, -2.0, 2.0)
+    grid_sizes: tuple[int, ...] = (16, 32, 64, 128, 256)
+    bounds: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
     gamma: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0
@@ -64,7 +81,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("mcf", "hmcf"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, f.type):
+                what = str(f.type) if get_args(f.type) else f.type.__name__
+                raise ValidationError(f"{f.name!r} must be {what}, got {value!r}")
+        if self.mode not in CURVED:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.r0 <= 0:
             raise ValidationError(f"r0 must be positive, got {self.r0}")
@@ -72,7 +94,7 @@ class ExperimentConfig:
             raise ValidationError(f"n_tau must be at least 1, got {self.n_tau}")
         if len(self.grid_sizes) == 0:
             raise ValidationError("grid_sizes is empty")
-        if any(int(n) < 8 for n in self.grid_sizes):
+        if any(n < 8 for n in self.grid_sizes):
             raise ValidationError(f"all grid sizes must be >= 8, got {self.grid_sizes}")
         xmin, xmax, ymin, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
@@ -85,6 +107,8 @@ class ExperimentConfig:
             raise ValidationError(f"cfl_fraction must be in (0, 1], got {self.cfl_fraction}")
         if self.gamma <= 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if self.mode == "hmcf":
+            wave_coefficients(PhysicalParams(self.alpha, self.beta, self.gamma))
 
     @property
     def tau(self) -> float:
@@ -94,9 +118,8 @@ class ExperimentConfig:
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         """Load a flat-key JSON config; overrides win over file values.
 
-        An unreadable file, malformed JSON or a value of the wrong type is
-        reported as a ValidationError naming the file, and for a wrong type
-        the key.
+        An unreadable file or malformed JSON is reported as a ValidationError
+        naming the file; a bad value, as one naming its key.
         """
         try:
             with open(path) as fh:
@@ -105,34 +128,15 @@ class ExperimentConfig:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("config file must contain a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
-        for key in ("grid_sizes", "bounds"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        try:
-            return cls(**data)
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            key = next((k for k in data if _wrong_type(cls, k, data[k])), None)
-            where = f" for {key!r}" if key else ""
-            raise ValidationError(f"invalid value{where} in config {path}: {exc}") from exc
-
-
-def _wrong_type(cls, key, value) -> bool:
-    """True iff cls(key=value), every other field at its default, fails with
-    a TypeError or ValueError rather than a ValidationError."""
-    try:
-        cls(**{key: value})
-    except (TypeError, ValueError):
-        return True
-    except ValidationError:
-        pass
-    return False
+        for f in fields(cls):  # JSON arrays for the tuple fields
+            if get_origin(f.type) is tuple and isinstance(data.get(f.name), list):
+                data[f.name] = tuple(data[f.name])
+        return cls(**data)
 
 
 @dataclass
@@ -196,8 +200,12 @@ def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
 
 
 def radius_history(cfg: ExperimentConfig, records: list[RunRecord], d0: ScalarField) -> RadiusSeries:
-    """Measured radius at t=0 plus every alive step, on the i*tau lattice."""
-    r0_meas = average_radius(extract_zero_set(d0))
+    """Measured radius at t=0 plus every alive step, on the i*tau lattice.
+
+    The t=0 interface is extracted with the mode's own reconstruction, like
+    every later one.
+    """
+    r0_meas = average_radius(extract_zero_set(d0, curved=CURVED[cfg.mode]))
     times = [0.0]
     radii = [r0_meas]
     t_ext = None
@@ -291,7 +299,8 @@ def single_run(cfg: ExperimentConfig, n: int | None = None) -> list[RunRecord]:
         write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"), sizes=[size])
         if cfg.save_interfaces:
             write_interface_csv(
-                extract_zero_set(d0), os.path.join(cfg.out_dir, "interface_step0.csv")
+                extract_zero_set(d0, curved=CURVED[cfg.mode]),
+                os.path.join(cfg.out_dir, "interface_step0.csv"),
             )
             for rec in records:
                 if rec.curve is not None:

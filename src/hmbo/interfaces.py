@@ -6,6 +6,12 @@ saddle configurations are resolved by the sign of the cell-center average.
 Vertices are identified with the crossed cell edge they sit on, which
 deduplicates shared segment endpoints exactly.
 
+The rebuilt distance field takes its sign from the source field at each
+node, so for a field with no exact zero on a node, extracting and
+redistancing -f gives the negated field of f: the threshold-dynamics step
+is odd under d -> -d, and either side of the interface may be the positive
+one.
+
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_nearest_segment).  The nodes are grouped into tiles;
 the nearest segment to a tile's centre bounds the distance of every node of
@@ -73,19 +79,6 @@ _SADDLE_EDGES = {
     (10, True): [(0, 3), (1, 2)],
     (10, False): [(0, 1), (2, 3)],
 }
-
-
-@dataclass(frozen=True)
-class SignConvention:
-    """How the rebuilt distance field is signed.
-
-    The positive set of the source field is taken to be the tracked region.
-    With positive_inside=True the output keeps the source sign pattern; with
-    False the output is globally negated, i.e. the tracked region becomes
-    the negative side.
-    """
-
-    positive_inside: bool = True
 
 
 @dataclass
@@ -300,10 +293,12 @@ def _tiles(px, py):
     spacing = np.sqrt(w * h / n) if w * h > 0.0 else max(w, h) / n
 
     def cut(p, lo, extent):
-        if extent <= 0.0:
+        # one tile across an empty extent, or one whose spacing underflows
+        k = int(min(n, max(1, round(extent / (_TILE * spacing))))) if spacing > 0.0 else 1
+        if k == 1:
             return np.zeros(n, dtype=np.intp), 1
-        k = int(min(n, max(1, round(extent / (_TILE * spacing)))))
-        return np.minimum(((p - lo) * (k / extent)).astype(np.intp), k - 1), k
+        # (p - lo) / extent lies in [0, 1], so no step can overflow
+        return np.minimum(((p - lo) / extent * k).astype(np.intp), k - 1), k
 
     ix, kx = cut(px, x0, w)
     iy, _ = cut(py, y0, h)
@@ -558,17 +553,13 @@ def min_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     return np.sqrt(_nearest_segment(pts[:, 0], pts[:, 1], a, b)[0])
 
 
-def signed_distance(
-    f: ScalarField, curve: InterfaceCurve, conv: SignConvention = SignConvention(),
-    curved: bool = False,
-) -> ScalarField:
+def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False) -> ScalarField:
     """Rebuild a signed distance field from f's sign pattern and its zero set.
 
     Magnitude is the exact distance to the nearest segment of curve, or with
     curved=True the least distance to that segment and its two neighbours,
     each bent by its sagitta (see the module docstring); sign is taken from
-    f at each node (exact zeros count as +), globally negated when
-    conv.positive_inside is False.
+    f at each node (exact zeros count as +).
     """
     if curve.is_empty:
         raise ValidationError("cannot redistance against an empty interface")
@@ -591,17 +582,14 @@ def signed_distance(
     else:
         dist = min_segment_distance(np.column_stack([px, py]), sa, sb).reshape(g.shape)
     sgn = np.where(f.values >= 0.0, 1.0, -1.0)
-    if not conv.positive_inside:
-        sgn = -sgn
     return ScalarField(g, sgn * dist)
 
 
-def average_radius(curve: InterfaceCurve, center=(0.0, 0.0)) -> float:
-    """Mean distance of the curve's vertices to a center point."""
+def average_radius(curve: InterfaceCurve) -> float:
+    """Mean distance of the curve's vertices to the origin."""
     if curve.n_vertices == 0:
         raise ValidationError("empty interface has no radius")
-    c = np.asarray(center, dtype=float)
-    return float(np.mean(np.hypot(curve.vertices[:, 0] - c[0], curve.vertices[:, 1] - c[1])))
+    return float(np.mean(np.hypot(curve.vertices[:, 0], curve.vertices[:, 1])))
 
 
 def write_interface_csv(curve: InterfaceCurve, path) -> None:

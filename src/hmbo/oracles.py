@@ -18,6 +18,7 @@ Three independent routes are provided:
                F(x + c t sin(phi) e(th)) sin(phi) dphi dth.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,9 @@ def _rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
             k4r, k4v = deriv(r + h * k3r, v + h * k3v)
             rn = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
             vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not (np.isfinite(rn) and np.isfinite(vn)) or rn <= 0.0:
+            if not (math.isfinite(rn) and math.isfinite(vn)) or rn <= 0.0:
                 t_here = t0 + j * h
-                if np.isfinite(rn) and r > rn:
+                if math.isfinite(rn) and r > rn:
                     t_ext = t_here + h * r / (r - rn)
                 else:
                     t_ext = t_here + h

@@ -16,6 +16,7 @@ recovered to second order and the starter formula is reused for the
 remaining fraction.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,51 +86,38 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     if rem < 1e-12 * tau:
         rem = 0.0
 
-    log_fh = open(energy_log, "w", newline="") if energy_log is not None else None
-    try:
-        if log_fh is not None:
-            log_fh.write("step,t,energy\n")
+    def starter(u, vel, h, lap):
+        return u + h * vel + (0.5 * h * h * c2) * lap
 
+    with open(energy_log, "w", newline="") if energy_log is not None else nullcontext() as log:
+        if log is not None:
+            log.write("step,t,energy\n")
+
+        def stored(k, t, prev, new, h):
+            """Check and log the pair (prev, new) that ends substep k at time t."""
+            _check_finite(new, k)
+            if log is not None:
+                log.write(f"{k},{t:.17g},{_energy_values(prev, new, c2, h, dx, dy):.17g}\n")
+            return new
+
+        # a window shorter than one substep is a single shortened starter step
+        h = dt if n_full else tau
         u_prev = u0.values
-        if n_full == 0:
-            # window shorter than one substep: a single shortened starter step
-            u_cur = u_prev + rem * ut0.values + (0.5 * rem * rem * c2) * _laplacian_values(
-                u_prev, dx, dy
-            )
-            _check_finite(u_cur, 1)
-            return ScalarField(grid, u_cur)
-
-        u_cur = u_prev + dt * ut0.values + (0.5 * dt * dt * c2) * _laplacian_values(u_prev, dx, dy)
-        _check_finite(u_cur, 1)
-        if log_fh is not None:
-            e = _energy_values(u_prev, u_cur, c2, dt, dx, dy)
-            log_fh.write(f"1,{dt:.17g},{e:.17g}\n")
+        u_cur = stored(1, h, u_prev,
+                       starter(u_prev, ut0.values, h, _laplacian_values(u_prev, dx, dy)), h)
 
         coeff = c2 * dt * dt
         for k in range(2, n_full + 1):
             u_next = 2.0 * u_cur - u_prev + coeff * _laplacian_values(u_cur, dx, dy)
-            _check_finite(u_next, k)
-            u_prev, u_cur = u_cur, u_next
-            if log_fh is not None:
-                e = _energy_values(u_prev, u_cur, c2, dt, dx, dy)
-                log_fh.write(f"{k},{k * dt:.17g},{e:.17g}\n")
+            u_prev, u_cur = u_cur, stored(k, k * dt, u_cur, u_next, dt)
 
-        if rem > 0.0:
-            # second-order velocity estimate at the current time, then reuse
-            # the starter formula for the leftover fraction of a substep
+        if n_full and rem > 0.0:
+            # second-order velocity estimate at the current time, then the
+            # starter formula for the leftover fraction of a substep
             lap_cur = _laplacian_values(u_cur, dx, dy)
             vel = (u_cur - u_prev) / dt + (0.5 * dt * c2) * lap_cur
-            u_final = u_cur + rem * vel + (0.5 * rem * rem * c2) * lap_cur
-            _check_finite(u_final, n_full + 1)
-            if log_fh is not None:
-                e = _energy_values(u_cur, u_final, c2, rem, dx, dy)
-                log_fh.write(f"{n_full + 1},{tau:.17g},{e:.17g}\n")
-            u_cur = u_final
-
-        return ScalarField(grid, u_cur)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+            u_cur = stored(n_full + 1, tau, u_cur, starter(u_cur, vel, rem, lap_cur), rem)
+    return ScalarField(grid, u_cur)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:

@@ -108,10 +108,13 @@ def test_validation_errors_exit_one(capsys):
         ('{"grid_sizes": 16}', [], "grid_sizes"),
         ("{}", ["--sizes", "16,abc"], None),
         ('{"bounds": [-2, 2, "a", 2]}', [], "bounds"),
+        ('{"mode": "hmcf", "alpha": "1"}', [], "alpha"),
+        ('{"max_steps": "3"}', [], "max_steps"),
+        ('{"v0_normal": "0"}', [], "v0_normal"),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
-        "bounds-string-entry",
+        "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
@@ -125,6 +128,27 @@ def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
     assert "Traceback" not in err
     if key is not None:  # a wrongly typed value is reported with its key
         assert repr(key) in err.splitlines()[0]
+
+
+def test_bad_config_value_with_out_exits_one(tmp_path, capsys):
+    """With --out, too, a wrongly typed value is one error line, no traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"mode": "hmcf", "alpha": "1"}')
+    rc = cli_main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "study")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error:")
+    assert "'alpha'" in err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_bad_damped_coefficients_exit_one(capsys, alpha):
+    """Rejected before any grid job starts, not as a failed grid size."""
+    rc = cli_main(["convergence", "--mode", "hmcf", "--alpha", alpha, "--sizes", "16"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(_lines(err)) == 1 and err.startswith("error:")
+    assert "alpha" in err
 
 
 def test_verify_passes(capsys):

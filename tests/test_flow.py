@@ -25,7 +25,7 @@ from hmbo.flow import (
     run_flow,
     wave_coefficients,
 )
-from hmbo.interfaces import SignConvention, average_radius, extract_zero_set
+from hmbo.interfaces import average_radius, extract_zero_set
 from hmbo.oracles import hmcf_circle_radius
 from hmbo.wave import cfl_max_dt
 
@@ -91,37 +91,23 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         HmboConfig("sideways", 1.0, 0.0, 1.0, 0.1, 0.01, 1, g)
     with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.2, 1, g, lam=6.0)  # dt > tau
+        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.2, 1, g)  # dt > tau
     with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.05, 1, g, lam=6.0)  # CFL broken
+        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.05, 1, g)  # CFL broken
     with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1e-4, -1, g, lam=6.0)
+        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1e-4, -1, g)
     # the CFL boundary is shared with wave_solve: the bound itself is accepted
     dt_max = cfl_max_dt(60.0, g)
-    assert HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, dt_max, 1, g, lam=6.0).dt == dt_max
+    assert HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, dt_max, 1, g).dt == dt_max
     with pytest.raises(ValidationError, match="CFL"):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1.000001 * dt_max, 1, g, lam=6.0)
+        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1.000001 * dt_max, 1, g)
 
 
 def test_mcf_config_requires_consistent_threshold_constant():
     g = make_grid(32, 32, (-2, 2, -2, 2))
-    with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1e-4, 1, g, lam=9.0)
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.1)
-    assert cfg.lam == 6.0
     assert cfg.c2 == pytest.approx(60.0)
     assert cfg.dt == pytest.approx(min(0.5 * cfl_max_dt(60.0, g), 0.1))
-
-
-def test_damped_config_requires_positive_inside():
-    g = make_grid(32, 32, (-2, 2, -2, 2))
-    with pytest.raises(ValidationError):
-        HmboConfig.hmcf(
-            g,
-            PhysicalParams(1.0, 1.0, 1.0),
-            tau=0.1,
-            sign_convention=SignConvention(positive_inside=False),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +201,13 @@ def test_step_grid_mismatch_rejected():
 
 
 def test_velocity_sign_flip_same_interfaces():
-    """Flipping the sign of the propagated data (negated input field plus the
-    negated sign convention) must not move the extracted zero sets."""
+    """Flipping the sign of the propagated data (negated input field) must not
+    move the extracted zero sets: the step is odd under d -> -d."""
     g = make_grid(64, 64, (-2, 2, -2, 2))
     tau = 1.0 / 30.0
-    cfg_a = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=3)
-    cfg_b = HmboConfig.mcf(
-        g, gamma=1.0, tau=tau, max_steps=3,
-        sign_convention=SignConvention(positive_inside=False),
-    )
-    recs_a = run_flow(cfg_a, _circle_sdf(g), record_interfaces=True)
-    recs_b = run_flow(cfg_b, _circle_sdf(g, inside_positive=True), record_interfaces=True)
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=3)
+    recs_a = run_flow(cfg, _circle_sdf(g), record_interfaces=True)
+    recs_b = run_flow(cfg, _circle_sdf(g, inside_positive=True), record_interfaces=True)
     assert len(recs_a) == len(recs_b) == 3
     for ra, rb in zip(recs_a, recs_b):
         assert np.array_equal(ra.curve.vertices, rb.curve.vertices)

@@ -24,6 +24,7 @@ from hmbo.harness import (
     write_error_table,
     write_run_csv,
 )
+from hmbo.interfaces import average_radius, extract_zero_set
 from hmbo.oracles import RadiusSeries
 from hmbo.wave import cfl_max_dt
 
@@ -48,11 +49,27 @@ def test_default_step_length():
         {"n_tau": 0},
         {"gamma": 0.0},
         {"bounds": (1.0, -1.0, 0.0, 2.0)},
+        {"mode": "hmcf", "alpha": 0.0},
+        {"mode": "hmcf", "alpha": -1.0},
+        {"n_tau": 10.0},
+        {"grid_sizes": (16.0,)},
+        {"bounds": (-2.0, 2.0, -2.0)},
+        {"save_interfaces": 1},
+        {"r0": True},
+        {"max_steps": "3"},
     ],
 )
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValidationError):
         ExperimentConfig(**kw)
+
+
+def test_config_accepts_ints_for_floats_and_numpy_scalars():
+    cfg = ExperimentConfig(r0=1, bounds=(-2, 2, -2, 2), grid_sizes=(np.int64(16),),
+                           max_steps=np.int32(3), gamma=np.float64(1.0))
+    assert cfg.tau == pytest.approx(1.0 / 300.0)
+    # alpha is read only in damped mode
+    assert ExperimentConfig(alpha=0.0).alpha == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +203,19 @@ def test_radius_history_prepends_initial_radius():
     assert abs(hist.radii[0] - cfg.r0) < 1.5 * flow_cfg.grid.dx
     assert hist.radii[1] == 0.95
     assert hist.extinction_time == 2 * tau
+
+
+def test_radius_history_measures_t0_with_the_mode_reconstruction():
+    """Row 0 of a damped run log uses the curved extraction, like every later
+    row; an mcf log keeps the chord one."""
+    first = {}
+    for mode, curved in (("hmcf", True), ("mcf", False)):
+        cfg = ExperimentConfig(mode=mode, grid_sizes=(32,), n_tau=10)
+        _, d0 = build_run(cfg, 32)
+        first[mode] = radius_history(cfg, [], d0).radii[0]
+        assert first[mode] == average_radius(extract_zero_set(d0, curved=curved)), mode
+    # at N = 32 the chord roots sit about 0.05 dx^2 = 8e-4 inside the circle
+    assert first["hmcf"] - first["mcf"] > 1e-4
 
 
 # ---------------------------------------------------------------------------

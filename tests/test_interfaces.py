@@ -9,7 +9,6 @@ from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, constant_field, field_from_function, make_grid
 from hmbo.interfaces import (
     InterfaceCurve,
-    SignConvention,
     _bent_chord_distance,
     _min_sq_brute,
     _nearest_segment,
@@ -260,6 +259,11 @@ def test_nearest_segment_exact_on_degenerate_soups():
     _assert_scan_exact(on[:, 0], on[:, 1], a, b)
     for k in range(len(a)):  # a single segment, each in turn
         _assert_scan_exact(px, py, a[k : k + 1], b[k : k + 1])
+    # points spread over a subnormal extent, where a tile count over the
+    # extent overflows and the tile spacing can underflow to zero
+    zero = np.zeros((1, 2))
+    _assert_scan_exact(np.zeros(2), np.array([0.0, 2.225073858507e-311]), zero, zero)
+    _assert_scan_exact(np.r_[5e-324, np.zeros(300)], np.zeros(301), zero, zero + 1.0)
 
 
 _SCAN_FIELDS = {
@@ -389,14 +393,28 @@ def test_redistance_sign_consistency(rng):
         assert np.all(np.sign(d.values[away]) == np.sign(f.values[away])), curved
 
 
-def test_redistance_convention_flag_negates():
-    g = make_grid(40, 40, (-2, 2, -2, 2))
-    f = _circle_field(g)
-    for curved in RECONSTRUCTIONS:
-        curve = extract_zero_set(f, curved=curved)
-        pos = signed_distance(f, curve, SignConvention(positive_inside=True), curved=curved)
-        neg = signed_distance(f, curve, SignConvention(positive_inside=False), curved=curved)
-        assert np.array_equal(neg.values, -pos.values), curved
+def test_redistance_odd_under_negation():
+    """Extracting and redistancing -f gives the negated field of f when no
+    node value is exactly zero.
+
+    Negation flips every marching-squares case and so reorders the segments.
+    The chord distance is a minimum over the same exactly computed values and
+    does not move.  The curved one measures only the nearest chord's
+    neighbourhood, and a tie between chords broken the other way moves it:
+    by rounding on this star, by up to 2.4e-3 on some sharper stars at N = 41.
+    """
+    cases = [
+        (make_grid(40, 40, (-2, 2, -2, 2)), lambda x, y: np.hypot(x, y) - 1.0, 0.0),
+        (make_grid(64, 64, (-2, 2, -2, 2)),
+         lambda x, y: np.hypot(x, y) - 1.0 - 0.15 * np.cos(4.0 * np.arctan2(y, x)), 1e-15),
+    ]
+    for g, fn, curved_tol in cases:
+        f = field_from_function(g, fn)
+        assert np.all(f.values != 0.0)
+        neg_f = ScalarField(g, -f.values)
+        for curved in RECONSTRUCTIONS:
+            gap = np.max(np.abs(_redistance(neg_f, curved).values + _redistance(f, curved).values))
+            assert gap <= (curved_tol if curved else 0.0), (g.nx, curved, gap)
 
 
 @pytest.mark.parametrize("n, curved_bound", [(64, 1e-6), (128, 1e-7)])
@@ -501,12 +519,6 @@ def test_average_radius_ellipse_against_quadrature():
     v = np.column_stack([np.cos(th), 0.5 * np.sin(th)])
     curve = _closed_loop(v)
     assert average_radius(curve) == pytest.approx(_ELLIPSE_MEAN_RADIUS, abs=1e-12)
-
-
-def test_average_radius_honors_center():
-    v = np.array([[2.0, 3.0], [4.0, 3.0]])
-    curve = InterfaceCurve(vertices=v, segments=np.array([[0, 1]]))
-    assert average_radius(curve, center=(3.0, 3.0)) == pytest.approx(1.0)
 
 
 def test_average_radius_empty_curve_rejected():
