@@ -5,10 +5,14 @@ with dx = (xmax - xmin) / (nx - 1), so the first and last nodes lie exactly
 on the rectangle boundary.  Field values are stored as a (ny, nx) array,
 row-major with y as the outer index.
 
-The Laplacian uses the standard 5-point stencil with mirror ghost nodes
-(ghost value equals the first interior value), which realizes a homogeneous
-Neumann condition: the centered normal derivative at every boundary node of
-the implied extension is exactly zero.
+The walls are homogeneous Neumann walls, and the one wall convention is the
+mirror ghost node (_mirror_ghosts): past a wall, the field continues as its
+mirror image about the wall's node row, so a ghost value equals the value of
+the first node inside.  The centered normal derivative at every wall node of
+this extension is exactly zero, and a level set meets the wall at a right
+angle.  Every stencil that reaches past a wall reads the ghosts: the 5-point
+Laplacian here, and the curved reconstruction's four-node cubic and
+curvature differences in hmbo.interfaces.
 """
 
 from dataclasses import dataclass, field
@@ -94,55 +98,50 @@ def field_from_function(grid: Grid2D, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
-def constant_field(grid: Grid2D, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.shape, float(value)))
+def _mirror_ghosts(v: np.ndarray) -> np.ndarray:
+    """v with one ring of mirror ghost nodes: p[j + 1, i + 1] = v[j, i], and
+    p[j + 1, 0] = v[j, 1] at the low x wall, and so on (the corners too)."""
+    return np.pad(v, 1, mode="reflect")
 
 
 def _laplacian_values(v: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """5-point Laplacian with mirror (Neumann) ghost nodes, on a raw array."""
-    p = np.pad(v, 1, mode="reflect")
+    p = _mirror_ghosts(v)
     return (p[1:-1, :-2] - 2.0 * v + p[1:-1, 2:]) / (dx * dx) + (
         p[:-2, 1:-1] - 2.0 * v + p[2:, 1:-1]
     ) / (dy * dy)
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Discrete Laplacian of f with homogeneous Neumann boundary handling."""
-    g = f.grid
-    return ScalarField(g, _laplacian_values(f.values, g.dx, g.dy))
+def eval_bilinear(f: ScalarField, p):
+    """Bilinear interpolation of f at a point p = (x, y) inside the domain,
+    as a float; or at each row of an (n, 2) array of points, as an (n,) array.
 
-
-def eval_bilinear(f: ScalarField, p) -> float:
-    """Bilinear interpolation of f at a point p = (x, y) inside the domain."""
+    A point lies in the cell whose lower-left node is (floor(s_x), floor(s_y)),
+    s = (p - lower-left corner of the domain) / spacing, clipped to the grid,
+    at fractions s - floor(s) across it.
+    """
     g = f.grid
-    x, y = float(p[0]), float(p[1])
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
     # tolerate roundoff at the outer edges, reject genuinely outside points
     tol_x = 1e-12 * (g.xmax - g.xmin)
     tol_y = 1e-12 * (g.ymax - g.ymin)
-    if not (g.xmin - tol_x <= x <= g.xmax + tol_x and g.ymin - tol_y <= y <= g.ymax + tol_y):
-        raise ValidationError(f"point ({x}, {y}) outside domain")
-    i = min(int((x - g.xmin) / g.dx), g.nx - 2)
-    j = min(int((y - g.ymin) / g.dy), g.ny - 2)
-    i = max(i, 0)
-    j = max(j, 0)
-    u = (x - (g.xmin + i * g.dx)) / g.dx
-    v = (y - (g.ymin + j * g.dy)) / g.dy
+    inside = (g.xmin - tol_x <= x) & (x <= g.xmax + tol_x)
+    inside &= (g.ymin - tol_y <= y) & (y <= g.ymax + tol_y)
+    if not np.all(inside):
+        bx, by = p.reshape(-1, 2)[np.argmin(inside.ravel())]
+        raise ValidationError(f"point ({bx}, {by}) outside domain")
+    sx = (x - g.xmin) / g.dx
+    sy = (y - g.ymin) / g.dy
+    i = np.clip(np.floor(sx).astype(np.intp), 0, g.nx - 2)
+    j = np.clip(np.floor(sy).astype(np.intp), 0, g.ny - 2)
+    u = sx - i
+    v = sy - j
     z = f.values
-    return float(
+    val = (
         (1 - u) * (1 - v) * z[j, i]
         + u * (1 - v) * z[j, i + 1]
         + (1 - u) * v * z[j + 1, i]
         + u * v * z[j + 1, i + 1]
     )
-
-
-def write_field_csv(f: ScalarField, path) -> None:
-    """Dump a field as x,y,value rows, row-major with y as the outer index."""
-    g = f.grid
-    xs = g.x_coords()
-    ys = g.y_coords()
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,value\n")
-        for j in range(g.ny):
-            for i in range(g.nx):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{f.values[j, i]:.17g}\n")
+    return float(val) if val.ndim == 0 else val

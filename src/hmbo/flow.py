@@ -65,6 +65,12 @@ class PhysicalParams:
             )
 
 
+def check_max_steps(max_steps: int) -> None:
+    """Raise ValidationError unless max_steps is nonnegative."""
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be nonnegative, got {max_steps}")
+
+
 def wave_coefficients(p: PhysicalParams) -> tuple[float, float, float]:
     """Map physical coefficients to wave data coefficients (a, b, c2).
 
@@ -106,8 +112,7 @@ class HmboConfig:
         if self.mode not in CURVED:
             raise ValidationError(f"unknown mode {self.mode!r}")
         check_cfl(self.wave_params(), self.grid)
-        if self.max_steps < 0:
-            raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
+        check_max_steps(self.max_steps)
 
     @classmethod
     def mcf(cls, grid: Grid2D, gamma: float, tau: float, dt: float | None = None,

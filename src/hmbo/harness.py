@@ -26,7 +26,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import ScalarField, field_from_function, make_grid
-from .flow import CURVED, HmboConfig, PhysicalParams, RunRecord, mcf_c2, run_flow, wave_coefficients
+from .flow import (
+    CURVED,
+    HmboConfig,
+    PhysicalParams,
+    RunRecord,
+    check_max_steps,
+    mcf_c2,
+    run_flow,
+    wave_coefficients,
+)
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, poisson_eval
 from .wave import WaveParams, cfl_substep, wave_solve
@@ -107,12 +116,22 @@ class ExperimentConfig:
             raise ValidationError(f"cfl_fraction must be in (0, 1], got {self.cfl_fraction}")
         if self.gamma <= 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if self.mode == "hmcf":
-            wave_coefficients(PhysicalParams(self.alpha, self.beta, self.gamma))
+        c2 = self.c2  # checks the damped mode's coefficients
+        if self.dt_policy == "fixed":
+            WaveParams(c2, self.fixed_dt, self.tau)  # checks 0 < fixed_dt <= tau
+        if self.max_steps is not None:
+            check_max_steps(self.max_steps)
 
     @property
     def tau(self) -> float:
         return self.r0 * self.r0 / (2.0 * self.gamma * self.n_tau)
+
+    @property
+    def c2(self) -> float:
+        """The mode's squared wave speed (it depends on no grid)."""
+        if self.mode == "mcf":
+            return mcf_c2(self.gamma, self.tau)
+        return wave_coefficients(PhysicalParams(self.alpha, self.beta, self.gamma))[2]
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -184,16 +203,14 @@ def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
     tau = cfg.tau
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
     if cfg.mode == "mcf":
-        c2 = mcf_c2(cfg.gamma, tau)
         make = partial(HmboConfig.mcf, grid, cfg.gamma, tau, max_steps=max_steps)
     else:
         phys = PhysicalParams(cfg.alpha, cfg.beta, cfg.gamma)
-        c2 = wave_coefficients(phys)[2]
         make = partial(HmboConfig.hmcf, grid, phys, tau, max_steps=max_steps)
     if cfg.dt_policy == "fixed":
         dt = cfg.fixed_dt
     else:
-        dt = cfl_substep(c2, grid, tau, cfg.cfl_fraction)
+        dt = cfl_substep(cfg.c2, grid, tau, cfg.cfl_fraction)
     flow_cfg = make(dt=dt)
     d0 = field_from_function(grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     return flow_cfg, d0
@@ -220,7 +237,7 @@ def radius_history(cfg: ExperimentConfig, records: list[RunRecord], d0: ScalarFi
 
 def _study_one(cfg: ExperimentConfig, n: int):
     flow_cfg, d0 = build_run(cfg, int(n))
-    records = run_flow(flow_cfg, d0)
+    records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal)
     numeric = radius_history(cfg, records, d0)
     n_s = len(numeric.radii) - 1
     exact_radii = np.array(

@@ -27,12 +27,14 @@ Two reconstructions of the interface are offered:
   the linear interpolant along its cell edge and measures the exact
   Euclidean distance to the straight segments;
 * the curved reconstruction (``curved=True``) puts each vertex at the root
-  of the cubic through the four collinear nodes around its edge (edges whose
-  stencil would leave the grid keep the linear root) and measures the
-  distance to each node's nearest segment, and to that segment's two
-  neighbours, bent by its sagitta, with the curvature taken from the source
-  field (after Chopp, SIAM J. Sci. Comput. 2001, "Some improvements of the
-  fast marching method").  Chords in cells next to the wall stay straight.
+  of the cubic through the four collinear nodes around its edge and
+  measures the distance to each node's nearest segment, and to that
+  segment's two neighbours, bent by its sagitta, with the curvature taken
+  from the source field (after Chopp, SIAM J. Sci. Comput. 2001, "Some
+  improvements of the fast marching method").  Where a stencil reaches past
+  a wall it reads the mirror ghost nodes of hmbo.fields, the walls' one
+  convention, so a level set that meets a wall is reconstructed there as it
+  would be inside the mirrored domain.
 
 The linear roots and the chords of a curved level set both lie on the side
 of its centre of curvature, so one extract/redistance cycle of the chord
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fields import ScalarField
+from .fields import ScalarField, _mirror_ghosts, eval_bilinear
 
 # Unordered segment endpoints per marching-squares configuration, keyed by
 # s0 + 2*s1 + 4*s2 + 8*s3 (corner order: bottom-left, bottom-right,
@@ -119,33 +121,46 @@ def has_interface(f: ScalarField) -> bool:
     return bool(np.any(v < 0.0)) and bool(np.any(v >= 0.0))
 
 
-def _cubic_edge_roots(v: np.ndarray, r: np.ndarray, k: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """Roots on the edges v[r, k] -- v[r, k+1] of the cubic through the nodes
-    v[r, k-1 .. k+2], as fractions of the edge.
+# Cap on the iterations of _cubic_edge_roots' bracketed solve: more than the
+# bisections from [0, 1] down to adjacent doubles near 1.
+_ROOT_ITERATIONS = 64
 
-    Newton's method starts at the linear roots t and is clipped to the edge;
-    an edge whose stencil leaves the row, or whose Newton iterate ends with a
-    larger cubic residual than t, keeps t.
+
+def _cubic_edge_roots(ghosted: np.ndarray, r: np.ndarray, k: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
+    """Roots on the edges (r, k) -- (r, k+1) of the cubic through the nodes
+    (r, k-1 .. k+2), as fractions of the edge.  ghosted is the field with
+    its ring of mirror ghost nodes (_mirror_ghosts): node (r, k) is
+    ghosted[r + 1, k + 1].
+
+    The cubic takes the signs of its edge's ends at s = 0 and s = 1, so
+    [0, 1] brackets a root.  Newton's method starts at the linear roots t
+    and each iterate shrinks the bracket; a step that would leave the
+    bracket (or a flat cubic) bisects it instead.  The solve stops when no
+    iterate changes, or after _ROOT_ITERATIONS.
     """
-    n = v.shape[1]
-    inner = (k >= 1) & (k + 2 <= n - 1)
-    fm, f0, f1, f2 = (v[r, np.clip(k + o, 0, n - 1)] for o in (-1, 0, 1, 2))
+    fm, f0, f1, f2 = (ghosted[r + 1, k + o] for o in range(4))
     # p(s) = f0 + c1 s + c2 s^2 + c3 s^3 interpolates f at s = -1, 0, 1, 2
     c1 = f1 - fm / 3.0 - f0 / 2.0 - f2 / 6.0
     c2 = 0.5 * (fm + f1) - f0
     c3 = (f2 - fm) / 6.0 + 0.5 * (f0 - f1)
-
-    def cubic(s):
-        return f0 + s * (c1 + s * (c2 + s * c3))
-
+    pos0 = f0 >= 0.0  # the sign convention of extract_zero_set
+    lo, hi = np.zeros_like(t), np.ones_like(t)
     s = t
-    for _ in range(4):
+    for _ in range(_ROOT_ITERATIONS):
+        ps = f0 + s * (c1 + s * (c2 + s * c3))
         dp = c1 + s * (2.0 * c2 + 3.0 * s * c3)
-        step = cubic(s) / np.where(dp != 0.0, dp, np.inf)
-        s = np.clip(s - step, 0.0, 1.0)
-    better = np.abs(cubic(s)) <= np.abs(cubic(t))
-    return np.where(inner & better, s, t)
+        # keep p(lo) on the side of f0 and p(hi) on the side of f1
+        low_side = (ps >= 0.0) == pos0
+        lo = np.where(low_side, s, lo)
+        hi = np.where(low_side, hi, s)
+        newton = s - ps / np.where(dp != 0.0, dp, np.nan)
+        inside = (newton > lo) & (newton < hi)
+        s_next = np.where(ps == 0.0, s, np.where(inside, newton, 0.5 * (lo + hi)))
+        if np.array_equal(s_next, s):
+            break
+        s = s_next
+    return s
 
 
 def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
@@ -158,6 +173,8 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     g = f.grid
     v = f.values
     pos = v >= 0.0  # exact zeros are positive by convention
+    if curved:
+        ghosted = _mirror_ghosts(v)  # read for both edge directions
 
     xs = g.x_coords()
     ys = g.y_coords()
@@ -169,7 +186,7 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     vb = v[hj, hi + 1]
     th = va / (va - vb)
     if curved:
-        th = _cubic_edge_roots(v, hj, hi, th)
+        th = _cubic_edge_roots(ghosted, hj, hi, th)
     hx = xs[hi] + th * g.dx
     hy = ys[hj]
 
@@ -180,7 +197,7 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     wb = v[vj + 1, vi]
     tv = wa / (wa - wb)
     if curved:
-        tv = _cubic_edge_roots(v.T, vi, vj, tv)
+        tv = _cubic_edge_roots(ghosted.T, vi, vj, tv)
     vx = xs[vi]
     vy = ys[vj] + tv * g.dy
 
@@ -255,25 +272,6 @@ def _point_segment_sq(px, py, ax, ay, bx, by):
     return (px - cx) ** 2 + (py - cy) ** 2
 
 
-def _min_sq_brute(px, py, a, b, seg_chunk=64):
-    """Exhaustive minimum over all segments, chunked to bound memory.
-
-    The plain reference that the tests hold _nearest_segment to, bit for bit.
-    """
-    best = np.full(px.shape, np.inf)
-    for s in range(0, a.shape[0], seg_chunk):
-        d2 = _point_segment_sq(
-            px[:, None],
-            py[:, None],
-            a[None, s : s + seg_chunk, 0],
-            a[None, s : s + seg_chunk, 1],
-            b[None, s : s + seg_chunk, 0],
-            b[None, s : s + seg_chunk, 1],
-        )
-        np.minimum(best, d2.min(axis=1), out=best)
-    return best
-
-
 # The scan groups the points into square tiles of about _TILE x _TILE grid
 # nodes, and holds at most _BLOCK (point, segment) pairs in each of its three
 # work buffers (768 KiB in all, small enough to stay in a typical L2 cache).
@@ -343,7 +341,7 @@ def _nearest_segment(px, py, a, b):
     index of that segment (the first one on ties).  Points and segment ends
     are finite.
 
-    A pruned scan, exactly equal to the exhaustive one (_min_sq_brute):
+    A pruned scan, exactly equal to the exhaustive one:
 
     * the points are grouped into tiles (_tiles); the nearest segment to the
       centre of each tile's box gives an upper bound U on the distance of
@@ -442,53 +440,32 @@ def _nearest_segment(px, py, a, b):
 def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Curvature vector K = -div(n) n, n = grad f/|grad f|, of f's level sets.
 
-    Central differences on the interior nodes; wall nodes and nodes with a
+    Central differences at every node, reading the mirror ghost nodes past
+    the walls (so K is tangent to a wall at its nodes); nodes with a
     vanishing gradient get K = 0.  K does not change under f -> -f.
     """
     g = f.grid
-    v = f.values
-    kx = np.zeros(g.shape)
-    ky = np.zeros(g.shape)
-    c = v[1:-1, 1:-1]
-    fx = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * g.dx)
-    fy = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * g.dy)
-    fxx = (v[1:-1, 2:] - 2.0 * c + v[1:-1, :-2]) / (g.dx * g.dx)
-    fyy = (v[2:, 1:-1] - 2.0 * c + v[:-2, 1:-1]) / (g.dy * g.dy)
-    fxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * g.dx * g.dy)
+    c = f.values
+    p = _mirror_ghosts(c)
+    fx = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.dx)
+    fy = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.dy)
+    fxx = (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / (g.dx * g.dx)
+    fyy = (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / (g.dy * g.dy)
+    fxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * g.dx * g.dy)
     g2 = fx * fx + fy * fy
     ok = g2 > 0.0
     g2 = np.where(ok, g2, 1.0)
     # div(n) / |grad f|, so that multiplying by grad f gives div(n) n
     k = (fxx * fy * fy - 2.0 * fx * fy * fxy + fyy * fx * fx) / (g2 * g2)
     k = np.where(ok, k, 0.0)
-    kx[1:-1, 1:-1] = -k * fx
-    ky[1:-1, 1:-1] = -k * fy
-    return kx, ky
+    return -k * fx, -k * fy
 
 
 def _segment_curvature(f: ScalarField, a: np.ndarray, b: np.ndarray):
-    """_curvature_vector taken bilinearly at each chord midpoint; 0 for
-    chords in cells next to the wall."""
-    g = f.grid
-    kx, ky = _curvature_vector(f)
-    mx = 0.5 * (a[:, 0] + b[:, 0])
-    my = 0.5 * (a[:, 1] + b[:, 1])
-    ci = np.clip(np.floor((mx - g.xmin) / g.dx).astype(np.intp), 0, g.nx - 2)
-    cj = np.clip(np.floor((my - g.ymin) / g.dy).astype(np.intp), 0, g.ny - 2)
-    u = (mx - g.xmin) / g.dx - ci
-    w = (my - g.ymin) / g.dy - cj
-    inner = (ci >= 1) & (ci <= g.nx - 3) & (cj >= 1) & (cj <= g.ny - 3)
-
-    def bilinear(z):
-        val = (
-            (1 - u) * (1 - w) * z[cj, ci]
-            + u * (1 - w) * z[cj, ci + 1]
-            + (1 - u) * w * z[cj + 1, ci]
-            + u * w * z[cj + 1, ci + 1]
-        )
-        return np.where(inner, val, 0.0)
-
-    return bilinear(kx), bilinear(ky)
+    """_curvature_vector taken bilinearly (fields.eval_bilinear) at each
+    chord midpoint."""
+    mid = 0.5 * (a + b)
+    return tuple(eval_bilinear(ScalarField(f.grid, kc), mid) for kc in _curvature_vector(f))
 
 
 def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:

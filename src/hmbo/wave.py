@@ -72,7 +72,7 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     """Propagate (u0, ut0) over a window of length tau and return u(tau).
 
     energy_log, if given, is a path; a step,t,energy CSV row is appended for
-    every stored substep pair (see discrete_energy).
+    every stored substep pair (see _energy_values).
     """
     grid = u0.grid
     if ut0.grid != grid:
@@ -148,11 +148,3 @@ def _energy_values(u_prev, u_cur, c2, dt, dx, dy):
     kinetic = float(np.sum((wy[:, None] * wx[None, :]) * vel * vel))
     grad = float(np.sum(wy[:, None] * gx * gx)) + float(np.sum(wx[None, :] * gy * gy))
     return 0.5 * dx * dy * (kinetic + c2 * grad)
-
-
-def discrete_energy(u_prev: ScalarField, u_cur: ScalarField, params: WaveParams) -> float:
-    """Energy 0.5 * sum[ ((u_cur-u_prev)/dt)^2 + c^2 |grad u_half|^2 ] dx dy."""
-    grid = u_prev.grid
-    if u_cur.grid != grid:
-        raise ValidationError("fields live on different grids")
-    return _energy_values(u_prev.values, u_cur.values, params.c2, params.dt, grid.dx, grid.dy)

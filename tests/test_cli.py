@@ -111,10 +111,14 @@ def test_validation_errors_exit_one(capsys):
         ('{"mode": "hmcf", "alpha": "1"}', [], "alpha"),
         ('{"max_steps": "3"}', [], "max_steps"),
         ('{"v0_normal": "0"}', [], "v0_normal"),
+        # rejected before any grid job starts, not as a failed grid size
+        ("{}", ["--sizes", "16", "--max-steps", "-1"], None),
+        ("{}", ["--sizes", "16", "--dt-policy", "fixed", "--fixed-dt", "-1"], None),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
+        "max_steps-negative", "fixed_dt-negative",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
@@ -126,6 +130,7 @@ def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
     assert rc == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert len(_lines(err)) == 1  # and no "grid size N failed" line
     if key is not None:  # a wrongly typed value is reported with its key
         assert repr(key) in err.splitlines()[0]
 

@@ -165,6 +165,31 @@ def test_step_preserves_reflection_symmetry():
     assert np.max(np.abs(d - d[:, ::-1])) < 1e-13
 
 
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_corner_quarter_circle_is_a_quadrant_of_the_full_circle(mode):
+    """Neumann walls are mirrors: a circle centred on a corner of [0, 2]^2
+    evolves as the quadrant of the same circle on [-2, 2]^2 at the same dx.
+    The two grids share their nodes in the quadrant exactly, so the distance
+    fields agree to rounding, with the wall crossing the interface."""
+    m, tau = 33, 1.0 / 300.0
+    fields = []
+    for lo, n in ((0.0, m), (-2.0, 2 * m - 1)):
+        g = make_grid(n, n, (lo, 2.0, lo, 2.0))
+        d0 = _circle_sdf(g)
+        if mode == "mcf":
+            cfg, d_prev = HmboConfig.mcf(g, gamma=1.0, tau=tau), None
+        else:
+            cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
+            d_prev = init_history(d0, 0.0, tau)
+        state = FlowState(d0, d_prev, 0)
+        for _ in range(20):
+            state = hmbo_step(state, cfg)
+        assert not state.extinct
+        fields.append(state.d_n.values)
+    quarter, full = fields
+    assert np.max(np.abs(quarter - full[m - 1 :, m - 1 :])) <= 1e-12
+
+
 def test_extinction_marks_state_and_freezes_it():
     g = make_grid(32, 32, (-2, 2, -2, 2))
     d0 = _circle_sdf(g, r0=0.05)  # below the mesh resolution

@@ -57,6 +57,9 @@ def test_default_step_length():
         {"save_interfaces": 1},
         {"r0": True},
         {"max_steps": "3"},
+        {"max_steps": -1},
+        {"dt_policy": "fixed", "fixed_dt": -1.0},
+        {"dt_policy": "fixed", "fixed_dt": 0.5},  # longer than tau
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -296,6 +299,16 @@ def test_convergence_study_contains_failures(capsys):
     assert n_bad == 64
     assert "CFL" in msg
     assert "grid size 64 failed" in capsys.readouterr().err
+
+
+def test_convergence_study_starts_from_the_initial_speed():
+    """The damped study reads v0_normal, as single_run does: the initial
+    normal speed changes the table."""
+    rows = []
+    for v0 in (0.0, 0.5):
+        cfg = ExperimentConfig(mode="hmcf", grid_sizes=(16,), n_tau=20, v0_normal=v0)
+        rows.append(convergence_study(cfg).row_for(16))
+    assert rows[0].err != rows[1].err
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from hmbo.errors import ValidationError
-from hmbo.fields import ScalarField, constant_field, field_from_function, make_grid
+from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.interfaces import (
     InterfaceCurve,
     _bent_chord_distance,
-    _min_sq_brute,
     _nearest_segment,
     _point_segment_sq,
     average_radius,
@@ -76,7 +75,7 @@ def test_extract_circle_vertices_near_radius(n):
 
 def test_extract_uniform_sign_is_empty():
     g = make_grid(9, 9, (-1, 1, -1, 1))
-    curve = extract_zero_set(constant_field(g, 1.0))
+    curve = extract_zero_set(ScalarField(g, np.full(g.shape, 1.0)))
     assert curve.is_empty
     assert curve.n_vertices == 0
 
@@ -89,7 +88,7 @@ def test_has_interface_counts_zero_as_positive():
     vals2[0, 0] = -1.0
     assert has_interface(ScalarField(g, vals2))
     assert has_interface(_circle_field(make_grid(16, 16, (-2, 2, -2, 2))))
-    assert not has_interface(constant_field(g, -3.0))
+    assert not has_interface(ScalarField(g, np.full(g.shape, -3.0)))
 
 
 def test_saddle_checkerboard_resolved_deterministically():
@@ -127,6 +126,39 @@ def test_vertices_deduplicated_and_on_grid_edges(rng):
     assert np.all((bent.vertices == chord.vertices).any(axis=1))
     assert np.max(np.abs(bent.vertices - chord.vertices)) <= g.dx
     assert np.array_equal(bent.segments, chord.segments)
+
+
+def test_curved_vertices_are_roots_of_their_edge_cubic(rng):
+    """On white noise every vertex of the curved reconstruction, wall edges
+    included, is a root of the cubic through the four nodes around its edge,
+    with the mirror ghost nodes standing in past the walls."""
+    g = make_grid(40, 33, (0, 1, 0, 0.8))
+    xs, ys = g.x_coords(), g.y_coords()
+    for _ in range(20):
+        v = rng.standard_normal(g.shape)
+        verts = extract_zero_set(ScalarField(g, v), curved=True).vertices
+        ghosted = np.pad(v, 1, mode="reflect")
+        # a vertex on an edge along x has its y exactly on a node row
+        along_x = np.isin(verts[:, 1], ys)
+        assert np.all(along_x | np.isin(verts[:, 0], xs))
+        for rows, lo, d, at, lines, across, pad in (
+            (along_x, g.xmin, g.dx, verts[:, 0], ys, verts[:, 1], ghosted),
+            (~along_x, g.ymin, g.dy, verts[:, 1], xs, verts[:, 0], ghosted.T),
+        ):
+            pos = (at[rows] - lo) / d
+            k = np.minimum(np.floor(pos).astype(int), pad.shape[1] - 4)  # last edge: n - 2
+            s = pos - k
+            r = np.searchsorted(lines, across[rows])
+            fm, f0, f1, f2 = (pad[r + 1, k + o] for o in range(4))
+            # Lagrange form of the cubic through s = -1, 0, 1, 2
+            cubic = (
+                -s * (s - 1) * (s - 2) / 6 * fm
+                + (s + 1) * (s - 1) * (s - 2) / 2 * f0
+                - (s + 1) * s * (s - 2) / 2 * f1
+                + (s + 1) * s * (s - 1) / 6 * f2
+            )
+            assert np.all((s >= 0.0) & (s <= 1.0))
+            assert np.max(np.abs(cubic)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +243,23 @@ def test_distance_against_dense_sampling(rng):
     assert np.all(bent <= dense_bent + 1e-12)
     assert np.max(dense_bent - bent) < 1e-6
     assert np.max(np.abs(bent - exact)) > 1e-3  # the bend is felt
+
+
+def _min_sq_brute(px, py, a, b, seg_chunk=64):
+    """Exhaustive minimum over all segments, chunked to bound memory: the
+    plain reference that _nearest_segment is held to, bit for bit."""
+    best = np.full(px.shape, np.inf)
+    for s in range(0, a.shape[0], seg_chunk):
+        d2 = _point_segment_sq(
+            px[:, None],
+            py[:, None],
+            a[None, s : s + seg_chunk, 0],
+            a[None, s : s + seg_chunk, 1],
+            b[None, s : s + seg_chunk, 0],
+            b[None, s : s + seg_chunk, 1],
+        )
+        np.minimum(best, d2.min(axis=1), out=best)
+    return best
 
 
 def _brute_nearest(px, py, a, b, rows=256):
@@ -441,7 +490,7 @@ def test_cycle_radius_shift(n, curved_bound):
 
 def test_redistance_rejects_empty_curve():
     g = make_grid(8, 8, (-1, 1, -1, 1))
-    f = constant_field(g, 1.0)
+    f = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(ValidationError):
         signed_distance(f, extract_zero_set(f))
 
@@ -523,7 +572,7 @@ def test_average_radius_ellipse_against_quadrature():
 
 def test_average_radius_empty_curve_rejected():
     g = make_grid(8, 8, (-1, 1, -1, 1))
-    empty = extract_zero_set(constant_field(g, 1.0))
+    empty = extract_zero_set(ScalarField(g, np.full(g.shape, 1.0)))
     with pytest.raises(ValidationError):
         average_radius(empty)
 

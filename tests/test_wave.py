@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hmbo.errors import NumericalError, ValidationError
-from hmbo.fields import ScalarField, constant_field, field_from_function, make_grid
-from hmbo.wave import WaveParams, cfl_max_dt, cfl_number, discrete_energy, wave_solve
+from hmbo.fields import ScalarField, field_from_function, make_grid
+from hmbo.wave import WaveParams, _energy_values, cfl_max_dt, cfl_number, wave_solve
 
 
 def _zeros(grid):
@@ -79,7 +79,7 @@ def test_wave_solve_rejects_grid_mismatch():
 
 def test_constant_state_is_exactly_preserved():
     g = make_grid(17, 17, (-1, 1, -1, 1))
-    u0 = constant_field(g, 3.7)
+    u0 = ScalarField(g, np.full(g.shape, 3.7))
     out = wave_solve(u0, _zeros(g), WaveParams(2.0, 0.01, 0.5))
     assert np.array_equal(out.values, u0.values)
 
@@ -89,7 +89,7 @@ def test_uniform_velocity_gives_linear_drift():
     g = make_grid(17, 17, (-1, 1, -1, 1))
     v = 0.4
     tau = 0.73
-    out = wave_solve(_zeros(g), constant_field(g, v), WaveParams(1.0, 0.02, tau))
+    out = wave_solve(_zeros(g), ScalarField(g, np.full(g.shape, v)), WaveParams(1.0, 0.02, tau))
     assert np.max(np.abs(out.values - v * tau)) < 1e-13
 
 
@@ -199,17 +199,14 @@ def test_energy_bounded_at_cfl_point_nine(rng, tmp_path):
 
 def test_discrete_energy_zero_for_static_constant():
     g = make_grid(9, 9, (-1, 1, -1, 1))
-    f = constant_field(g, 4.2)
-    assert discrete_energy(f, f, WaveParams(1.0, 0.1, 1.0)) == 0.0
+    f = np.full(g.shape, 4.2)
+    assert _energy_values(f, f, 1.0, 0.1, g.dx, g.dy) == 0.0
 
 
 def test_discrete_energy_quadruples_with_amplitude(rng):
     g = make_grid(15, 15, (-1, 1, -1, 1))
-    a = ScalarField(g, rng.standard_normal(g.shape))
-    b = ScalarField(g, rng.standard_normal(g.shape))
-    params = WaveParams(3.0, 0.05, 1.0)
-    e1 = discrete_energy(a, b, params)
-    e2 = discrete_energy(
-        ScalarField(g, 2 * a.values), ScalarField(g, 2 * b.values), params
-    )
+    a = rng.standard_normal(g.shape)
+    b = rng.standard_normal(g.shape)
+    e1 = _energy_values(a, b, 3.0, 0.05, g.dx, g.dy)
+    e2 = _energy_values(2 * a, 2 * b, 3.0, 0.05, g.dx, g.dy)
     assert e2 == 4.0 * e1
