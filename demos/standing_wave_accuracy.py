@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from hmbo.fields import ScalarField, field_from_function, make_grid
-from hmbo.wave import WaveParams, cfl_max_dt, wave_solve
+from hmbo.wave import WaveParams, cfl_substep, wave_solve
 
 TAU = 0.8
 OMEGA = np.sqrt(2.0) * np.pi / 4.0  # frequency of the (1,1) mode on (-2,2)^2
@@ -26,7 +26,7 @@ def run_one(n):
         lambda x, y: np.cos(np.pi * (x + 2.0) / 4.0) * np.cos(np.pi * (y + 2.0) / 4.0),
     )
     ut0 = ScalarField(grid, np.zeros(grid.shape))
-    params = WaveParams(1.0, 0.5 * cfl_max_dt(1.0, grid), TAU)
+    params = WaveParams(1.0, cfl_substep(1.0, grid, TAU), TAU)
 
     fd, log_path = tempfile.mkstemp(suffix=".csv")
     os.close(fd)

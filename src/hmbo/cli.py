@@ -16,8 +16,8 @@ from dataclasses import fields
 
 from .errors import NumericalError, ValidationError
 from .flow import PhysicalParams
-from .harness import ExperimentConfig, convergence_study, single_run, verify_suite
-from .oracles import exact_mcf_series, hmcf_circle_radius, write_radius_csv
+from .harness import ExperimentConfig, convergence_study, format_error_table, single_run, verify_suite
+from .oracles import exact_mcf_series, format_radius_csv, hmcf_circle_radius, write_radius_csv
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
@@ -28,9 +28,8 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--dt-policy", dest="dt_policy", choices=["cfl-fraction", "fixed"])
-    p.add_argument("--cfl-fraction", dest="cfl_fraction", type=float)
-    p.add_argument("--fixed-dt", dest="fixed_dt", type=float)
+    p.add_argument("--fixed-dt", dest="fixed_dt", type=float,
+                   help="leapfrog substep (default: half the CFL bound, capped at tau)")
     p.add_argument("--v0", dest="v0_normal", type=float,
                    help="initial normal speed (damped mode)")
     p.add_argument("--max-steps", dest="max_steps", type=int)
@@ -69,9 +68,7 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg = _config_from_args(args)
     report = convergence_study(cfg)
-    print("N,ns_tau,err")
-    for row in sorted(report.rows, key=lambda r: r.n):
-        print(f"{row.n},{row.ns_tau:.12g},{row.err:.12g}")
+    sys.stdout.write(format_error_table(report))
     if cfg.out_dir:
         print(f"wrote error table to {cfg.out_dir}")
     return 2 if report.failures else 0
@@ -86,9 +83,7 @@ def _cmd_oracle(args) -> int:
     if args.out:
         write_radius_csv(series, args.out)
     else:
-        sys.stdout.write("t,r\n")
-        for t, r in zip(series.times, series.radii):
-            sys.stdout.write(f"{t:.17g},{r:.17g}\n")
+        sys.stdout.write(format_radius_csv(series))
     if series.extinction_time is not None:
         print(f"extinction at t={series.extinction_time:.10g}", file=sys.stderr)
     return 0

@@ -11,6 +11,7 @@ set of the result, and rebuilds a signed distance field from it:
   and lambda = 6*gamma, which drives the interface with normal velocity
   -gamma * curvature as tau -> 0.
 
+wave_data is the one copy of these maps; HmboConfig.build applies it.
 Iterating the step yields the flow; the interface is declared extinct when
 the propagated field no longer changes sign anywhere.
 
@@ -71,23 +72,23 @@ def check_max_steps(max_steps: int) -> None:
         raise ValidationError(f"max_steps must be nonnegative, got {max_steps}")
 
 
-def wave_coefficients(p: PhysicalParams) -> tuple[float, float, float]:
-    """Map physical coefficients to wave data coefficients (a, b, c2).
+def wave_data(mode: str, p: PhysicalParams, tau: float) -> tuple[float, float, float]:
+    """The mode's wave data coefficients (a, b, c2).
 
     a scales the initial displacement, b the initial velocity (the solver is
-    handed ut0 = b*d_n), and c2 is the squared propagation speed:
-    a = alpha, b = beta, c2 = 2*gamma/alpha.
+    handed ut0 = b*d_n) and c2 is the squared propagation speed:
+    damped, (alpha, beta, 2*gamma/alpha); mcf, (0, 0, 6*gamma/tau), whose
+    step reads neither a nor b.
     """
+    if mode == "mcf":
+        if p.gamma <= 0 or tau <= 0:
+            raise ValidationError(f"need gamma > 0 and tau > 0, got {p.gamma}, {tau}")
+        return 0.0, 0.0, 6.0 * p.gamma / tau
+    if mode != "hmcf":
+        raise ValidationError(f"unknown mode {mode!r}")
     if p.alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {p.alpha}")
     return p.alpha, p.beta, 2.0 * p.gamma / p.alpha
-
-
-def mcf_c2(gamma: float, tau: float) -> float:
-    """Squared wave speed lambda/tau with lambda = 6*gamma for the MCF limit."""
-    if gamma <= 0 or tau <= 0:
-        raise ValidationError(f"need gamma > 0 and tau > 0, got {gamma}, {tau}")
-    return 6.0 * gamma / tau
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class HmboConfig:
     """Frozen parameters of a threshold-dynamics run.
 
     a and b scale the damped mode's initial displacement and velocity; the
-    mcf step ignores them.  Build configs with HmboConfig.mcf or .hmcf,
-    which derive (a, b, c2) from the physical coefficients.
+    mcf step ignores them.  Build configs with HmboConfig.build (or its
+    wrappers .mcf and .hmcf), which derives (a, b, c2) with wave_data.
     """
 
     mode: str
@@ -115,20 +116,24 @@ class HmboConfig:
         check_max_steps(self.max_steps)
 
     @classmethod
+    def build(cls, mode: str, grid: Grid2D, params: PhysicalParams, tau: float,
+              dt: float | None = None, max_steps: int = 1):
+        """The config of a mode: wave_data's (a, b, c2), and dt defaulting
+        to cfl_substep."""
+        a, b, c2 = wave_data(mode, params, tau)
+        if dt is None:
+            dt = cfl_substep(c2, grid, tau)
+        return cls(mode, a, b, c2, tau, dt, max_steps, grid)
+
+    @classmethod
     def mcf(cls, grid: Grid2D, gamma: float, tau: float, dt: float | None = None,
             max_steps: int = 1):
-        c2 = mcf_c2(gamma, tau)
-        if dt is None:
-            dt = cfl_substep(c2, grid, tau, 0.5)
-        return cls("mcf", 0.0, 0.0, c2, tau, dt, max_steps, grid)
+        return cls.build("mcf", grid, PhysicalParams(0.0, 0.0, gamma), tau, dt, max_steps)
 
     @classmethod
     def hmcf(cls, grid: Grid2D, params: PhysicalParams, tau: float,
              dt: float | None = None, max_steps: int = 1):
-        a, b, c2 = wave_coefficients(params)
-        if dt is None:
-            dt = cfl_substep(c2, grid, tau, 0.5)
-        return cls("hmcf", a, b, c2, tau, dt, max_steps, grid)
+        return cls.build("hmcf", grid, params, tau, dt, max_steps)
 
     def wave_params(self) -> WaveParams:
         return WaveParams(self.c2, self.dt, self.tau)

@@ -3,13 +3,15 @@ grid-refinement study.
 
 The reference experiment starts from the signed distance field of an
 origin-centered circle of radius r0 on a square domain, evolves it in the
-curvature-flow limit, and compares the measured average radius at each step
-against the exact shrinking-circle solution.  The reported error is the
-time-weighted l1 norm
+configured mode, and compares the measured average radius at each step
+against the circle's radius r under that mode's law: the exact shrinking
+circle for mcf, the RK4 solution of alpha r'' + beta r' = -gamma/r for the
+damped mode.  The reported error is the time-weighted l1 norm
 
     Err = sum_{i=0}^{N_s} |r(i*tau) - r_measured(i*tau)| * tau,
 
-where N_s is the last step at which the numerical interface still exists.
+where N_s is the last step at which the numerical interface still exists,
+and (damped mode) the reference circle too.
 """
 
 import json
@@ -19,25 +21,23 @@ import sys
 import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from typing import get_args, get_origin
 
 import numpy as np
 
 from .errors import ValidationError
-from .fields import ScalarField, field_from_function, make_grid
+from .fields import ScalarField, eval_bilinear, field_from_function, make_grid
 from .flow import (
     CURVED,
     HmboConfig,
     PhysicalParams,
     RunRecord,
     check_max_steps,
-    mcf_c2,
     run_flow,
-    wave_coefficients,
+    wave_data,
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
-from .oracles import RadiusSeries, exact_mcf_radius, poisson_eval
+from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval
 from .wave import WaveParams, cfl_substep, wave_solve
 
 THREADS_ENV = "HMCF_THREADS"
@@ -65,9 +65,11 @@ class ExperimentConfig:
     """Parameters of a shrinking-circle experiment.
 
     The step length is tau = r0^2 / (2 * gamma * n_tau), i.e. the exact
-    extinction time of the circle divided into n_tau steps.  dt_policy is
-    either "cfl-fraction" (dt = cfl_fraction times the stability bound,
-    capped at tau) or "fixed" (dt = fixed_dt, checked against the bound).
+    extinction time of the circle divided into n_tau steps.  The substep is
+    fixed_dt, checked against the stability bound of every grid size, or,
+    when fixed_dt is None, wave.cfl_substep's half of that bound, capped at
+    tau.  alpha, beta and gamma are nonnegative in either mode; the mode's
+    wave data (flow.wave_data) reads alpha and beta in damped mode only.
     The field names are the keys of a JSON config file.  Every value is
     checked here, its type first, so a bad one fails on construction with a
     ValidationError naming its key rather than inside a grid job.
@@ -81,9 +83,7 @@ class ExperimentConfig:
     gamma: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0
-    dt_policy: str = "cfl-fraction"
-    cfl_fraction: float = 0.5
-    fixed_dt: float = 2.22e-6
+    fixed_dt: float | None = None
     v0_normal: float = 0.0
     max_steps: int | None = None
     save_interfaces: bool = False
@@ -95,8 +95,6 @@ class ExperimentConfig:
             if not _conforms(value, f.type):
                 what = str(f.type) if get_args(f.type) else f.type.__name__
                 raise ValidationError(f"{f.name!r} must be {what}, got {value!r}")
-        if self.mode not in CURVED:
-            raise ValidationError(f"unknown mode {self.mode!r}")
         if self.r0 <= 0:
             raise ValidationError(f"r0 must be positive, got {self.r0}")
         if self.n_tau < 1:
@@ -110,14 +108,10 @@ class ExperimentConfig:
             raise ValidationError(f"degenerate bounds {self.bounds!r}")
         if self.r0 >= 0.5 * min(xmax - xmin, ymax - ymin):
             raise ValidationError("r0 does not fit inside the domain")
-        if self.dt_policy not in ("cfl-fraction", "fixed"):
-            raise ValidationError(f"unknown dt_policy {self.dt_policy!r}")
-        if not 0 < self.cfl_fraction <= 1:
-            raise ValidationError(f"cfl_fraction must be in (0, 1], got {self.cfl_fraction}")
-        if self.gamma <= 0:
+        if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        c2 = self.c2  # checks the damped mode's coefficients
-        if self.dt_policy == "fixed":
+        c2 = self.c2  # checks the mode and its coefficients
+        if self.fixed_dt is not None:
             WaveParams(c2, self.fixed_dt, self.tau)  # checks 0 < fixed_dt <= tau
         if self.max_steps is not None:
             check_max_steps(self.max_steps)
@@ -127,11 +121,13 @@ class ExperimentConfig:
         return self.r0 * self.r0 / (2.0 * self.gamma * self.n_tau)
 
     @property
+    def params(self) -> PhysicalParams:
+        return PhysicalParams(self.alpha, self.beta, self.gamma)
+
+    @property
     def c2(self) -> float:
         """The mode's squared wave speed (it depends on no grid)."""
-        if self.mode == "mcf":
-            return mcf_c2(self.gamma, self.tau)
-        return wave_coefficients(PhysicalParams(self.alpha, self.beta, self.gamma))[2]
+        return wave_data(self.mode, self.params, self.tau)[2]
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -200,18 +196,8 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
     """Grid, flow config and initial distance field for one grid size."""
     grid = make_grid(int(n), int(n), cfg.bounds)
-    tau = cfg.tau
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
-    if cfg.mode == "mcf":
-        make = partial(HmboConfig.mcf, grid, cfg.gamma, tau, max_steps=max_steps)
-    else:
-        phys = PhysicalParams(cfg.alpha, cfg.beta, cfg.gamma)
-        make = partial(HmboConfig.hmcf, grid, phys, tau, max_steps=max_steps)
-    if cfg.dt_policy == "fixed":
-        dt = cfg.fixed_dt
-    else:
-        dt = cfl_substep(cfg.c2, grid, tau, cfg.cfl_fraction)
-    flow_cfg = make(dt=dt)
+    flow_cfg = HmboConfig.build(cfg.mode, grid, cfg.params, cfg.tau, cfg.fixed_dt, max_steps)
     d0 = field_from_function(grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     return flow_cfg, d0
 
@@ -235,16 +221,23 @@ def radius_history(cfg: ExperimentConfig, records: list[RunRecord], d0: ScalarFi
     return RadiusSeries(np.array(times), np.array(radii), t_ext)
 
 
+def _reference_radius(cfg: ExperimentConfig, n_s: int) -> RadiusSeries:
+    """The circle's radius under the mode's own law at steps 0..n_s: the
+    closed form for mcf, the RK4 solution for the damped mode, which ends
+    early if that circle goes extinct first."""
+    if cfg.mode == "hmcf":
+        return hmcf_circle_radius(cfg.params, cfg.r0, cfg.v0_normal, max(n_s, 1) * cfg.tau, cfg.tau)
+    radii = [exact_mcf_radius(cfg.r0, cfg.gamma * i * cfg.tau) for i in range(n_s + 1)]
+    return RadiusSeries(np.arange(n_s + 1) * cfg.tau, radii)
+
+
 def _study_one(cfg: ExperimentConfig, n: int):
     flow_cfg, d0 = build_run(cfg, int(n))
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal)
     numeric = radius_history(cfg, records, d0)
     n_s = len(numeric.radii) - 1
-    exact_radii = np.array(
-        [exact_mcf_radius(cfg.r0, cfg.gamma * i * cfg.tau) for i in range(n_s + 1)]
-    )
-    exact = RadiusSeries(numeric.times.copy(), exact_radii)
-    err = error_integral(exact, numeric, cfg.tau, n_s)
+    exact = _reference_radius(cfg, n_s)
+    err = error_integral(exact, numeric, cfg.tau, min(n_s, len(exact.radii) - 1))
     row = ErrorRow(int(n), n_s * cfg.tau, err, went_extinct=numeric.extinction_time is not None)
     return row, numeric
 
@@ -274,12 +267,8 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     sizes = sorted(int(n) for n in cfg.grid_sizes)
     report = ErrorReport()
     histories: dict[int, RadiusSeries] = {}
-
-    def job(n):
-        return _study_one(cfg, n)
-
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        futures = {n: pool.submit(job, n) for n in sizes}
+        futures = {n: pool.submit(_study_one, cfg, n) for n in sizes}
     for n in sizes:
         try:
             row, numeric = futures[n].result()
@@ -337,19 +326,21 @@ def write_run_csv(history: RadiusSeries, path) -> None:
             fh.write(f"{len(history.times)},{history.extinction_time:.12g},nan,1\n")
 
 
+def format_error_table(report: ErrorReport) -> str:
+    """The study table as N,ns_tau,err CSV text, rows in ascending N."""
+    rows = sorted(report.rows, key=lambda r: r.n)
+    return "N,ns_tau,err\n" + "".join(f"{r.n},{r.ns_tau:.12g},{r.err:.12g}\n" for r in rows)
+
+
 def write_error_table(report: ErrorReport, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("N,ns_tau,err\n")
-        for row in sorted(report.rows, key=lambda r: r.n):
-            fh.write(f"{row.n},{row.ns_tau:.12g},{row.err:.12g}\n")
+        fh.write(format_error_table(report))
 
 
 def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
     """Echo the configuration plus per-size derived quantities to JSON."""
     sizes = [int(n) for n in (sizes if sizes is not None else cfg.grid_sizes)]
-    echo = asdict(cfg)
-    echo["grid_sizes"] = list(cfg.grid_sizes)
-    echo["bounds"] = list(cfg.bounds)
+    echo = asdict(cfg)  # json writes its tuples as arrays
     derived = {"tau": cfg.tau}
     for n in sizes:
         flow_cfg, _ = build_run(cfg, n)
@@ -427,15 +418,12 @@ def check_moments(points, kappas=(-2.0, 1.0), speeds=(1.0, np.sqrt(2.0)),
 
 
 def solver_vs_quadrature(n: int = 256, c: float = 1.0, t: float = 0.25,
-                         point=(0.2, -0.1), cfl_fraction: float = 0.5,
-                         n_quad: int = 200) -> tuple[float, float, float]:
+                         point=(0.2, -0.1), n_quad: int = 200) -> tuple[float, float, float]:
     """Propagate smooth data with the grid solver and with the quadrature.
 
     The evaluation point is chosen so its dependence disk stays away from
     the boundary.  Returns (solver value, quadrature value, relative diff).
     """
-    from .fields import eval_bilinear
-
     grid = make_grid(n, n, (-2.0, 2.0, -2.0, 2.0))
 
     def u0_fn(y1, y2):
@@ -450,7 +438,7 @@ def solver_vs_quadrature(n: int = 256, c: float = 1.0, t: float = 0.25,
 
     u0 = field_from_function(grid, u0_fn)
     ut0 = field_from_function(grid, lambda x, y: -v0_fn(x, y))
-    dt = cfl_substep(c * c, grid, t, cfl_fraction)
+    dt = cfl_substep(c * c, grid, t)
     u_num = wave_solve(u0, ut0, WaveParams(c * c, dt, t))
     got = eval_bilinear(u_num, point)
     want = poisson_eval(u0_fn, grad_u0_fn, v0_fn, c, t, point, n_quad)

@@ -484,14 +484,10 @@ def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:
     return np.where(low[ends] == owner, high[ends], low[ends]).reshape(-1, 2)
 
 
-def _bent_chord_distance(px, py, a, b, kx, ky):
-    """Distance from each point to the chord [a, b] bent by its sagitta.
-
-    The chord is bent into q(t) = a + t (b - a) - (1/2) (K.n) L^2 t (1 - t) n,
-    with L its length, n its unit normal and K the curvature vector there;
-    the closest t is found by Newton's method from the chord projection.
-    All arguments are per point (a, b, kx, ky already gathered).
-    """
+def _bent_chord_frames(a, b, kx, ky) -> np.ndarray:
+    """(8, S) frames of the chords [a, b] bent by the curvature vector K:
+    start point, unit tangent e, length L (and 1 where L = 0), L^2 and the
+    sagitta h = -(1/2) (K.n) L^2 along the unit normal n = (-e_y, e_x)."""
     ux = b[:, 0] - a[:, 0]
     uy = b[:, 1] - a[:, 1]
     l2 = ux * ux + uy * uy
@@ -500,10 +496,22 @@ def _bent_chord_distance(px, py, a, b, kx, ky):
     safe_len = np.where(has_len, seg_len, 1.0)
     ex = np.where(has_len, ux / safe_len, 1.0)
     ey = np.where(has_len, uy / safe_len, 0.0)
-    # local frame: x along the chord, y along the normal (-ey, ex)
     h = -0.5 * l2 * (ex * ky - ey * kx)
-    rx = px - a[:, 0]
-    ry = py - a[:, 1]
+    return np.stack([a[:, 0], a[:, 1], ex, ey, seg_len, safe_len, l2, h])
+
+
+def _bent_chord_distance(px, py, frame):
+    """Distance from each point to its chord bent by its sagitta.
+
+    The chord is bent into q(t) = a + t (b - a) + h t (1 - t) n (see
+    _bent_chord_frames); the closest t is found by Newton's method from the
+    chord projection.  frame holds one column of _bent_chord_frames per
+    point.
+    """
+    ax, ay, ex, ey, seg_len, safe_len, l2, h = frame
+    # local frame: x along the chord, y along the normal (-ey, ex)
+    rx = px - ax
+    ry = py - ay
     x = rx * ex + ry * ey
     y = ry * ex - rx * ey
     t = np.clip(x / safe_len, 0.0, 1.0)
@@ -546,15 +554,14 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
     sa, sb = curve.segment_points()
     if curved:
         # the bent chords of the nearest segment and of its two neighbours,
-        # which share its end vertices and so tie with it near them; rows
-        # are gathered with np.take, several times faster than sa[k] here
+        # which share its end vertices and so tie with it near them; each
+        # segment's frame is built once and gathered per node with np.take
         _, nearest = _nearest_segment(px, py, sa, sb)
-        kx, ky = _segment_curvature(f, sa, sb)
+        frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
         around = np.take(_segment_neighbours(curve), nearest, axis=0)
         dist = np.inf
         for k in (nearest, around[:, 0], around[:, 1]):
-            ka, kb = np.take(sa, k, axis=0), np.take(sb, k, axis=0)
-            dist = np.minimum(dist, _bent_chord_distance(px, py, ka, kb, kx[k], ky[k]))
+            dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
         dist = dist.reshape(g.shape)
     else:
         dist = min_segment_distance(np.column_stack([px, py]), sa, sb).reshape(g.shape)

@@ -169,9 +169,11 @@ def poisson_eval(u0_fn, grad_u0_fn, v0_fn, c: float, t: float, x, n_quad: int = 
     return float(np.sum(wphi * np.sin(phi) * inner))
 
 
+def format_radius_csv(series: RadiusSeries) -> str:
+    """A radius history as t,r CSV text."""
+    return "t,r\n" + "".join(f"{t:.17g},{r:.17g}\n" for t, r in zip(series.times, series.radii))
+
+
 def write_radius_csv(series: RadiusSeries, path) -> None:
-    """Write a radius history as t,r rows."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,r\n")
-        for t, r in zip(series.times, series.radii):
-            fh.write(f"{t:.17g},{r:.17g}\n")
+        fh.write(format_radius_csv(series))

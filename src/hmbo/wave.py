@@ -51,9 +51,9 @@ def cfl_max_dt(c2: float, grid: Grid2D) -> float:
     return 1.0 / (np.sqrt(c2) * np.sqrt(1.0 / grid.dx**2 + 1.0 / grid.dy**2))
 
 
-def cfl_substep(c2: float, grid: Grid2D, tau: float, fraction: float) -> float:
-    """Substep of `fraction` times the stability bound, capped at the window tau."""
-    return min(fraction * cfl_max_dt(c2, grid), tau)
+def cfl_substep(c2: float, grid: Grid2D, tau: float) -> float:
+    """The default substep: half the stability bound, capped at the window tau."""
+    return min(0.5 * cfl_max_dt(c2, grid), tau)
 
 
 def check_cfl(params: WaveParams, grid: Grid2D) -> None:

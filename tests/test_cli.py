@@ -79,13 +79,34 @@ def test_convergence_stdout_and_table(tmp_path, capsys):
     lines = _lines(capsys.readouterr().out)
     assert lines[0] == "N,ns_tau,err"
     assert lines[1].startswith("16,")
-    assert (out / "error_table.csv").is_file()
+    assert (out / "error_table.csv").read_text().splitlines() == lines[:2]
+
+
+def test_oracle_stdout_is_the_file(tmp_path, capsys):
+    """stdout and --out carry the same t,r CSV bytes."""
+    argv = ["oracle", "--mode", "hmcf", "--t-end", "0.3", "--dt", "0.05"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "radius.csv"
+    assert cli_main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+def test_damped_study_converges_to_the_damped_law(capsys):
+    """The damped study is scored against the RK4 circle law it tracks, so
+    its error falls with the grid (it read about 0.53 at both sizes when it
+    was scored against the curvature-flow law)."""
+    rc = cli_main(["convergence", "--mode", "hmcf", "--sizes", "32,64", "--n-tau", "150"])
+    assert rc == 0
+    rows = {int(n): float(err) for n, _, err in
+            (ln.split(",") for ln in _lines(capsys.readouterr().out)[1:])}
+    assert rows[64] < rows[32] / 4
+    assert rows[64] < 0.01
 
 
 def test_convergence_partial_failure_exit_code(capsys):
     rc = cli_main(
-        ["convergence", "--sizes", "16,64", "--dt-policy", "fixed",
-         "--fixed-dt", "2e-3"]
+        ["convergence", "--sizes", "16,64", "--fixed-dt", "2e-3"]
     )
     out, err = capsys.readouterr()
     assert rc == 2
@@ -113,12 +134,13 @@ def test_validation_errors_exit_one(capsys):
         ('{"v0_normal": "0"}', [], "v0_normal"),
         # rejected before any grid job starts, not as a failed grid size
         ("{}", ["--sizes", "16", "--max-steps", "-1"], None),
-        ("{}", ["--sizes", "16", "--dt-policy", "fixed", "--fixed-dt", "-1"], None),
+        ("{}", ["--sizes", "16", "--fixed-dt", "-1"], None),
+        ('{"dt_policy": "fixed"}', [], None),  # a key that no longer exists
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
-        "max_steps-negative", "fixed_dt-negative",
+        "max_steps-negative", "fixed_dt-negative", "dt_policy-removed",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):

@@ -21,9 +21,8 @@ from hmbo.flow import (
     PhysicalParams,
     hmbo_step,
     init_history,
-    mcf_c2,
     run_flow,
-    wave_coefficients,
+    wave_data,
 )
 from hmbo.interfaces import average_radius, extract_zero_set
 from hmbo.oracles import hmcf_circle_radius
@@ -56,30 +55,39 @@ def test_physical_params_validation():
     ],
 )
 def test_wave_coefficients(params, expected):
-    assert wave_coefficients(PhysicalParams(*params)) == expected
+    """The damped mode's wave data does not depend on tau."""
+    for tau in (0.01, 1.0):
+        assert wave_data("hmcf", PhysicalParams(*params), tau) == expected
 
 
 def test_wave_coefficients_need_positive_mass():
     with pytest.raises(ValidationError):
-        wave_coefficients(PhysicalParams(0.0, 1.0, 1.0))
+        wave_data("hmcf", PhysicalParams(0.0, 1.0, 1.0), 0.01)
+    with pytest.raises(ValidationError):
+        wave_data("sideways", PhysicalParams(1.0, 1.0, 1.0), 0.01)
 
 
 @pytest.mark.parametrize("p", [(1.0, 1.0, 1.0), (2.5, 0.3, 0.9), (0.4, 0.0, 2.0)])
 def test_parameter_mapping_round_trip(p):
     """Inverting a = alpha, b = beta, c2 = 2 gamma / alpha recovers the
     physical coefficients to machine precision."""
-    a, b, c2 = wave_coefficients(PhysicalParams(*p))
+    a, b, c2 = wave_data("hmcf", PhysicalParams(*p), 0.01)
     assert (a, b, a * c2 / 2.0) == pytest.approx(p, rel=1e-15)
 
 
 def test_mcf_c2_values():
-    assert mcf_c2(1.0, 1.0 / 300.0) == pytest.approx(1800.0)
-    assert mcf_c2(0.5, 0.01) == pytest.approx(300.0)
-    assert mcf_c2(1.0, 1.0) == pytest.approx(6.0)
+    """mcf: c2 = 6 gamma / tau, and alpha and beta are not read."""
+    def mcf(gamma, tau, alpha=1.0, beta=1.0):
+        return wave_data("mcf", PhysicalParams(alpha, beta, gamma), tau)
+
+    assert mcf(1.0, 1.0 / 300.0)[2] == pytest.approx(1800.0)
+    assert mcf(0.5, 0.01)[2] == pytest.approx(300.0)
+    assert mcf(1.0, 1.0) == (0.0, 0.0, pytest.approx(6.0))
+    assert mcf(1.0, 1.0, alpha=0.0, beta=7.0) == mcf(1.0, 1.0)
     with pytest.raises(ValidationError):
-        mcf_c2(0.0, 1.0)
+        mcf(0.0, 1.0)
     with pytest.raises(ValidationError):
-        mcf_c2(1.0, -1.0)
+        mcf(1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def test_default_step_length():
         {"grid_sizes": (4, 16)},
         {"grid_sizes": ()},
         {"mode": "backwards"},
-        {"dt_policy": "adaptive"},
-        {"cfl_fraction": 0.0},
-        {"cfl_fraction": 1.5},
+        {"fixed_dt": "adaptive"},
+        {"fixed_dt": 0.0},
+        {"alpha": -1.0},  # a negative coefficient, in either mode
         {"n_tau": 0},
         {"gamma": 0.0},
         {"bounds": (1.0, -1.0, 0.0, 2.0)},
@@ -58,8 +58,8 @@ def test_default_step_length():
         {"r0": True},
         {"max_steps": "3"},
         {"max_steps": -1},
-        {"dt_policy": "fixed", "fixed_dt": -1.0},
-        {"dt_policy": "fixed", "fixed_dt": 0.5},  # longer than tau
+        {"fixed_dt": -1.0},
+        {"fixed_dt": 0.5},  # longer than tau
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -176,7 +176,7 @@ def test_build_run_mcf_defaults():
 
 
 def test_build_run_fixed_dt_policy():
-    cfg = ExperimentConfig(grid_sizes=(16,), dt_policy="fixed", fixed_dt=2e-3)
+    cfg = ExperimentConfig(grid_sizes=(16,), fixed_dt=2e-3)
     flow_cfg, _ = build_run(cfg, 16)
     assert flow_cfg.dt == 2e-3
     # the same fixed dt breaks the stability bound on a finer grid
@@ -291,7 +291,7 @@ def test_convergence_study_reproducible_outputs(tmp_path):
 def test_convergence_study_contains_failures(capsys):
     """A size whose fixed dt breaks the stability bound is reported and the
     remaining sizes still produce rows."""
-    cfg = ExperimentConfig(grid_sizes=(16, 64), dt_policy="fixed", fixed_dt=2e-3)
+    cfg = ExperimentConfig(grid_sizes=(16, 64), fixed_dt=2e-3)
     report = convergence_study(cfg)
     assert [row.n for row in report.rows] == [16]
     assert len(report.failures) == 1

@@ -10,6 +10,7 @@ from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.interfaces import (
     InterfaceCurve,
     _bent_chord_distance,
+    _bent_chord_frames,
     _nearest_segment,
     _point_segment_sq,
     average_radius,
@@ -230,7 +231,7 @@ def test_distance_against_dense_sampling(rng):
     # distance to the nearest chord bent by a curvature vector K, against
     # dense samples of q(t) = c(t) - (K.n) L^2 t (1 - t) n / 2
     K = rng.uniform(-0.5, 0.5, size=(12, 2))[nearest]
-    bent = _bent_chord_distance(pts[:, 0], pts[:, 1], na, nb, K[:, 0], K[:, 1])
+    bent = _bent_chord_distance(pts[:, 0], pts[:, 1], _bent_chord_frames(na, nb, K[:, 0], K[:, 1]))
     u = nb - na
     seg_len = np.hypot(u[:, 0], u[:, 1])
     n_hat = np.column_stack([-u[:, 1], u[:, 0]]) / seg_len[:, None]
