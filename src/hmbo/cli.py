@@ -38,9 +38,12 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     """The experiment config from --config and the flags whose dest is an
-    ExperimentConfig field (plus --sizes); a flag left unset is None."""
+    ExperimentConfig field, plus --sizes and run's --n, which stands for
+    grid_sizes=(N,); a flag left unset is None."""
     keys = {f.name for f in fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in keys}
+    if getattr(args, "n", None) is not None:
+        overrides["grid_sizes"] = (args.n,)
     sizes = getattr(args, "sizes", None)
     if sizes is not None:
         try:
@@ -54,7 +57,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    records = single_run(cfg, n=args.n)
+    records = single_run(cfg)
     for rec in records:
         if rec.extinct:
             print(f"step {rec.step}: t={rec.t:.6g} interface extinct")
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single flow at one grid size")
     _add_experiment_args(p_run)
-    p_run.add_argument("--n", type=int, help="grid size (nodes per axis)")
+    p_run.add_argument("--n", type=int, help="grid size (nodes per axis); sets grid_sizes to (N,)")
     p_run.add_argument("--snapshots", dest="save_interfaces", action="store_true",
                        default=None, help="write per-step interface vertex clouds")
     p_run.set_defaults(func=_cmd_run)

@@ -88,9 +88,6 @@ class ScalarField:
             raise ValidationError("field contains non-finite values")
         self.values = v
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 def field_from_function(grid: Grid2D, fn) -> ScalarField:
     """Sample fn(x, y) at every node.  fn must accept numpy arrays."""

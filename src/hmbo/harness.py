@@ -169,12 +169,6 @@ class ErrorReport:
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def row_for(self, n: int) -> ErrorRow:
-        for row in self.rows:
-            if row.n == n:
-                return row
-        raise KeyError(f"no row for grid size {n}")
-
 
 def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: int) -> float:
     """Time-weighted l1 difference of two radius series over steps 0..n_s."""
@@ -288,14 +282,14 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     return report
 
 
-def single_run(cfg: ExperimentConfig, n: int | None = None) -> list[RunRecord]:
-    """One flow at a single grid size, with optional CSV outputs.
+def single_run(cfg: ExperimentConfig) -> list[RunRecord]:
+    """One flow at the first entry n of grid_sizes, with optional CSV
+    outputs.
 
-    Uses the first entry of grid_sizes unless n is given.  Writes run_{n}.csv,
-    config_echo.json and (when save_interfaces is set) per-step vertex clouds
-    interface_step{k}.csv into out_dir.
+    Writes run_{n}.csv, config_echo.json and (when save_interfaces is set)
+    per-step vertex clouds interface_step{k}.csv into out_dir.
     """
-    size = int(n) if n is not None else int(cfg.grid_sizes[0])
+    size = int(cfg.grid_sizes[0])
     flow_cfg, d0 = build_run(cfg, size)
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal,
                        record_interfaces=cfg.save_interfaces)

@@ -1,16 +1,23 @@
 """Zero level set extraction and signed-distance rebuilding.
 
-Extraction is marching squares.  Nodes with value exactly 0 are treated as
-positive, so every configuration is unambiguous and deterministic; the two
-saddle configurations are resolved by the sign of the cell-center average.
+Extraction is marching squares by one rule.  Nodes with value exactly 0
+are treated as positive, so a cell crosses zero, two or four of its edges
+(0 bottom, 1 right, 2 top, 3 left).  A cell joins its two crossed edges, in
+increasing edge number; a saddle cell, with four, joins (0, 1) and (2, 3)
+when the average of its corners has the sign of its bottom-left node, and
+(0, 3) and (1, 2) otherwise.  Segments come out in row-major cell order.
 Vertices are identified with the crossed cell edge they sit on, which
-deduplicates shared segment endpoints exactly.
+deduplicates shared segment endpoints exactly: every vertex ends two
+segments, one from each cell beside its edge, or one on a wall edge.
 
-The rebuilt distance field takes its sign from the source field at each
-node, so for a field with no exact zero on a node, extracting and
-redistancing -f gives the negated field of f: the threshold-dynamics step
-is odd under d -> -d, and either side of the interface may be the positive
-one.
+Negating a field with no exact zero on a node keeps every vertex, every
+cell's pairing and the row-major order, so -f gives the same segment array
+as f (unless a saddle's corner average is exactly zero, which counts as
+positive either way).  The rebuilt distance field takes its sign from the
+source field at each node, so extracting and redistancing -f gives exactly
+the negated field of f, in both reconstructions: the threshold-dynamics
+step is odd under d -> -d, and either side of the interface may be the
+positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_nearest_segment).  The nodes are grouped into tiles;
@@ -55,32 +62,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import ScalarField, _mirror_ghosts, eval_bilinear
-
-# Unordered segment endpoints per marching-squares configuration, keyed by
-# s0 + 2*s1 + 4*s2 + 8*s3 (corner order: bottom-left, bottom-right,
-# top-right, top-left).  Cell edges: 0 bottom, 1 right, 2 top, 3 left.
-# The saddle configurations 5 and 10 are handled separately.
-_CASE_EDGES = {
-    1: [(0, 3)],
-    2: [(0, 1)],
-    3: [(1, 3)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(2, 3)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(1, 3)],
-    13: [(0, 1)],
-    14: [(0, 3)],
-}
-_SADDLE_EDGES = {
-    # (case, center sign treated as positive): segment pairs
-    (5, True): [(0, 1), (2, 3)],
-    (5, False): [(0, 3), (1, 2)],
-    (10, True): [(0, 3), (1, 2)],
-    (10, False): [(0, 1), (2, 3)],
-}
 
 
 @dataclass
@@ -164,7 +145,8 @@ def _cubic_edge_roots(ghosted: np.ndarray, r: np.ndarray, k: np.ndarray,
 
 
 def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
-    """Marching-squares zero level set of f as an InterfaceCurve.
+    """Marching-squares zero level set of f as an InterfaceCurve, by the
+    one rule of the module docstring.
 
     Vertices sit at the linear roots along their cell edges, or with
     curved=True at the roots of the four-node cubic (see the module
@@ -211,53 +193,17 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     v_idx = np.full(vmask.shape, -1, dtype=np.intp)
     v_idx[vj, vi] = n_h + np.arange(vx.size)
 
-    s = pos.astype(np.int8)
-    case = (
-        s[:-1, :-1] + 2 * s[:-1, 1:] + 4 * s[1:, 1:] + 8 * s[1:, :-1]
-    )
-
-    def cell_edge_ids(cj, ci, edge):
-        if edge == 0:
-            return h_idx[cj, ci]
-        if edge == 1:
-            return v_idx[cj, ci + 1]
-        if edge == 2:
-            return h_idx[cj + 1, ci]
-        return v_idx[cj, ci]
-
-    seg_a = []
-    seg_b = []
-
-    def emit(cj, ci, pairs):
-        for ea, eb in pairs:
-            seg_a.append(cell_edge_ids(cj, ci, ea))
-            seg_b.append(cell_edge_ids(cj, ci, eb))
-
-    for code, pairs in _CASE_EDGES.items():
-        cj, ci = np.nonzero(case == code)
-        if cj.size:
-            emit(cj, ci, pairs)
-
-    for code in (5, 10):
-        cj, ci = np.nonzero(case == code)
-        if cj.size == 0:
-            continue
-        center = (
-            v[cj, ci] + v[cj, ci + 1] + v[cj + 1, ci] + v[cj + 1, ci + 1]
-        ) * 0.25
-        cpos = center >= 0.0
-        for flag in (True, False):
-            sel = cpos if flag else ~cpos
-            if np.any(sel):
-                emit(cj[sel], ci[sel], _SADDLE_EDGES[(code, flag)])
-
-    if seg_a:
-        segments = np.column_stack(
-            [np.concatenate(seg_a), np.concatenate(seg_b)]
-        )
-    else:
-        segments = np.empty((0, 2), dtype=np.intp)
-    return InterfaceCurve(vertices, segments)
+    # each cell's vertex ids on its edges 0..3, -1 where an edge is not
+    # crossed; a saddle cell whose corner average and bottom-left node
+    # differ in sign is reordered to join (0, 3) and (1, 2)
+    ids = np.stack([h_idx[:-1], v_idx[:, 1:], h_idx[1:], v_idx[:, :-1]], axis=-1)
+    crossed = ids >= 0
+    centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) * 0.25
+    turn = crossed.all(axis=-1) & ((centre >= 0.0) != pos[:-1, :-1])
+    ids[turn] = ids[turn][:, [0, 3, 1, 2]]
+    # the crossed ids in row-major cell order and increasing edge number,
+    # read in pairs: (0, 1) and (2, 3) of each cell's crossed edges
+    return InterfaceCurve(vertices, ids[crossed].reshape(-1, 2))
 
 
 def _point_segment_sq(px, py, ax, ay, bx, by):
@@ -472,8 +418,9 @@ def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:
     """(S, 2) array: the other segment at each end vertex of each segment,
     or the segment itself where no other one ends there.
 
-    Marching squares ends at most two segments at a vertex, one from each
-    cell beside its edge.
+    extract_zero_set ends two segments at a vertex, one from each cell
+    beside its edge, or one where that edge lies on a wall, so the least
+    and the largest owner of a vertex are its two segments.
     """
     owner = np.repeat(np.arange(curve.n_segments), 2)
     ends = curve.segments.ravel()
@@ -525,19 +472,6 @@ def _bent_chord_distance(px, py, frame):
     return np.hypot(x - t * seg_len, y - h * t * (1.0 - t))
 
 
-def min_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the nearest of the segments [a_i, b_i].
-
-    points: (n, 2); a, b: (m, 2).  Returns (n,).
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
-    if a.shape[0] == 0:
-        raise ValidationError("no segments to measure distance against")
-    return np.sqrt(_nearest_segment(pts[:, 0], pts[:, 1], a, b)[0])
-
-
 def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False) -> ScalarField:
     """Rebuild a signed distance field from f's sign pattern and its zero set.
 
@@ -552,11 +486,11 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
     X, Y = g.mesh()
     px, py = X.ravel(), Y.ravel()
     sa, sb = curve.segment_points()
+    d2, nearest = _nearest_segment(px, py, sa, sb)
     if curved:
         # the bent chords of the nearest segment and of its two neighbours,
         # which share its end vertices and so tie with it near them; each
         # segment's frame is built once and gathered per node with np.take
-        _, nearest = _nearest_segment(px, py, sa, sb)
         frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
         around = np.take(_segment_neighbours(curve), nearest, axis=0)
         dist = np.inf
@@ -564,7 +498,7 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
             dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
         dist = dist.reshape(g.shape)
     else:
-        dist = min_segment_distance(np.column_stack([px, py]), sa, sb).reshape(g.shape)
+        dist = np.sqrt(d2).reshape(g.shape)
     sgn = np.where(f.values >= 0.0, 1.0, -1.0)
     return ScalarField(g, sgn * dist)
 

@@ -64,6 +64,19 @@ def test_run_with_config_and_snapshots(tmp_path, capsys):
     assert echo["save_interfaces"] is True
 
 
+def test_run_n_overrides_the_config_grid_sizes(tmp_path, capsys):
+    """--n N stands for grid_sizes=(N,), over the config file's sizes."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_tau": 10, "grid_sizes": [16, 32]}))
+    out = tmp_path / "out"
+    rc = cli_main(["run", "--config", str(cfg_path), "--n", "12", "--max-steps", "1", "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.json", "run_12.csv"]
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["grid_sizes"] == [12]
+    assert set(echo["derived"]) == {"tau", "12"}
+
+
 def test_run_help_exits_cleanly(capsys):
     rc = cli_main(["run", "--help"])
     assert rc == 0
@@ -121,33 +134,34 @@ def test_validation_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text,extra,key",
+    "command,config_text,extra,key",
     [
-        (None, [], None),  # --config names a file that does not exist
-        ("{not json", [], None),
-        ('{"n_tau": "abc"}', [], "n_tau"),
-        ('{"grid_sizes": 16}', [], "grid_sizes"),
-        ("{}", ["--sizes", "16,abc"], None),
-        ('{"bounds": [-2, 2, "a", 2]}', [], "bounds"),
-        ('{"mode": "hmcf", "alpha": "1"}', [], "alpha"),
-        ('{"max_steps": "3"}', [], "max_steps"),
-        ('{"v0_normal": "0"}', [], "v0_normal"),
+        ("convergence", None, [], None),  # --config names a file that does not exist
+        ("convergence", "{not json", [], None),
+        ("convergence", '{"n_tau": "abc"}', [], "n_tau"),
+        ("convergence", '{"grid_sizes": 16}', [], "grid_sizes"),
+        ("convergence", "{}", ["--sizes", "16,abc"], None),
+        ("convergence", '{"bounds": [-2, 2, "a", 2]}', [], "bounds"),
+        ("convergence", '{"mode": "hmcf", "alpha": "1"}', [], "alpha"),
+        ("convergence", '{"max_steps": "3"}', [], "max_steps"),
+        ("convergence", '{"v0_normal": "0"}', [], "v0_normal"),
         # rejected before any grid job starts, not as a failed grid size
-        ("{}", ["--sizes", "16", "--max-steps", "-1"], None),
-        ("{}", ["--sizes", "16", "--fixed-dt", "-1"], None),
-        ('{"dt_policy": "fixed"}', [], None),  # a key that no longer exists
+        ("convergence", "{}", ["--sizes", "16", "--max-steps", "-1"], None),
+        ("convergence", "{}", ["--sizes", "16", "--fixed-dt", "-1"], None),
+        ("convergence", '{"dt_policy": "fixed"}', [], None),  # a key that no longer exists
+        ("run", "{}", ["--n", "4"], None),  # the grid-size rule of --sizes
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
-        "max_steps-negative", "fixed_dt-negative", "dt_policy-removed",
+        "max_steps-negative", "fixed_dt-negative", "dt_policy-removed", "run-n-too-small",
     ],
 )
-def test_bad_config_input_exits_one(tmp_path, capsys, config_text, extra, key):
+def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
-    rc = cli_main(["convergence", "--config", str(cfg_path)] + extra)
+    rc = cli_main([command, "--config", str(cfg_path)] + extra)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")

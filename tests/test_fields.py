@@ -55,14 +55,6 @@ def test_scalar_field_validates_shape_and_finiteness():
         ScalarField(g, bad)
 
 
-def test_field_copy_is_independent():
-    g = make_grid(4, 4, (-1, 1, -1, 1))
-    f = ScalarField(g, np.full(g.shape, 2.0))
-    c = f.copy()
-    c.values[0, 0] = 5.0
-    assert f.values[0, 0] == 2.0
-
-
 def test_laplacian_of_paraboloid_interior():
     """f = x^2 + y^2 has Laplacian 4 wherever the stencil sees true neighbors."""
     g = make_grid(21, 21, (-2, 2, -2, 2))

@@ -152,13 +152,6 @@ def test_error_integral_rejects_short_series():
         error_integral(s, s, 0.1, -1)
 
 
-def test_error_report_lookup():
-    report = ErrorReport(rows=[ErrorRow(16, 0.1, 0.2), ErrorRow(32, 0.3, 0.04)])
-    assert report.row_for(32).err == 0.04
-    with pytest.raises(KeyError):
-        report.row_for(64)
-
-
 # ---------------------------------------------------------------------------
 # run assembly
 
@@ -307,7 +300,7 @@ def test_convergence_study_starts_from_the_initial_speed():
     rows = []
     for v0 in (0.0, 0.5):
         cfg = ExperimentConfig(mode="hmcf", grid_sizes=(16,), n_tau=20, v0_normal=v0)
-        rows.append(convergence_study(cfg).row_for(16))
+        rows.append(convergence_study(cfg).rows[0])
     assert rows[0].err != rows[1].err
 
 
