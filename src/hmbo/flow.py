@@ -60,10 +60,8 @@ class PhysicalParams:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValidationError(
-                f"coefficients must be nonnegative, got {self}"
-            )
+        if not all(0 <= c < np.inf for c in (self.alpha, self.beta, self.gamma)):
+            raise ValidationError(f"coefficients must be finite and nonnegative, got {self}")
 
 
 def check_max_steps(max_steps: int) -> None:

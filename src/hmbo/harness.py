@@ -44,8 +44,9 @@ THREADS_ENV = "HMCF_THREADS"
 
 
 def _conforms(value, tp) -> bool:
-    """True iff value has the annotated type tp: any real number passes for
-    float and any integer for int, but a bool passes only for bool."""
+    """True iff value has the annotated type tp: any finite real number
+    passes for float and any integer for int, but a bool passes only for
+    bool."""
     args = get_args(tp)
     if get_origin(tp) is tuple:
         if not isinstance(value, tuple):
@@ -57,7 +58,9 @@ def _conforms(value, tp) -> bool:
         return any(_conforms(value, t) for t in args)
     if isinstance(value, bool) or tp is bool:
         return tp is bool and isinstance(value, bool)
-    return isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(tp, tp))
+    if tp is float:  # a finite double: not NaN, infinite or an int past its range
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if tp is int else tp)
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not _conforms(value, f.type):
-                what = str(f.type) if get_args(f.type) else f.type.__name__
+                what = (str(f.type) if get_args(f.type) else f.type.__name__).replace("float", "finite float")
                 raise ValidationError(f"{f.name!r} must be {what}, got {value!r}")
         if self.r0 <= 0:
             raise ValidationError(f"r0 must be positive, got {self.r0}")

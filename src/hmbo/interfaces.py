@@ -3,30 +3,29 @@
 Extraction is marching squares by one rule.  Nodes with value exactly 0
 are treated as positive, so a cell crosses zero, two or four of its edges
 (0 bottom, 1 right, 2 top, 3 left).  A cell joins its two crossed edges, in
-increasing edge number; a saddle cell, with four, joins (0, 1) and (2, 3)
-when the average of its corners has the sign of its bottom-left node, and
-(0, 3) and (1, 2) otherwise.  Segments come out in row-major cell order.
-Vertices are identified with the crossed cell edge they sit on, which
-deduplicates shared segment endpoints exactly: every vertex ends two
-segments, one from each cell beside its edge, or one on a wall edge.
+increasing edge number; a saddle cell, with four, joins (0, 3) and (1, 2)
+when the average of its corners is nonzero and differs in sign from its
+bottom-left node, and (0, 1) and (2, 3) otherwise.  Segments come out in
+row-major cell order.  Vertices are identified with the crossed cell edge
+they sit on, which deduplicates shared segment endpoints exactly: every
+vertex ends two segments, one from each cell beside its edge, or one on a
+wall edge.
 
 Negating a field with no exact zero on a node keeps every vertex, every
 cell's pairing and the row-major order, so -f gives the same segment array
-as f (unless a saddle's corner average is exactly zero, which counts as
-positive either way).  The rebuilt distance field takes its sign from the
-source field at each node, so extracting and redistancing -f gives exactly
-the negated field of f, in both reconstructions: the threshold-dynamics
-step is odd under d -> -d, and either side of the interface may be the
-positive one.
+as f.  The rebuilt distance field takes its sign from the source field at
+each node, so extracting and redistancing -f gives exactly the negated
+field of f, in both reconstructions: the threshold-dynamics step is odd
+under d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
-an exact pruned scan (_nearest_segment).  The nodes are grouped into tiles;
-the nearest segment to a tile's centre bounds the distance of every node of
-the tile, and only the segments whose bounding box lies within that bound
-(widened by a relative slack far above rounding) are scanned, in increasing
-index order, with the same per-pair arithmetic as an exhaustive scan.  So
-the field is bit-identical to the exhaustive scan's and the first segment
-wins ties.
+an exact pruned scan (_nearest_segment).  The grid's nodes are grouped into
+blocks of 8 x 8 nodes; the nearest segment to a block's centre bounds the
+distance of every node of the block, and only the segments whose bounding
+box lies within that bound (widened by a relative slack far above
+rounding) are scanned, in increasing index order, with the same per-pair
+arithmetic as an exhaustive scan.  So the field is bit-identical to the
+exhaustive scan's and the first segment wins ties.
 
 Two reconstructions of the interface are offered:
 
@@ -194,12 +193,12 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     v_idx[vj, vi] = n_h + np.arange(vx.size)
 
     # each cell's vertex ids on its edges 0..3, -1 where an edge is not
-    # crossed; a saddle cell whose corner average and bottom-left node
-    # differ in sign is reordered to join (0, 3) and (1, 2)
+    # crossed; a saddle cell whose corner average is nonzero and differs in
+    # sign from its bottom-left node is reordered to join (0, 3) and (1, 2)
     ids = np.stack([h_idx[:-1], v_idx[:, 1:], h_idx[1:], v_idx[:, :-1]], axis=-1)
     crossed = ids >= 0
     centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) * 0.25
-    turn = crossed.all(axis=-1) & ((centre >= 0.0) != pos[:-1, :-1])
+    turn = crossed.all(axis=-1) & (centre != 0.0) & ((centre > 0.0) != pos[:-1, :-1])
     ids[turn] = ids[turn][:, [0, 3, 1, 2]]
     # the crossed ids in row-major cell order and increasing edge number,
     # read in pairs: (0, 1) and (2, 3) of each cell's crossed edges
@@ -218,35 +217,14 @@ def _point_segment_sq(px, py, ax, ay, bx, by):
     return (px - cx) ** 2 + (py - cy) ** 2
 
 
-# The scan groups the points into square tiles of about _TILE x _TILE grid
-# nodes, and holds at most _BLOCK (point, segment) pairs in each of its three
-# work buffers (768 KiB in all, small enough to stay in a typical L2 cache).
+# The scan groups the grid's nodes into blocks of _TILE x _TILE nodes, and
+# holds at most _BLOCK (node, segment) pairs in each of its three work
+# buffers (768 KiB in all, small enough to stay in a typical L2 cache).
 # _SLACK widens the pruning bound far beyond the rounding error of the
 # per-pair arithmetic.
 _TILE = 8
 _BLOCK = 1 << 15
 _SLACK = 1e-9
-
-
-def _tiles(px, py):
-    """Tile index of each point: its bounding box cut into about square
-    tiles that would hold _TILE x _TILE points if they were spread evenly."""
-    n = px.size
-    x0, y0 = px.min(), py.min()
-    w, h = px.max() - x0, py.max() - y0
-    spacing = np.sqrt(w * h / n) if w * h > 0.0 else max(w, h) / n
-
-    def cut(p, lo, extent):
-        # one tile across an empty extent, or one whose spacing underflows
-        k = int(min(n, max(1, round(extent / (_TILE * spacing))))) if spacing > 0.0 else 1
-        if k == 1:
-            return np.zeros(n, dtype=np.intp), 1
-        # (p - lo) / extent lies in [0, 1], so no step can overflow
-        return np.minimum(((p - lo) / extent * k).astype(np.intp), k - 1), k
-
-    ix, kx = cut(px, x0, w)
-    iy, _ = cut(py, y0, h)
-    return iy * kx + ix
 
 
 def _scan_block(px, py, seg, work):
@@ -282,41 +260,39 @@ def _scan_block(px, py, seg, work):
     return best.reshape(shape), first.reshape(shape)
 
 
-def _nearest_segment(px, py, a, b):
-    """Squared distance from each point to its nearest segment, and the
-    index of that segment (the first one on ties).  Points and segment ends
-    are finite.
+def _nearest_segment(grid, a, b):
+    """Squared distance from each node of grid to its nearest segment, and
+    the index of that segment (the first one on ties), as (ny, nx) arrays.
+    There is at least one segment, and segment ends are finite.
 
     A pruned scan, exactly equal to the exhaustive one:
 
-    * the points are grouped into tiles (_tiles); the nearest segment to the
-      centre of each tile's box gives an upper bound U on the distance of
-      every point of the tile to its nearest segment: the largest distance
+    * the nodes are grouped into blocks of _TILE x _TILE nodes by index; the
+      last block row and column repeat the grid's last node row and column,
+      so every block holds _TILE x _TILE nodes.  The nearest segment to the
+      centre of a block's box gives an upper bound U on the distance of
+      every node of the block to its nearest segment: the largest distance
       from the box's corners to that segment (the distance to a segment is
       convex, so over a box it peaks at a corner);
-    * a segment whose bounding box is farther than U from the tile's box is
-      farther than U from every point of the tile.  A computed distance
+    * a segment whose bounding box is farther than U from the block's box is
+      farther than U from every node of the block.  A computed distance
       falls below the exact one by at most the rounding of a few operations,
       a few units in the last place of the largest coordinate (scale), so
       keeping every segment within U (1 + _SLACK) + _SLACK * scale of the
-      tile's box keeps every segment whose computed distance can reach or
+      block's box keeps every segment whose computed distance can reach or
       tie the computed minimum;
-    * each tile's candidates, in increasing index order, are scanned with
+    * each block's candidates, in increasing index order, are scanned with
       _point_segment_sq's arithmetic, so the minimum is bit-identical and
-      the first index among equal distances wins.  Tiles are binned by their
-      candidate count, rounded up to four steps per octave, and scanned as
-      dense (tile, point, candidate) blocks; a tile's short candidate list is
-      padded with its own last candidate, and its points with its own last
-      point, neither of which changes the first minimum.
+      the first index among equal distances wins.  Blocks are binned by
+      their candidate count, rounded up to four steps per octave, and
+      scanned as dense (block, node, candidate) arrays; a block's short
+      candidate list is padded with its own last candidate, which does not
+      change the first minimum.
 
     On a 128 x 128 grid and a circle this scans about a fifth of the
-    (point, segment) pairs.
+    (node, segment) pairs.
     """
-    n, m = px.size, a.shape[0]
-    best = np.full(n, np.inf)
-    nearest = np.zeros(n, dtype=np.intp)
-    if n == 0 or m == 0:
-        return best, nearest
+    m = a.shape[0]
     ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     ux = bx - ax
     uy = by - ay
@@ -324,21 +300,23 @@ def _nearest_segment(px, py, a, b):
     seg = (ax, ay, ux, uy, np.where(l2 > 0.0, l2, 1.0))
     slo_x, shi_x = np.minimum(ax, bx), np.maximum(ax, bx)
     slo_y, shi_y = np.minimum(ay, by), np.maximum(ay, by)
-    scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(px).max(), np.abs(py).max())
+    xs, ys = grid.x_coords(), grid.y_coords()
+    scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(xs).max(), np.abs(ys).max())
 
-    tile = _tiles(px, py)
-    order = np.argsort(tile, kind="stable")
-    qx, qy = px[order], py[order]
-    counts = np.bincount(tile)
-    counts = counts[counts > 0]
-    starts = np.cumsum(counts) - counts
-    tlo_x, thi_x = np.minimum.reduceat(qx, starts), np.maximum.reduceat(qx, starts)
-    tlo_y, thi_y = np.minimum.reduceat(qy, starts), np.maximum.reduceat(qy, starts)
-    work = np.empty((3, max(_BLOCK, counts.max())))
-    per = max(1, work.shape[1] // m)  # tiles per pass over all segments
-    passes = [slice(t, t + per) for t in range(0, counts.size, per)]
+    # the (blocks, _TILE) node coordinates of each block column and block
+    # row, the last node standing in past the grid's end, and each block's
+    # box; block k is block row k // kx and block column k % kx
+    col, row = (
+        c[np.minimum(np.arange(-(-c.size // _TILE) * _TILE), c.size - 1)].reshape(-1, _TILE) for c in (xs, ys)
+    )
+    kx, ky = len(col), len(row)
+    tlo_x, thi_x = np.tile(col.min(axis=1), ky), np.tile(col.max(axis=1), ky)
+    tlo_y, thi_y = np.repeat(row.min(axis=1), kx), np.repeat(row.max(axis=1), kx)
+    work = np.empty((3, _BLOCK))
+    per = max(1, _BLOCK // m)  # blocks per pass over all segments
+    passes = [slice(t, t + per) for t in range(0, kx * ky, per)]
 
-    # each tile's upper bound: the largest distance from its box's corners
+    # each block's upper bound: the largest distance from its box's corners
     # to the segment nearest to the box's centre
     cx, cy = 0.5 * (tlo_x + thi_x), 0.5 * (tlo_y + thi_y)
     every = tuple(v[None, None, :] for v in seg)
@@ -350,7 +328,7 @@ def _nearest_segment(px, py, a, b):
     ]
     bound = np.sqrt(np.max(corners, axis=0)) * (1.0 + _SLACK) + _SLACK * scale
 
-    # each tile's candidates: the segments whose box lies within its bound
+    # each block's candidates: the segments whose box lies within its bound
     n_cand, cols = [], []
     for p in passes:
         gx = np.maximum(np.maximum(slo_x - thi_x[p, None], tlo_x[p, None] - shi_x), 0.0)
@@ -361,26 +339,28 @@ def _nearest_segment(px, py, a, b):
     n_cand, cols = np.concatenate(n_cand), np.concatenate(cols)
     cand_start = np.cumsum(n_cand) - n_cand
 
-    # bins of tiles whose candidate counts round up, at four steps per
-    # octave, to the same width
+    # bins of blocks whose candidate counts round up, at four steps per
+    # octave, to the same width; node r * _TILE + c of a block is its node
+    # in row r and column c
+    best = np.empty((kx * ky, _TILE * _TILE))
+    nearest = np.empty((kx * ky, _TILE * _TILE), dtype=np.intp)
     step = 2 ** np.maximum(np.log2(n_cand).astype(np.intp) - 2, 0)
     widths = -(-n_cand // step) * step
     for width in np.unique(widths):
         in_bin = np.nonzero(widths == width)[0]
-        size = counts[in_bin].max()
-        fit = max(1, work.shape[1] // (size * width))  # tiles per block
+        fit = max(1, _BLOCK // (_TILE * _TILE * width))  # blocks per scan
         for i in range(0, in_bin.size, fit):
-            tl = in_bin[i : i + fit]
-            cand = cols[cand_start[tl, None] + np.minimum(np.arange(width), n_cand[tl, None] - 1)]
-            pts = starts[tl, None] + np.minimum(np.arange(size), counts[tl, None] - 1)
-            d2, j = _scan_block(
-                qx[pts][..., None], qy[pts][..., None], tuple(v[cand][:, None, :] for v in seg), work
-            )
-            real = np.arange(size) < counts[tl, None]
-            dest = order[pts[real]]
-            best[dest] = d2[real]
-            nearest[dest] = np.take_along_axis(cand, j, axis=1)[real]
-    return best, nearest
+            bl = in_bin[i : i + fit]
+            cand = cols[cand_start[bl, None] + np.minimum(np.arange(width), n_cand[bl, None] - 1)]
+            qx = np.tile(col[bl % kx], _TILE)[..., None]
+            qy = np.repeat(row[bl // kx], _TILE, axis=1)[..., None]
+            best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg), work)
+            nearest[bl] = np.take_along_axis(cand, j, axis=1)
+    # back to the (ny, nx) node layout, without the repeated nodes
+    return tuple(
+        v.reshape(ky, kx, _TILE, _TILE).swapaxes(1, 2).reshape(ky * _TILE, kx * _TILE)[: grid.ny, : grid.nx]
+        for v in (best, nearest)
+    )
 
 
 def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -483,22 +463,20 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
     if curve.is_empty:
         raise ValidationError("cannot redistance against an empty interface")
     g = f.grid
-    X, Y = g.mesh()
-    px, py = X.ravel(), Y.ravel()
     sa, sb = curve.segment_points()
-    d2, nearest = _nearest_segment(px, py, sa, sb)
+    d2, nearest = _nearest_segment(g, sa, sb)
     if curved:
         # the bent chords of the nearest segment and of its two neighbours,
         # which share its end vertices and so tie with it near them; each
         # segment's frame is built once and gathered per node with np.take
+        px, py = g.x_coords()[None, :], g.y_coords()[:, None]
         frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
         around = np.take(_segment_neighbours(curve), nearest, axis=0)
         dist = np.inf
-        for k in (nearest, around[:, 0], around[:, 1]):
+        for k in (nearest, around[..., 0], around[..., 1]):
             dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
-        dist = dist.reshape(g.shape)
     else:
-        dist = np.sqrt(d2).reshape(g.shape)
+        dist = np.sqrt(d2)
     sgn = np.where(f.values >= 0.0, 1.0, -1.0)
     return ScalarField(g, sgn * dist)
 

@@ -44,15 +44,15 @@ class RadiusSeries:
 
 def exact_mcf_radius(r0: float, t: float) -> float:
     """Radius of a circle under unit-mobility curvature flow, clamped at 0."""
-    if r0 <= 0:
-        raise ValidationError(f"r0 must be positive, got {r0}")
+    if not 0 < r0 < math.inf:
+        raise ValidationError(f"r0 must be positive and finite, got {r0}")
     return float(np.sqrt(max(r0 * r0 - 2.0 * t, 0.0)))
 
 
 def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101) -> RadiusSeries:
     """exact_mcf_radius sampled on n_samples equispaced times in [0, t_end]."""
-    if t_end <= 0 or n_samples < 2:
-        raise ValidationError("need t_end > 0 and at least two samples")
+    if not 0 < t_end < math.inf or n_samples < 2:
+        raise ValidationError("need a finite t_end > 0 and at least two samples")
     times = np.linspace(0.0, t_end, n_samples)
     radii = np.array([exact_mcf_radius(r0, t) for t in times])
     t_ext = 0.5 * r0 * r0
@@ -106,10 +106,10 @@ def hmcf_circle_radius(
     """
     if p.alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {p.alpha}")
-    if r0 <= 0:
-        raise ValidationError(f"r0 must be positive, got {r0}")
-    if not 0 < dt <= t_end:
-        raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    if not (0 < r0 < math.inf and math.isfinite(rdot0)):
+        raise ValidationError(f"need a finite r0 > 0 and a finite rdot0, got {r0}, {rdot0}")
+    if not 0 < dt <= t_end < math.inf:
+        raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
 
     n = int(np.floor(t_end / dt + 1e-9))
     samples = [i * dt for i in range(n + 1)]

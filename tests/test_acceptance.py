@@ -10,7 +10,7 @@ import pytest
 
 from conftest import record_acceptance
 from hmbo.fields import ScalarField, field_from_function, make_grid
-from hmbo.flow import FlowState, HmboConfig, PhysicalParams, hmbo_step, run_flow
+from hmbo.flow import CURVED, FlowState, HmboConfig, PhysicalParams, hmbo_step, run_flow
 from hmbo.harness import (
     ExperimentConfig,
     check_moments,
@@ -188,7 +188,7 @@ def test_criterion_7_damped_circle_tracking():
     records = run_flow(cfg, d0, v0_normal=0.0)
     assert len(records) == 90 and not records[-1].extinct
     radii = np.array(
-        [average_radius(extract_zero_set(d0))] + [rec.avg_radius for rec in records]
+        [average_radius(extract_zero_set(d0, curved=CURVED["hmcf"]))] + [rec.avg_radius for rec in records]
     )
     oracle = hmcf_circle_radius(PhysicalParams(1.0, 1.0, 1.0), 1.0, 0.0, 90 * tau, tau)
     m = min(len(radii), len(oracle.radii))

@@ -150,11 +150,23 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", "{}", ["--sizes", "16", "--fixed-dt", "-1"], None),
         ("convergence", '{"dt_policy": "fixed"}', [], None),  # a key that no longer exists
         ("run", "{}", ["--n", "4"], None),  # the grid-size rule of --sizes
+        # a real must be finite, in a flag or in the file
+        ("convergence", "{}", ["--sizes", "16", "--r0", "nan"], "r0"),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16", "--gamma", "nan"], "gamma"),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16", "--alpha", "nan"], "alpha"),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16", "--beta", "nan"], "beta"),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16", "--v0", "nan"], "v0_normal"),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16", "--v0", "inf"], "v0_normal"),
+        ("convergence", '{"r0": NaN}', ["--sizes", "16"], "r0"),
+        ("convergence", '{"bounds": [-2, 2, -2, Infinity]}', ["--sizes", "16"], "bounds"),
+        ("convergence", '{"gamma": 1' + "0" * 400 + "}", ["--sizes", "16"], "gamma"),  # past a double
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
         "max_steps-negative", "fixed_dt-negative", "dt_policy-removed", "run-n-too-small",
+        "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
+        "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):
@@ -190,6 +202,27 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
     assert rc == 1
     assert len(_lines(err)) == 1 and err.startswith("error:")
     assert "alpha" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "mcf", "--t-end", "0.5", "--r0", "nan"],
+        ["--mode", "mcf", "--t-end", "inf"],
+        ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--alpha", "nan"],
+        ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--rdot0", "nan"],
+        ["--mode", "hmcf", "--t-end", "inf"],
+    ],
+    ids=["mcf-r0-nan", "mcf-t_end-inf", "hmcf-alpha-nan", "hmcf-rdot0-nan", "hmcf-t_end-inf"],
+)
+def test_non_finite_oracle_input_exits_one(capsys, argv):
+    """A NaN or infinite number is bad input: one error line and exit code 1,
+    not a NaN table, a made-up extinction time or a traceback."""
+    rc = cli_main(["oracle"] + argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error:")
 
 
 def test_verify_passes(capsys):

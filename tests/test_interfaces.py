@@ -161,12 +161,13 @@ def test_vertices_deduplicated_and_on_grid_edges(rng):
 # the classic marching-squares table: segment end edges (0 bottom, 1 right,
 # 2 top, 3 left) keyed by s0 + 2 s1 + 4 s2 + 8 s3, s_k = 1 where corner k
 # (bottom-left, bottom-right, top-right, top-left) is >= 0; the saddles 5
-# and 10 by their centre average as well
+# and 10 by the sign of their centre average as well, a zero average
+# joining (0, 1) and (2, 3) in both
 _CASES = {
     1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)], 6: [(0, 2)], 7: [(2, 3)],
     8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
-    (5, True): [(0, 1), (2, 3)], (5, False): [(0, 3), (1, 2)],
-    (10, True): [(0, 3), (1, 2)], (10, False): [(0, 1), (2, 3)],
+    (5, 1): [(0, 1), (2, 3)], (5, 0): [(0, 1), (2, 3)], (5, -1): [(0, 3), (1, 2)],
+    (10, 1): [(0, 3), (1, 2)], (10, 0): [(0, 1), (2, 3)], (10, -1): [(0, 1), (2, 3)],
 }
 
 
@@ -184,7 +185,7 @@ def _marching_squares_reference(v):
         for i in range(v.shape[1] - 1):
             case = pos[j, i] + 2 * pos[j, i + 1] + 4 * pos[j + 1, i + 1] + 8 * pos[j + 1, i]
             if case in (5, 10):
-                case = (case, (v[j, i] + v[j, i + 1] + v[j + 1, i] + v[j + 1, i + 1]) * 0.25 >= 0.0)
+                case = (case, np.sign((v[j, i] + v[j, i + 1] + v[j + 1, i] + v[j + 1, i + 1]) * 0.25))
             edges = [("h", j, i), ("v", j, i + 1), ("h", j + 1, i), ("v", j, i)]
             segments += [(ids[edges[a]], ids[edges[b]]) for a, b in _CASES.get(case, [])]
     return np.array(segments, dtype=np.intp).reshape(-1, 2)
@@ -246,37 +247,37 @@ def test_curved_vertices_are_roots_of_their_edge_cubic(rng):
 # distance
 
 
-def _min_segment_distance(points, a, b):
-    return np.sqrt(_nearest_segment(points[:, 0], points[:, 1], a, b)[0])
+def _nodes(g):
+    X, Y = g.mesh()
+    return X.ravel(), Y.ravel()
 
 
 def test_min_segment_distance_handcrafted():
+    # nodes every 0.5 over [0, 3] x [0, 4]; node (x, y) is at [2y, 2x]
+    g = make_grid(7, 9, (0, 3, 0, 4))
     seg_a = np.array([[1.0, -1.0]])
     seg_b = np.array([[1.0, 1.0]])
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.5]])
-    d = _min_segment_distance(pts, seg_a, seg_b)
-    assert d[0] == pytest.approx(1.0)  # perpendicular foot at (1, 0)
-    assert d[1] == pytest.approx(np.sqrt(13.0))  # nearest endpoint (1, 1)
-    assert d[2] == pytest.approx(0.0, abs=1e-15)  # point on the segment
+    d = np.sqrt(_nearest_segment(g, seg_a, seg_b)[0])
+    assert d.shape == g.shape
+    assert d[0, 0] == pytest.approx(1.0)  # perpendicular foot at (1, 0)
+    assert d[8, 6] == pytest.approx(np.sqrt(13.0))  # nearest endpoint (1, 1)
+    assert d[1, 2] == pytest.approx(0.0, abs=1e-15)  # node on the segment
 
     # a zero-length segment measures plain point-to-point distance
-    dd = _min_segment_distance(
-        np.array([[0.5, 2.0]]), np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])
-    )
-    assert dd[0] == pytest.approx(np.hypot(0.5, 2.0))
+    dd = np.sqrt(_nearest_segment(g, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))[0])
+    assert dd[4, 1] == pytest.approx(np.hypot(0.5, 2.0))
 
     # with several segments the nearest one wins
     a = np.array([[1.0, -1.0], [0.0, 3.0]])
     b = np.array([[1.0, 1.0], [4.0, 3.0]])
-    dm = _min_segment_distance(np.array([[0.0, 0.0]]), a, b)
-    assert dm[0] == pytest.approx(1.0)
+    dm, nearest = _nearest_segment(g, a, b)
+    assert np.sqrt(dm[0, 0]) == pytest.approx(1.0)
+    assert nearest[0, 0] == 0 and nearest[8, 0] == 1
 
 
 def test_min_segment_distance_rejects_empty():
-    """With no segments the scan finds no finite distance, and
-    signed_distance, its caller, rejects a curve without segments."""
-    d2, _ = _nearest_segment(np.zeros(3), np.zeros(3), np.zeros((0, 2)), np.zeros((0, 2)))
-    assert np.all(d2 == np.inf)
+    """signed_distance, the scan's caller, rejects a curve without
+    segments, so the scan always has at least one."""
     g = make_grid(8, 8, (-1, 1, -1, 1))
     empty = InterfaceCurve(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValidationError):
@@ -287,16 +288,14 @@ def test_distance_against_dense_sampling(rng):
     """Dense point sampling of the segments upper-bounds the exact distance
     and converges to it, bracketing the closed-form projection; likewise for
     the chords bent by their sagitta that the curved reconstruction uses."""
-    pts = rng.uniform(-1, 1, size=(40, 2))
+    g = make_grid(7, 6, (-1, 1, -1, 1))
+    px, py = _nodes(g)
     a = rng.uniform(-1, 1, size=(12, 2))
     b = a + rng.uniform(-0.4, 0.4, size=(12, 2))
-    exact = _min_segment_distance(pts, a, b)
+    exact = np.sqrt(_nearest_segment(g, a, b)[0].ravel())
     ts = np.linspace(0.0, 1.0, 20001)[None, :, None]
     samples = (a[:, None, :] * (1 - ts) + b[:, None, :] * ts).reshape(-1, 2)
-    dense = np.min(
-        np.hypot(pts[:, None, 0] - samples[None, :, 0], pts[:, None, 1] - samples[None, :, 1]),
-        axis=1,
-    )
+    dense = np.min(np.hypot(px[:, None] - samples[None, :, 0], py[:, None] - samples[None, :, 1]), axis=1)
     assert np.all(exact <= dense + 1e-12)
     assert np.max(dense - exact) < 1e-6
 
@@ -305,23 +304,20 @@ def test_distance_against_dense_sampling(rng):
     many_a = rng.uniform(-1, 1, size=(50, 2))
     many_b = many_a + rng.uniform(-0.4, 0.4, size=(50, 2))
     for sa, sb in ((a, b), (many_a, many_b)):
-        d2, nearest = _nearest_segment(pts[:, 0], pts[:, 1], sa, sb)
-        assert np.array_equal(d2, _min_sq_brute(pts[:, 0], pts[:, 1], sa, sb))
+        d2, nearest = (v.ravel() for v in _nearest_segment(g, sa, sb))
+        assert np.array_equal(d2, _min_sq_brute(px, py, sa, sb))
         na, nb = sa[nearest], sb[nearest]
-        assert np.array_equal(
-            _point_segment_sq(pts[:, 0], pts[:, 1], na[:, 0], na[:, 1], nb[:, 0], nb[:, 1]),
-            d2,
-        )
+        assert np.array_equal(_point_segment_sq(px, py, na[:, 0], na[:, 1], nb[:, 0], nb[:, 1]), d2)
     # on ties the first segment wins
-    twice = _nearest_segment(pts[:, 0], pts[:, 1], np.vstack([a, a]), np.vstack([b, b]))
+    twice = _nearest_segment(g, np.vstack([a, a]), np.vstack([b, b]))
     assert np.all(twice[1] < len(a))
-    d2, nearest = _nearest_segment(pts[:, 0], pts[:, 1], a, b)
+    nearest = _nearest_segment(g, a, b)[1].ravel()
     na, nb = a[nearest], b[nearest]
 
     # distance to the nearest chord bent by a curvature vector K, against
     # dense samples of q(t) = c(t) - (K.n) L^2 t (1 - t) n / 2
     K = rng.uniform(-0.5, 0.5, size=(12, 2))[nearest]
-    bent = _bent_chord_distance(pts[:, 0], pts[:, 1], _bent_chord_frames(na, nb, K[:, 0], K[:, 1]))
+    bent = _bent_chord_distance(px, py, _bent_chord_frames(na, nb, K[:, 0], K[:, 1]))
     u = nb - na
     seg_len = np.hypot(u[:, 0], u[:, 1])
     n_hat = np.column_stack([-u[:, 1], u[:, 0]]) / seg_len[:, None]
@@ -330,7 +326,7 @@ def test_distance_against_dense_sampling(rng):
         na[:, None, :] + ts * u[:, None, :]
         - 0.5 * (k_n * seg_len**2)[:, None, None] * ts * (1 - ts) * n_hat[:, None, :]
     )
-    dense_bent = np.min(np.hypot(pts[:, None, 0] - q[:, :, 0], pts[:, None, 1] - q[:, :, 1]), axis=1)
+    dense_bent = np.min(np.hypot(px[:, None] - q[:, :, 0], py[:, None] - q[:, :, 1]), axis=1)
     assert np.all(bent <= dense_bent + 1e-12)
     assert np.max(dense_bent - bent) < 1e-6
     assert np.max(np.abs(bent - exact)) > 1e-3  # the bend is felt
@@ -353,10 +349,12 @@ def _min_sq_brute(px, py, a, b, seg_chunk=64):
     return best
 
 
-def _brute_nearest(px, py, a, b, rows=256):
-    """Exhaustive reference for _nearest_segment: _min_sq_brute's squared
-    distances, and the first segment attaining each minimum in the full
-    (point, segment) matrix of _point_segment_sq, taken in blocks of rows."""
+def _brute_nearest(g, a, b, check=slice(None), rows=256):
+    """Exhaustive reference for _nearest_segment on the grid nodes that
+    check selects (raveled): _min_sq_brute's squared distances, and the
+    first segment attaining each minimum in the full (node, segment) matrix
+    of _point_segment_sq, taken in blocks of rows."""
+    px, py = (v[check] for v in _nodes(g))
     first = [
         _point_segment_sq(
             px[s : s + rows, None], py[s : s + rows, None],
@@ -367,43 +365,41 @@ def _brute_nearest(px, py, a, b, rows=256):
     return _min_sq_brute(px, py, a, b), np.concatenate(first)
 
 
-def _assert_scan_exact(px, py, a, b, check=slice(None)):
-    """_nearest_segment over all points equals the exhaustive reference, bit
-    for bit and in the index, on the points selected by check."""
-    d2, nearest = _nearest_segment(px, py, a, b)
-    ref_d2, ref_first = _brute_nearest(px[check], py[check], a, b)
-    assert np.array_equal(d2[check], ref_d2)
-    assert np.array_equal(nearest[check], ref_first)
-
-
-def _nodes(g):
-    X, Y = g.mesh()
-    return X.ravel(), Y.ravel()
+def _assert_scan_exact(g, a, b, check=slice(None)):
+    """_nearest_segment over the grid equals the exhaustive reference, bit
+    for bit and in the index, on the nodes (raveled) selected by check."""
+    d2, nearest = _nearest_segment(g, a, b)
+    assert d2.shape == nearest.shape == g.shape
+    ref_d2, ref_first = _brute_nearest(g, a, b, check)
+    assert np.array_equal(d2.ravel()[check], ref_d2)
+    assert np.array_equal(nearest.ravel()[check], ref_first)
 
 
 def test_nearest_segment_exact_on_degenerate_soups():
-    """Zero-length and duplicated segments, points exactly on segments and
-    vertices, and a single segment: the pruned scan keeps every tie and
-    returns the first segment, like the exhaustive scan."""
-    g = make_grid(24, 24, (-1, 1, -1, 1))
-    px, py = _nodes(g)
-    xs = g.x_coords()
-    # a closed square through grid nodes, each side twice, a zero-length
-    # segment on a node and one between nodes, and a chord along a grid line
-    corners = np.array([[xs[4], xs[4]], [xs[19], xs[4]], [xs[19], xs[19]], [xs[4], xs[19]]])
-    a = np.vstack([corners, corners, [[xs[10], xs[10]], [0.013, -0.41]], [[xs[2], xs[7]]]])
-    b = np.vstack([np.roll(corners, -1, axis=0)] * 2 + [[[xs[10], xs[10]], [0.013, -0.41]], [[xs[21], xs[7]]]])
-    _assert_scan_exact(px, py, a, b)
-    # points placed exactly on segment ends and inside segments
-    on = np.vstack([a, b, 0.5 * (a + b)])
-    _assert_scan_exact(on[:, 0], on[:, 1], a, b)
-    for k in range(len(a)):  # a single segment, each in turn
-        _assert_scan_exact(px, py, a[k : k + 1], b[k : k + 1])
-    # points spread over a subnormal extent, where a tile count over the
-    # extent overflows and the tile spacing can underflow to zero
+    """Zero-length and duplicated segments, nodes exactly on segments and
+    on their ends, and a single segment: the pruned scan keeps every tie
+    and returns the first segment, like the exhaustive scan.  Also on node
+    counts that are no multiple of the block size, a 3 x 3 grid and grids
+    of subnormal extent."""
+    for g in (make_grid(24, 24, (-1, 1, -1, 1)), make_grid(21, 19, (-1, 1, -1, 1))):
+        xs, ys = g.x_coords(), g.y_coords()
+        # a closed square through grid nodes, each side twice, a zero-length
+        # segment on a node and one between nodes, and a chord along a grid
+        # line
+        corners = np.array([[xs[4], ys[4]], [xs[15], ys[4]], [xs[15], ys[15]], [xs[4], ys[15]]])
+        a = np.vstack([corners, corners, [[xs[10], ys[10]], [0.013, -0.41]], [[xs[2], ys[7]]]])
+        b = np.vstack([np.roll(corners, -1, axis=0)] * 2 + [[[xs[10], ys[10]], [0.013, -0.41]], [[xs[17], ys[7]]]])
+        _assert_scan_exact(g, a, b)
+        for k in range(len(a)):  # a single segment, each in turn
+            _assert_scan_exact(g, a[k : k + 1], b[k : k + 1])
     zero = np.zeros((1, 2))
-    _assert_scan_exact(np.zeros(2), np.array([0.0, 2.225073858507e-311]), zero, zero)
-    _assert_scan_exact(np.r_[5e-324, np.zeros(300)], np.zeros(301), zero, zero + 1.0)
+    _assert_scan_exact(make_grid(3, 3, (-1, 1, -1, 1)), np.array([[-1.0, 0.2]]), np.array([[0.3, 1.0]]))
+    # extents whose node spacing is subnormal or rounds to zero
+    for bounds in ((0.0, 1e-300, -1e-300, 0.0), (0.0, 2.225073858507e-311, 0.0, 5e-324)):
+        g = make_grid(11, 3, bounds)
+        _assert_scan_exact(g, zero, zero)
+        _assert_scan_exact(g, zero, zero + 1.0)
+        _assert_scan_exact(g, np.vstack([zero, zero]), np.array([[1e-310, 0.0], [0.0, 0.0]]))
 
 
 _SCAN_FIELDS = {
@@ -433,27 +429,30 @@ def test_nearest_segment_exact_on_grids(nx, ny, field, check):
     a, b = extract_zero_set(_SCAN_FIELDS[field](g)).segment_points()
     if nx == 128:
         assert len(a) > 10_000
-    _assert_scan_exact(*_nodes(g), a, b, check)
+    _assert_scan_exact(g, a, b, check)
 
 
 def test_nearest_segment_exact_on_random_soups():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # coordinates on a coarse lattice make exact ties, shared ends and
-    # zero-length segments common
+    # coordinates on a coarse lattice make exact ties, shared ends,
+    # zero-length segments and segments through nodes common
     coord = st.integers(-12, 12).map(lambda i: i / 8.0) | st.floats(-2.0, 2.0)
     point = st.tuples(coord, coord)
+    lower = st.integers(-16, 8).map(lambda i: i / 8.0) | st.floats(-2.0, 1.0)
+    extent = st.integers(1, 32).map(lambda i: i / 8.0) | st.floats(1e-3, 4.0)
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(
-        st.lists(point, min_size=1, max_size=300),
+        st.integers(3, 40), st.integers(3, 40), st.tuples(lower, extent, lower, extent),
         st.lists(st.tuples(point, point), min_size=1, max_size=40),
     )
-    def check(points, segments):
-        pts = np.array(points)
+    def check(nx, ny, box, segments):
+        x0, w, y0, h = box
+        g = make_grid(nx, ny, (x0, x0 + w, y0, y0 + h))
         a = np.array([s[0] for s in segments])
         b = np.array([s[1] for s in segments])
-        _assert_scan_exact(pts[:, 0], pts[:, 1], a, b)
+        _assert_scan_exact(g, a, b)
 
     check()
 
@@ -466,7 +465,10 @@ def test_signed_distance_equals_brute_build(rng, monkeypatch):
     pruned = [
         signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
     ]
-    monkeypatch.setattr("hmbo.interfaces._nearest_segment", _brute_nearest)
+    monkeypatch.setattr(
+        "hmbo.interfaces._nearest_segment",
+        lambda g, a, b: tuple(v.reshape(g.shape) for v in _brute_nearest(g, a, b)),
+    )
     brute = [
         signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
     ]
@@ -537,7 +539,8 @@ def test_redistance_odd_under_negation():
     """Extracting and redistancing -f gives exactly the negated field of f,
     in both reconstructions, when no node value is exactly zero: -f has
     the same vertices and the same segment array, and only the signs
-    taken from the field change."""
+    taken from the field change.  The +-1 checkerboards have a zero corner
+    average in every cell."""
     def star(g, k, a):
         return field_from_function(g, lambda x, y: np.hypot(x, y) - 1.0 - a * np.cos(k * np.arctan2(y, x)))
 
@@ -547,6 +550,8 @@ def test_redistance_odd_under_negation():
         star(make_grid(64, 64, (-2, 2, -2, 2)), 4, 0.15),
         star(g40, 6, 0.25),
     ] + [ScalarField(g40, np.random.default_rng(seed).standard_normal(g40.shape)) for seed in range(20)]
+    g9 = make_grid(9, 9, (-1, 1, -1, 1))
+    fields += [ScalarField(g9, _checkerboard(g9)), ScalarField(g9, -_checkerboard(g9))]
     for i, f in enumerate(fields):
         assert np.all(f.values != 0.0)
         neg_f = ScalarField(f.grid, -f.values)
