@@ -93,7 +93,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return 0 if verify_suite(verbose=True) else 2
+    return 0 if verify_suite() else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

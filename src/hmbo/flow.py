@@ -1,15 +1,16 @@
 """Threshold dynamics for curvature-driven interface motion.
 
-One step of the scheme propagates wave initial data built from the current
-signed distance field(s) over a short window tau, extracts the zero level
-set of the result, and rebuilds a signed distance field from it:
+One step of the scheme propagates the wave initial data
+u0 = a*(2*d_n - d_nm1), ut0 = b*d_n, built from the current and previous
+signed distance fields, over a short window tau, extracts the zero level set
+of the result, and rebuilds a signed distance field from it.  The two modes
+differ in the wave data (a, b, c^2) only:
 
-* damped mode ("hmcf"): u0 = a*(2*d_n - d_nm1), ut0 = b*d_n, where
-  (a, b, c^2) = (alpha, beta, 2*gamma/alpha) are derived from the physical
-  coefficients of  alpha * V' + beta * V = -gamma * curvature;
-* curvature-flow limit ("mcf"): u0 = 0, ut0 = d_n, with c^2 = lambda/tau
-  and lambda = 6*gamma, which drives the interface with normal velocity
-  -gamma * curvature as tau -> 0.
+* damped mode ("hmcf"): (alpha, beta, 2*gamma/alpha), derived from the
+  physical coefficients of  alpha * V' + beta * V = -gamma * curvature;
+* curvature-flow limit ("mcf"): (0, 1, lambda/tau) with lambda = 6*gamma,
+  i.e. u0 = 0 and ut0 = d_n, which drives the interface with normal
+  velocity -gamma * curvature as tau -> 0.
 
 wave_data is the one copy of these maps; HmboConfig.build applies it.
 Iterating the step yields the flow; the interface is declared extinct when
@@ -20,14 +21,16 @@ and the mode.  It is odd under d -> -d, so either side of the interface may
 carry the positive sign of d0; the rebuilt fields keep the sign of the
 propagated field at each node.
 
-The damped step (and init_history) rebuilds the distance field with the
-curved reconstruction of hmbo.interfaces: the history term 2*d_n - d_nm1
-turns a per-step shift delta of the interface into a forcing of order
-delta/tau^2, and the chord reconstruction's shift of about 0.05 dx^2 per
-step made the radius of a unit circle drift by 0.19 in 90 steps at N = 128,
-tau = 1/300.  The mcf step sees that shift only as delta/tau and keeps the
-chord reconstruction, which its frozen reference figures rest on.  The
-choice follows the mode and is made in one place, CURVED, which the step,
+Beyond the wave data, the mode decides only whether run_flow builds d_nm1
+with init_history (damped) or starts from d_nm1 = d0 (mcf, where a = 0),
+and the reconstruction.  The damped step (and init_history) rebuilds the
+distance field with the curved reconstruction of hmbo.interfaces: the
+history term 2*d_n - d_nm1 turns a per-step shift delta of the interface
+into a forcing of order delta/tau^2, and the chord reconstruction's shift of
+about 0.05 dx^2 per step made the radius of a unit circle drift by 0.19 in
+90 steps at N = 128, tau = 1/300.  The mcf step sees that shift only as
+delta/tau and keeps the chord reconstruction, which its frozen reference
+figures rest on.  The choice is made in one place, CURVED, which the step,
 init_history and the harness's radius and interface outputs all read.
 """
 
@@ -64,24 +67,18 @@ class PhysicalParams:
             raise ValidationError(f"coefficients must be finite and nonnegative, got {self}")
 
 
-def check_max_steps(max_steps: int) -> None:
-    """Raise ValidationError unless max_steps is nonnegative."""
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be nonnegative, got {max_steps}")
-
-
 def wave_data(mode: str, p: PhysicalParams, tau: float) -> tuple[float, float, float]:
     """The mode's wave data coefficients (a, b, c2).
 
-    a scales the initial displacement, b the initial velocity (the solver is
-    handed ut0 = b*d_n) and c2 is the squared propagation speed:
-    damped, (alpha, beta, 2*gamma/alpha); mcf, (0, 0, 6*gamma/tau), whose
-    step reads neither a nor b.
+    a scales the initial displacement a*(2*d_n - d_nm1), b the initial
+    velocity b*d_n and c2 is the squared propagation speed: damped,
+    (alpha, beta, 2*gamma/alpha); mcf, (0, 1, 6*gamma/tau), which reads
+    neither alpha nor beta.
     """
     if mode == "mcf":
         if p.gamma <= 0 or tau <= 0:
             raise ValidationError(f"need gamma > 0 and tau > 0, got {p.gamma}, {tau}")
-        return 0.0, 0.0, 6.0 * p.gamma / tau
+        return 0.0, 1.0, 6.0 * p.gamma / tau
     if mode != "hmcf":
         raise ValidationError(f"unknown mode {mode!r}")
     if p.alpha <= 0:
@@ -93,9 +90,10 @@ def wave_data(mode: str, p: PhysicalParams, tau: float) -> tuple[float, float, f
 class HmboConfig:
     """Frozen parameters of a threshold-dynamics run.
 
-    a and b scale the damped mode's initial displacement and velocity; the
-    mcf step ignores them.  Build configs with HmboConfig.build (or its
-    wrappers .mcf and .hmcf), which derives (a, b, c2) with wave_data.
+    a and b scale the step's initial displacement and velocity.  Build
+    configs with HmboConfig.build (or its wrappers .mcf and .hmcf), which
+    derives (a, b, c2) with wave_data.  Construction checks the mode, the
+    substep (0 < dt <= tau and the CFL bound on grid) and max_steps >= 0.
     """
 
     mode: str
@@ -111,7 +109,8 @@ class HmboConfig:
         if self.mode not in CURVED:
             raise ValidationError(f"unknown mode {self.mode!r}")
         check_cfl(self.wave_params(), self.grid)
-        check_max_steps(self.max_steps)
+        if self.max_steps < 0:
+            raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
 
     @classmethod
     def build(cls, mode: str, grid: Grid2D, params: PhysicalParams, tau: float,
@@ -139,14 +138,16 @@ class HmboConfig:
 
 @dataclass
 class FlowState:
-    """Evolving state: current and (damped mode) previous distance fields.
+    """Evolving state: current and previous distance fields.
 
-    last_curve holds the interface extracted while producing d_n; it is None
-    for a freshly initialized state and after extinction.
+    run_flow starts d_nm1 from init_history in damped mode and from d0 in
+    mcf, whose step scales it by a = 0.  last_curve holds the interface
+    extracted while producing d_n; it is None for a freshly initialized
+    state and after extinction.
     """
 
     d_n: ScalarField
-    d_nm1: ScalarField | None
+    d_nm1: ScalarField
     step_index: int
     extinct: bool = False
     last_curve: InterfaceCurve | None = None
@@ -190,15 +191,10 @@ def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
     if state.d_n.grid != grid:
         raise ValidationError("state and config grids differ")
 
-    if cfg.mode == "hmcf":
-        if state.d_nm1 is None:
-            raise ValidationError("damped mode needs the previous field; run init_history")
-        u0 = ScalarField(grid, cfg.a * (2.0 * state.d_n.values - state.d_nm1.values))
-        ut0 = ScalarField(grid, cfg.b * state.d_n.values)
-    else:
-        u0 = ScalarField(grid, np.zeros(grid.shape))
-        ut0 = state.d_n
-
+    if state.d_nm1 is None:
+        raise ValidationError("the step needs the previous field d_nm1; run_flow sets it")
+    u0 = ScalarField(grid, cfg.a * (2.0 * state.d_n.values - state.d_nm1.values))
+    ut0 = ScalarField(grid, cfg.b * state.d_n.values)
     u_tau = wave_solve(u0, ut0, cfg.wave_params())
     if not has_interface(u_tau):
         return FlowState(state.d_n, state.d_nm1, state.step_index, extinct=True)
@@ -206,8 +202,7 @@ def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
     curved = CURVED[cfg.mode]
     curve = extract_zero_set(u_tau, curved=curved)
     d_new = signed_distance(u_tau, curve, curved=curved)
-    d_prev = state.d_n if cfg.mode == "hmcf" else None
-    return FlowState(d_new, d_prev, state.step_index + 1, extinct=False, last_curve=curve)
+    return FlowState(d_new, state.d_n, state.step_index + 1, extinct=False, last_curve=curve)
 
 
 def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
@@ -223,9 +218,7 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
     if not has_interface(d0):
         raise ValidationError("d0 has uniform sign; nothing to evolve")
 
-    d_nm1 = None
-    if cfg.mode == "hmcf":
-        d_nm1 = init_history(d0, v0_normal, cfg.tau)
+    d_nm1 = init_history(d0, v0_normal, cfg.tau) if cfg.mode == "hmcf" else d0
     state = FlowState(d0, d_nm1, step_index=0)
 
     records: list[RunRecord] = []

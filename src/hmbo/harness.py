@@ -32,9 +32,7 @@ from .flow import (
     HmboConfig,
     PhysicalParams,
     RunRecord,
-    check_max_steps,
     run_flow,
-    wave_data,
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval
@@ -44,9 +42,9 @@ THREADS_ENV = "HMCF_THREADS"
 
 
 def _conforms(value, tp) -> bool:
-    """True iff value has the annotated type tp: any finite real number
-    passes for float and any integer for int, but a bool passes only for
-    bool."""
+    """True iff value has the annotated type tp: any real number in a
+    double's finite range passes for float and any such integer for int,
+    but a bool passes only for bool."""
     args = get_args(tp)
     if get_origin(tp) is tuple:
         if not isinstance(value, tuple):
@@ -58,9 +56,10 @@ def _conforms(value, tp) -> bool:
         return any(_conforms(value, t) for t in args)
     if isinstance(value, bool) or tp is bool:
         return tp is bool and isinstance(value, bool)
-    if tp is float:  # a finite double: not NaN, infinite or an int past its range
-        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    return isinstance(value, numbers.Integral if tp is int else tp)
+    if tp in (float, int):  # not NaN, infinite or an int past a double's range
+        kind = numbers.Real if tp is float else numbers.Integral
+        return isinstance(value, kind) and abs(value) <= sys.float_info.max
+    return isinstance(value, tp)
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,14 @@ class ExperimentConfig:
 
     The step length is tau = r0^2 / (2 * gamma * n_tau), i.e. the exact
     extinction time of the circle divided into n_tau steps.  The substep is
-    fixed_dt, checked against the stability bound of every grid size, or,
-    when fixed_dt is None, wave.cfl_substep's half of that bound, capped at
-    tau.  alpha, beta and gamma are nonnegative in either mode; the mode's
-    wave data (flow.wave_data) reads alpha and beta in damped mode only.
-    The field names are the keys of a JSON config file.  Every value is
-    checked here, its type first, so a bad one fails on construction with a
-    ValidationError naming its key rather than inside a grid job.
+    fixed_dt or, when fixed_dt is None, wave.cfl_substep's half of the
+    stability bound, capped at tau.  alpha, beta and gamma are nonnegative
+    in either mode; the mode's wave data (flow.wave_data) reads alpha and
+    beta in damped mode only.  The field names are the keys of a JSON config
+    file.  Every value is checked here, its type first, and then every grid
+    size's flow config is built (flow_config), so a bad value or a substep
+    past any size's stability bound fails on construction with a
+    ValidationError naming its key or size, before any grid job starts.
     """
 
     mode: str = "mcf"
@@ -113,11 +113,11 @@ class ExperimentConfig:
             raise ValidationError("r0 does not fit inside the domain")
         if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        c2 = self.c2  # checks the mode and its coefficients
-        if self.fixed_dt is not None:
-            WaveParams(c2, self.fixed_dt, self.tau)  # checks 0 < fixed_dt <= tau
-        if self.max_steps is not None:
-            check_max_steps(self.max_steps)
+        for n in self.grid_sizes:
+            try:
+                self.flow_config(n)
+            except ValidationError as exc:
+                raise ValidationError(f"grid size {n}: {exc}") from exc
 
     @property
     def tau(self) -> float:
@@ -127,10 +127,12 @@ class ExperimentConfig:
     def params(self) -> PhysicalParams:
         return PhysicalParams(self.alpha, self.beta, self.gamma)
 
-    @property
-    def c2(self) -> float:
-        """The mode's squared wave speed (it depends on no grid)."""
-        return wave_data(self.mode, self.params, self.tau)[2]
+    def flow_config(self, n: int) -> HmboConfig:
+        """Grid size n's run: its grid, the mode's wave data, the substep
+        and max_steps (default 2*n_tau); HmboConfig checks them."""
+        grid = make_grid(n, n, self.bounds)
+        max_steps = self.max_steps if self.max_steps is not None else 2 * self.n_tau
+        return HmboConfig.build(self.mode, grid, self.params, self.tau, self.fixed_dt, max_steps)
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -191,11 +193,9 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 
 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
-    """Grid, flow config and initial distance field for one grid size."""
-    grid = make_grid(int(n), int(n), cfg.bounds)
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
-    flow_cfg = HmboConfig.build(cfg.mode, grid, cfg.params, cfg.tau, cfg.fixed_dt, max_steps)
-    d0 = field_from_function(grid, lambda x, y: np.hypot(x, y) - cfg.r0)
+    """Flow config and initial distance field for one grid size."""
+    flow_cfg = cfg.flow_config(n)
+    d0 = field_from_function(flow_cfg.grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     return flow_cfg, d0
 
 
@@ -340,7 +340,7 @@ def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
     echo = asdict(cfg)  # json writes its tuples as arrays
     derived = {"tau": cfg.tau}
     for n in sizes:
-        flow_cfg, _ = build_run(cfg, n)
+        flow_cfg = cfg.flow_config(n)
         derived[str(n)] = {
             "dx": flow_cfg.grid.dx,
             "c2": flow_cfg.c2,
@@ -387,26 +387,26 @@ def _moment_cases():
     return cases
 
 
-def check_moments(points, kappas=(-2.0, 1.0), speeds=(1.0, np.sqrt(2.0)),
-                  times=(0.05,), kappa_p: float = 1.5, n_quad: int = 200,
-                  rtol: float = 1e-6):
-    """Compare poisson_eval against the closed-form moment solutions.
+def check_moments(points, times=(0.05,)):
+    """Compare poisson_eval (200 quadrature nodes) against the closed-form
+    moment solutions with kappa in (-2, 1), kappa_p = 1.5 and c in (1, sqrt 2).
 
     Returns (worst relative error, list of per-case detail strings for any
-    comparisons beyond rtol).
+    comparisons beyond 1e-6).
     """
+    kappa_p = 1.5
     worst = 0.0
     bad = []
     for name, make_v0, closed in _moment_cases():
-        for k in kappas:
-            for c in speeds:
+        for k in (-2.0, 1.0):
+            for c in (1.0, np.sqrt(2.0)):
                 for t in times:
                     for (x1, x2) in points:
-                        got = poisson_eval(None, None, make_v0(k, kappa_p), c, t, (x1, x2), n_quad)
+                        got = poisson_eval(None, None, make_v0(k, kappa_p), c, t, (x1, x2), 200)
                         want = closed(k, kappa_p, c, t, x1, x2)
                         rel = abs(got - want) / max(abs(want), 1e-14)
                         worst = max(worst, rel)
-                        if rel > rtol:
+                        if rel > 1e-6:
                             bad.append(
                                 f"{name}: k={k} c={c:.4g} t={t} x=({x1:.3g},{x2:.3g}) "
                                 f"got {got:.10g} want {want:.10g} rel {rel:.2e}"
@@ -414,13 +414,15 @@ def check_moments(points, kappas=(-2.0, 1.0), speeds=(1.0, np.sqrt(2.0)),
     return worst, bad
 
 
-def solver_vs_quadrature(n: int = 256, c: float = 1.0, t: float = 0.25,
-                         point=(0.2, -0.1), n_quad: int = 200) -> tuple[float, float, float]:
-    """Propagate smooth data with the grid solver and with the quadrature.
+def solver_vs_quadrature(n: int = 256) -> tuple[float, float, float]:
+    """Propagate smooth data at c = 1 to t = 0.25 with the n-by-n grid
+    solver and with the quadrature (200 nodes).
 
-    The evaluation point is chosen so its dependence disk stays away from
-    the boundary.  Returns (solver value, quadrature value, relative diff).
+    The evaluation point (0.2, -0.1) is chosen so its dependence disk stays
+    away from the boundary.  Returns (solver value, quadrature value,
+    relative diff).
     """
+    t, point = 0.25, (0.2, -0.1)
     grid = make_grid(n, n, (-2.0, 2.0, -2.0, 2.0))
 
     def u0_fn(y1, y2):
@@ -435,32 +437,27 @@ def solver_vs_quadrature(n: int = 256, c: float = 1.0, t: float = 0.25,
 
     u0 = field_from_function(grid, u0_fn)
     ut0 = field_from_function(grid, lambda x, y: -v0_fn(x, y))
-    dt = cfl_substep(c * c, grid, t)
-    u_num = wave_solve(u0, ut0, WaveParams(c * c, dt, t))
+    u_num = wave_solve(u0, ut0, WaveParams(1.0, cfl_substep(1.0, grid, t), t))
     got = eval_bilinear(u_num, point)
-    want = poisson_eval(u0_fn, grad_u0_fn, v0_fn, c, t, point, n_quad)
+    want = poisson_eval(u0_fn, grad_u0_fn, v0_fn, 1.0, t, point, 200)
     rel = abs(got - want) / max(abs(want), 1e-14)
     return got, want, rel
 
 
-def verify_suite(verbose: bool = True) -> bool:
-    """Run the dual-route consistency checks; True iff everything passed."""
-    ok = True
+def verify_suite() -> bool:
+    """Run and print the dual-route consistency checks; True iff everything
+    passed."""
     pts = [(0.05, -0.03), (-0.08, 0.02), (0.0, 0.1)]
     worst, bad = check_moments(pts)
-    passed = not bad
-    ok = ok and passed
-    if verbose:
-        print(f"[{'PASS' if passed else 'FAIL'}] moment identities: worst rel err {worst:.3e}")
-        for line in bad:
-            print("       " + line)
+    moments_ok = not bad
+    print(f"[{'PASS' if moments_ok else 'FAIL'}] moment identities: worst rel err {worst:.3e}")
+    for line in bad:
+        print("       " + line)
 
     got, want, rel = solver_vs_quadrature()
-    passed = rel < 1e-2
-    ok = ok and passed
-    if verbose:
-        print(
-            f"[{'PASS' if passed else 'FAIL'}] solver vs disk quadrature: "
-            f"{got:.8g} vs {want:.8g} (rel {rel:.3e})"
-        )
-    return ok
+    solver_ok = rel < 1e-2
+    print(
+        f"[{'PASS' if solver_ok else 'FAIL'}] solver vs disk quadrature: "
+        f"{got:.8g} vs {want:.8g} (rel {rel:.3e})"
+    )
+    return moments_ok and solver_ok

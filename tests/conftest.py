@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hmbo import harness
+from hmbo.errors import NumericalError
+
 _acceptance_lines = []
 
 
@@ -15,6 +18,20 @@ def record_acceptance(line: str) -> None:
 def rng():
     """Deterministic generator so property-style tests reproduce exactly."""
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fail_at_64(monkeypatch):
+    """Make the N = 64 run of a study break down numerically, to exercise
+    the study's per-size failure containment."""
+    run_flow = harness.run_flow
+
+    def flaky(cfg, d0, **kw):
+        if cfg.grid.nx == 64:
+            raise NumericalError("non-finite field values at substep 3")
+        return run_flow(cfg, d0, **kw)
+
+    monkeypatch.setattr(harness, "run_flow", flaky)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

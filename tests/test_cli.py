@@ -117,14 +117,25 @@ def test_damped_study_converges_to_the_damped_law(capsys):
     assert rows[64] < 0.01
 
 
-def test_convergence_partial_failure_exit_code(capsys):
-    rc = cli_main(
-        ["convergence", "--sizes", "16,64", "--fixed-dt", "2e-3"]
-    )
+def test_convergence_partial_failure_exit_code(fail_at_64, capsys):
+    rc = cli_main(["convergence", "--sizes", "16,64", "--n-tau", "10"])
     out, err = capsys.readouterr()
     assert rc == 2
     assert any(ln.startswith("16,") for ln in _lines(out))
     assert err.count("grid size 64 failed") == 1
+
+
+def test_unstable_fixed_dt_exits_one_before_any_grid_runs(tmp_path, capsys):
+    """A fixed dt past the stability bound of one size is bad input: one
+    error line naming the size, exit code 1 and no output directory, not a
+    study that runs the stable sizes and then fails."""
+    out = tmp_path / "d"
+    rc = cli_main(["convergence", "--sizes", "16,64", "--fixed-dt", "2e-3", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert stdout == ""
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: grid size 64:")
+    assert not out.exists()
 
 
 def test_validation_errors_exit_one(capsys):
@@ -160,6 +171,11 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", '{"r0": NaN}', ["--sizes", "16"], "r0"),
         ("convergence", '{"bounds": [-2, 2, -2, Infinity]}', ["--sizes", "16"], "bounds"),
         ("convergence", '{"gamma": 1' + "0" * 400 + "}", ["--sizes", "16"], "gamma"),  # past a double
+        # an integer past a double's range, in the file or a flag
+        ("convergence", '{"n_tau": 1' + "0" * 400 + "}", ["--sizes", "16"], "n_tau"),
+        ("run", "{}", ["--n", "1" + "0" * 400], "grid_sizes"),
+        ("convergence", "{}", ["--sizes", "16,1" + "0" * 400], "grid_sizes"),
+        ("convergence", "{}", ["--sizes", "16", "--max-steps", "1" + "0" * 400], "max_steps"),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
@@ -167,6 +183,7 @@ def test_validation_errors_exit_one(capsys):
         "max_steps-negative", "fixed_dt-negative", "dt_policy-removed", "run-n-too-small",
         "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
+        "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):

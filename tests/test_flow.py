@@ -76,13 +76,14 @@ def test_parameter_mapping_round_trip(p):
 
 
 def test_mcf_c2_values():
-    """mcf: c2 = 6 gamma / tau, and alpha and beta are not read."""
+    """mcf: (a, b) = (0, 1), c2 = 6 gamma / tau, and alpha and beta are not
+    read."""
     def mcf(gamma, tau, alpha=1.0, beta=1.0):
         return wave_data("mcf", PhysicalParams(alpha, beta, gamma), tau)
 
     assert mcf(1.0, 1.0 / 300.0)[2] == pytest.approx(1800.0)
     assert mcf(0.5, 0.01)[2] == pytest.approx(300.0)
-    assert mcf(1.0, 1.0) == (0.0, 0.0, pytest.approx(6.0))
+    assert mcf(1.0, 1.0) == (0.0, 1.0, pytest.approx(6.0))
     assert mcf(1.0, 1.0, alpha=0.0, beta=7.0) == mcf(1.0, 1.0)
     with pytest.raises(ValidationError):
         mcf(0.0, 1.0)
@@ -158,7 +159,8 @@ def test_one_step_circle_matches_exact_law():
     tau = 1.0 / 300.0
     g = make_grid(128, 128, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=1)
-    state = hmbo_step(FlowState(_circle_sdf(g), None, 0), cfg)
+    d0 = _circle_sdf(g)
+    state = hmbo_step(FlowState(d0, d0, 0), cfg)
     got = average_radius(state.last_curve)
     want = np.sqrt(1.0 - 2.0 * tau)
     assert abs(got - want) < 0.5 * (tau + g.dx)
@@ -168,7 +170,8 @@ def test_one_step_circle_matches_exact_law():
 def test_step_preserves_reflection_symmetry():
     g = make_grid(65, 65, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=1)
-    state = hmbo_step(FlowState(_circle_sdf(g), None, 0), cfg)
+    d0 = _circle_sdf(g)
+    state = hmbo_step(FlowState(d0, d0, 0), cfg)
     d = state.d_n.values
     assert np.max(np.abs(d - d[:, ::-1])) < 1e-13
 
@@ -185,7 +188,7 @@ def test_corner_quarter_circle_is_a_quadrant_of_the_full_circle(mode):
         g = make_grid(n, n, (lo, 2.0, lo, 2.0))
         d0 = _circle_sdf(g)
         if mode == "mcf":
-            cfg, d_prev = HmboConfig.mcf(g, gamma=1.0, tau=tau), None
+            cfg, d_prev = HmboConfig.mcf(g, gamma=1.0, tau=tau), d0
         else:
             cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
             d_prev = init_history(d0, 0.0, tau)
@@ -202,7 +205,7 @@ def test_extinction_marks_state_and_freezes_it():
     g = make_grid(32, 32, (-2, 2, -2, 2))
     d0 = _circle_sdf(g, r0=0.05)  # below the mesh resolution
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.05, max_steps=1)
-    st = hmbo_step(FlowState(d0, None, 0), cfg)
+    st = hmbo_step(FlowState(d0, d0, 0), cfg)
     assert st.extinct
     assert st.d_n is d0  # fields untouched on the extinction branch
     again = hmbo_step(st, cfg)
@@ -214,6 +217,24 @@ def test_damped_step_requires_history():
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau=0.02)
     with pytest.raises(ValidationError):
         hmbo_step(FlowState(_circle_sdf(g, inside_positive=True), None, 0), cfg)
+
+
+def test_mcf_step_reads_no_history():
+    """mcf is the one step rule with a = 0: any previous field gives the
+    step from d_nm1 = d_n bit for bit, and a missing one is rejected as in
+    damped mode.  At N = 65 the circle passes through four nodes, where
+    u0 = a*(...) is a zero of either sign."""
+    g = make_grid(65, 65, (-2, 2, -2, 2))
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0)
+    d0 = _circle_sdf(g)
+    noise = ScalarField(g, np.random.default_rng(7).normal(size=g.shape))
+    want = hmbo_step(FlowState(d0, d0, 0), cfg)
+    got = hmbo_step(FlowState(d0, noise, 0), cfg)
+    assert got.d_n.values.tobytes() == want.d_n.values.tobytes()
+    assert got.last_curve.vertices.tobytes() == want.last_curve.vertices.tobytes()
+    assert got.d_nm1 is d0
+    with pytest.raises(ValidationError, match="previous field"):
+        hmbo_step(FlowState(d0, None, 0), cfg)
 
 
 def test_damped_step_shifts_history_exactly():
@@ -229,8 +250,9 @@ def test_step_grid_mismatch_rejected():
     g = make_grid(32, 32, (-2, 2, -2, 2))
     other = make_grid(16, 16, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.05, max_steps=1)
+    d = _circle_sdf(other)
     with pytest.raises(ValidationError):
-        hmbo_step(FlowState(_circle_sdf(other), None, 0), cfg)
+        hmbo_step(FlowState(d, d, 0), cfg)
 
 
 def test_velocity_sign_flip_same_interfaces():

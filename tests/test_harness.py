@@ -172,9 +172,12 @@ def test_build_run_fixed_dt_policy():
     cfg = ExperimentConfig(grid_sizes=(16,), fixed_dt=2e-3)
     flow_cfg, _ = build_run(cfg, 16)
     assert flow_cfg.dt == 2e-3
-    # the same fixed dt breaks the stability bound on a finer grid
+    # the same fixed dt breaks the stability bound on a finer grid, so a
+    # config holding that size is rejected on construction, naming it
     with pytest.raises(ValidationError):
         build_run(cfg, 64)
+    with pytest.raises(ValidationError, match="grid size 64: CFL"):
+        ExperimentConfig(grid_sizes=(16, 64), fixed_dt=2e-3)
 
 
 def test_build_run_damped_mode():
@@ -281,16 +284,16 @@ def test_convergence_study_reproducible_outputs(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_convergence_study_contains_failures(capsys):
-    """A size whose fixed dt breaks the stability bound is reported and the
-    remaining sizes still produce rows."""
-    cfg = ExperimentConfig(grid_sizes=(16, 64), fixed_dt=2e-3)
+def test_convergence_study_contains_failures(fail_at_64, capsys):
+    """A size whose run breaks down is reported and the remaining sizes
+    still produce rows."""
+    cfg = ExperimentConfig(grid_sizes=(16, 64), n_tau=10)
     report = convergence_study(cfg)
     assert [row.n for row in report.rows] == [16]
     assert len(report.failures) == 1
     n_bad, msg = report.failures[0]
     assert n_bad == 64
-    assert "CFL" in msg
+    assert "non-finite" in msg
     assert "grid size 64 failed" in capsys.readouterr().err
 
 
