@@ -114,10 +114,7 @@ class ExperimentConfig:
         if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
         for n in self.grid_sizes:
-            try:
-                self.flow_config(n)
-            except ValidationError as exc:
-                raise ValidationError(f"grid size {n}: {exc}") from exc
+            self.flow_config(n)
 
     @property
     def tau(self) -> float:
@@ -362,7 +359,7 @@ def _moment_cases():
     Each case maps v0 (handed to the solver as ut0 = -v0) to the exact
     u(t, x) it induces; kappa and kappa_p are free coefficients.
     """
-    cases = [
+    return [
         (
             "first moment",
             lambda k, kp: (lambda y1, y2: y2),
@@ -384,7 +381,6 @@ def _moment_cases():
             lambda k, kp, c, t, x1, x2: t * k * k * (c * c * t * t * x2 / 6.0 + 0.5 * x1 * x1 * x2),
         ),
     ]
-    return cases
 
 
 def check_moments(points, times=(0.05,)):

@@ -41,13 +41,15 @@ class WaveParams:
 
 
 def cfl_number(c2: float, dt: float, grid: Grid2D) -> float:
-    return np.sqrt(c2) * dt * np.sqrt(1.0 / grid.dx**2 + 1.0 / grid.dy**2)
+    return dt / cfl_max_dt(c2, grid)
 
 
 def cfl_max_dt(c2: float, grid: Grid2D) -> float:
     """Largest stable substep for the leapfrog scheme on this grid."""
     if not c2 > 0:
         raise ValidationError(f"c2 must be positive, got {c2}")
+    if min(grid.dx, grid.dy) ** 2 < np.finfo(float).tiny:
+        raise ValidationError(f"the {grid.nx}x{grid.ny} grid is too fine: 1/dx^2 is no finite double")
     return 1.0 / (np.sqrt(c2) * np.sqrt(1.0 / grid.dx**2 + 1.0 / grid.dy**2))
 
 
@@ -60,7 +62,9 @@ def check_cfl(params: WaveParams, grid: Grid2D) -> None:
     """Raise ValidationError unless params.dt is stable on grid (CFL <= 1)."""
     cfl = cfl_number(params.c2, params.dt, grid)
     if cfl > 1.0 + 1e-12:
-        raise ValidationError(f"CFL violation: c*dt*sqrt(1/dx^2+1/dy^2) = {cfl:.6g} > 1")
+        raise ValidationError(
+            f"CFL violation on the {grid.nx}x{grid.ny} grid: c*dt*sqrt(1/dx^2+1/dy^2) = {cfl:.6g} > 1"
+        )
 
 
 def _check_finite(v: np.ndarray, step: int) -> None:

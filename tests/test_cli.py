@@ -134,7 +134,7 @@ def test_unstable_fixed_dt_exits_one_before_any_grid_runs(tmp_path, capsys):
     stdout, err = capsys.readouterr()
     assert rc == 1
     assert stdout == ""
-    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: grid size 64:")
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: CFL violation on the 64x64 grid")
     assert not out.exists()
 
 
@@ -176,6 +176,8 @@ def test_validation_errors_exit_one(capsys):
         ("run", "{}", ["--n", "1" + "0" * 400], "grid_sizes"),
         ("convergence", "{}", ["--sizes", "16,1" + "0" * 400], "grid_sizes"),
         ("convergence", "{}", ["--sizes", "16", "--max-steps", "1" + "0" * 400], "max_steps"),
+        # in a double's range, but so fine a grid that its spacing squared underflows
+        ("convergence", "{}", ["--sizes", "16,1" + "0" * 200], None),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
@@ -184,6 +186,7 @@ def test_validation_errors_exit_one(capsys):
         "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
         "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",
+        "sizes-spacing-underflow",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):
@@ -219,6 +222,7 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
     assert rc == 1
     assert len(_lines(err)) == 1 and err.startswith("error:")
     assert "alpha" in err
+    assert "grid" not in err  # the coefficients depend on no grid size
 
 
 @pytest.mark.parametrize(

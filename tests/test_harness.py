@@ -176,7 +176,7 @@ def test_build_run_fixed_dt_policy():
     # config holding that size is rejected on construction, naming it
     with pytest.raises(ValidationError):
         build_run(cfg, 64)
-    with pytest.raises(ValidationError, match="grid size 64: CFL"):
+    with pytest.raises(ValidationError, match="CFL violation on the 64x64 grid"):
         ExperimentConfig(grid_sizes=(16, 64), fixed_dt=2e-3)
 
 
