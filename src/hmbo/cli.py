@@ -28,10 +28,8 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--fixed-dt", dest="fixed_dt", type=float,
-                   help="leapfrog substep (default: half the CFL bound, capped at tau)")
     p.add_argument("--v0", dest="v0_normal", type=float,
-                   help="initial normal speed (damped mode)")
+                   help="initial normal speed (damped mode only)")
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--out", dest="out_dir", help="output directory for CSV files")
 
@@ -71,6 +69,8 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg = _config_from_args(args)
     report = convergence_study(cfg)
+    for n, msg in report.failures:
+        print(f"grid size {n} failed: {msg}", file=sys.stderr)
     sys.stdout.write(format_error_table(report))
     if cfg.out_dir:
         print(f"wrote error table to {cfg.out_dir}")

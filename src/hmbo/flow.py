@@ -12,14 +12,16 @@ differ in the wave data (a, b, c^2) only:
   i.e. u0 = 0 and ut0 = d_n, which drives the interface with normal
   velocity -gamma * curvature as tau -> 0.
 
-wave_data is the one copy of these maps; HmboConfig.build applies it.
-Iterating the step yields the flow; the interface is declared extinct when
-the propagated field no longer changes sign anywhere.
+wave_data is the one copy of these maps.  HmboConfig holds only a run's
+inputs and derives (a, b, c2) with wave_data and the leapfrog substep dt
+with wave.cfl_substep, so dt is never set and stable by construction.
+Iterating the step yields the flow; the interface is declared extinct
+when the propagated field no longer changes sign anywhere.
 
-A step reads only the wave data coefficients (a, b, c2, tau, dt), the grid
-and the mode.  It is odd under d -> -d, so either side of the interface may
-carry the positive sign of d0; the rebuilt fields keep the sign of the
-propagated field at each node.
+A step reads only the wave data coefficients (a, b, c2), tau, the substep
+dt, the grid and the mode.  It is odd under d -> -d, so either side of the
+interface may carry the positive sign of d0; the rebuilt fields keep the
+sign of the propagated field at each node.
 
 Beyond the wave data, the mode decides only whether run_flow builds d_nm1
 with init_history (damped) or starts from d_nm1 = d0 (mcf, where a = 0),
@@ -47,7 +49,7 @@ from .interfaces import (
     has_interface,
     signed_distance,
 )
-from .wave import WaveParams, check_cfl, cfl_substep, wave_solve
+from .wave import WaveParams, cfl_substep, wave_solve
 
 # The modes, each with whether it extracts and redistances with the curved
 # reconstruction (True) or the chord one; see the module docstring.
@@ -88,49 +90,39 @@ def wave_data(mode: str, p: PhysicalParams, tau: float) -> tuple[float, float, f
 
 @dataclass(frozen=True)
 class HmboConfig:
-    """Frozen parameters of a threshold-dynamics run.
+    """The inputs of a threshold-dynamics run, and nothing else.
 
-    a and b scale the step's initial displacement and velocity.  Build
-    configs with HmboConfig.build (or its wrappers .mcf and .hmcf), which
-    derives (a, b, c2) with wave_data.  Construction checks the mode, the
-    substep (0 < dt <= tau and the CFL bound on grid) and max_steps >= 0.
+    a, b and c2 are derived by wave_data, and the leapfrog substep dt by
+    cfl_substep: half the grid's stability bound, capped at tau.  None of
+    the four can be set.  Construction checks the mode and coefficients
+    (wave_data, the one check), that the grid is not too fine for the
+    bound, tau > 0 (WaveParams) and max_steps >= 0.
     """
 
     mode: str
-    a: float
-    b: float
-    c2: float
+    params: PhysicalParams
     tau: float
-    dt: float
     max_steps: int
     grid: Grid2D
 
     def __post_init__(self):
-        if self.mode not in CURVED:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        check_cfl(self.wave_params(), self.grid)
+        self.wave_params()
         if self.max_steps < 0:
             raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
 
     @classmethod
-    def build(cls, mode: str, grid: Grid2D, params: PhysicalParams, tau: float,
-              dt: float | None = None, max_steps: int = 1):
-        """The config of a mode: wave_data's (a, b, c2), and dt defaulting
-        to cfl_substep."""
-        a, b, c2 = wave_data(mode, params, tau)
-        if dt is None:
-            dt = cfl_substep(c2, grid, tau)
-        return cls(mode, a, b, c2, tau, dt, max_steps, grid)
+    def mcf(cls, grid: Grid2D, gamma: float, tau: float, max_steps: int = 1):
+        return cls("mcf", PhysicalParams(0.0, 0.0, gamma), tau, max_steps, grid)
 
     @classmethod
-    def mcf(cls, grid: Grid2D, gamma: float, tau: float, dt: float | None = None,
-            max_steps: int = 1):
-        return cls.build("mcf", grid, PhysicalParams(0.0, 0.0, gamma), tau, dt, max_steps)
+    def hmcf(cls, grid: Grid2D, params: PhysicalParams, tau: float, max_steps: int = 1):
+        return cls("hmcf", params, tau, max_steps, grid)
 
-    @classmethod
-    def hmcf(cls, grid: Grid2D, params: PhysicalParams, tau: float,
-             dt: float | None = None, max_steps: int = 1):
-        return cls.build("hmcf", grid, params, tau, dt, max_steps)
+    # derived, so read-only
+    a = property(lambda self: wave_data(self.mode, self.params, self.tau)[0])
+    b = property(lambda self: wave_data(self.mode, self.params, self.tau)[1])
+    c2 = property(lambda self: wave_data(self.mode, self.params, self.tau)[2])
+    dt = property(lambda self: cfl_substep(self.c2, self.grid, self.tau))
 
     def wave_params(self) -> WaveParams:
         return WaveParams(self.c2, self.dt, self.tau)
@@ -211,7 +203,8 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
 
     Returns one record per executed step at time n*tau; the terminating
     record of an extinct run has avg_radius None.  d0 should already be a
-    signed distance field (an analytic one is fine).
+    signed distance field (an analytic one is fine).  v0_normal, the
+    initial normal speed, is read in damped mode only, by init_history.
     """
     if d0.grid != cfg.grid:
         raise ValidationError("d0 grid does not match config grid")

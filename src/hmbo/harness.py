@@ -67,15 +67,15 @@ class ExperimentConfig:
     """Parameters of a shrinking-circle experiment.
 
     The step length is tau = r0^2 / (2 * gamma * n_tau), i.e. the exact
-    extinction time of the circle divided into n_tau steps.  The substep is
-    fixed_dt or, when fixed_dt is None, wave.cfl_substep's half of the
-    stability bound, capped at tau.  alpha, beta and gamma are nonnegative
-    in either mode; the mode's wave data (flow.wave_data) reads alpha and
-    beta in damped mode only.  The field names are the keys of a JSON config
-    file.  Every value is checked here, its type first, and then every grid
-    size's flow config is built (flow_config), so a bad value or a substep
-    past any size's stability bound fails on construction with a
-    ValidationError naming its key or size, before any grid job starts.
+    extinction time of the circle divided into n_tau steps; the substep is
+    derived per grid size by flow.HmboConfig, never set.  alpha, beta and
+    gamma are nonnegative in either mode; the damped mode alone reads alpha
+    and beta (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
+    The field names are the keys of a JSON config file.  Every value is
+    checked here, its type first, and then every grid size's flow config is
+    built (flow_config), so a bad value or a grid too fine for the stability
+    bound fails on construction with a ValidationError naming its key or
+    size, before any grid job starts.
     """
 
     mode: str = "mcf"
@@ -86,7 +86,6 @@ class ExperimentConfig:
     gamma: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0
-    fixed_dt: float | None = None
     v0_normal: float = 0.0
     max_steps: int | None = None
     save_interfaces: bool = False
@@ -113,6 +112,8 @@ class ExperimentConfig:
             raise ValidationError("r0 does not fit inside the domain")
         if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if self.mode == "mcf" and self.v0_normal != 0:
+            raise ValidationError(f"'v0_normal' must be 0 in mcf mode, got {self.v0_normal}")
         for n in self.grid_sizes:
             self.flow_config(n)
 
@@ -125,11 +126,10 @@ class ExperimentConfig:
         return PhysicalParams(self.alpha, self.beta, self.gamma)
 
     def flow_config(self, n: int) -> HmboConfig:
-        """Grid size n's run: its grid, the mode's wave data, the substep
-        and max_steps (default 2*n_tau); HmboConfig checks them."""
-        grid = make_grid(n, n, self.bounds)
+        """Grid size n's run: the mode, coefficients, tau, max_steps
+        (default 2*n_tau) and grid; HmboConfig checks them."""
         max_steps = self.max_steps if self.max_steps is not None else 2 * self.n_tau
-        return HmboConfig.build(self.mode, grid, self.params, self.tau, self.fixed_dt, max_steps)
+        return HmboConfig(self.mode, self.params, self.tau, max_steps, make_grid(n, n, self.bounds))
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -256,7 +256,8 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     Per-size runs are independent and may execute in parallel (worker count
     capped by the HMCF_THREADS environment variable); results are merged in
     ascending grid order, so output files are reproducible byte for byte.
-    A failing size is recorded in the report and does not stop the others.
+    A failing size goes to report.failures as (n, message), for the caller
+    to print, and does not stop the others.
     """
     sizes = sorted(int(n) for n in cfg.grid_sizes)
     report = ErrorReport()
@@ -268,7 +269,6 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
             row, numeric = futures[n].result()
         except Exception as exc:  # noqa: BLE001 - reported per size
             report.failures.append((n, str(exc)))
-            print(f"grid size {n} failed: {exc}", file=sys.stderr)
             continue
         report.rows.append(row)
         histories[n] = numeric

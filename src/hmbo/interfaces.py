@@ -35,12 +35,12 @@ Two reconstructions of the interface are offered:
 * the curved reconstruction (``curved=True``) puts each vertex at the root
   of the cubic through the four collinear nodes around its edge and
   measures the distance to each node's nearest segment, and to that
-  segment's two neighbours, bent by its sagitta, with the curvature taken
-  from the source field (after Chopp, SIAM J. Sci. Comput. 2001, "Some
-  improvements of the fast marching method").  Where a stencil reaches past
-  a wall it reads the mirror ghost nodes of hmbo.fields, the walls' one
-  convention, so a level set that meets a wall is reconstructed there as it
-  would be inside the mirrored domain.
+  segment's two neighbours, bent by its sagitta (at most half its length),
+  with the curvature taken from the source field (after Chopp, SIAM J.
+  Sci. Comput. 2001, "Some improvements of the fast marching method").
+  Where a stencil reaches past a wall it reads the mirror ghost nodes of
+  hmbo.fields, the walls' one convention, so a level set that meets a wall
+  is reconstructed there as it would be inside the mirrored domain.
 
 The linear roots and the chords of a curved level set both lie on the side
 of its centre of curvature, so one extract/redistance cycle of the chord
@@ -414,7 +414,9 @@ def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:
 def _bent_chord_frames(a, b, kx, ky) -> np.ndarray:
     """(8, S) frames of the chords [a, b] bent by the curvature vector K:
     start point, unit tangent e, length L (and 1 where L = 0), L^2 and the
-    sagitta h = -(1/2) (K.n) L^2 along the unit normal n = (-e_y, e_x)."""
+    sagitta h = -(1/2) (K.n) L^2 along the unit normal n = (-e_y, e_x), capped
+    at +-L/2 so that a bent chord stays within L/8 of its chord (K divides by
+    |grad f|^4 and is unbounded where the gradient nearly vanishes)."""
     ux = b[:, 0] - a[:, 0]
     uy = b[:, 1] - a[:, 1]
     l2 = ux * ux + uy * uy
@@ -423,7 +425,7 @@ def _bent_chord_frames(a, b, kx, ky) -> np.ndarray:
     safe_len = np.where(has_len, seg_len, 1.0)
     ex = np.where(has_len, ux / safe_len, 1.0)
     ey = np.where(has_len, uy / safe_len, 0.0)
-    h = -0.5 * l2 * (ex * ky - ey * kx)
+    h = np.clip(-0.5 * l2 * (ex * ky - ey * kx), -0.5 * seg_len, 0.5 * seg_len)
     return np.stack([a[:, 0], a[:, 1], ex, ey, seg_len, safe_len, l2, h])
 
 

@@ -54,17 +54,9 @@ def cfl_max_dt(c2: float, grid: Grid2D) -> float:
 
 
 def cfl_substep(c2: float, grid: Grid2D, tau: float) -> float:
-    """The default substep: half the stability bound, capped at the window tau."""
+    """The substep of every flow step: half the stability bound, capped at
+    the window tau."""
     return min(0.5 * cfl_max_dt(c2, grid), tau)
-
-
-def check_cfl(params: WaveParams, grid: Grid2D) -> None:
-    """Raise ValidationError unless params.dt is stable on grid (CFL <= 1)."""
-    cfl = cfl_number(params.c2, params.dt, grid)
-    if cfl > 1.0 + 1e-12:
-        raise ValidationError(
-            f"CFL violation on the {grid.nx}x{grid.ny} grid: c*dt*sqrt(1/dx^2+1/dy^2) = {cfl:.6g} > 1"
-        )
 
 
 def _check_finite(v: np.ndarray, step: int) -> None:
@@ -81,9 +73,15 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     grid = u0.grid
     if ut0.grid != grid:
         raise ValidationError("u0 and ut0 live on different grids")
-    check_cfl(params, grid)
+    cfl = cfl_number(params.c2, params.dt, grid)
+    if cfl > 1.0 + 1e-12:
+        raise ValidationError(
+            f"CFL violation on the {grid.nx}x{grid.ny} grid: c*dt*sqrt(1/dx^2+1/dy^2) = {cfl:.6g} > 1"
+        )
 
-    c2, dt, tau = params.c2, params.dt, params.tau
+    # WaveParams keeps dt <= tau and the cap keeps it for any other params
+    # object, so there is at least one full substep
+    c2, tau, dt = params.c2, params.tau, min(params.dt, params.tau)
     dx, dy = grid.dx, grid.dy
     n_full = int(np.floor(tau / dt + 1e-9))
     rem = tau - n_full * dt
@@ -104,18 +102,16 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
                 log.write(f"{k},{t:.17g},{_energy_values(prev, new, c2, h, dx, dy):.17g}\n")
             return new
 
-        # a window shorter than one substep is a single shortened starter step
-        h = dt if n_full else tau
         u_prev = u0.values
-        u_cur = stored(1, h, u_prev,
-                       starter(u_prev, ut0.values, h, _laplacian_values(u_prev, dx, dy)), h)
+        u_cur = stored(1, dt, u_prev,
+                       starter(u_prev, ut0.values, dt, _laplacian_values(u_prev, dx, dy)), dt)
 
         coeff = c2 * dt * dt
         for k in range(2, n_full + 1):
             u_next = 2.0 * u_cur - u_prev + coeff * _laplacian_values(u_cur, dx, dy)
             u_prev, u_cur = u_cur, stored(k, k * dt, u_cur, u_next, dt)
 
-        if n_full and rem > 0.0:
+        if rem > 0.0:
             # second-order velocity estimate at the current time, then the
             # starter formula for the leftover fraction of a substep
             lap_cur = _laplacian_values(u_cur, dx, dy)

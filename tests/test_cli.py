@@ -125,17 +125,26 @@ def test_convergence_partial_failure_exit_code(fail_at_64, capsys):
     assert err.count("grid size 64 failed") == 1
 
 
-def test_unstable_fixed_dt_exits_one_before_any_grid_runs(tmp_path, capsys):
-    """A fixed dt past the stability bound of one size is bad input: one
-    error line naming the size, exit code 1 and no output directory, not a
-    study that runs the stable sizes and then fails."""
+def test_mcf_initial_speed_exits_one_before_any_grid_runs(tmp_path, capsys):
+    """An mcf run reads no initial speed, so a nonzero --v0 is bad input:
+    one error line naming v0_normal, exit code 1 and no output directory,
+    not a table equal to the one without --v0."""
     out = tmp_path / "d"
-    rc = cli_main(["convergence", "--sizes", "16,64", "--fixed-dt", "2e-3", "--out", str(out)])
+    rc = cli_main(["convergence", "--sizes", "16,64", "--v0", "0.5", "--out", str(out)])
     stdout, err = capsys.readouterr()
     assert rc == 1
     assert stdout == ""
-    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: CFL violation on the 64x64 grid")
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: 'v0_normal'")
     assert not out.exists()
+
+
+def test_removed_fixed_dt_flag_exits_one(capsys):
+    """The substep is derived, never set: --fixed-dt is not a flag."""
+    rc = cli_main(["convergence", "--sizes", "16", "--fixed-dt", "1e-3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "unrecognized arguments: --fixed-dt 1e-3" in err
+    assert "Traceback" not in err
 
 
 def test_validation_errors_exit_one(capsys):
@@ -158,8 +167,11 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", '{"v0_normal": "0"}', [], "v0_normal"),
         # rejected before any grid job starts, not as a failed grid size
         ("convergence", "{}", ["--sizes", "16", "--max-steps", "-1"], None),
-        ("convergence", "{}", ["--sizes", "16", "--fixed-dt", "-1"], None),
-        ("convergence", '{"dt_policy": "fixed"}', [], None),  # a key that no longer exists
+        ("convergence", '{"dt_policy": "fixed"}', [], None),  # keys that no longer exist
+        ("convergence", '{"fixed_dt": 0.001}', [], None),
+        # an mcf run reads no initial speed, in a flag or in the file
+        ("convergence", "{}", ["--sizes", "16", "--v0", "0.5"], "v0_normal"),
+        ("convergence", '{"v0_normal": -0.5}', ["--sizes", "16"], "v0_normal"),
         ("run", "{}", ["--n", "4"], None),  # the grid-size rule of --sizes
         # a real must be finite, in a flag or in the file
         ("convergence", "{}", ["--sizes", "16", "--r0", "nan"], "r0"),
@@ -182,7 +194,8 @@ def test_validation_errors_exit_one(capsys):
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
-        "max_steps-negative", "fixed_dt-negative", "dt_policy-removed", "run-n-too-small",
+        "max_steps-negative", "dt_policy-removed", "fixed_dt-removed",
+        "mcf-v0-flag", "mcf-v0_normal-key", "run-n-too-small",
         "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
         "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",

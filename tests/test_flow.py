@@ -10,6 +10,8 @@ chord extraction writes into the distance field, which the 2 d_n - d_nm1
 history term then integrates over a long run (see test_acceptance).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from hmbo.flow import (
 )
 from hmbo.interfaces import average_radius, extract_zero_set
 from hmbo.oracles import hmcf_circle_radius
-from hmbo.wave import cfl_max_dt
+from hmbo.wave import cfl_max_dt, cfl_substep
 
 
 def _circle_sdf(grid, r0=1.0, inside_positive=False):
@@ -96,20 +98,36 @@ def test_mcf_c2_values():
 
 
 def test_config_validation():
+    """HmboConfig takes only a run's inputs: wave_data checks the mode and
+    coefficients, the substep's stability bound the grid, WaveParams the
+    window and the constructor max_steps."""
     g = make_grid(32, 32, (-2, 2, -2, 2))
-    with pytest.raises(ValidationError):
-        HmboConfig("sideways", 1.0, 0.0, 1.0, 0.1, 0.01, 1, g)
-    with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.2, 1, g)  # dt > tau
-    with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 0.05, 1, g)  # CFL broken
-    with pytest.raises(ValidationError):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1e-4, -1, g)
-    # the CFL boundary is shared with wave_solve: the bound itself is accepted
-    dt_max = cfl_max_dt(60.0, g)
-    assert HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, dt_max, 1, g).dt == dt_max
-    with pytest.raises(ValidationError, match="CFL"):
-        HmboConfig("mcf", 0.0, 0.0, 60.0, 0.1, 1.000001 * dt_max, 1, g)
+    unit = PhysicalParams(1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="unknown mode 'sideways'"):
+        HmboConfig("sideways", unit, 0.1, 1, g)
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        HmboConfig("hmcf", PhysicalParams(0.0, 1.0, 1.0), 0.1, 1, g)
+    with pytest.raises(ValidationError, match="0 < dt <= tau"):
+        HmboConfig("hmcf", unit, 0.0, 1, g)
+    with pytest.raises(ValidationError, match="max_steps"):
+        HmboConfig("mcf", unit, 0.1, -1, g)
+    # a grid whose spacing squared underflows has no finite stability bound
+    with pytest.raises(ValidationError, match="the 32x32 grid is too fine"):
+        HmboConfig("mcf", unit, 0.1, 1, make_grid(32, 32, (0.0, 1e-160, 0.0, 1e-160)))
+
+
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_substep_and_wave_data_are_derived(mode):
+    """(a, b, c2) come from wave_data and dt from cfl_substep, on every
+    config; none of them is a field, and none can be set."""
+    g = make_grid(32, 32, (-2, 2, -2, 2))
+    cfg = HmboConfig(mode, PhysicalParams(1.0, 1.0, 1.0), 0.1, 1, g)
+    assert [f.name for f in dataclasses.fields(HmboConfig)] == ["mode", "params", "tau", "max_steps", "grid"]
+    assert (cfg.a, cfg.b, cfg.c2) == wave_data(mode, cfg.params, cfg.tau)
+    assert cfg.dt == cfl_substep(cfg.c2, cfg.grid, cfg.tau)
+    for name in ("a", "b", "c2", "dt"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 1e-3)
 
 
 def test_mcf_config_requires_consistent_threshold_constant():

@@ -2,6 +2,7 @@
 study plumbing (parallel workers, output files, failure containment), and the
 closed-form moment cross-checks."""
 
+import dataclasses
 import json
 import os
 
@@ -26,7 +27,7 @@ from hmbo.harness import (
 )
 from hmbo.interfaces import average_radius, extract_zero_set
 from hmbo.oracles import RadiusSeries
-from hmbo.wave import cfl_max_dt
+from hmbo.wave import cfl_max_dt, cfl_substep
 
 
 def test_default_step_length():
@@ -43,8 +44,8 @@ def test_default_step_length():
         {"grid_sizes": (4, 16)},
         {"grid_sizes": ()},
         {"mode": "backwards"},
-        {"fixed_dt": "adaptive"},
-        {"fixed_dt": 0.0},
+        {"v0_normal": 0.5},  # an mcf run reads no initial speed
+        {"v0_normal": -1e-300},  # however small
         {"alpha": -1.0},  # a negative coefficient, in either mode
         {"n_tau": 0},
         {"gamma": 0.0},
@@ -58,8 +59,7 @@ def test_default_step_length():
         {"r0": True},
         {"max_steps": "3"},
         {"max_steps": -1},
-        {"fixed_dt": -1.0},
-        {"fixed_dt": 0.5},  # longer than tau
+        {"grid_sizes": (16, 10**200)},  # a spacing whose square underflows
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -168,16 +168,17 @@ def test_build_run_mcf_defaults():
     assert np.array_equal(d0.values, np.hypot(X, Y) - cfg.r0)
 
 
-def test_build_run_fixed_dt_policy():
-    cfg = ExperimentConfig(grid_sizes=(16,), fixed_dt=2e-3)
-    flow_cfg, _ = build_run(cfg, 16)
-    assert flow_cfg.dt == 2e-3
-    # the same fixed dt breaks the stability bound on a finer grid, so a
-    # config holding that size is rejected on construction, naming it
-    with pytest.raises(ValidationError):
-        build_run(cfg, 64)
-    with pytest.raises(ValidationError, match="CFL violation on the 64x64 grid"):
-        ExperimentConfig(grid_sizes=(16, 64), fixed_dt=2e-3)
+def test_build_run_derives_the_substep_per_size():
+    """Each grid size gets half its own stability bound, capped at tau; the
+    substep is not a config field."""
+    cfg = ExperimentConfig(grid_sizes=(16, 64))
+    assert "fixed_dt" not in {f.name for f in dataclasses.fields(cfg)}
+    dts = []
+    for n in cfg.grid_sizes:
+        flow_cfg, _ = build_run(cfg, n)
+        assert flow_cfg.dt == cfl_substep(flow_cfg.c2, flow_cfg.grid, cfg.tau)
+        dts.append(flow_cfg.dt)
+    assert dts[1] < dts[0] < cfg.tau
 
 
 def test_build_run_damped_mode():
@@ -294,7 +295,7 @@ def test_convergence_study_contains_failures(fail_at_64, capsys):
     n_bad, msg = report.failures[0]
     assert n_bad == 64
     assert "non-finite" in msg
-    assert "grid size 64 failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""  # the CLI prints failures, the library returns them
 
 
 def test_convergence_study_starts_from_the_initial_speed():

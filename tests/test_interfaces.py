@@ -560,6 +560,29 @@ def test_redistance_odd_under_negation():
             assert gap == 0.0, (i, curved, gap)
 
 
+@pytest.mark.parametrize("zeros", [0.0, 0.15], ids=["noise", "noise-with-zeros"])
+def test_curved_distance_stays_near_the_chord_distance(zeros):
+    """On white noise the curvature vector, which divides by |grad f|^4,
+    is unbounded, and an uncapped sagitta put curved distances hundreds of
+    L_max/8 away from the chord distance.  The cap |h| <= L/2 keeps every
+    bent chord within L/8 of its chord, so the curved distance is within
+    L_max/8 of the chord distance to the same segments.  These fields
+    reach the bound to rounding, and the two distances take different
+    arithmetic (a hypot in the chord's frame against the square root of a
+    squared distance), so it is checked to a relative 1e-12."""
+    g = make_grid(40, 40, (-1, 1, -1, 1))
+    rng = np.random.default_rng(0)
+    for i in range(20):
+        v = rng.standard_normal(g.shape)
+        v[rng.random(g.shape) < zeros] = 0.0
+        f = ScalarField(g, v)
+        curve = extract_zero_set(f, curved=True)
+        sa, sb = curve.segment_points()
+        l_max = np.max(np.hypot(*(sb - sa).T))
+        gap = np.abs(signed_distance(f, curve, curved=True).values - signed_distance(f, curve).values)
+        assert np.max(gap) <= (l_max / 8) * (1 + 1e-12), (i, np.max(gap) / (l_max / 8))
+
+
 @pytest.mark.parametrize("n, curved_bound", [(64, 1e-6), (128, 1e-7)])
 def test_cycle_radius_shift(n, curved_bound):
     """One extract -> redistance -> extract cycle on the exact unit circle.
