@@ -20,7 +20,9 @@ if __name__ == "__main__":
     for line in bad:
         print("  " + line)
 
-    # quadrature resolution has long converged at n_quad = 100 for smooth data
+    # quadrature resolution has long converged at n_quad = 100 for smooth
+    # data; the third argument is the initial velocity u_t(0), as the grid
+    # solver takes it
     val_100 = poisson_eval(None, None, lambda y1, y2: np.cos(y1) * y2, 1.0, 0.2,
                            (0.1, 0.0), n_quad=100)
     val_200 = poisson_eval(None, None, lambda y1, y2: np.cos(y1) * y2, 1.0, 0.2,

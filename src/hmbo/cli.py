@@ -7,7 +7,8 @@ Subcommands:
 * oracle       -- reference radius series (closed form or RK4) as t,r CSV
 * verify       -- dual-route consistency checks (quadrature vs solver)
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure.
+Exit codes: 0 success, 1 invalid input or unwritable output, 2 numerical
+failure.
 """
 
 import argparse
@@ -144,7 +145,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

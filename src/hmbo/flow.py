@@ -21,7 +21,7 @@ when the propagated field no longer changes sign anywhere.
 A step reads only the wave data coefficients (a, b, c2), tau, the substep
 dt, the grid and the mode.  It is odd under d -> -d, so either side of the
 interface may carry the positive sign of d0; the rebuilt fields keep the
-sign of the propagated field at each node.
+sign bit of the propagated field at each node (hmbo.interfaces).
 
 Beyond the wave data, the mode decides only whether run_flow builds d_nm1
 with init_history (damped) or starts from d_nm1 = d0 (mcf, where a = 0),

@@ -257,8 +257,11 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     capped by the HMCF_THREADS environment variable); results are merged in
     ascending grid order, so output files are reproducible byte for byte.
     A failing size goes to report.failures as (n, message), for the caller
-    to print, and does not stop the others.
+    to print, and does not stop the others.  out_dir is created before any
+    size runs, so an unwritable one fails first.
     """
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
     sizes = sorted(int(n) for n in cfg.grid_sizes)
     report = ErrorReport()
     histories: dict[int, RadiusSeries] = {}
@@ -274,7 +277,6 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
         histories[n] = numeric
 
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         write_error_table(report, os.path.join(cfg.out_dir, "error_table.csv"))
         for n, numeric in histories.items():
             write_run_csv(numeric, os.path.join(cfg.out_dir, f"run_{n}.csv"))
@@ -287,14 +289,16 @@ def single_run(cfg: ExperimentConfig) -> list[RunRecord]:
     outputs.
 
     Writes run_{n}.csv, config_echo.json and (when save_interfaces is set)
-    per-step vertex clouds interface_step{k}.csv into out_dir.
+    per-step vertex clouds interface_step{k}.csv into out_dir, which is
+    created before the run, so an unwritable one fails first.
     """
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
     size = int(cfg.grid_sizes[0])
     flow_cfg, d0 = build_run(cfg, size)
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal,
                        record_interfaces=cfg.save_interfaces)
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         write_run_csv(radius_history(cfg, records, d0), os.path.join(cfg.out_dir, f"run_{size}.csv"))
         write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"), sizes=[size])
         if cfg.save_interfaces:
@@ -356,28 +360,28 @@ def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
 def _moment_cases():
     """Initial-velocity monomials with closed-form wave solutions.
 
-    Each case maps v0 (handed to the solver as ut0 = -v0) to the exact
-    u(t, x) it induces; kappa and kappa_p are free coefficients.
+    Each case maps the initial velocity u_t(0) to the exact u(t, x) it
+    induces from u(0) = 0; kappa and kappa_p are free coefficients.
     """
     return [
         (
             "first moment",
-            lambda k, kp: (lambda y1, y2: y2),
+            lambda k, kp: (lambda y1, y2: -y2),
             lambda k, kp, c, t, x1, x2: -t * x2,
         ),
         (
             "quadratic moment",
-            lambda k, kp: (lambda y1, y2: 0.5 * k * y1 * y1),
+            lambda k, kp: (lambda y1, y2: -0.5 * k * y1 * y1),
             lambda k, kp, c, t, x1, x2: -t * k * (c * c * t * t / 6.0 + 0.5 * x1 * x1),
         ),
         (
             "cubic moment",
-            lambda k, kp: (lambda y1, y2: (kp / 6.0) * y1 ** 3),
+            lambda k, kp: (lambda y1, y2: -(kp / 6.0) * y1 ** 3),
             lambda k, kp, c, t, x1, x2: -(t * kp / 6.0) * (c * c * t * t * x1 + x1 ** 3),
         ),
         (
             "mixed moment",
-            lambda k, kp: (lambda y1, y2: -0.5 * k * k * y1 * y1 * y2),
+            lambda k, kp: (lambda y1, y2: 0.5 * k * k * y1 * y1 * y2),
             lambda k, kp, c, t, x1, x2: t * k * k * (c * c * t * t * x2 / 6.0 + 0.5 * x1 * x1 * x2),
         ),
     ]
@@ -393,12 +397,12 @@ def check_moments(points, times=(0.05,)):
     kappa_p = 1.5
     worst = 0.0
     bad = []
-    for name, make_v0, closed in _moment_cases():
+    for name, make_ut0, closed in _moment_cases():
         for k in (-2.0, 1.0):
             for c in (1.0, np.sqrt(2.0)):
                 for t in times:
                     for (x1, x2) in points:
-                        got = poisson_eval(None, None, make_v0(k, kappa_p), c, t, (x1, x2), 200)
+                        got = poisson_eval(None, None, make_ut0(k, kappa_p), c, t, (x1, x2), 200)
                         want = closed(k, kappa_p, c, t, x1, x2)
                         rel = abs(got - want) / max(abs(want), 1e-14)
                         worst = max(worst, rel)
@@ -428,14 +432,14 @@ def solver_vs_quadrature(n: int = 256) -> tuple[float, float, float]:
         g = np.exp(-(y1 * y1 + y2 * y2))
         return -2.0 * y1 * g, -2.0 * y2 * g
 
-    def v0_fn(y1, y2):
-        return np.sin(2.0 * y1) * np.cos(y2)
+    def ut0_fn(y1, y2):
+        return -np.sin(2.0 * y1) * np.cos(y2)
 
     u0 = field_from_function(grid, u0_fn)
-    ut0 = field_from_function(grid, lambda x, y: -v0_fn(x, y))
+    ut0 = field_from_function(grid, ut0_fn)
     u_num = wave_solve(u0, ut0, WaveParams(1.0, cfl_substep(1.0, grid, t), t))
     got = eval_bilinear(u_num, point)
-    want = poisson_eval(u0_fn, grad_u0_fn, v0_fn, 1.0, t, point, 200)
+    want = poisson_eval(u0_fn, grad_u0_fn, ut0_fn, 1.0, t, point, 200)
     rel = abs(got - want) / max(abs(want), 1e-14)
     return got, want, rel
 

@@ -1,22 +1,24 @@
 """Zero level set extraction and signed-distance rebuilding.
 
-Extraction is marching squares by one rule.  Nodes with value exactly 0
-are treated as positive, so a cell crosses zero, two or four of its edges
-(0 bottom, 1 right, 2 top, 3 left).  A cell joins its two crossed edges, in
-increasing edge number; a saddle cell, with four, joins (0, 3) and (1, 2)
-when the average of its corners is nonzero and differs in sign from its
-bottom-left node, and (0, 1) and (2, 3) otherwise.  Segments come out in
-row-major cell order.  Vertices are identified with the crossed cell edge
-they sit on, which deduplicates shared segment endpoints exactly: every
-vertex ends two segments, one from each cell beside its edge, or one on a
-wall edge.
+Extraction is marching squares by one rule.  A node's side of the
+interface is its sign bit (np.signbit): +0 is positive and -0 negative, so
+a cell crosses zero, two or four of its edges (0 bottom, 1 right, 2 top,
+3 left).  A cell joins its two crossed edges, in increasing edge number; a
+saddle cell, with four, joins (0, 3) and (1, 2) when the average of its
+corners is nonzero and differs in sign from its bottom-left node, and
+(0, 1) and (2, 3) otherwise.  Segments come out in row-major cell order.
+Vertices are identified with the crossed cell edge they sit on, which
+deduplicates shared segment endpoints exactly: every vertex ends two
+segments, one from each cell beside its edge, or one on a wall edge.  An
+edge from -0 to +0 is crossed, and its vertex sits at its midpoint.
 
-Negating a field with no exact zero on a node keeps every vertex, every
-cell's pairing and the row-major order, so -f gives the same segment array
-as f.  The rebuilt distance field takes its sign from the source field at
-each node, so extracting and redistancing -f gives exactly the negated
-field of f, in both reconstructions: the threshold-dynamics step is odd
-under d -> -d, and either side of the interface may be the positive one.
+Negating a field flips every sign bit, so it keeps every crossed edge,
+every vertex, every cell's pairing and the row-major order: -f gives the
+same segment array as f.  The rebuilt distance field takes its sign bit
+from the source field at each node, so extracting and redistancing -f
+gives exactly the negated field of f, in both reconstructions and for
+every field, zero nodes included: the threshold-dynamics step is odd under
+d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_nearest_segment).  The grid's nodes are grouped into
@@ -96,42 +98,48 @@ class InterfaceCurve:
 
 
 def has_interface(f: ScalarField) -> bool:
-    """True iff both signs occur among nodal values (exact zeros count as +)."""
-    v = f.values
-    return bool(np.any(v < 0.0)) and bool(np.any(v >= 0.0))
+    """True iff both sides occur among nodal values, by their sign bits
+    (+0 is positive and -0 negative)."""
+    neg = np.signbit(f.values)
+    return bool(neg.any()) and not bool(neg.all())
 
 
-# Cap on the iterations of _cubic_edge_roots' bracketed solve: more than the
+# Cap on the iterations of _edge_roots' bracketed cubic solve: more than the
 # bisections from [0, 1] down to adjacent doubles near 1.
 _ROOT_ITERATIONS = 64
 
 
-def _cubic_edge_roots(ghosted: np.ndarray, r: np.ndarray, k: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """Roots on the edges (r, k) -- (r, k+1) of the cubic through the nodes
-    (r, k-1 .. k+2), as fractions of the edge.  ghosted is the field with
-    its ring of mirror ghost nodes (_mirror_ghosts): node (r, k) is
-    ghosted[r + 1, k + 1].
+def _edge_roots(v: np.ndarray, r: np.ndarray, k: np.ndarray, curved: bool) -> np.ndarray:
+    """Roots on the crossed edges (r, k) -- (r, k+1) of v, as fractions of
+    the edge: the linear interpolant's, or with curved=True the cubic's
+    through the nodes (r, k-1 .. k+2), past the walls the mirror ghost nodes
+    (_mirror_ghosts).  extract_zero_set calls it on v for the edges along x
+    and on v.T for those along y.
 
+    An edge from -0 to +0 is crossed, and its linear root is its midpoint.
     The cubic takes the signs of its edge's ends at s = 0 and s = 1, so
-    [0, 1] brackets a root.  Newton's method starts at the linear roots t
-    and each iterate shrinks the bracket; a step that would leave the
-    bracket (or a flat cubic) bisects it instead.  The solve stops when no
-    iterate changes, or after _ROOT_ITERATIONS.
+    [0, 1] brackets a root.  Newton's method starts at the linear roots and
+    each iterate shrinks the bracket; a step that would leave the bracket
+    (or a flat cubic) bisects it instead.  The solve stops when no iterate
+    changes, or after _ROOT_ITERATIONS.
     """
-    fm, f0, f1, f2 = (ghosted[r + 1, k + o] for o in range(4))
+    f0, f1 = v[r, k], v[r, k + 1]
+    s = np.divide(f0, f0 - f1, out=np.full_like(f0, 0.5), where=f0 != f1)
+    if not curved:
+        return s
+    ghosted = _mirror_ghosts(v)  # node (r, k) is ghosted[r + 1, k + 1]
+    fm, f2 = ghosted[r + 1, k], ghosted[r + 1, k + 3]
     # p(s) = f0 + c1 s + c2 s^2 + c3 s^3 interpolates f at s = -1, 0, 1, 2
     c1 = f1 - fm / 3.0 - f0 / 2.0 - f2 / 6.0
     c2 = 0.5 * (fm + f1) - f0
     c3 = (f2 - fm) / 6.0 + 0.5 * (f0 - f1)
-    pos0 = f0 >= 0.0  # the sign convention of extract_zero_set
-    lo, hi = np.zeros_like(t), np.ones_like(t)
-    s = t
+    neg0 = np.signbit(f0)
+    lo, hi = np.zeros_like(s), np.ones_like(s)
     for _ in range(_ROOT_ITERATIONS):
         ps = f0 + s * (c1 + s * (c2 + s * c3))
         dp = c1 + s * (2.0 * c2 + 3.0 * s * c3)
         # keep p(lo) on the side of f0 and p(hi) on the side of f1
-        low_side = (ps >= 0.0) == pos0
+        low_side = np.signbit(ps) == neg0
         lo = np.where(low_side, s, lo)
         hi = np.where(low_side, hi, s)
         newton = s - ps / np.where(dp != 0.0, dp, np.nan)
@@ -153,52 +161,35 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     """
     g = f.grid
     v = f.values
-    pos = v >= 0.0  # exact zeros are positive by convention
-    if curved:
-        ghosted = _mirror_ghosts(v)  # read for both edge directions
-
+    neg = np.signbit(v)  # a node's side of the interface
     xs = g.x_coords()
     ys = g.y_coords()
 
-    # crossing vertices on horizontal edges (node (i,j) -- (i+1,j))
-    hmask = pos[:, :-1] != pos[:, 1:]
+    # crossing vertices on the edges along x (node (i,j) -- (i+1,j)) and
+    # along y (node (i,j) -- (i,j+1)), each set in row-major order
+    hmask = neg[:, :-1] != neg[:, 1:]
+    vmask = neg[:-1, :] != neg[1:, :]
     hj, hi = np.nonzero(hmask)
-    va = v[hj, hi]
-    vb = v[hj, hi + 1]
-    th = va / (va - vb)
-    if curved:
-        th = _cubic_edge_roots(ghosted, hj, hi, th)
-    hx = xs[hi] + th * g.dx
-    hy = ys[hj]
-
-    # crossing vertices on vertical edges (node (i,j) -- (i,j+1))
-    vmask = pos[:-1, :] != pos[1:, :]
     vj, vi = np.nonzero(vmask)
-    wa = v[vj, vi]
-    wb = v[vj + 1, vi]
-    tv = wa / (wa - wb)
-    if curved:
-        tv = _cubic_edge_roots(ghosted.T, vi, vj, tv)
-    vx = xs[vi]
-    vy = ys[vj] + tv * g.dy
+    vertices = np.concatenate([
+        np.column_stack([xs[hi] + _edge_roots(v, hj, hi, curved) * g.dx, ys[hj]]),
+        np.column_stack([xs[vi], ys[vj] + _edge_roots(v.T, vi, vj, curved) * g.dy]),
+    ])
 
-    vertices = np.column_stack(
-        [np.concatenate([hx, vx]), np.concatenate([hy, vy])]
-    )
-
-    n_h = hx.size
+    n_h = hi.size
     h_idx = np.full(hmask.shape, -1, dtype=np.intp)
     h_idx[hj, hi] = np.arange(n_h)
     v_idx = np.full(vmask.shape, -1, dtype=np.intp)
-    v_idx[vj, vi] = n_h + np.arange(vx.size)
+    v_idx[vj, vi] = n_h + np.arange(vi.size)
 
     # each cell's vertex ids on its edges 0..3, -1 where an edge is not
     # crossed; a saddle cell whose corner average is nonzero and differs in
-    # sign from its bottom-left node is reordered to join (0, 3) and (1, 2)
+    # sign from its bottom-left node is reordered to join (0, 3) and (1, 2).
+    # A zero average is +0 in f and in -f alike, so it never turns a cell.
     ids = np.stack([h_idx[:-1], v_idx[:, 1:], h_idx[1:], v_idx[:, :-1]], axis=-1)
     crossed = ids >= 0
     centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) * 0.25
-    turn = crossed.all(axis=-1) & (centre != 0.0) & ((centre > 0.0) != pos[:-1, :-1])
+    turn = crossed.all(axis=-1) & (centre != 0.0) & (np.signbit(centre) != neg[:-1, :-1])
     ids[turn] = ids[turn][:, [0, 3, 1, 2]]
     # the crossed ids in row-major cell order and increasing edge number,
     # read in pairs: (0, 1) and (2, 3) of each cell's crossed edges
@@ -459,8 +450,8 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
 
     Magnitude is the exact distance to the nearest segment of curve, or with
     curved=True the least distance to that segment and its two neighbours,
-    each bent by its sagitta (see the module docstring); sign is taken from
-    f at each node (exact zeros count as +).
+    each bent by its sagitta (see the module docstring); the sign bit is
+    taken from f at each node, so -f gives exactly the negated field.
     """
     if curve.is_empty:
         raise ValidationError("cannot redistance against an empty interface")
@@ -479,8 +470,7 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False)
             dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
     else:
         dist = np.sqrt(d2)
-    sgn = np.where(f.values >= 0.0, 1.0, -1.0)
-    return ScalarField(g, sgn * dist)
+    return ScalarField(g, np.copysign(dist, f.values))
 
 
 def average_radius(curve: InterfaceCurve) -> float:

@@ -9,10 +9,11 @@ Three independent routes are provided:
 * direct quadrature of the disk representation of the 2-D wave equation,
 
       u(t,x) = (1/(2 pi c t)) * integral over B(x, ct) of
-               [u0(y) + grad u0(y).(y-x) - t v0(y)] / sqrt(c^2 t^2 - |y-x|^2) dy,
+               [u0(y) + grad u0(y).(y-x) + t ut0(y)] / sqrt(c^2 t^2 - |y-x|^2) dy,
 
-  evaluated after substituting y = x + c t sin(phi) (cos th, sin th), which
-  cancels the boundary singularity exactly:
+  with ut0 the initial velocity u_t(0), evaluated after substituting
+  y = x + c t sin(phi) (cos th, sin th), which cancels the boundary
+  singularity exactly:
 
       u(t,x) = (1/(2 pi)) * int_0^{2pi} int_0^{pi/2}
                F(x + c t sin(phi) e(th)) sin(phi) dphi dth.
@@ -134,10 +135,11 @@ def hmcf_circle_radius(
     return RadiusSeries(samples[: len(radii)], radii, t_ext)
 
 
-def poisson_eval(u0_fn, grad_u0_fn, v0_fn, c: float, t: float, x, n_quad: int = 200) -> float:
+def poisson_eval(u0_fn, grad_u0_fn, ut0_fn, c: float, t: float, x, n_quad: int = 200) -> float:
     """Evaluate the disk representation of the wave solution at one point.
 
-    u0_fn(y1, y2) and v0_fn(y1, y2) return initial value/velocity samples;
+    u0_fn(y1, y2) and ut0_fn(y1, y2) return samples of the initial value
+    u(0) and the initial velocity u_t(0), as wave.wave_solve takes them;
     grad_u0_fn(y1, y2) returns the pair (du0/dy1, du0/dy2).  Any of the three
     may be None, meaning identically zero.  All must accept numpy arrays.
     """
@@ -162,8 +164,8 @@ def poisson_eval(u0_fn, grad_u0_fn, v0_fn, c: float, t: float, x, n_quad: int = 
     if grad_u0_fn is not None:
         gx, gy = grad_u0_fn(y1, y2)
         f = f + gx * (y1 - x1) + gy * (y2 - x2)
-    if v0_fn is not None:
-        f = f - t * v0_fn(y1, y2)
+    if ut0_fn is not None:
+        f = f + t * ut0_fn(y1, y2)
 
     inner = np.sum(f, axis=1) / n_quad
     return float(np.sum(wphi * np.sin(phi) * inner))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hmbo import harness
 from hmbo.cli import cli_main
 
 
@@ -257,6 +258,33 @@ def test_non_finite_oracle_input_exits_one(capsys, argv):
     assert rc == 1
     assert out == ""
     assert _lines(err) == [err.splitlines()[0]] and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--mode", "hmcf", "--t-end", "0.3", "--dt", "0.05", "--out", "afile/x.csv"],
+        ["run", "--n", "16", "--n-tau", "5", "--out", "afile/d"],
+        ["convergence", "--sizes", "16,32", "--n-tau", "20", "--out", "afile/d"],
+    ],
+    ids=["oracle", "run", "convergence"],
+)
+def test_unwritable_out_exits_one_before_any_grid_runs(tmp_path, monkeypatch, capsys, argv):
+    """An --out below a regular file is one error line and exit code 1, not a
+    traceback; run and convergence find it out before any grid runs."""
+    (tmp_path / "afile").write_text("")
+    monkeypatch.chdir(tmp_path)
+
+    def no_grid_runs(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(harness, "run_flow", no_grid_runs)
+    rc = cli_main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error:")
+    assert "afile" in err and "Traceback" not in err
 
 
 def test_verify_passes(capsys):

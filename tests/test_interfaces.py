@@ -1,6 +1,7 @@
 """Zero-set extraction, exact segment distance, and redistancing tests."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,13 +81,20 @@ def test_extract_uniform_sign_is_empty():
     assert curve.n_vertices == 0
 
 
-def test_has_interface_counts_zero_as_positive():
+def test_has_interface_reads_the_sign_bit():
+    """+0 is positive and -0 negative, so either all-zero field is one-sided
+    and a field holding both zeros has an interface."""
     g = make_grid(3, 3, (0, 1, 0, 1))
     vals = np.zeros(g.shape)
-    assert not has_interface(ScalarField(g, vals))  # all "positive"
+    assert not has_interface(ScalarField(g, vals))  # all +0
+    assert not has_interface(ScalarField(g, -vals))  # all -0
     vals2 = np.zeros(g.shape)
     vals2[0, 0] = -1.0
     assert has_interface(ScalarField(g, vals2))
+    vals3 = np.zeros(g.shape)
+    vals3[1, 1] = -0.0
+    assert has_interface(ScalarField(g, vals3))
+    assert has_interface(ScalarField(g, -vals3))
     assert has_interface(_circle_field(make_grid(16, 16, (-2, 2, -2, 2))))
     assert not has_interface(ScalarField(g, np.full(g.shape, -3.0)))
 
@@ -114,26 +122,53 @@ def _checkerboard(g):
     return np.where(np.add.outer(np.arange(g.ny), np.arange(g.nx)) % 2 == 0, 1.0, -1.0)
 
 
-def _white_noise_with_zeros(g):
-    rng = np.random.default_rng(7)
+def _white_noise_with_zeros(g, seed=7):
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(g.shape)
     v[rng.random(g.shape) < 0.15] = 0.0
     return v
 
 
-@pytest.mark.parametrize("field", ["noise-with-zeros", "checkerboard"])
+def _xy_field():
+    """x*y on a 9 x 9 grid of [-1, 1]^2: +0 and -0 on the axes, so edges from
+    -0 to +0 are crossed."""
+    return field_from_function(make_grid(9, 9, (-1, 1, -1, 1)), lambda x, y: x * y)
+
+
+def test_signed_zero_edge_has_its_vertex_at_the_midpoint():
+    """An edge from -0 to +0 is crossed; its linear root would be 0/0, so its
+    vertex sits at the edge midpoint, in both reconstructions, with no
+    RuntimeWarning."""
+    f = _xy_field()
+    # the edges (-0.25, 0) -- (0, 0) and (0, -0.25) -- (0, 0) run from -0 to +0
+    assert np.signbit(f.values[4, 3]) and not np.signbit(f.values[4, 4])
+    assert np.signbit(f.values[3, 4]) and f.values[3, 4] == 0.0
+    for curved in RECONSTRUCTIONS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verts = extract_zero_set(f, curved=curved).vertices
+        assert np.all(np.isfinite(verts)), curved
+        for mid in ((-0.125, 0.0), (0.0, -0.125)):
+            assert np.any(np.all(verts == mid, axis=1)), (curved, mid)
+
+
+@pytest.mark.parametrize("field", ["noise-with-zeros", "checkerboard", "xy"])
 def test_every_vertex_ends_two_segments_or_one_on_a_wall(field):
     """Each crossed edge inside the domain is an edge of two cells and ends
     one segment of each; a crossed edge on the domain boundary belongs to
     one cell.  _segment_neighbours rests on this."""
-    g = make_grid(40, 33, (-2, 2, -1.5, 1.7))
-    v = _checkerboard(g) if field == "checkerboard" else _white_noise_with_zeros(g)
+    if field == "xy":
+        f = _xy_field()
+        g, v = f.grid, f.values
+    else:
+        g = make_grid(40, 33, (-2, 2, -1.5, 1.7))
+        v = _checkerboard(g) if field == "checkerboard" else _white_noise_with_zeros(g)
     for curved in RECONSTRUCTIONS:
         curve = extract_zero_set(ScalarField(g, v), curved=curved)
         ends = np.bincount(curve.segments.ravel(), minlength=curve.n_vertices)
         assert set(ends) <= {1, 2}, curved
         # the vertices ending one segment are the crossings of the boundary
-        ring = np.concatenate([v[0, :], v[1:, -1], v[-1, -2::-1], v[-2:0:-1, 0], v[:1, 0]]) >= 0.0
+        ring = np.signbit(np.concatenate([v[0, :], v[1:, -1], v[-1, -2::-1], v[-2:0:-1, 0], v[:1, 0]]))
         assert np.sum(ends == 1) == np.sum(ring[1:] != ring[:-1]), curved
         x, y = curve.vertices[ends == 1].T
         assert np.all((x == g.xmin) | (x == g.xmax) | (y == g.ymin) | (y == g.ymax)), curved
@@ -160,7 +195,8 @@ def test_vertices_deduplicated_and_on_grid_edges(rng):
 
 # the classic marching-squares table: segment end edges (0 bottom, 1 right,
 # 2 top, 3 left) keyed by s0 + 2 s1 + 4 s2 + 8 s3, s_k = 1 where corner k
-# (bottom-left, bottom-right, top-right, top-left) is >= 0; the saddles 5
+# (bottom-left, bottom-right, top-right, top-left) has a clear sign bit
+# (+0 is positive, -0 negative); the saddles 5
 # and 10 by the sign of their centre average as well, a zero average
 # joining (0, 1) and (2, 3) in both
 _CASES = {
@@ -175,7 +211,7 @@ def _marching_squares_reference(v):
     """Segments of the table above, cell by cell in row-major order, as
     vertex ids: the crossed horizontal edges in row-major order, then the
     vertical ones."""
-    pos = v >= 0.0
+    pos = ~np.signbit(v)
     ids = {}
     for kind, crossed in (("h", pos[:, :-1] != pos[:, 1:]), ("v", pos[:-1, :] != pos[1:, :])):
         for j, i in zip(*np.nonzero(crossed)):
@@ -191,12 +227,12 @@ def _marching_squares_reference(v):
     return np.array(segments, dtype=np.intp).reshape(-1, 2)
 
 
-@pytest.mark.parametrize("field", ["star", "noise-with-zeros", "checkerboard", "-checkerboard"])
+@pytest.mark.parametrize("field", ["star", "noise-with-zeros", "checkerboard", "-checkerboard", "xy"])
 def test_extraction_matches_the_case_table(field):
     """extract_zero_set's one rule gives the case table's segments, in the
     same order and with the same end order, which the chord distance's
     bits depend on (_point_segment_sq is not symmetric in its ends)."""
-    g = make_grid(40, 33, (-2, 2, -1.5, 1.7))
+    g = _xy_field().grid if field == "xy" else make_grid(40, 33, (-2, 2, -1.5, 1.7))
     v = {
         "star": field_from_function(
             g, lambda x, y: np.hypot(x, y) - 1.0 - 0.25 * np.cos(6.0 * np.arctan2(y, x))
@@ -204,6 +240,7 @@ def test_extraction_matches_the_case_table(field):
         "noise-with-zeros": _white_noise_with_zeros(g),
         "checkerboard": _checkerboard(g),
         "-checkerboard": -_checkerboard(g),
+        "xy": _xy_field().values,
     }[field]
     for curved in RECONSTRUCTIONS:
         curve = extract_zero_set(ScalarField(g, v), curved=curved)
@@ -537,10 +574,12 @@ def test_redistance_sign_consistency(rng):
 
 def test_redistance_odd_under_negation():
     """Extracting and redistancing -f gives exactly the negated field of f,
-    in both reconstructions, when no node value is exactly zero: -f has
-    the same vertices and the same segment array, and only the signs
-    taken from the field change.  The +-1 checkerboards have a zero corner
-    average in every cell."""
+    in both reconstructions, for every field: negation flips every sign bit,
+    so -f has the same vertices and the same segment array, and only the
+    signs taken from the field change.  The +-1 checkerboards have a zero
+    corner average in every cell.  The last fields hold zero nodes: white
+    noise with 15% zeros, a circle through nodes, and x*y, whose axes hold
+    +0 and -0."""
     def star(g, k, a):
         return field_from_function(g, lambda x, y: np.hypot(x, y) - 1.0 - a * np.cos(k * np.arctan2(y, x)))
 
@@ -552,12 +591,36 @@ def test_redistance_odd_under_negation():
     ] + [ScalarField(g40, np.random.default_rng(seed).standard_normal(g40.shape)) for seed in range(20)]
     g9 = make_grid(9, 9, (-1, 1, -1, 1))
     fields += [ScalarField(g9, _checkerboard(g9)), ScalarField(g9, -_checkerboard(g9))]
+    fields += [ScalarField(g40, _white_noise_with_zeros(g40, seed)) for seed in range(20)]
+    fields += [_circle_field(make_grid(65, 65, (-2, 2, -2, 2))), _xy_field()]
+    assert np.sum(fields[-2].values == 0.0) == 4  # the nodes (+-1, 0), (0, +-1)
     for i, f in enumerate(fields):
-        assert np.all(f.values != 0.0)
         neg_f = ScalarField(f.grid, -f.values)
         for curved in RECONSTRUCTIONS:
             gap = np.max(np.abs(_redistance(neg_f, curved).values + _redistance(f, curved).values))
             assert gap == 0.0, (i, curved, gap)
+
+
+def test_extraction_and_redistance_commute_with_transposition():
+    """On a grid with the same nodes along x and y, f.T is f mirrored in the
+    diagonal.  Its edges along x are f's edges along y, and the one edge-root
+    path reads the same four values for both, so the vertex sets are exact
+    mirrors.  The redistanced fields agree to rounding only: transposition
+    reorders the segments and their ends, so the point-to-segment arithmetic
+    rounds differently."""
+    g = make_grid(80, 80, (-2, 2, -2, 2))
+    star = field_from_function(
+        g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3))
+    )
+    g40 = make_grid(40, 40, (-2, 2, -2, 2))
+    noise = ScalarField(g40, np.random.default_rng(0).standard_normal(g40.shape))
+    for i, f in enumerate((star, noise)):
+        f_t = ScalarField(f.grid, f.values.T)
+        for curved in RECONSTRUCTIONS:
+            curve, curve_t = extract_zero_set(f, curved=curved), extract_zero_set(f_t, curved=curved)
+            assert np.array_equal(np.unique(curve.vertices, axis=0), np.unique(curve_t.vertices[:, ::-1], axis=0))
+            d, d_t = signed_distance(f, curve, curved=curved), signed_distance(f_t, curve_t, curved=curved)
+            assert np.max(np.abs(d_t.values - d.values.T)) <= 1e-12, (i, curved)
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.15], ids=["noise", "noise-with-zeros"])

@@ -139,14 +139,14 @@ def test_quadrature_linear_data_is_stationary():
 
 @pytest.mark.parametrize("t,x2", [(0.05, 0.1), (0.1, -0.07)])
 def test_quadrature_first_moment(t, x2):
-    got = poisson_eval(None, None, lambda y1, y2: y2, 1.0, t, (0.0, x2))
+    got = poisson_eval(None, None, lambda y1, y2: -y2, 1.0, t, (0.0, x2))
     assert got == pytest.approx(-t * x2, abs=1e-12)
 
 
 @pytest.mark.parametrize("kappa,c", [(1.0, 1.0), (-2.0, np.sqrt(2.0))])
 def test_quadrature_quadratic_moment_at_origin(kappa, c):
     t = 0.08
-    got = poisson_eval(None, None, lambda y1, y2: 0.5 * kappa * y1 * y1, c, t, (0.0, 0.0))
+    got = poisson_eval(None, None, lambda y1, y2: -0.5 * kappa * y1 * y1, c, t, (0.0, 0.0))
     want = -t * kappa * c * c * t * t / 6.0
     assert got == pytest.approx(want, rel=1e-10)
 
