@@ -72,6 +72,11 @@ def _cmd_convergence(args) -> int:
     report = convergence_study(cfg)
     for n, msg in report.failures:
         print(f"grid size {n} failed: {msg}", file=sys.stderr)
+    for row in report.rows:
+        if not row.went_extinct:
+            steps = cfg.flow_config(row.n).max_steps
+            print(f"grid size {row.n}: no extinction within {steps} steps; ns_tau is max_steps*tau",
+                  file=sys.stderr)
     sys.stdout.write(format_error_table(report))
     if cfg.out_dir:
         print(f"wrote error table to {cfg.out_dir}")
@@ -80,7 +85,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.mode == "mcf":
-        series = exact_mcf_series(args.r0, args.t_end, args.samples)
+        series = exact_mcf_series(args.r0, args.t_end, args.samples, args.gamma)
     else:
         phys = PhysicalParams(args.alpha, args.beta, args.gamma)
         series = hmcf_circle_radius(phys, args.r0, args.rdot0, args.t_end, args.dt)
@@ -127,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--rdot0", type=float, default=0.0)
     p_or.add_argument("--alpha", type=float, default=1.0)
     p_or.add_argument("--beta", type=float, default=1.0)
-    p_or.add_argument("--gamma", type=float, default=1.0)
+    p_or.add_argument("--gamma", type=float, default=1.0, help="curvature mobility (both modes)")
     p_or.add_argument("--out", help="output CSV path (default: stdout)")
     p_or.set_defaults(func=_cmd_oracle)
 

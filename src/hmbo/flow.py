@@ -156,6 +156,29 @@ class RunRecord:
     curve: InterfaceCurve | None = None
 
 
+def _offset_field(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
+    """d0 + v0_normal*tau, whose zero level set init_history redistances;
+    a ValidationError if tau <= 0 or that level set is empty."""
+    if tau <= 0:
+        raise ValidationError(f"tau must be positive, got {tau}")
+    shifted = ScalarField(d0.grid, d0.values + float(v0_normal) * tau)
+    if not has_interface(shifted):
+        raise ValidationError("offset level set is empty; initial speed too large for this field")
+    return shifted
+
+
+def check_start(cfg: HmboConfig, d0: ScalarField, v0_normal: float) -> None:
+    """The preconditions of run_flow(cfg, d0, v0_normal), which it checks
+    with this function before any step: d0 is on cfg's grid and changes
+    sign, and in damped mode so does init_history's offset field."""
+    if d0.grid != cfg.grid:
+        raise ValidationError("d0 grid does not match config grid")
+    if not has_interface(d0):
+        raise ValidationError("d0 has uniform sign; nothing to evolve")
+    if cfg.mode == "hmcf":
+        _offset_field(d0, v0_normal, cfg.tau)
+
+
 def init_history(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
     """Synthesize the previous distance field for a damped-mode start.
 
@@ -163,13 +186,7 @@ def init_history(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
     (v0_normal is the initial normal speed, positive in the direction of
     increasing d0), realized by redistancing d0 + v0_normal*tau.
     """
-    if tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    shifted = ScalarField(d0.grid, d0.values + float(v0_normal) * tau)
-    if not has_interface(shifted):
-        raise ValidationError(
-            "offset level set is empty; initial speed too large for this field"
-        )
+    shifted = _offset_field(d0, v0_normal, tau)
     curved = CURVED["hmcf"]
     curve = extract_zero_set(shifted, curved=curved)
     return signed_distance(shifted, curve, curved=curved)
@@ -206,11 +223,7 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
     signed distance field (an analytic one is fine).  v0_normal, the
     initial normal speed, is read in damped mode only, by init_history.
     """
-    if d0.grid != cfg.grid:
-        raise ValidationError("d0 grid does not match config grid")
-    if not has_interface(d0):
-        raise ValidationError("d0 has uniform sign; nothing to evolve")
-
+    check_start(cfg, d0, v0_normal)
     d_nm1 = init_history(d0, v0_normal, cfg.tau) if cfg.mode == "hmcf" else d0
     state = FlowState(d0, d_nm1, step_index=0)
 

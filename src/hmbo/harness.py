@@ -32,6 +32,7 @@ from .flow import (
     HmboConfig,
     PhysicalParams,
     RunRecord,
+    check_start,
     run_flow,
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
@@ -72,10 +73,12 @@ class ExperimentConfig:
     gamma are nonnegative in either mode; the damped mode alone reads alpha
     and beta (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
     The field names are the keys of a JSON config file.  Every value is
-    checked here, its type first, and then every grid size's flow config is
-    built (flow_config), so a bad value or a grid too fine for the stability
-    bound fails on construction with a ValidationError naming its key or
-    size, before any grid job starts.
+    checked here, its type first, and then every grid size's run is built
+    (build_run) and checked as run_flow checks it (flow.check_start), so a
+    bad value, a repeated size, a grid too fine for the stability bound, a
+    circle that crosses no cell of its grid or, in damped mode, an initial
+    speed that empties the offset level set fails on construction with a
+    ValidationError naming its key or size, before any grid job starts.
     """
 
     mode: str = "mcf"
@@ -115,7 +118,13 @@ class ExperimentConfig:
         if self.mode == "mcf" and self.v0_normal != 0:
             raise ValidationError(f"'v0_normal' must be 0 in mcf mode, got {self.v0_normal}")
         for n in self.grid_sizes:
-            self.flow_config(n)
+            if self.grid_sizes.count(n) > 1:
+                raise ValidationError(f"'grid_sizes' repeats grid size {n}")
+            flow_cfg, d0 = build_run(self, n)
+            try:
+                check_start(flow_cfg, d0, self.v0_normal)
+            except ValidationError as exc:
+                raise ValidationError(f"grid size {n}: {exc}") from None
 
     @property
     def tau(self) -> float:

@@ -25,9 +25,9 @@ an exact pruned scan (_nearest_segment).  The grid's nodes are grouped into
 blocks of 8 x 8 nodes; the nearest segment to a block's centre bounds the
 distance of every node of the block, and only the segments whose bounding
 box lies within that bound (widened by a relative slack far above
-rounding) are scanned, in increasing index order, with the same per-pair
-arithmetic as an exhaustive scan.  So the field is bit-identical to the
-exhaustive scan's and the first segment wins ties.
+rounding) are scanned, in increasing index order, by _point_segment_sq, the
+one copy of the per-pair arithmetic.  So the field is bit-identical to an
+exhaustive scan's with that arithmetic, and the first segment wins ties.
 
 Two reconstructions of the interface are offered:
 
@@ -196,21 +196,40 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     return InterfaceCurve(vertices, ids[crossed].reshape(-1, 2))
 
 
-def _point_segment_sq(px, py, ax, ay, bx, by):
-    """Squared point-to-segment distances; arguments broadcast."""
-    ux = bx - ax
-    uy = by - ay
+def _segments(a, b):
+    """The segments a -> b, each (S, 2), as _point_segment_sq reads them:
+    (ax, ay, ux, uy, l2), u = b - a and l2 = |u|^2, or 1 where u = 0."""
+    ax, ay = a[:, 0], a[:, 1]
+    ux = b[:, 0] - ax
+    uy = b[:, 1] - ay
     l2 = ux * ux + uy * uy
-    t = ((px - ax) * ux + (py - ay) * uy) / np.where(l2 > 0.0, l2, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx = ax + t * ux
-    cy = ay + t * uy
-    return (px - cx) ** 2 + (py - cy) ** 2
+    return ax, ay, ux, uy, np.where(l2 > 0.0, l2, 1.0)
+
+
+def _point_segment_sq(px, py, seg):
+    """Squared distances from the points px, py to the segments seg of
+    _segments; arguments broadcast, and px - ax has the full shape.
+
+    The one copy of the per-pair arithmetic, on two temporaries updated in
+    place: t = ((px - ax) ux + (py - ay) uy) / l2 clipped to [0, 1], then
+    (px - (ax + t ux))^2 + (py - (ay + t uy))^2.
+    """
+    ax, ay, ux, uy, l2 = seg
+    t = np.subtract(px, ax)
+    e = np.subtract(py, ay)
+    t *= ux
+    e *= uy
+    t += e
+    t /= l2
+    np.clip(t, 0.0, 1.0, out=t)
+    np.square(np.subtract(px, np.add(ax, np.multiply(t, ux, out=e), out=e), out=e), out=e)
+    np.square(np.subtract(py, np.add(ay, np.multiply(t, uy, out=t), out=t), out=t), out=t)
+    return np.add(e, t, out=e)
 
 
 # The scan groups the grid's nodes into blocks of _TILE x _TILE nodes, and
-# holds at most _BLOCK (node, segment) pairs in each of its three work
-# buffers (768 KiB in all, small enough to stay in a typical L2 cache).
+# hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
+# (512 KiB of temporaries, small enough to stay in a typical L2 cache).
 # _SLACK widens the pruning bound far beyond the rounding error of the
 # per-pair arithmetic.
 _TILE = 8
@@ -218,31 +237,20 @@ _BLOCK = 1 << 15
 _SLACK = 1e-9
 
 
-def _scan_block(px, py, seg, work):
+def _scan_block(px, py, seg):
     """Least squared distance from the points px, py (T, P, 1) to the
-    segments seg = (ax, ay, ux, uy, l2), each (T or 1, 1, C) with l2 already
-    made nonzero, and the first position along C that attains it.
-
-    The per-pair arithmetic is _point_segment_sq's, operation for operation,
-    in the three rows of work, over as many segments at a time as they hold.
+    segments seg of _segments, each (T or 1, 1, C), and the first position
+    along C that attains it, by _point_segment_sq on as many segments at a
+    time as keep each call within _BLOCK pairs (at least one).
     """
     shape = px.shape[:2]
     rows = shape[0] * shape[1]
     best = np.full(rows, np.inf)
     first = np.zeros(rows, dtype=np.intp)
     at = np.arange(rows)
-    step = max(1, work.shape[1] // rows)
+    step = max(1, _BLOCK // rows)
     for s in range(0, seg[0].shape[-1], step):
-        ax, ay, ux, uy, l2 = (v[..., s : s + step] for v in seg)
-        t, ex, ey = (w[: rows * ax.shape[-1]].reshape(shape + ax.shape[-1:]) for w in work)
-        np.multiply(np.subtract(px, ax, out=ex), ux, out=ex)
-        np.multiply(np.subtract(py, ay, out=ey), uy, out=ey)
-        np.divide(np.add(ex, ey, out=t), l2, out=t)
-        np.clip(t, 0.0, 1.0, out=t)
-        # (px - (ax + t*ux))**2 + (py - (ay + t*uy))**2
-        np.square(np.subtract(px, np.add(ax, np.multiply(t, ux, out=ex), out=ex), out=ex), out=ex)
-        np.square(np.subtract(py, np.add(ay, np.multiply(t, uy, out=ey), out=ey), out=ey), out=ey)
-        d2 = np.add(ex, ey, out=t).reshape(rows, -1)
+        d2 = _point_segment_sq(px, py, tuple(v[..., s : s + step] for v in seg)).reshape(rows, -1)
         k = d2.argmin(axis=1)
         m = d2[at, k]
         closer = m < best
@@ -272,9 +280,9 @@ def _nearest_segment(grid, a, b):
       keeping every segment within U (1 + _SLACK) + _SLACK * scale of the
       block's box keeps every segment whose computed distance can reach or
       tie the computed minimum;
-    * each block's candidates, in increasing index order, are scanned with
-      _point_segment_sq's arithmetic, so the minimum is bit-identical and
-      the first index among equal distances wins.  Blocks are binned by
+    * each block's candidates, in increasing index order, are scanned by
+      _point_segment_sq, so the minimum is bit-identical and the first
+      index among equal distances wins.  Blocks are binned by
       their candidate count, rounded up to four steps per octave, and
       scanned as dense (block, node, candidate) arrays; a block's short
       candidate list is padded with its own last candidate, which does not
@@ -284,13 +292,8 @@ def _nearest_segment(grid, a, b):
     (node, segment) pairs.
     """
     m = a.shape[0]
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    ux = bx - ax
-    uy = by - ay
-    l2 = ux * ux + uy * uy
-    seg = (ax, ay, ux, uy, np.where(l2 > 0.0, l2, 1.0))
-    slo_x, shi_x = np.minimum(ax, bx), np.maximum(ax, bx)
-    slo_y, shi_y = np.minimum(ay, by), np.maximum(ay, by)
+    seg = _segments(a, b)
+    (slo_x, slo_y), (shi_x, shi_y) = np.minimum(a, b).T, np.maximum(a, b).T
     xs, ys = grid.x_coords(), grid.y_coords()
     scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(xs).max(), np.abs(ys).max())
 
@@ -303,25 +306,21 @@ def _nearest_segment(grid, a, b):
     kx, ky = len(col), len(row)
     tlo_x, thi_x = np.tile(col.min(axis=1), ky), np.tile(col.max(axis=1), ky)
     tlo_y, thi_y = np.repeat(row.min(axis=1), kx), np.repeat(row.max(axis=1), kx)
-    work = np.empty((3, _BLOCK))
-    per = max(1, _BLOCK // m)  # blocks per pass over all segments
-    passes = [slice(t, t + per) for t in range(0, kx * ky, per)]
 
     # each block's upper bound: the largest distance from its box's corners
     # to the segment nearest to the box's centre
     cx, cy = 0.5 * (tlo_x + thi_x), 0.5 * (tlo_y + thi_y)
-    every = tuple(v[None, None, :] for v in seg)
-    k = np.concatenate(
-        [_scan_block(cx[p, None, None], cy[p, None, None], every, work)[1][:, 0] for p in passes]
-    )
-    corners = [
-        _point_segment_sq(x, y, ax[k], ay[k], bx[k], by[k]) for x in (tlo_x, thi_x) for y in (tlo_y, thi_y)
-    ]
+    k = _scan_block(cx[:, None, None], cy[:, None, None], tuple(v[None, None, :] for v in seg))[1][:, 0]
+    near_seg = tuple(v[k] for v in seg)
+    corners = [_point_segment_sq(x, y, near_seg) for x in (tlo_x, thi_x) for y in (tlo_y, thi_y)]
     bound = np.sqrt(np.max(corners, axis=0)) * (1.0 + _SLACK) + _SLACK * scale
 
-    # each block's candidates: the segments whose box lies within its bound
+    # each block's candidates: the segments whose box lies within its
+    # bound, for as many blocks at a time as keep the test within _BLOCK
+    # (block, segment) pairs
+    per = max(1, _BLOCK // m)
     n_cand, cols = [], []
-    for p in passes:
+    for p in (slice(t, t + per) for t in range(0, kx * ky, per)):
         gx = np.maximum(np.maximum(slo_x - thi_x[p, None], tlo_x[p, None] - shi_x), 0.0)
         gy = np.maximum(np.maximum(slo_y - thi_y[p, None], tlo_y[p, None] - shi_y), 0.0)
         near = gx * gx + gy * gy <= (bound[p] ** 2)[:, None]
@@ -345,7 +344,7 @@ def _nearest_segment(grid, a, b):
             cand = cols[cand_start[bl, None] + np.minimum(np.arange(width), n_cand[bl, None] - 1)]
             qx = np.tile(col[bl % kx], _TILE)[..., None]
             qy = np.repeat(row[bl // kx], _TILE, axis=1)[..., None]
-            best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg), work)
+            best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg))
             nearest[bl] = np.take_along_axis(cand, j, axis=1)
     # back to the (ny, nx) node layout, without the repeated nodes
     return tuple(

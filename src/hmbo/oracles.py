@@ -2,8 +2,8 @@
 
 Three independent routes are provided:
 
-* the closed-form shrinking-circle radius under curvature flow,
-  r(t) = sqrt(r0^2 - 2*gamma*t) for gamma = 1;
+* the closed-form shrinking-circle radius under curvature flow with
+  mobility gamma, r(t) = sqrt(r0^2 - 2*gamma*t);
 * a Runge-Kutta integration of the damped circle equation
   alpha * r'' + beta * r' = -gamma / r  (outward radius, curvature 1/r);
 * direct quadrature of the disk representation of the 2-D wave equation,
@@ -50,13 +50,17 @@ def exact_mcf_radius(r0: float, t: float) -> float:
     return float(np.sqrt(max(r0 * r0 - 2.0 * t, 0.0)))
 
 
-def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101) -> RadiusSeries:
-    """exact_mcf_radius sampled on n_samples equispaced times in [0, t_end]."""
+def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101, gamma: float = 1.0) -> RadiusSeries:
+    """The circle's radius under curvature flow with mobility gamma,
+    exact_mcf_radius(r0, gamma*t), sampled on n_samples equispaced times in
+    [0, t_end]; it goes extinct at r0^2/(2*gamma)."""
     if not 0 < t_end < math.inf or n_samples < 2:
         raise ValidationError("need a finite t_end > 0 and at least two samples")
+    if not 0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     times = np.linspace(0.0, t_end, n_samples)
-    radii = np.array([exact_mcf_radius(r0, t) for t in times])
-    t_ext = 0.5 * r0 * r0
+    radii = np.array([exact_mcf_radius(r0, gamma * t) for t in times])
+    t_ext = 0.5 * r0 * r0 / gamma
     return RadiusSeries(times, radii, t_ext if t_ext <= t_end else None)
 
 

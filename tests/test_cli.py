@@ -24,6 +24,25 @@ def test_oracle_mcf_stdout(capsys):
     assert "extinction at t=0.5" in err
 
 
+def test_oracle_mcf_reads_gamma(capsys):
+    """The closed form has mobility gamma, r^2 = r0^2 - 2 gamma t, so with
+    gamma = 2 the unit circle is extinct at t = 0.25."""
+    rc = cli_main(["oracle", "--mode", "mcf", "--t-end", "0.5", "--samples", "3", "--gamma", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert _lines(out) == ["t,r", "0,1", "0.25,0", "0.5,0"]
+    assert err == "extinction at t=0.25\n"
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_oracle_mcf_rejects_nonpositive_gamma(capsys, gamma):
+    rc = cli_main(["oracle", "--mode", "mcf", "--t-end", "0.5", "--gamma", gamma])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: gamma")
+
+
 def test_oracle_damped_to_file(tmp_path):
     path = tmp_path / "radius.csv"
     rc = cli_main(
@@ -126,6 +145,18 @@ def test_convergence_partial_failure_exit_code(fail_at_64, capsys):
     assert err.count("grid size 64 failed") == 1
 
 
+def test_non_extinct_row_is_marked_on_stderr(tmp_path, capsys):
+    """A row whose circle never went extinct reports ns_tau = max_steps*tau
+    (here 40 steps of 0.025); one stderr line says so, and the exit code and
+    the table's three columns stay as they are."""
+    rc = cli_main(["convergence", "--mode", "hmcf", "--sizes", "16", "--n-tau", "20", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == "grid size 16: no extinction within 40 steps; ns_tau is max_steps*tau\n"
+    assert _lines(out)[1].startswith("16,1,")
+    assert (tmp_path / "error_table.csv").read_text().splitlines() == _lines(out)[:2]
+
+
 def test_mcf_initial_speed_exits_one_before_any_grid_runs(tmp_path, capsys):
     """An mcf run reads no initial speed, so a nonzero --v0 is bad input:
     one error line naming v0_normal, exit code 1 and no output directory,
@@ -191,6 +222,13 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", "{}", ["--sizes", "16", "--max-steps", "1" + "0" * 400], "max_steps"),
         # in a double's range, but so fine a grid that its spacing squared underflows
         ("convergence", "{}", ["--sizes", "16,1" + "0" * 200], None),
+        # per grid size: a circle between the nodes of the N = 16 grid (N = 17
+        # has a node at its centre), a damped start whose offset level set is
+        # empty, and a size given twice
+        ("convergence", "{}", ["--sizes", "16,17", "--r0", "0.01"], 16),
+        ("run", "{}", ["--n", "16", "--r0", "0.01"], 16),
+        ("convergence", '{"mode": "hmcf"}', ["--sizes", "16,32", "--n-tau", "20", "--v0", "1000"], 16),
+        ("convergence", "{}", ["--sizes", "16,16"], "grid_sizes"),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
@@ -201,20 +239,25 @@ def test_validation_errors_exit_one(capsys):
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
         "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",
         "sizes-spacing-underflow",
+        "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
-    rc = cli_main([command, "--config", str(cfg_path)] + extra)
+    out = tmp_path / "out"
+    rc = cli_main([command, "--config", str(cfg_path), "--out", str(out)] + extra)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert len(_lines(err)) == 1  # and no "grid size N failed" line
-    if key is not None:  # a wrongly typed value is reported with its key
+    if isinstance(key, int):  # a bad grid size is reported with the size
+        assert f"grid size {key}:" in err
+    elif key is not None:  # a wrongly typed value is reported with its key
         assert repr(key) in err.splitlines()[0]
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_bad_config_value_with_out_exits_one(tmp_path, capsys):
@@ -244,11 +287,12 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
     [
         ["--mode", "mcf", "--t-end", "0.5", "--r0", "nan"],
         ["--mode", "mcf", "--t-end", "inf"],
+        ["--mode", "mcf", "--t-end", "0.5", "--gamma", "nan"],
         ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--alpha", "nan"],
         ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--rdot0", "nan"],
         ["--mode", "hmcf", "--t-end", "inf"],
     ],
-    ids=["mcf-r0-nan", "mcf-t_end-inf", "hmcf-alpha-nan", "hmcf-rdot0-nan", "hmcf-t_end-inf"],
+    ids=["mcf-r0-nan", "mcf-t_end-inf", "mcf-gamma-nan", "hmcf-alpha-nan", "hmcf-rdot0-nan", "hmcf-t_end-inf"],
 )
 def test_non_finite_oracle_input_exits_one(capsys, argv):
     """A NaN or infinite number is bad input: one error line and exit code 1,

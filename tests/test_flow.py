@@ -221,10 +221,13 @@ def test_corner_quarter_circle_is_a_quadrant_of_the_full_circle(mode):
 
 @pytest.mark.parametrize("mode", ["mcf", "hmcf"])
 def test_steps_commute_with_transposition(mode):
-    """Ten steps from an off-centre 5-fold star and from its transpose give
-    transposed fields.  The node coordinates along x and y are equal, but
-    transposition reorders the extracted segments and their ends, so the
-    redistance arithmetic rounds differently: the fields agree to 1e-12."""
+    """Ten steps from an off-centre 5-fold star and from its transpose, its
+    x-reflection and its y-reflection give the transformed fields.  The
+    node coordinates along x and y are equal, but transposition reorders the
+    extracted segments and their ends, so the redistance arithmetic rounds
+    differently; and the nodes of linspace(-2, 2, 80) are symmetric about 0
+    only to 2.2e-16, so a reflected star sits on nodes moved by that much.
+    The fields agree to 1e-12 (measured up to 1.5e-14)."""
     g, tau = make_grid(80, 80, (-2, 2, -2, 2)), 1.0 / 300.0
     star = field_from_function(
         g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3))
@@ -233,15 +236,18 @@ def test_steps_commute_with_transposition(mode):
         cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau)
     else:
         cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
-    fields = []
-    for d0 in (star, ScalarField(g, star.values.T)):
+
+    def ten_steps(d0):
         d_prev = d0 if mode == "mcf" else init_history(d0, 0.0, tau)
         state = FlowState(d0, d_prev, 0)
         for _ in range(10):
             state = hmbo_step(state, cfg)
         assert not state.extinct
-        fields.append(state.d_n.values)
-    assert np.max(np.abs(fields[1] - fields[0].T)) <= 1e-12
+        return state.d_n.values
+
+    ref = ten_steps(star)
+    for flip in (np.transpose, lambda v: v[:, ::-1], lambda v: v[::-1, :]):
+        assert np.max(np.abs(ten_steps(ScalarField(g, flip(star.values))) - flip(ref))) <= 1e-12
 
 
 def test_extinction_marks_state_and_freezes_it():

@@ -13,7 +13,6 @@ from hmbo.interfaces import (
     _bent_chord_distance,
     _bent_chord_frames,
     _nearest_segment,
-    _point_segment_sq,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -367,6 +366,20 @@ def test_distance_against_dense_sampling(rng):
     assert np.all(bent <= dense_bent + 1e-12)
     assert np.max(dense_bent - bent) < 1e-6
     assert np.max(np.abs(bent - exact)) > 1e-3  # the bend is felt
+
+
+def _point_segment_sq(px, py, ax, ay, bx, by):
+    """Squared point-to-segment distances; arguments broadcast.  A separate
+    writing of the library kernel's per-pair arithmetic, the oracle that the
+    scan is held to bit for bit."""
+    ux = bx - ax
+    uy = by - ay
+    l2 = ux * ux + uy * uy
+    t = ((px - ax) * ux + (py - ay) * uy) / np.where(l2 > 0.0, l2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    cx = ax + t * ux
+    cy = ay + t * uy
+    return (px - cx) ** 2 + (py - cy) ** 2
 
 
 def _min_sq_brute(px, py, a, b, seg_chunk=64):
