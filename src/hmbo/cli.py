@@ -83,12 +83,22 @@ def _cmd_convergence(args) -> int:
     return 2 if report.failures else 0
 
 
+# the flags that one oracle mode reads and the other does not, with their
+# defaults; --r0, --t-end and --gamma are read in both
+_ORACLE_FLAGS = {"mcf": {"samples": 101}, "hmcf": {"dt": 1e-3, "rdot0": 0.0, "alpha": 1.0, "beta": 1.0}}
+
+
 def _cmd_oracle(args) -> int:
+    unread = [f"--{k}" for mode, flags in _ORACLE_FLAGS.items() if mode != args.mode
+              for k in flags if getattr(args, k) is not None]
+    if unread:
+        raise ValidationError(f"--mode {args.mode} reads no {', '.join(unread)}")
+    own = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in _ORACLE_FLAGS[args.mode].items()}
     if args.mode == "mcf":
-        series = exact_mcf_series(args.r0, args.t_end, args.samples, args.gamma)
+        series = exact_mcf_series(args.r0, args.t_end, own["samples"], args.gamma)
     else:
-        phys = PhysicalParams(args.alpha, args.beta, args.gamma)
-        series = hmcf_circle_radius(phys, args.r0, args.rdot0, args.t_end, args.dt)
+        phys = PhysicalParams(own["alpha"], own["beta"], args.gamma)
+        series = hmcf_circle_radius(phys, args.r0, own["rdot0"], args.t_end, own["dt"])
     if args.out:
         write_radius_csv(series, args.out)
     else:
@@ -125,13 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--mode", choices=["mcf", "hmcf"], required=True)
     p_or.add_argument("--r0", type=float, default=1.0)
     p_or.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p_or.add_argument("--samples", type=int, default=101,
-                      help="sample count for the closed-form series")
-    p_or.add_argument("--dt", type=float, default=1e-3,
-                      help="sample spacing for the RK4 series")
-    p_or.add_argument("--rdot0", type=float, default=0.0)
-    p_or.add_argument("--alpha", type=float, default=1.0)
-    p_or.add_argument("--beta", type=float, default=1.0)
+    p_or.add_argument("--samples", type=int, help="sample count of the closed-form series (mcf only, default 101)")
+    p_or.add_argument("--dt", type=float, help="sample spacing of the RK4 series (hmcf only, default 1e-3)")
+    p_or.add_argument("--rdot0", type=float, help="initial radial speed (hmcf only, default 0)")
+    p_or.add_argument("--alpha", type=float, help="hmcf only, default 1")
+    p_or.add_argument("--beta", type=float, help="hmcf only, default 1")
     p_or.add_argument("--gamma", type=float, default=1.0, help="curvature mobility (both modes)")
     p_or.add_argument("--out", help="output CSV path (default: stdout)")
     p_or.set_defaults(func=_cmd_oracle)

@@ -22,11 +22,12 @@ d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_nearest_segment).  The grid's nodes are grouped into
-blocks of 8 x 8 nodes; the nearest segment to a block's centre bounds the
-distance of every node of the block, and only the segments whose bounding
-box lies within that bound (widened by a relative slack far above
-rounding) are scanned, in increasing index order, by _point_segment_sq, the
-one copy of the per-pair arithmetic.  So the field is bit-identical to an
+blocks of 8 x 8 nodes, and the distances from each block's centre to every
+segment bound, by the triangle inequality, the segments that can be nearest
+to a node of the block: those within the centre's least distance plus the
+block's diagonal (widened by a relative slack far above rounding).  Only
+those are scanned, in increasing index order, by _point_segment_sq, the one
+copy of the per-pair arithmetic.  So the field is bit-identical to an
 exhaustive scan's with that arithmetic, and the first segment wins ties.
 
 Two reconstructions of the interface are offered:
@@ -238,10 +239,11 @@ _SLACK = 1e-9
 
 
 def _scan_block(px, py, seg):
-    """Least squared distance from the points px, py (T, P, 1) to the
-    segments seg of _segments, each (T or 1, 1, C), and the first position
-    along C that attains it, by _point_segment_sq on as many segments at a
-    time as keep each call within _BLOCK pairs (at least one).
+    """Least squared distance from the nodes px, py (T, _TILE * _TILE, 1)
+    of T blocks to their candidate segments seg of _segments, each
+    (T, 1, C), and the first position along C that attains it, by
+    _point_segment_sq on as many candidates at a time as keep each call
+    within _BLOCK pairs (at least one).
     """
     shape = px.shape[:2]
     rows = shape[0] * shape[1]
@@ -267,85 +269,69 @@ def _nearest_segment(grid, a, b):
     A pruned scan, exactly equal to the exhaustive one:
 
     * the nodes are grouped into blocks of _TILE x _TILE nodes by index; the
-      last block row and column repeat the grid's last node row and column,
-      so every block holds _TILE x _TILE nodes.  The nearest segment to the
-      centre of a block's box gives an upper bound U on the distance of
-      every node of the block to its nearest segment: the largest distance
-      from the box's corners to that segment (the distance to a segment is
-      convex, so over a box it peaks at a corner);
-    * a segment whose bounding box is farther than U from the block's box is
-      farther than U from every node of the block.  A computed distance
-      falls below the exact one by at most the rounding of a few operations,
-      a few units in the last place of the largest coordinate (scale), so
-      keeping every segment within U (1 + _SLACK) + _SLACK * scale of the
-      block's box keeps every segment whose computed distance can reach or
-      tie the computed minimum;
+      last block row and column repeat the grid's last node row and column.
+      Every node p of a block lies within r, half the diagonal from its
+      first to its last node, of its centre c, so by the triangle inequality
+      p's nearest segment s* has d(c, s*) <= r + d(p) <= 2r + d(c);
+    * a computed distance falls below the exact one by at most a few units
+      in the last place of the largest coordinate (scale), so the segments
+      within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c include every one
+      whose computed distance can reach or tie the computed minimum.  They
+      are compared as squares, so a bound whose square overflows keeps every
+      segment;
     * each block's candidates, in increasing index order, are scanned by
-      _point_segment_sq, so the minimum is bit-identical and the first
-      index among equal distances wins.  Blocks are binned by
-      their candidate count, rounded up to four steps per octave, and
-      scanned as dense (block, node, candidate) arrays; a block's short
-      candidate list is padded with its own last candidate, which does not
-      change the first minimum.
+      _point_segment_sq, so the minimum is bit-identical and the first index
+      among equal distances wins.  Blocks go in order of decreasing candidate
+      count, as dense (block, node, candidate) arrays of as many blocks as
+      fit in _BLOCK pairs at the first one's count; a shorter candidate list
+      is padded with its own last candidate, which does not change the first
+      minimum.
 
     On a 128 x 128 grid and a circle this scans about a fifth of the
     (node, segment) pairs.
     """
-    m = a.shape[0]
     seg = _segments(a, b)
-    (slo_x, slo_y), (shi_x, shi_y) = np.minimum(a, b).T, np.maximum(a, b).T
     xs, ys = grid.x_coords(), grid.y_coords()
     scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(xs).max(), np.abs(ys).max())
 
     # the (blocks, _TILE) node coordinates of each block column and block
     # row, the last node standing in past the grid's end, and each block's
-    # box; block k is block row k // kx and block column k % kx
+    # centre (cx, cy) and half-diagonal r; block k is block row k // kx and
+    # block column k % kx
     col, row = (
         c[np.minimum(np.arange(-(-c.size // _TILE) * _TILE), c.size - 1)].reshape(-1, _TILE) for c in (xs, ys)
     )
     kx, ky = len(col), len(row)
-    tlo_x, thi_x = np.tile(col.min(axis=1), ky), np.tile(col.max(axis=1), ky)
-    tlo_y, thi_y = np.repeat(row.min(axis=1), kx), np.repeat(row.max(axis=1), kx)
+    cx, cy = np.tile(0.5 * (col[:, 0] + col[:, -1]), ky), np.repeat(0.5 * (row[:, 0] + row[:, -1]), kx)
+    r = np.hypot(np.tile(0.5 * (col[:, -1] - col[:, 0]), ky), np.repeat(0.5 * (row[:, -1] - row[:, 0]), kx))
 
-    # each block's upper bound: the largest distance from its box's corners
-    # to the segment nearest to the box's centre
-    cx, cy = 0.5 * (tlo_x + thi_x), 0.5 * (tlo_y + thi_y)
-    k = _scan_block(cx[:, None, None], cy[:, None, None], tuple(v[None, None, :] for v in seg))[1][:, 0]
-    near_seg = tuple(v[k] for v in seg)
-    corners = [_point_segment_sq(x, y, near_seg) for x in (tlo_x, thi_x) for y in (tlo_y, thi_y)]
-    bound = np.sqrt(np.max(corners, axis=0)) * (1.0 + _SLACK) + _SLACK * scale
-
-    # each block's candidates: the segments whose box lies within its
-    # bound, for as many blocks at a time as keep the test within _BLOCK
-    # (block, segment) pairs
-    per = max(1, _BLOCK // m)
+    # each block's candidates, for as many blocks at a time as keep the
+    # centre distances within _BLOCK (block, segment) pairs
+    per = max(1, _BLOCK // a.shape[0])
     n_cand, cols = [], []
     for p in (slice(t, t + per) for t in range(0, kx * ky, per)):
-        gx = np.maximum(np.maximum(slo_x - thi_x[p, None], tlo_x[p, None] - shi_x), 0.0)
-        gy = np.maximum(np.maximum(slo_y - thi_y[p, None], tlo_y[p, None] - shi_y), 0.0)
-        near = gx * gx + gy * gy <= (bound[p] ** 2)[:, None]
+        d2 = _point_segment_sq(cx[p, None], cy[p, None], seg)
+        bound = (np.sqrt(d2.min(axis=1)) + 2.0 * r[p]) * (1.0 + _SLACK) + _SLACK * scale
+        near = d2 <= (bound**2)[:, None]
         n_cand.append(near.sum(axis=1))
         cols.append(np.nonzero(near)[1])
     n_cand, cols = np.concatenate(n_cand), np.concatenate(cols)
     cand_start = np.cumsum(n_cand) - n_cand
 
-    # bins of blocks whose candidate counts round up, at four steps per
-    # octave, to the same width; node r * _TILE + c of a block is its node
-    # in row r and column c
+    # node r * _TILE + c of a block is its node in row r and column c
     best = np.empty((kx * ky, _TILE * _TILE))
     nearest = np.empty((kx * ky, _TILE * _TILE), dtype=np.intp)
-    step = 2 ** np.maximum(np.log2(n_cand).astype(np.intp) - 2, 0)
-    widths = -(-n_cand // step) * step
-    for width in np.unique(widths):
-        in_bin = np.nonzero(widths == width)[0]
-        fit = max(1, _BLOCK // (_TILE * _TILE * width))  # blocks per scan
-        for i in range(0, in_bin.size, fit):
-            bl = in_bin[i : i + fit]
-            cand = cols[cand_start[bl, None] + np.minimum(np.arange(width), n_cand[bl, None] - 1)]
-            qx = np.tile(col[bl % kx], _TILE)[..., None]
-            qy = np.repeat(row[bl // kx], _TILE, axis=1)[..., None]
-            best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg))
-            nearest[bl] = np.take_along_axis(cand, j, axis=1)
+    order = np.argsort(-n_cand, kind="stable")
+    i = 0
+    while i < order.size:
+        width = n_cand[order[i]]
+        bl = order[i : i + max(1, _BLOCK // (_TILE * _TILE * width))]
+        i += bl.size
+        cand = cols[cand_start[bl, None] + np.minimum(np.arange(width), n_cand[bl, None] - 1)]
+        qx = np.tile(col[bl % kx], _TILE)[..., None]
+        qy = np.repeat(row[bl // kx], _TILE, axis=1)[..., None]
+        best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg))
+        nearest[bl] = np.take_along_axis(cand, j, axis=1)
     # back to the (ny, nx) node layout, without the repeated nodes
     return tuple(
         v.reshape(ky, kx, _TILE, _TILE).swapaxes(1, 2).reshape(ky * _TILE, kx * _TILE)[: grid.ny, : grid.nx]

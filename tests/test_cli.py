@@ -43,6 +43,28 @@ def test_oracle_mcf_rejects_nonpositive_gamma(capsys, gamma):
     assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: gamma")
 
 
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["--mode", "mcf", "--t-end", "0.5", "--samples", "3", "--dt", "0.2", "--alpha", "7"], ["--dt", "--alpha"]),
+        (["--mode", "mcf", "--t-end", "0.5", "--rdot0", "5"], ["--rdot0"]),
+        (["--mode", "mcf", "--t-end", "0.5", "--beta", "1"], ["--beta"]),  # even at its default
+        (["--mode", "hmcf", "--t-end", "0.1", "--samples", "5"], ["--samples"]),
+    ],
+    ids=["mcf-dt-alpha", "mcf-rdot0", "mcf-beta", "hmcf-samples"],
+)
+def test_oracle_rejects_flags_its_mode_does_not_read(tmp_path, capsys, argv, unread):
+    """A flag the chosen mode does not read is bad input, not silently
+    ignored: one error line naming it, exit code 1 and no output file."""
+    out = tmp_path / "radius.csv"
+    rc = cli_main(["oracle"] + argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error:")
+    assert all(flag in err for flag in unread)
+    assert not out.exists()
+
+
 def test_oracle_damped_to_file(tmp_path):
     path = tmp_path / "radius.csv"
     rc = cli_main(
@@ -222,6 +244,8 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", "{}", ["--sizes", "16", "--max-steps", "1" + "0" * 400], "max_steps"),
         # in a double's range, but so fine a grid that its spacing squared underflows
         ("convergence", "{}", ["--sizes", "16,1" + "0" * 200], None),
+        # so coarse a grid that its spacing squared overflows
+        ("convergence", '{"bounds": [-1e160, 1e160, -1e160, 1e160]}', ["--sizes", "17"], None),
         # per grid size: a circle between the nodes of the N = 16 grid (N = 17
         # has a node at its centre), a damped start whose offset level set is
         # empty, and a size given twice
@@ -238,7 +262,7 @@ def test_validation_errors_exit_one(capsys):
         "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
         "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",
-        "sizes-spacing-underflow",
+        "sizes-spacing-underflow", "bounds-spacing-overflow",
         "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
     ],
 )

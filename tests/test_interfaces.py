@@ -13,6 +13,7 @@ from hmbo.interfaces import (
     _bent_chord_distance,
     _bent_chord_frames,
     _nearest_segment,
+    _scan_block,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -430,7 +431,9 @@ def test_nearest_segment_exact_on_degenerate_soups():
     on their ends, and a single segment: the pruned scan keeps every tie
     and returns the first segment, like the exhaustive scan.  Also on node
     counts that are no multiple of the block size, a 3 x 3 grid and grids
-    of subnormal extent."""
+    of subnormal extent, and a grid of extent 3e154, where some squared
+    distances overflow to inf: the pruning compares squared distances, so a
+    bound whose square overflows keeps every segment."""
     for g in (make_grid(24, 24, (-1, 1, -1, 1)), make_grid(21, 19, (-1, 1, -1, 1))):
         xs, ys = g.x_coords(), g.y_coords()
         # a closed square through grid nodes, each side twice, a zero-length
@@ -450,6 +453,21 @@ def test_nearest_segment_exact_on_degenerate_soups():
         _assert_scan_exact(g, zero, zero)
         _assert_scan_exact(g, zero, zero + 1.0)
         _assert_scan_exact(g, np.vstack([zero, zero]), np.array([[1e-310, 0.0], [0.0, 0.0]]))
+    # a few short random segments: some block's centre lies within 1.3e154
+    # (about the square root of the largest double) of one segment and
+    # beyond it from another that is nearest to a node of the block, a
+    # candidate only because its squared distance and the bound's square
+    # both overflow; and one lone segment in a corner, whose far nodes'
+    # least squared distance is inf (every index ties; the first wins)
+    g = make_grid(21, 19, (-1.5e154, 1.5e154, -1.5e154, 1.5e154))
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1.5e154, 1.5e154, (5, 2))
+    b = a + rng.uniform(-5e153, 5e153, (5, 2))
+    corner = np.array([[-1.5e154, -1.5e154], [-1.4e154, -1.5e154]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(_brute_nearest(g, corner[:1], corner[1:])[0]).any()
+        _assert_scan_exact(g, a, b)
+        _assert_scan_exact(g, corner[:1], corner[1:])
 
 
 _SCAN_FIELDS = {
@@ -524,6 +542,33 @@ def test_signed_distance_equals_brute_build(rng, monkeypatch):
     ]
     for p, q in zip(pruned, brute):
         assert np.array_equal(p.values, q.values)
+
+
+@pytest.mark.parametrize(
+    "field, share",
+    [
+        (lambda x, y: np.hypot(x, y) - 1.0, 0.22),
+        (lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3)), 0.16),
+    ],
+    ids=["circle", "off-centre-star"],
+)
+def test_nearest_segment_prunes(monkeypatch, field, share):
+    """The (node, candidate) pairs the scan hands to _scan_block stay a small
+    share of the nodes x segments of the exhaustive scan at N = 128: about
+    a fifth on the unit circle (0.201 measured) and a seventh on an
+    off-centre 5-fold star (0.142), held with 10% headroom.  A bound that
+    keeps every segment stays exact, so only this count notices it."""
+    pairs = []
+
+    def counting(px, py, seg):
+        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
+        return _scan_block(px, py, seg)
+
+    monkeypatch.setattr("hmbo.interfaces._scan_block", counting)
+    g = make_grid(128, 128, (-2, 2, -2, 2))
+    a, b = extract_zero_set(field_from_function(g, field)).segment_points()
+    _nearest_segment(g, a, b)
+    assert 0 < sum(pairs) <= share * g.nx * g.ny * len(a)
 
 
 @pytest.mark.parametrize("curved", RECONSTRUCTIONS)
