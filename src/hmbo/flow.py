@@ -1,10 +1,13 @@
 """Threshold dynamics for curvature-driven interface motion.
 
-One step of the scheme propagates the wave initial data
-u0 = a*(2*d_n - d_nm1), ut0 = b*d_n, built from the current and previous
-signed distance fields, over a short window tau, extracts the zero level set
-of the result, and rebuilds a signed distance field from it.  The two modes
-differ in the wave data (a, b, c^2) only:
+The scheme advances a pair of signed distance fields, the current d_n and
+the previous d_nm1.  One step, hmbo_step(d_n, d_nm1, cfg), propagates the
+wave initial data u0 = a*(2*d_n - d_nm1), ut0 = b*d_n over a short window
+tau, extracts the zero level set of u(tau), and returns the distance field
+d_{n+1} rebuilt from it with that interface, or None when u(tau) has one
+sign, which is extinction.  The history term 2*d_n - d_nm1 carries the mass
+term alpha*x_tt of the damped law.  run_flow iterates the step and shifts
+the pair.  The two modes differ in the wave data (a, b, c^2) only:
 
 * damped mode ("hmcf"): (alpha, beta, 2*gamma/alpha), derived from the
   physical coefficients of  alpha * V' + beta * V = -gamma * curvature;
@@ -15,13 +18,12 @@ differ in the wave data (a, b, c^2) only:
 wave_data is the one copy of these maps.  HmboConfig holds only a run's
 inputs and derives (a, b, c2) with wave_data and the leapfrog substep dt
 with wave.cfl_substep, so dt is never set and stable by construction.
-Iterating the step yields the flow; the interface is declared extinct
-when the propagated field no longer changes sign anywhere.
 
-A step reads only the wave data coefficients (a, b, c2), tau, the substep
-dt, the grid and the mode.  It is odd under d -> -d, so either side of the
-interface may carry the positive sign of d0; the rebuilt fields keep the
-sign bit of the propagated field at each node (hmbo.interfaces).
+Beyond its two fields, a step reads only the wave data coefficients
+(a, b, c2), tau, the substep dt, the grid and the mode.  It is odd under
+d -> -d, so either side of the interface may carry the positive sign of d0;
+the rebuilt fields keep the sign bit of the propagated field at each node
+(hmbo.interfaces).
 
 Beyond the wave data, the mode decides only whether run_flow builds d_nm1
 with init_history (damped) or starts from d_nm1 = d0 (mcf, where a = 0),
@@ -129,23 +131,6 @@ class HmboConfig:
 
 
 @dataclass
-class FlowState:
-    """Evolving state: current and previous distance fields.
-
-    run_flow starts d_nm1 from init_history in damped mode and from d0 in
-    mcf, whose step scales it by a = 0.  last_curve holds the interface
-    extracted while producing d_n; it is None for a freshly initialized
-    state and after extinction.
-    """
-
-    d_n: ScalarField
-    d_nm1: ScalarField
-    step_index: int
-    extinct: bool = False
-    last_curve: InterfaceCurve | None = None
-
-
-@dataclass
 class RunRecord:
     """Per-step output of run_flow; avg_radius is None once extinct."""
 
@@ -192,50 +177,52 @@ def init_history(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
     return signed_distance(shifted, curve, curved=curved)
 
 
-def hmbo_step(state: FlowState, cfg: HmboConfig) -> FlowState:
-    """Advance the flow by one threshold-dynamics step of length tau."""
-    if state.extinct:
-        return state
-    grid = cfg.grid
-    if state.d_n.grid != grid:
-        raise ValidationError("state and config grids differ")
+def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
+              cfg: HmboConfig) -> tuple[ScalarField, InterfaceCurve] | None:
+    """One threshold-dynamics step of length tau from the current field d_n
+    and the previous one d_nm1, both on cfg.grid.
 
-    if state.d_nm1 is None:
-        raise ValidationError("the step needs the previous field d_nm1; run_flow sets it")
-    u0 = ScalarField(grid, cfg.a * (2.0 * state.d_n.values - state.d_nm1.values))
-    ut0 = ScalarField(grid, cfg.b * state.d_n.values)
+    Its three stages: propagate the wave data u0 = a*(2*d_n - d_nm1),
+    ut0 = b*d_n over tau (wave_solve), extract the zero set of u(tau), and
+    redistance from it.  Returns (d_new, curve), the new distance field and
+    the interface it was rebuilt from, or None when u(tau) has one sign:
+    the interface is extinct.  In mcf a = 0, so d_nm1 does not change the
+    step.
+    """
+    if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
+        raise ValidationError("the step's fields and its config lie on different grids")
+    u0 = ScalarField(cfg.grid, cfg.a * (2.0 * d_n.values - d_nm1.values))
+    ut0 = ScalarField(cfg.grid, cfg.b * d_n.values)
     u_tau = wave_solve(u0, ut0, cfg.wave_params())
     if not has_interface(u_tau):
-        return FlowState(state.d_n, state.d_nm1, state.step_index, extinct=True)
-
+        return None
     curved = CURVED[cfg.mode]
     curve = extract_zero_set(u_tau, curved=curved)
-    d_new = signed_distance(u_tau, curve, curved=curved)
-    return FlowState(d_new, state.d_n, state.step_index + 1, extinct=False, last_curve=curve)
+    return signed_distance(u_tau, curve, curved=curved), curve
 
 
 def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
              record_interfaces: bool = False) -> list[RunRecord]:
     """Iterate hmbo_step from d0 up to cfg.max_steps or extinction.
 
-    Returns one record per executed step at time n*tau; the terminating
-    record of an extinct run has avg_radius None.  d0 should already be a
-    signed distance field (an analytic one is fine).  v0_normal, the
-    initial normal speed, is read in damped mode only, by init_history.
+    The previous field starts as init_history's in damped mode and as d0 in
+    mcf; after each step (d_n, d_nm1) becomes (d_new, d_n).  Returns one
+    record per executed step at time n*tau; the terminating record of an
+    extinct run has avg_radius None.  d0 should already be a signed
+    distance field (an analytic one is fine).  v0_normal, the initial
+    normal speed, is read in damped mode only, by init_history.
     """
     check_start(cfg, d0, v0_normal)
+    d_n = d0
     d_nm1 = init_history(d0, v0_normal, cfg.tau) if cfg.mode == "hmcf" else d0
-    state = FlowState(d0, d_nm1, step_index=0)
 
     records: list[RunRecord] = []
     for n in range(1, cfg.max_steps + 1):
-        state = hmbo_step(state, cfg)
         t = n * cfg.tau
-        if state.extinct:
+        step = hmbo_step(d_n, d_nm1, cfg)
+        if step is None:
             records.append(RunRecord(n, t, None, True))
             break
-        r = average_radius(state.last_curve)
-        records.append(
-            RunRecord(n, t, r, False, state.last_curve if record_interfaces else None)
-        )
+        d_nm1, (d_n, curve) = d_n, step
+        records.append(RunRecord(n, t, average_radius(curve), False, curve if record_interfaces else None))
     return records

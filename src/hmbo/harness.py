@@ -267,8 +267,11 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     ascending grid order, so output files are reproducible byte for byte.
     A failing size goes to report.failures as (n, message), for the caller
     to print, and does not stop the others.  out_dir is created before any
-    size runs, so an unwritable one fails first.
+    size runs, so an unwritable one fails first.  A study writes no
+    interface snapshots, so save_interfaces is rejected.
     """
+    if cfg.save_interfaces:
+        raise ValidationError("'save_interfaces' is read by hmbo run only; a study writes no snapshots")
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     sizes = sorted(int(n) for n in cfg.grid_sizes)
@@ -300,7 +303,11 @@ def single_run(cfg: ExperimentConfig) -> list[RunRecord]:
     Writes run_{n}.csv, config_echo.json and (when save_interfaces is set)
     per-step vertex clouds interface_step{k}.csv into out_dir, which is
     created before the run, so an unwritable one fails first.
+    save_interfaces without out_dir is rejected, since nothing would be
+    written.
     """
+    if cfg.save_interfaces and cfg.out_dir is None:
+        raise ValidationError("'save_interfaces' (--snapshots) needs an output directory (--out)")
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     size = int(cfg.grid_sizes[0])

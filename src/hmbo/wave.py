@@ -48,8 +48,11 @@ def cfl_max_dt(c2: float, grid: Grid2D) -> float:
     """Largest stable substep for the leapfrog scheme on this grid."""
     if not c2 > 0:
         raise ValidationError(f"c2 must be positive, got {c2}")
-    if max(grid.dx, grid.dy) > np.sqrt(np.finfo(float).max):
-        raise ValidationError(f"the {grid.nx}x{grid.ny} grid is too coarse: dx^2 is no finite double")
+    # squared distances across the grid, which the redistance takes, must be
+    # finite; dx is never longer than the diagonal
+    w, h = grid.xmax - grid.xmin, grid.ymax - grid.ymin
+    if not w * w + h * h < np.inf:
+        raise ValidationError(f"the {grid.nx}x{grid.ny} grid is too wide: its squared diagonal is no finite double")
     if min(grid.dx, grid.dy) ** 2 < np.finfo(float).tiny:
         raise ValidationError(f"the {grid.nx}x{grid.ny} grid is too fine: 1/dx^2 is no finite double")
     return 1.0 / (np.sqrt(c2) * np.sqrt(1.0 / grid.dx**2 + 1.0 / grid.dy**2))

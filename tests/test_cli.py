@@ -106,6 +106,33 @@ def test_run_with_config_and_snapshots(tmp_path, capsys):
     assert echo["save_interfaces"] is True
 
 
+def test_run_snapshots_without_out_exits_one(tmp_path, monkeypatch, capsys):
+    """--snapshots without --out would keep every step's curve and write
+    none: one error line and exit code 1 before the run, and no files."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli_main(["run", "--n", "16", "--snapshots"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert _lines(err) == [err.splitlines()[0]] and err.startswith("error: 'save_interfaces'")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_widest_bounds_run(tmp_path, capsys, mode):
+    """Bounds of +-4.7e153, a squared diagonal of 1.77e308, just inside the
+    largest double: three steps run with exit code 0, and no RuntimeWarning,
+    which is an error in the test suite."""
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text('{"bounds": [-4.7e153, 4.7e153, -4.7e153, 4.7e153]}')
+    rc = cli_main(["convergence", "--config", str(cfg_path), "--mode", mode,
+                   "--sizes", "17", "--n-tau", "5", "--max-steps", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert out.startswith("N,ns_tau,err\n17,")
+    assert "error" not in err and "failed" not in err
+
+
 def test_run_n_overrides_the_config_grid_sizes(tmp_path, capsys):
     """--n N stands for grid_sizes=(N,), over the config file's sizes."""
     cfg_path = tmp_path / "cfg.json"
@@ -244,8 +271,12 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", "{}", ["--sizes", "16", "--max-steps", "1" + "0" * 400], "max_steps"),
         # in a double's range, but so fine a grid that its spacing squared underflows
         ("convergence", "{}", ["--sizes", "16,1" + "0" * 200], None),
-        # so coarse a grid that its spacing squared overflows
+        # so wide a grid that its squared diagonal overflows, with its spacing
+        # squared (1e160) or without it (1e155: dx = 1.25e154 squares finely)
         ("convergence", '{"bounds": [-1e160, 1e160, -1e160, 1e160]}', ["--sizes", "17"], None),
+        ("convergence", '{"bounds": [-1e155, 1e155, -1e155, 1e155]}', ["--sizes", "17", "--n-tau", "5"], None),
+        # a study writes no interface snapshots
+        ("convergence", '{"save_interfaces": true}', ["--sizes", "16", "--n-tau", "20"], "save_interfaces"),
         # per grid size: a circle between the nodes of the N = 16 grid (N = 17
         # has a node at its centre), a damped start whose offset level set is
         # empty, and a size given twice
@@ -262,7 +293,8 @@ def test_validation_errors_exit_one(capsys):
         "r0-nan", "gamma-nan", "alpha-nan", "beta-nan", "v0_normal-nan", "v0_normal-inf",
         "config-r0-nan", "config-bounds-inf", "config-gamma-huge-int",
         "config-n_tau-huge-int", "run-n-huge-int", "sizes-huge-int", "max_steps-huge-int",
-        "sizes-spacing-underflow", "bounds-spacing-overflow",
+        "sizes-spacing-underflow", "bounds-spacing-overflow", "bounds-diagonal-overflow",
+        "convergence-save_interfaces",
         "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
     ],
 )

@@ -15,10 +15,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hmbo import flow
 from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.flow import (
-    FlowState,
     HmboConfig,
     PhysicalParams,
     hmbo_step,
@@ -178,19 +178,17 @@ def test_one_step_circle_matches_exact_law():
     g = make_grid(128, 128, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=1)
     d0 = _circle_sdf(g)
-    state = hmbo_step(FlowState(d0, d0, 0), cfg)
-    got = average_radius(state.last_curve)
+    _, curve = hmbo_step(d0, d0, cfg)
+    got = average_radius(curve)
     want = np.sqrt(1.0 - 2.0 * tau)
     assert abs(got - want) < 0.5 * (tau + g.dx)
-    assert state.step_index == 1
 
 
 def test_step_preserves_reflection_symmetry():
     g = make_grid(65, 65, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=1)
     d0 = _circle_sdf(g)
-    state = hmbo_step(FlowState(d0, d0, 0), cfg)
-    d = state.d_n.values
+    d = hmbo_step(d0, d0, cfg)[0].values
     assert np.max(np.abs(d - d[:, ::-1])) < 1e-13
 
 
@@ -210,11 +208,10 @@ def test_corner_quarter_circle_is_a_quadrant_of_the_full_circle(mode):
         else:
             cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
             d_prev = init_history(d0, 0.0, tau)
-        state = FlowState(d0, d_prev, 0)
+        d_n = d0
         for _ in range(20):
-            state = hmbo_step(state, cfg)
-        assert not state.extinct
-        fields.append(state.d_n.values)
+            d_prev, (d_n, _) = d_n, hmbo_step(d_n, d_prev, cfg)
+        fields.append(d_n.values)
     quarter, full = fields
     assert np.max(np.abs(quarter - full[m - 1 :, m - 1 :])) <= 1e-12
 
@@ -239,11 +236,10 @@ def test_steps_commute_with_transposition(mode):
 
     def ten_steps(d0):
         d_prev = d0 if mode == "mcf" else init_history(d0, 0.0, tau)
-        state = FlowState(d0, d_prev, 0)
+        d_n = d0
         for _ in range(10):
-            state = hmbo_step(state, cfg)
-        assert not state.extinct
-        return state.d_n.values
+            d_prev, (d_n, _) = d_n, hmbo_step(d_n, d_prev, cfg)
+        return d_n.values
 
     ref = ten_steps(star)
     for flip in (np.transpose, lambda v: v[:, ::-1], lambda v: v[::-1, :]):
@@ -251,57 +247,71 @@ def test_steps_commute_with_transposition(mode):
 
 
 def test_extinction_marks_state_and_freezes_it():
+    """A step whose u(tau) has one sign returns None: the interface is
+    extinct."""
     g = make_grid(32, 32, (-2, 2, -2, 2))
     d0 = _circle_sdf(g, r0=0.05)  # below the mesh resolution
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.05, max_steps=1)
-    st = hmbo_step(FlowState(d0, d0, 0), cfg)
-    assert st.extinct
-    assert st.d_n is d0  # fields untouched on the extinction branch
-    again = hmbo_step(st, cfg)
-    assert again is st  # stepping an extinct state is a no-op
-
-
-def test_damped_step_requires_history():
-    g = make_grid(32, 32, (-2, 2, -2, 2))
-    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau=0.02)
-    with pytest.raises(ValidationError):
-        hmbo_step(FlowState(_circle_sdf(g, inside_positive=True), None, 0), cfg)
+    assert hmbo_step(d0, d0, cfg) is None
 
 
 def test_mcf_step_reads_no_history():
     """mcf is the one step rule with a = 0: any previous field gives the
-    step from d_nm1 = d_n bit for bit, and a missing one is rejected as in
-    damped mode.  At N = 65 the circle passes through four nodes, where
-    u0 = a*(...) is a zero of either sign."""
+    step from d_nm1 = d_n bit for bit.  At N = 65 the circle passes through
+    four nodes, where u0 = a*(...) is a zero of either sign."""
     g = make_grid(65, 65, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0)
     d0 = _circle_sdf(g)
     noise = ScalarField(g, np.random.default_rng(7).normal(size=g.shape))
-    want = hmbo_step(FlowState(d0, d0, 0), cfg)
-    got = hmbo_step(FlowState(d0, noise, 0), cfg)
-    assert got.d_n.values.tobytes() == want.d_n.values.tobytes()
-    assert got.last_curve.vertices.tobytes() == want.last_curve.vertices.tobytes()
-    assert got.d_nm1 is d0
-    with pytest.raises(ValidationError, match="previous field"):
-        hmbo_step(FlowState(d0, None, 0), cfg)
+    want_d, want_curve = hmbo_step(d0, d0, cfg)
+    got_d, got_curve = hmbo_step(d0, noise, cfg)
+    assert got_d.values.tobytes() == want_d.values.tobytes()
+    assert got_curve.vertices.tobytes() == want_curve.vertices.tobytes()
 
 
-def test_damped_step_shifts_history_exactly():
-    g = make_grid(64, 64, (-2, 2, -2, 2))
-    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau=1.0 / 300.0)
-    d0 = _circle_sdf(g, inside_positive=True)
-    state = FlowState(d0, init_history(d0, 0.0, cfg.tau), 0)
-    new = hmbo_step(state, cfg)
-    assert new.d_nm1 is d0
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_run_flow_shifts_the_history(monkeypatch, mode):
+    """run_flow hands each step the field the step before returned as d_n
+    and that step's d_n as d_nm1, by identity.  The first step gets d0 and
+    init_history's field in damped mode, and d0 twice in mcf."""
+    g, tau = make_grid(48, 48, (-2, 2, -2, 2)), 1.0 / 60.0
+    if mode == "mcf":
+        cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=4)
+    else:
+        cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau, max_steps=4)
+    d0 = _circle_sdf(g)
+    histories, calls = [], []
+    step, init = flow.hmbo_step, flow.init_history
+
+    def recording_init(*args):
+        histories.append(init(*args))
+        return histories[-1]
+
+    def recording_step(d_n, d_nm1, step_cfg):
+        calls.append((d_n, d_nm1, step(d_n, d_nm1, step_cfg)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(flow, "init_history", recording_init)
+    monkeypatch.setattr(flow, "hmbo_step", recording_step)
+    assert len(run_flow(cfg, d0)) == len(calls) == 4
+    assert len(histories) == (mode == "hmcf")
+    assert calls[0][0] is d0
+    assert calls[0][1] is (d0 if mode == "mcf" else histories[0])
+    for (d_n, _, (d_new, _)), (next_n, next_nm1, _) in zip(calls, calls[1:]):
+        assert next_n is d_new and next_nm1 is d_n
 
 
 def test_step_grid_mismatch_rejected():
+    """Both fields must lie on the config's grid: another shape, or the same
+    shape over other bounds, is rejected for either field."""
     g = make_grid(32, 32, (-2, 2, -2, 2))
-    other = make_grid(16, 16, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.05, max_steps=1)
-    d = _circle_sdf(other)
-    with pytest.raises(ValidationError):
-        hmbo_step(FlowState(d, d, 0), cfg)
+    d = _circle_sdf(g)
+    for other in (make_grid(16, 16, (-2, 2, -2, 2)), make_grid(32, 32, (-3, 3, -3, 3))):
+        off = _circle_sdf(other)
+        for d_n, d_nm1 in ((off, off), (d, off)):
+            with pytest.raises(ValidationError, match="different grids"):
+                hmbo_step(d_n, d_nm1, cfg)
 
 
 def test_velocity_sign_flip_same_interfaces():
@@ -388,8 +398,7 @@ def test_damped_step_matches_scalar_recurrence():
     def step_radius(delta):
         d_n = _circle_sdf(g, 1.0, inside_positive=True)
         d_m1 = _circle_sdf(g, 1.0 + delta, inside_positive=True)
-        st = hmbo_step(FlowState(d_n, d_m1, 0), cfg)
-        return average_radius(st.last_curve)
+        return average_radius(hmbo_step(d_n, d_m1, cfg)[1])
 
     base = step_radius(0.0)
     want = _recurrence_next(1.0, 1.0, 1.0, 1.0, 1.0, tau)
