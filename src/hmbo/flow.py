@@ -25,9 +25,11 @@ d -> -d, so either side of the interface may carry the positive sign of d0;
 the rebuilt fields keep the sign bit of the propagated field at each node
 (hmbo.interfaces).
 
-Beyond the wave data, the mode decides only whether run_flow builds d_nm1
-with init_history (damped) or starts from d_nm1 = d0 (mcf, where a = 0),
-and the reconstruction.  The damped step (and init_history) rebuilds the
+A run starts from the pair (d0, init_history(cfg, d0, v0_normal)).  The
+damped law's second initial condition, a normal velocity v0, is stored as
+the previous interface {d0 = -v0*tau}; in mcf, where a = 0, d_nm1 is d0.
+Beyond the wave data, the mode decides only that start and the
+reconstruction.  The damped step (and init_history) rebuilds the
 distance field with the curved reconstruction of hmbo.interfaces: the
 history term 2*d_n - d_nm1 turns a per-step shift delta of the interface
 into a forcing of order delta/tau^2, and the chord reconstruction's shift of
@@ -56,6 +58,14 @@ from .wave import WaveParams, cfl_substep, wave_solve
 # The modes, each with whether it extracts and redistances with the curved
 # reconstruction (True) or the chord one; see the module docstring.
 CURVED = {"hmcf": True, "mcf": False}
+
+# The most leapfrog substeps a step may take.  The default mcf study takes
+# 25.5 per step at N = 256, and the damped mode 27, 85 and 850 there for
+# alpha = 1e-3, 1e-4 and 1e-6 (c^2 = 2*gamma/alpha).  A substep at N = 256
+# takes about 2 ms on one core of a 2-vCPU Xeon guest, so a step at the
+# ceiling takes some 20 s; alpha = 1e-300 asks for 5e148 substeps per step
+# at N = 16, a run that never ends.
+MAX_SUBSTEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,9 @@ class HmboConfig:
     cfl_substep: half the grid's stability bound, capped at tau.  None of
     the four can be set.  Construction checks the mode and coefficients
     (wave_data, the one check), that the grid is not too fine for the
-    bound, tau > 0 (WaveParams) and max_steps >= 0.
+    bound, tau > 0 (WaveParams), max_steps >= 0, that a step takes at most
+    MAX_SUBSTEPS substeps, and that the scalars wave_solve forms from c2
+    and dt are finite doubles.
     """
 
     mode: str
@@ -108,9 +120,21 @@ class HmboConfig:
     grid: Grid2D
 
     def __post_init__(self):
-        self.wave_params()
+        p = self.wave_params()
+        c2, dt = float(p.c2), float(p.dt)  # Python floats overflow to inf without a warning
         if self.max_steps < 0:
             raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
+        grid = f"the {self.grid.nx}x{self.grid.ny} grid"
+        if self.tau / dt > MAX_SUBSTEPS:
+            raise ValidationError(
+                f"a step on {grid} takes {self.tau / dt:.3g} leapfrog substeps, more than {MAX_SUBSTEPS}"
+            )
+        # wave_solve's starter and leapfrog coefficients, in its order (the
+        # starter's h is at most dt)
+        if not (0.5 * dt * dt * c2 < np.inf and c2 * dt * dt < np.inf):
+            raise ValidationError(
+                f"the wave data overflow on {grid}: c2*dt^2 is no finite double for dt = {dt:.3g}, c2 = {c2:.3g}"
+            )
 
     @classmethod
     def mcf(cls, grid: Grid2D, gamma: float, tau: float, max_steps: int = 1):
@@ -141,37 +165,43 @@ class RunRecord:
     curve: InterfaceCurve | None = None
 
 
-def _offset_field(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
-    """d0 + v0_normal*tau, whose zero level set init_history redistances;
-    a ValidationError if tau <= 0 or that level set is empty."""
-    if tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    shifted = ScalarField(d0.grid, d0.values + float(v0_normal) * tau)
-    if not has_interface(shifted):
-        raise ValidationError("offset level set is empty; initial speed too large for this field")
-    return shifted
-
-
-def check_start(cfg: HmboConfig, d0: ScalarField, v0_normal: float) -> None:
-    """The preconditions of run_flow(cfg, d0, v0_normal), which it checks
-    with this function before any step: d0 is on cfg's grid and changes
-    sign, and in damped mode so does init_history's offset field."""
+def check_start(cfg: HmboConfig, d0: ScalarField, v0_normal: float) -> ScalarField:
+    """The preconditions of a run from d0, checked in this order: d0 is on
+    cfg's grid and changes sign, in damped mode so does d0 + v0_normal*tau,
+    and the first substep's products with the field are finite.  Returns
+    the field whose zero level set is the previous interface: d0 in mcf,
+    d0 + v0_normal*tau in damped mode."""
     if d0.grid != cfg.grid:
         raise ValidationError("d0 grid does not match config grid")
     if not has_interface(d0):
         raise ValidationError("d0 has uniform sign; nothing to evolve")
+    shifted = d0
     if cfg.mode == "hmcf":
-        _offset_field(d0, v0_normal, cfg.tau)
+        shifted = ScalarField(d0.grid, d0.values + float(v0_normal) * cfg.tau)
+        if not has_interface(shifted):
+            raise ValidationError("offset level set is empty; initial speed too large for this field")
+    # wave_solve's first substep forms dt*(b*d) and a*(2*d_n - d_nm1) from
+    # the step's fields; d_nm1 and every later field are redistanced, so no
+    # |d| exceeds the larger of max|d0| and the grid diagonal
+    g = cfg.grid
+    d_max = max(float(np.max(np.abs(d0.values))), float(np.hypot(g.xmax - g.xmin, g.ymax - g.ymin)))
+    if not (float(cfg.dt) * (cfg.b * d_max) < np.inf and cfg.a * (2.0 * d_max + d_max) < np.inf):
+        raise ValidationError(
+            f"the first substep overflows: dt*b*|d| or 3*a*|d| is no finite double for |d| = {d_max:.3g}"
+        )
+    return shifted
 
 
-def init_history(d0: ScalarField, v0_normal: float, tau: float) -> ScalarField:
-    """Synthesize the previous distance field for a damped-mode start.
-
-    The previous interface is taken to be the level set {d0 = -v0_normal*tau}
+def init_history(cfg: HmboConfig, d0: ScalarField, v0_normal: float) -> ScalarField:
+    """The previous field d_nm1 of a run from d0, whose start it checks
+    (check_start): d0 itself in mcf, where a = 0 and it is never read.  In
+    damped mode the previous interface is the level set {d0 = -v0_normal*tau}
     (v0_normal is the initial normal speed, positive in the direction of
-    increasing d0), realized by redistancing d0 + v0_normal*tau.
+    increasing d0), and d_nm1 is d0 + v0_normal*tau redistanced from it.
     """
-    shifted = _offset_field(d0, v0_normal, tau)
+    shifted = check_start(cfg, d0, v0_normal)
+    if cfg.mode == "mcf":
+        return d0
     curved = CURVED["hmcf"]
     curve = extract_zero_set(shifted, curved=curved)
     return signed_distance(shifted, curve, curved=curved)
@@ -205,16 +235,14 @@ def run_flow(cfg: HmboConfig, d0: ScalarField, v0_normal: float = 0.0,
              record_interfaces: bool = False) -> list[RunRecord]:
     """Iterate hmbo_step from d0 up to cfg.max_steps or extinction.
 
-    The previous field starts as init_history's in damped mode and as d0 in
-    mcf; after each step (d_n, d_nm1) becomes (d_new, d_n).  Returns one
-    record per executed step at time n*tau; the terminating record of an
-    extinct run has avg_radius None.  d0 should already be a signed
-    distance field (an analytic one is fine).  v0_normal, the initial
-    normal speed, is read in damped mode only, by init_history.
+    The run starts from (d0, init_history(cfg, d0, v0_normal)), which checks
+    the start; after each step (d_n, d_nm1) becomes (d_new, d_n).  Returns
+    one record per executed step at time n*tau; the terminating record of an
+    extinct run has avg_radius None.  d0 should already be a signed distance
+    field (an analytic one is fine).  v0_normal, the initial normal speed,
+    is read in damped mode only.
     """
-    check_start(cfg, d0, v0_normal)
-    d_n = d0
-    d_nm1 = init_history(d0, v0_normal, cfg.tau) if cfg.mode == "hmcf" else d0
+    d_n, d_nm1 = d0, init_history(cfg, d0, v0_normal)
 
     records: list[RunRecord] = []
     for n in range(1, cfg.max_steps + 1):

@@ -76,9 +76,11 @@ class ExperimentConfig:
     checked here, its type first, and then every grid size's run is built
     (build_run) and checked as run_flow checks it (flow.check_start), so a
     bad value, a repeated size, a grid too fine for the stability bound, a
-    circle that crosses no cell of its grid or, in damped mode, an initial
-    speed that empties the offset level set fails on construction with a
-    ValidationError naming its key or size, before any grid job starts.
+    step past flow.MAX_SUBSTEPS leapfrog substeps, wave data or a first
+    substep that overflow a double, a circle that crosses no cell of its
+    grid or, in damped mode, an initial speed that empties the offset level
+    set fails on construction with a ValidationError naming its key or size,
+    before any grid job starts.
     """
 
     mode: str = "mcf"

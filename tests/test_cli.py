@@ -12,6 +12,16 @@ def _lines(text):
     return [ln for ln in text.splitlines() if ln]
 
 
+@pytest.fixture
+def no_grid_runs(monkeypatch):
+    """Fail at once, rather than run or hang, if any grid of the command runs."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(harness, "run_flow", ran)
+
+
 def test_oracle_mcf_stdout(capsys):
     rc = cli_main(["oracle", "--mode", "mcf", "--t-end", "0.5", "--samples", "11"])
     out, err = capsys.readouterr()
@@ -284,6 +294,12 @@ def test_validation_errors_exit_one(capsys):
         ("run", "{}", ["--n", "16", "--r0", "0.01"], 16),
         ("convergence", '{"mode": "hmcf"}', ["--sizes", "16,32", "--n-tau", "20", "--v0", "1000"], 16),
         ("convergence", "{}", ["--sizes", "16,16"], "grid_sizes"),
+        # a step of 3.75e149 leapfrog substeps at N = 16 (c2 = 2*gamma/alpha
+        # = 2e300), past the ceiling; and a circle so large that tau = 1e305
+        # overflows the wave data's scalars
+        ("convergence", '{"mode": "hmcf"}', ["--alpha", "1e-300", "--sizes", "16", "--n-tau", "20"], None),
+        ("convergence", '{"bounds": [-4.7e153, 4.7e153, -4.7e153, 4.7e153], "r0": 1e153}',
+         ["--sizes", "17", "--n-tau", "5"], None),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
@@ -296,9 +312,10 @@ def test_validation_errors_exit_one(capsys):
         "sizes-spacing-underflow", "bounds-spacing-overflow", "bounds-diagonal-overflow",
         "convergence-save_interfaces",
         "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
+        "hmcf-substeps-past-ceiling", "wave-data-overflow",
     ],
 )
-def test_bad_config_input_exits_one(tmp_path, capsys, command, config_text, extra, key):
+def test_bad_config_input_exits_one(tmp_path, capsys, no_grid_runs, command, config_text, extra, key):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
@@ -369,16 +386,11 @@ def test_non_finite_oracle_input_exits_one(capsys, argv):
     ],
     ids=["oracle", "run", "convergence"],
 )
-def test_unwritable_out_exits_one_before_any_grid_runs(tmp_path, monkeypatch, capsys, argv):
+def test_unwritable_out_exits_one_before_any_grid_runs(tmp_path, monkeypatch, capsys, no_grid_runs, argv):
     """An --out below a regular file is one error line and exit code 1, not a
     traceback; run and convergence find it out before any grid runs."""
     (tmp_path / "afile").write_text("")
     monkeypatch.chdir(tmp_path)
-
-    def no_grid_runs(*args, **kwargs):
-        raise AssertionError("a grid ran")
-
-    monkeypatch.setattr(harness, "run_flow", no_grid_runs)
     rc = cli_main(argv)
     out, err = capsys.readouterr()
     assert rc == 1

@@ -21,6 +21,7 @@ from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.flow import (
     HmboConfig,
     PhysicalParams,
+    check_start,
     hmbo_step,
     init_history,
     run_flow,
@@ -144,7 +145,7 @@ def test_mcf_config_requires_consistent_threshold_constant():
 def test_init_history_zero_velocity_is_near_identity():
     g = make_grid(96, 96, (-2, 2, -2, 2))
     d0 = _circle_sdf(g, inside_positive=True)
-    dm1 = init_history(d0, 0.0, 0.1)
+    dm1 = init_history(HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 0.1), d0, 0.0)
     assert np.max(np.abs(dm1.values - d0.values)) < 1.5 * g.dx
 
 
@@ -153,7 +154,7 @@ def test_init_history_offsets_circle(v0, r_want):
     """A constant normal speed shifts the previous interface by v0 tau."""
     g = make_grid(128, 128, (-2, 2, -2, 2))
     d0 = _circle_sdf(g, inside_positive=True)
-    dm1 = init_history(d0, v0, 0.1)
+    dm1 = init_history(HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 0.1), d0, v0)
     r_got = average_radius(extract_zero_set(dm1))
     assert abs(r_got - r_want) < 0.01
     X, Y = g.mesh()
@@ -161,12 +162,25 @@ def test_init_history_offsets_circle(v0, r_want):
 
 
 def test_init_history_rejects_emptying_offset():
+    """An initial speed that empties the offset level set is rejected, and a
+    window tau <= 0 already by the config."""
     g = make_grid(64, 64, (-2, 2, -2, 2))
+    params = PhysicalParams(1.0, 1.0, 1.0)
     d0 = _circle_sdf(g, inside_positive=True)
+    with pytest.raises(ValidationError, match="offset level set is empty"):
+        init_history(HmboConfig.hmcf(g, params, 0.1), d0, -11.0)
     with pytest.raises(ValidationError):
-        init_history(d0, -11.0, 0.1)
-    with pytest.raises(ValidationError):
-        init_history(d0, 0.0, -0.1)
+        HmboConfig.hmcf(g, params, -0.1)
+
+
+def test_check_start_rejects_an_overflowing_first_substep():
+    """The first substep forms dt*(b*d) and a*(2*d_n - d_nm1).  With beta or
+    alpha = 1e308 one of them overflows a double, though the config's wave
+    data are finite, so the start is rejected before any step."""
+    g = make_grid(32, 32, (-2, 2, -2, 2))
+    for params in (PhysicalParams(1.0, 1e308, 1.0), PhysicalParams(1e308, 1.0, 1.0)):
+        with pytest.raises(ValidationError, match="first substep overflows"):
+            check_start(HmboConfig.hmcf(g, params, 1.0 / 60.0), _circle_sdf(g), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +218,10 @@ def test_corner_quarter_circle_is_a_quadrant_of_the_full_circle(mode):
         g = make_grid(n, n, (lo, 2.0, lo, 2.0))
         d0 = _circle_sdf(g)
         if mode == "mcf":
-            cfg, d_prev = HmboConfig.mcf(g, gamma=1.0, tau=tau), d0
+            cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau)
         else:
             cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
-            d_prev = init_history(d0, 0.0, tau)
-        d_n = d0
+        d_n, d_prev = d0, init_history(cfg, d0, 0.0)
         for _ in range(20):
             d_prev, (d_n, _) = d_n, hmbo_step(d_n, d_prev, cfg)
         fields.append(d_n.values)
@@ -235,8 +248,7 @@ def test_steps_commute_with_transposition(mode):
         cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), tau)
 
     def ten_steps(d0):
-        d_prev = d0 if mode == "mcf" else init_history(d0, 0.0, tau)
-        d_n = d0
+        d_n, d_prev = d0, init_history(cfg, d0, 0.0)
         for _ in range(10):
             d_prev, (d_n, _) = d_n, hmbo_step(d_n, d_prev, cfg)
         return d_n.values
@@ -273,7 +285,8 @@ def test_mcf_step_reads_no_history():
 def test_run_flow_shifts_the_history(monkeypatch, mode):
     """run_flow hands each step the field the step before returned as d_n
     and that step's d_n as d_nm1, by identity.  The first step gets d0 and
-    init_history's field in damped mode, and d0 twice in mcf."""
+    the field of one init_history call, in either mode; in mcf that is d0
+    itself."""
     g, tau = make_grid(48, 48, (-2, 2, -2, 2)), 1.0 / 60.0
     if mode == "mcf":
         cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=4)
@@ -294,11 +307,30 @@ def test_run_flow_shifts_the_history(monkeypatch, mode):
     monkeypatch.setattr(flow, "init_history", recording_init)
     monkeypatch.setattr(flow, "hmbo_step", recording_step)
     assert len(run_flow(cfg, d0)) == len(calls) == 4
-    assert len(histories) == (mode == "hmcf")
+    assert len(histories) == 1
+    assert (histories[0] is d0) == (mode == "mcf")
     assert calls[0][0] is d0
-    assert calls[0][1] is (d0 if mode == "mcf" else histories[0])
+    assert calls[0][1] is histories[0]
     for (d_n, _, (d_new, _)), (next_n, next_nm1, _) in zip(calls, calls[1:]):
         assert next_n is d_new and next_nm1 is d_n
+
+
+def test_damped_run_builds_and_checks_its_start_once(monkeypatch):
+    """A damped run checks the sign of two fields before any step, d0 and the
+    offset d0 + v0*tau, each once."""
+    g = make_grid(32, 32, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 60.0, max_steps=0)
+    d0 = _circle_sdf(g, inside_positive=True)
+    checked, has_interface = [], flow.has_interface
+
+    def recording_has_interface(field):
+        checked.append(field)
+        return has_interface(field)
+
+    monkeypatch.setattr(flow, "has_interface", recording_has_interface)
+    assert run_flow(cfg, d0, 0.3) == []
+    assert len(checked) == 2 and checked[0] is d0
+    assert np.array_equal(checked[1].values, d0.values + 0.3 * cfg.tau)
 
 
 def test_step_grid_mismatch_rejected():
@@ -425,3 +457,18 @@ def test_scalar_recurrence_tracks_circle_ode():
         s_prev, s_cur = s_cur, s_next
     m = min(len(radii), len(oracle.radii))
     assert np.max(np.abs(np.array(radii[:m]) - oracle.radii[:m])) < 5e-4
+
+
+@pytest.mark.parametrize("beta,v0", [(1.0, 0.5), (1.0, -0.5), (0.0, 0.0), (0.0, -1.0)])
+def test_damped_run_from_initial_speed_tracks_circle_ode(beta, v0):
+    """A damped run started with a normal speed v0, damped (beta = 1) or
+    undamped (beta = 0), tracks the circle ODE started with r'(0) = -v0 (d0
+    grows inward).  Measured at N = 64 over 90 steps: 1.02e-3, 4.41e-4,
+    4.09e-4 and 5.29e-4; a start with the sign of v0 flipped is off by 0.26."""
+    tau = 1.0 / 300.0
+    g = make_grid(64, 64, (-2, 2, -2, 2))
+    params = PhysicalParams(1.0, beta, 1.0)
+    records = run_flow(HmboConfig.hmcf(g, params, tau, max_steps=90), _circle_sdf(g, inside_positive=True), v0)
+    oracle = hmcf_circle_radius(params, 1.0, -v0, 90 * tau, tau)
+    assert len(records) == 90 and len(oracle.radii) == 91
+    assert np.max(np.abs(np.array([rec.avg_radius for rec in records]) - oracle.radii[1:])) < 2e-3
