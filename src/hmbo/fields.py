@@ -95,18 +95,38 @@ def field_from_function(grid: Grid2D, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
-def _mirror_ghosts(v: np.ndarray) -> np.ndarray:
+def _mirror_ghosts(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v with one ring of mirror ghost nodes: p[j + 1, i + 1] = v[j, i], and
-    p[j + 1, 0] = v[j, 1] at the low x wall, and so on (the corners too)."""
-    return np.pad(v, 1, mode="reflect")
+    p[j + 1, 0] = v[j, 1] at the low x wall, and so on (the corners too), as
+    np.pad(v, 1, mode="reflect") gives it.  Filled into out, a
+    (ny + 2, nx + 2) buffer, if given."""
+    ny, nx = v.shape
+    p = np.empty((ny + 2, nx + 2)) if out is None else out
+    p[1:-1, 1:-1] = v
+    p[0, 1:-1] = v[1]
+    p[-1, 1:-1] = v[-2]
+    # the columns last, from the filled rows, so the corners are mirrored twice
+    p[:, 0] = p[:, 2]
+    p[:, -1] = p[:, -3]
+    return p
 
 
-def _laplacian_values(v: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """5-point Laplacian with mirror (Neumann) ghost nodes, on a raw array."""
-    p = _mirror_ghosts(v)
-    return (p[1:-1, :-2] - 2.0 * v + p[1:-1, 2:]) / (dx * dx) + (
-        p[:-2, 1:-1] - 2.0 * v + p[2:, 1:-1]
-    ) / (dy * dy)
+def _laplacian_values(v: np.ndarray, dx: float, dy: float, ghost=None, work=None, out=None) -> np.ndarray:
+    """5-point Laplacian with mirror (Neumann) ghost nodes, on a raw array.
+
+    It is (p_left - 2v + p_right)/dx^2 + (p_down - 2v + p_up)/dy^2, evaluated
+    in that order.  ghost, work and out, if given, are the (ny + 2, nx + 2)
+    ghost buffer and two (ny, nx) arrays it computes in; the result is out.
+    """
+    p = _mirror_ghosts(v, ghost)
+    out = np.multiply(v, 2.0, out=out)
+    work = np.subtract(p[1:-1, :-2], out, out=work)
+    work += p[1:-1, 2:]
+    work /= dx * dx
+    np.subtract(p[:-2, 1:-1], out, out=out)
+    out += p[2:, 1:-1]
+    out /= dy * dy
+    return np.add(work, out, out=out)
 
 
 def eval_bilinear(f: ScalarField, p):

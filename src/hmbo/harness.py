@@ -36,7 +36,7 @@ from .flow import (
     run_flow,
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
-from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval
+from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval, rk4_substeps
 from .wave import WaveParams, cfl_substep, wave_solve
 
 THREADS_ENV = "HMCF_THREADS"
@@ -79,7 +79,8 @@ class ExperimentConfig:
     step past flow.MAX_SUBSTEPS leapfrog substeps, wave data or a first
     substep that overflow a double, a circle that crosses no cell of its
     grid or, in damped mode, an initial speed that empties the offset level
-    set fails on construction with a ValidationError naming its key or size,
+    set or an alpha/beta too small for the RK4 reference (rk4_substeps)
+    fails on construction with a ValidationError naming its key or size,
     before any grid job starts.
     """
 
@@ -127,6 +128,8 @@ class ExperimentConfig:
                 check_start(flow_cfg, d0, self.v0_normal)
             except ValidationError as exc:
                 raise ValidationError(f"grid size {n}: {exc}") from None
+        if self.mode == "hmcf":  # the damped study's RK4 reference, sampled every tau
+            rk4_substeps(self.params, self.tau)
 
     @property
     def tau(self) -> float:

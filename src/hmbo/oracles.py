@@ -19,6 +19,7 @@ Three independent routes are provided:
                F(x + c t sin(phi) e(th)) sin(phi) dphi dth.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,29 +65,69 @@ def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101, gamma: float
     return RadiusSeries(times, radii, t_ext if t_ext <= t_end else None)
 
 
+# the smallest internal step the refinement takes
+_RK4_FLOOR = 1e-7
+
+
+def rk4_substeps(p: PhysicalParams, dt: float) -> int:
+    """Internal steps per sample interval dt that hmcf_circle_radius starts
+    its refinement from: the fewest, a power of two, whose step dt/n_sub is
+    at most the relaxation time alpha/beta of r'.  RK4 is unstable on a
+    step h with h*beta/alpha past about 2.8, and its refinements can then
+    agree on an early blow-up.
+
+    Needs alpha > 0 and a finite dt > 0, and raises ValidationError when
+    that step is below the refinement's floor of 1e-7.
+    """
+    n_sub = 1
+    while p.beta > 0 and dt / n_sub > p.alpha / p.beta:
+        n_sub *= 2
+        if dt / n_sub < _RK4_FLOOR:
+            raise ValidationError(
+                f"the RK4 reference needs a step of at most alpha/beta = {p.alpha / p.beta:.3g}, "
+                f"below its floor of {_RK4_FLOOR:g} at a sample spacing of {dt:.3g}"
+            )
+    return n_sub
+
+
 def _rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
     """Fixed-step RK4 over consecutive sample intervals.
 
     Returns (radii at completed sample times, extinction time or None).  The
     run halts at the first internal step whose end state has r <= 0; that
     time is located by linear interpolation of the bracketing states.
+
+    The steps run on Python floats.  Where a stage radius is exactly 0 they
+    refuse the division, and the run is repeated on numpy scalars, whose
+    IEEE infinity the halting test then sees; both give the same bits.
     """
+    try:
+        return _rk4_steps(float, alpha, beta, gamma, r0, rdot0, sample_times, n_sub)
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return _rk4_steps(np.float64, alpha, beta, gamma, r0, rdot0, sample_times, n_sub)
 
-    def deriv(r, v):
-        return v, (-gamma / r - beta * v) / alpha
 
+def _rk4_steps(scalar, alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
+    """_rk4_run's steps on the scalar type given: every input is cast to it
+    once.  Each stage derivative is (v, (-gamma/r - beta*v)/alpha)."""
+    alpha, beta, neg_gamma = scalar(alpha), scalar(beta), -scalar(gamma)
+    times = [scalar(t) for t in sample_times]
     radii = [r0]
-    r, v = r0, rdot0
-    for idx in range(len(sample_times) - 1):
-        t0, t1 = sample_times[idx], sample_times[idx + 1]
+    r, v = scalar(r0), scalar(rdot0)
+    for t0, t1 in zip(times[:-1], times[1:]):
         h = (t1 - t0) / n_sub
+        hh, h6 = 0.5 * h, h / 6.0
         for j in range(n_sub):
-            k1r, k1v = deriv(r, v)
-            k2r, k2v = deriv(r + 0.5 * h * k1r, v + 0.5 * h * k1v)
-            k3r, k3v = deriv(r + 0.5 * h * k2r, v + 0.5 * h * k2v)
-            k4r, k4v = deriv(r + h * k3r, v + h * k3v)
-            rn = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-            vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            k1v = (neg_gamma / r - beta * v) / alpha
+            r2, k2r = r + hh * v, v + hh * k1v
+            k2v = (neg_gamma / r2 - beta * k2r) / alpha
+            r3, k3r = r + hh * k2r, v + hh * k2v
+            k3v = (neg_gamma / r3 - beta * k3r) / alpha
+            r4, k4r = r + h * k3r, v + h * k3v
+            k4v = (neg_gamma / r4 - beta * k4r) / alpha
+            rn = r + h6 * (v + 2 * k2r + 2 * k3r + k4r)
+            vn = v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             if not (math.isfinite(rn) and math.isfinite(vn)) or rn <= 0.0:
                 t_here = t0 + j * h
                 if math.isfinite(rn) and r > rn:
@@ -104,7 +145,8 @@ def hmcf_circle_radius(
 ) -> RadiusSeries:
     """RK4 solution of alpha r'' + beta r' = -gamma / r, sampled every dt.
 
-    The internal step is halved until two successive refinements agree to
+    The internal step starts at dt/rk4_substeps(p, dt), no longer than
+    alpha/beta, and is halved until two successive refinements agree to
     1e-8 in the max norm (or the step reaches a floor of 1e-7).  Returned
     samples lie on the requested dt lattice and end at t_end, or earlier if
     the radius reaches zero.
@@ -115,6 +157,7 @@ def hmcf_circle_radius(
         raise ValidationError(f"need a finite r0 > 0 and a finite rdot0, got {r0}, {rdot0}")
     if not 0 < dt <= t_end < math.inf:
         raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
+    n_sub = rk4_substeps(p, dt)
 
     n = int(np.floor(t_end / dt + 1e-9))
     samples = [i * dt for i in range(n + 1)]
@@ -122,9 +165,8 @@ def hmcf_circle_radius(
         samples.append(t_end)
     samples = np.array(samples)
 
-    n_sub = 1
     radii, t_ext = _rk4_run(p.alpha, p.beta, p.gamma, r0, rdot0, samples, n_sub)
-    while dt / (2 * n_sub) >= 1e-7:
+    while dt / (2 * n_sub) >= _RK4_FLOOR:
         n_sub *= 2
         radii2, t_ext2 = _rk4_run(p.alpha, p.beta, p.gamma, r0, rdot0, samples, n_sub)
         m = min(len(radii), len(radii2))
@@ -137,6 +179,22 @@ def hmcf_circle_radius(
         if diff < 1e-8:
             break
     return RadiusSeries(samples[: len(radii)], radii, t_ext)
+
+
+@functools.lru_cache(maxsize=8)
+def _disk_nodes(n_quad: int) -> tuple[np.ndarray, ...]:
+    """poisson_eval's n_quad x n_quad product rule, built once per n_quad as
+    read-only arrays: sin(phi) and w_phi*sin(phi) for Gauss-Legendre on
+    [0, pi/2] in phi, cos and sin of the periodic midpoint rule in theta."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    phi = 0.25 * np.pi * (nodes + 1.0)
+    wphi = 0.25 * np.pi * weights
+    sin_phi = np.sin(phi)
+    theta = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+    arrays = (sin_phi, wphi * sin_phi, np.cos(theta), np.sin(theta))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def poisson_eval(u0_fn, grad_u0_fn, ut0_fn, c: float, t: float, x, n_quad: int = 200) -> float:
@@ -153,14 +211,10 @@ def poisson_eval(u0_fn, grad_u0_fn, ut0_fn, c: float, t: float, x, n_quad: int =
         raise ValidationError(f"n_quad must be at least 2, got {n_quad}")
     x1, x2 = float(x[0]), float(x[1])
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    phi = 0.25 * np.pi * (nodes + 1.0)            # Gauss-Legendre on [0, pi/2]
-    wphi = 0.25 * np.pi * weights
-    theta = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)  # periodic midpoint
-
-    rad = c * t * np.sin(phi)
-    y1 = x1 + rad[:, None] * np.cos(theta)[None, :]
-    y2 = x2 + rad[:, None] * np.sin(theta)[None, :]
+    sin_phi, wsin_phi, cos_th, sin_th = _disk_nodes(n_quad)
+    rad = c * t * sin_phi
+    y1 = x1 + rad[:, None] * cos_th[None, :]
+    y2 = x2 + rad[:, None] * sin_th[None, :]
 
     f = np.zeros_like(y1)
     if u0_fn is not None:
@@ -172,7 +226,7 @@ def poisson_eval(u0_fn, grad_u0_fn, ut0_fn, c: float, t: float, x, n_quad: int =
         f = f + t * ut0_fn(y1, y2)
 
     inner = np.sum(f, axis=1) / n_quad
-    return float(np.sum(wphi * np.sin(phi) * inner))
+    return float(np.sum(wsin_phi * inner))
 
 
 def format_radius_csv(series: RadiusSeries) -> str:

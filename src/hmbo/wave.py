@@ -14,6 +14,17 @@ If the window tau is not an integer multiple of dt, the final substep is
 shortened to land exactly on tau: the velocity at the last stored pair is
 recovered to second order and the starter formula is reused for the
 remaining fraction.
+
+A solve allocates its work once: a (ny+2, nx+2) buffer for the mirror
+ghost nodes and two (ny, nx) work arrays, shared by the starter, every
+leapfrog substep, the shortened last substep and the energy log.  From the
+third level on, a new level is written over the storage of the level two
+back; the caller's u0 and ut0 are never written.  Every element is computed
+by the same floating-point operations in the same order as the textbook
+one-temporary-per-operation form, and every energy sum runs over a
+contiguous array of the same shape, so numpy's pairwise summation blocks
+alike: the fields and the logged energies are bit for bit those of that
+form.
 """
 
 from contextlib import nullcontext
@@ -93,36 +104,66 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     if rem < 1e-12 * tau:
         rem = 0.0
 
-    def starter(u, vel, h, lap):
-        return u + h * vel + (0.5 * h * h * c2) * lap
+    # the buffers every Laplacian and energy evaluation of this solve works
+    # in; local to the call, as a study solves on a thread pool
+    ny, nx = grid.shape
+    ghost = np.empty((ny + 2, nx + 2))
+    work, lap = np.empty(grid.shape), np.empty(grid.shape)
+
+    def spare(u):
+        """u's storage for a new level once u is read for the last time,
+        unless it is the caller's u0 (then None: a new array)."""
+        return None if u is u0.values else u
+
+    def starter(u, vel, h, dest):
+        """u + h*vel + (0.5*h*h*c2)*lap into dest; vel may be work, and
+        lap holds Lap(u) and is overwritten."""
+        np.multiply(h, vel, out=work)
+        np.add(u, work, out=work)
+        np.multiply(0.5 * h * h * c2, lap, out=lap)
+        return np.add(work, lap, out=dest)
 
     with open(energy_log, "w", newline="") if energy_log is not None else nullcontext() as log:
         if log is not None:
             log.write("step,t,energy\n")
+            weights = _node_weights(ny, nx)
 
         def stored(k, t, prev, new, h):
             """Check and log the pair (prev, new) that ends substep k at time t."""
             _check_finite(new, k)
             if log is not None:
-                log.write(f"{k},{t:.17g},{_energy_values(prev, new, c2, h, dx, dy):.17g}\n")
+                e = _energy_values(prev, new, c2, h, dx, dy, weights, ghost, work, lap)
+                log.write(f"{k},{t:.17g},{e:.17g}\n")
             return new
 
         u_prev = u0.values
-        u_cur = stored(1, dt, u_prev,
-                       starter(u_prev, ut0.values, dt, _laplacian_values(u_prev, dx, dy)), dt)
+        _laplacian_values(u_prev, dx, dy, ghost, work, lap)
+        u_cur = stored(1, dt, u_prev, starter(u_prev, ut0.values, dt, None), dt)
 
         coeff = c2 * dt * dt
         for k in range(2, n_full + 1):
-            u_next = 2.0 * u_cur - u_prev + coeff * _laplacian_values(u_cur, dx, dy)
+            # 2*u_cur - u_prev + coeff*Lap(u_cur), written over u_prev
+            _laplacian_values(u_cur, dx, dy, ghost, work, lap)
+            np.multiply(coeff, lap, out=lap)
+            np.multiply(2.0, u_cur, out=work)
+            np.subtract(work, u_prev, out=work)
+            u_next = np.add(work, lap, out=spare(u_prev))
             u_prev, u_cur = u_cur, stored(k, k * dt, u_cur, u_next, dt)
 
         if rem > 0.0:
             # second-order velocity estimate at the current time, then the
             # starter formula for the leftover fraction of a substep
-            lap_cur = _laplacian_values(u_cur, dx, dy)
-            vel = (u_cur - u_prev) / dt + (0.5 * dt * c2) * lap_cur
-            u_cur = stored(n_full + 1, tau, u_cur, starter(u_cur, vel, rem, lap_cur), rem)
+            _laplacian_values(u_cur, dx, dy, ghost, work, lap)
+            vel = np.subtract(u_cur, u_prev, out=work)
+            vel /= dt
+            vel += np.multiply(0.5 * dt * c2, lap, out=_leading(ghost, grid.shape))
+            u_cur = stored(n_full + 1, tau, u_cur, starter(u_cur, vel, rem, spare(u_prev)), rem)
     return ScalarField(grid, u_cur)
+
+
+def _leading(buf: np.ndarray, shape) -> np.ndarray:
+    """A contiguous array of the given shape on buf's first elements."""
+    return buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -131,7 +172,13 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _energy_values(u_prev, u_cur, c2, dt, dx, dy):
+def _node_weights(ny: int, nx: int) -> np.ndarray:
+    """Trapezoid weights of the (ny, nx) nodes: 1 inside, 1/2 on the walls,
+    1/4 at the corners."""
+    return _trapezoid_weights(ny)[:, None] * _trapezoid_weights(nx)[None, :]
+
+
+def _energy_values(u_prev, u_cur, c2, dt, dx, dy, weights=None, ghost=None, work=None, out=None):
     """Discrete wave energy of a stored substep pair.
 
     Velocity term is the backward difference at nodes; the gradient term uses
@@ -142,14 +189,33 @@ def _energy_values(u_prev, u_cur, c2, dt, dx, dy):
     these weights the gradient form pairs exactly with the mirror-ghost
     Laplacian, so the logged energy is flat up to O(dt^2) for eigenmodes
     instead of showing a spurious O(dx) boundary oscillation.
+
+    weights (_node_weights), ghost, work and out, if given, are the node
+    weights and the buffers of _laplacian_values; the terms are computed in
+    them, and every sum runs over a contiguous array of the term's shape.
     """
     ny, nx = u_cur.shape
     wx = _trapezoid_weights(nx)
     wy = _trapezoid_weights(ny)
-    vel = (u_cur - u_prev) / dt
-    half = 0.5 * (u_prev + u_cur)
-    gx = (half[:, 1:] - half[:, :-1]) / dx
-    gy = (half[1:, :] - half[:-1, :]) / dy
-    kinetic = float(np.sum((wy[:, None] * wx[None, :]) * vel * vel))
-    grad = float(np.sum(wy[:, None] * gx * gx)) + float(np.sum(wx[None, :] * gy * gy))
+    if weights is None:
+        weights = _node_weights(ny, nx)
+    if ghost is None:
+        ghost, work, out = np.empty((ny + 2, nx + 2)), np.empty((ny, nx)), np.empty((ny, nx))
+    vel = np.subtract(u_cur, u_prev, out=work)
+    vel /= dt
+    term = np.multiply(weights, vel, out=out)
+    term *= vel
+    kinetic = float(np.sum(term))
+    half = np.add(u_prev, u_cur, out=_leading(ghost, (ny, nx)))
+    np.multiply(0.5, half, out=half)
+    gx = np.subtract(half[:, 1:], half[:, :-1], out=_leading(work, (ny, nx - 1)))
+    gx /= dx
+    term = np.multiply(wy[:, None], gx, out=_leading(out, (ny, nx - 1)))
+    term *= gx
+    grad_x = float(np.sum(term))
+    gy = np.subtract(half[1:, :], half[:-1, :], out=_leading(work, (ny - 1, nx)))
+    gy /= dy
+    term = np.multiply(wx[None, :], gy, out=_leading(out, (ny - 1, nx)))
+    term *= gy
+    grad = grad_x + float(np.sum(term))
     return 0.5 * dx * dy * (kinetic + c2 * grad)

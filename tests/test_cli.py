@@ -298,6 +298,9 @@ def test_validation_errors_exit_one(capsys):
         # = 2e300), past the ceiling; and a circle so large that tau = 1e305
         # overflows the wave data's scalars
         ("convergence", '{"mode": "hmcf"}', ["--alpha", "1e-300", "--sizes", "16", "--n-tau", "20"], None),
+        # alpha/beta = 1e-8 is within the substep ceiling (3.8e3 per step at
+        # N = 16) but asks the RK4 reference for a step below its floor
+        ("convergence", '{"mode": "hmcf"}', ["--alpha", "1e-8", "--sizes", "16", "--n-tau", "20"], None),
         ("convergence", '{"bounds": [-4.7e153, 4.7e153, -4.7e153, 4.7e153], "r0": 1e153}',
          ["--sizes", "17", "--n-tau", "5"], None),
     ],
@@ -312,7 +315,7 @@ def test_validation_errors_exit_one(capsys):
         "sizes-spacing-underflow", "bounds-spacing-overflow", "bounds-diagonal-overflow",
         "convergence-save_interfaces",
         "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
-        "hmcf-substeps-past-ceiling", "wave-data-overflow",
+        "hmcf-substeps-past-ceiling", "hmcf-rk4-below-floor", "wave-data-overflow",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, no_grid_runs, command, config_text, extra, key):

@@ -13,6 +13,7 @@ from hmbo.fields import (
     Grid2D,
     ScalarField,
     _laplacian_values,
+    _mirror_ghosts,
     eval_bilinear,
     field_from_function,
     make_grid,
@@ -93,6 +94,43 @@ def test_laplacian_linearity(rng):
     got = _laplacian(combo)
     want = 0.7 * _laplacian(u) - 1.3 * _laplacian(v)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _padded_laplacian(v, dx, dy):
+    """The Laplacian as np.pad builds its ghosts, one temporary per
+    operation: the reference the buffered path must match bit for bit."""
+    p = np.pad(v, 1, mode="reflect")
+    return (p[1:-1, :-2] - 2.0 * v + p[1:-1, 2:]) / (dx * dx) + (
+        p[:-2, 1:-1] - 2.0 * v + p[2:, 1:-1]
+    ) / (dy * dy)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2, 2), (3, 11)])
+def test_mirror_ghosts_match_reflect_padding(rng, shape):
+    v = rng.standard_normal(shape)
+    want = np.pad(v, 1, mode="reflect")
+    assert np.array_equal(_bits(_mirror_ghosts(v)), _bits(want))
+    assert np.array_equal(_bits(_mirror_ghosts(v.T)), _bits(np.pad(v.T, 1, mode="reflect")))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2, 2), (5, 9)])
+def test_buffered_laplacian_is_bit_identical(rng, shape):
+    """In new arrays or in reused buffers, the Laplacian has the bits of the
+    np.pad form; a second field in the same buffers too."""
+    ny, nx = shape
+    dx, dy = 0.37, 0.21
+    ghost, work, out = np.empty((ny + 2, nx + 2)), np.empty(shape), np.empty(shape)
+    for _ in range(2):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        want = _padded_laplacian(v, dx, dy)
+        assert np.array_equal(_bits(_laplacian_values(v, dx, dy)), _bits(want))
+        got = _laplacian_values(v, dx, dy, ghost, work, out)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_eval_bilinear_reproduces_bilinear_functions(rng):

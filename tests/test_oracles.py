@@ -13,11 +13,13 @@ from hmbo.errors import ValidationError
 from hmbo.flow import PhysicalParams
 from hmbo.oracles import (
     RadiusSeries,
+    _disk_nodes,
     _rk4_run,
     exact_mcf_radius,
     exact_mcf_series,
     hmcf_circle_radius,
     poisson_eval,
+    rk4_substeps,
     write_radius_csv,
 )
 
@@ -120,6 +122,79 @@ def test_hmcf_oracle_validation():
         hmcf_circle_radius(PhysicalParams(0.0, 1.0, 1.0), 1.0, 0.0, 1.0, 0.1)
 
 
+def _plain_rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
+    """_rk4_run as a derivative function called per stage, on whatever
+    scalars it is given: the reference its inlined stages must match."""
+
+    def deriv(r, v):
+        return v, (-gamma / r - beta * v) / alpha
+
+    radii = [r0]
+    r, v = r0, rdot0
+    for idx in range(len(sample_times) - 1):
+        t0, t1 = sample_times[idx], sample_times[idx + 1]
+        h = (t1 - t0) / n_sub
+        for j in range(n_sub):
+            k1r, k1v = deriv(r, v)
+            k2r, k2v = deriv(r + 0.5 * h * k1r, v + 0.5 * h * k1v)
+            k3r, k3v = deriv(r + 0.5 * h * k2r, v + 0.5 * h * k2v)
+            k4r, k4v = deriv(r + h * k3r, v + h * k3v)
+            rn = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+            vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if not (np.isfinite(rn) and np.isfinite(vn)) or rn <= 0.0:
+                t_here = t0 + j * h
+                t_ext = t_here + h * r / (r - rn) if np.isfinite(rn) and r > rn else t_here + h
+                return np.array(radii), float(t_ext)
+            r, v = rn, vn
+        radii.append(r)
+    return np.array(radii), None
+
+
+@pytest.mark.parametrize(
+    "args, times",
+    [
+        ((0.005, 1.0, 1.0, 1.0, 0.0, 16), np.arange(13) * 0.05),  # goes extinct
+        ((1.0, 1.0, 1.0, 1.0, 0.0, 1), np.arange(13) * 0.05),     # stays positive
+        ((0.3, 2.0, 0.7, 0.8, -1.0, 4), np.arange(13) * 0.05),
+        ((1.0, 0.0, 1.0, 0.5, -1.0, 1), np.array([0.0, 1.0])),    # a stage radius of exactly 0
+    ],
+)
+def test_rk4_run_matches_per_stage_form_bit_for_bit(args, times):
+    *coeffs, n_sub = args
+    with np.errstate(all="ignore"):
+        want_r, want_t = _plain_rk4_run(*(np.float64(c) for c in coeffs), times, n_sub)
+    got_r, got_t = _rk4_run(*coeffs, times, n_sub)
+    assert np.array_equal(got_r.view(np.uint64), want_r.view(np.uint64))
+    assert got_t == want_t
+
+
+def test_rk4_zero_stage_radius_gives_the_ieee_result():
+    """The second stage lands on r = 0 exactly; a division by it gives the
+    numpy infinity, not a ZeroDivisionError, and the run stops there."""
+    radii, t_ext = _rk4_run(1.0, 0.0, 1.0, 0.5, -1.0, np.array([0.0, 1.0]), 1)
+    assert np.array_equal(radii, [0.5])
+    assert t_ext == 1.0
+
+
+def test_rk4_substeps_start_within_the_relaxation_time():
+    assert rk4_substeps(PhysicalParams(1.0, 1.0, 1.0), 0.05) == 1
+    assert rk4_substeps(PhysicalParams(0.005, 1.0, 1.0), 0.05) == 16
+    assert rk4_substeps(PhysicalParams(1e-6, 0.0, 1.0), 0.05) == 1  # no damping
+    with pytest.raises(ValidationError, match="floor"):
+        rk4_substeps(PhysicalParams(1e-300, 1.0, 1.0), 0.05)
+
+
+def test_stiff_reference_is_resolved():
+    """alpha/beta = 1e-6, far below the sample spacing: the refinement
+    starts at a stable step and lands within 1e-6 of the extinction time at
+    dt = 1e-3 (0.50000782682044, frozen); started at dt it agreed on a
+    blow-up at t = 1.5e-12."""
+    series = hmcf_circle_radius(PhysicalParams(1e-6, 1.0, 1.0), 1.0, 0.0, 0.6, 0.05)
+    assert abs(series.extinction_time - 0.50000782682044) < 1e-6
+    with pytest.raises(ValidationError, match="floor"):
+        hmcf_circle_radius(PhysicalParams(1e-300, 1.0, 1.0), 1.0, 0.0, 0.6, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # disk quadrature
 
@@ -168,6 +243,20 @@ def test_quadrature_resolution_self_consistency():
     a = poisson_eval(u0, grad, v0, 1.0, 0.25, (0.2, -0.1), n_quad=100)
     b = poisson_eval(u0, grad, v0, 1.0, 0.25, (0.2, -0.1), n_quad=200)
     assert abs(a - b) < 1e-12
+
+
+def test_quadrature_nodes_are_built_once_and_read_only():
+    def ut0(y1, y2):
+        return np.cos(y1) * y2
+
+    first = poisson_eval(None, None, ut0, 1.0, 0.2, (0.3, -0.4))
+    assert poisson_eval(None, None, ut0, 1.0, 0.2, (0.3, -0.4)) == first
+    nodes = _disk_nodes(200)
+    assert _disk_nodes(200) is nodes
+    for arr in nodes:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_quadrature_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from hmbo.errors import NumericalError, ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
-from hmbo.wave import WaveParams, _energy_values, cfl_max_dt, cfl_number, wave_solve
+from hmbo.wave import WaveParams, _energy_values, _node_weights, cfl_max_dt, cfl_number, wave_solve
 
 
 def _zeros(grid):
@@ -210,3 +210,97 @@ def test_discrete_energy_quadruples_with_amplitude(rng):
     e1 = _energy_values(a, b, 3.0, 0.05, g.dx, g.dy)
     e2 = _energy_values(2 * a, 2 * b, 3.0, 0.05, g.dx, g.dy)
     assert e2 == 4.0 * e1
+
+
+# ---------------------------------------------------------------------------
+# the buffered solve against the same arithmetic with one temporary per
+# operation, bit for bit
+
+
+def _padded_laplacian(v, dx, dy):
+    p = np.pad(v, 1, mode="reflect")
+    return (p[1:-1, :-2] - 2.0 * v + p[1:-1, 2:]) / (dx * dx) + (
+        p[:-2, 1:-1] - 2.0 * v + p[2:, 1:-1]
+    ) / (dy * dy)
+
+
+def _plain_energy(u_prev, u_cur, c2, dt, dx, dy):
+    ny, nx = u_cur.shape
+    wx, wy = np.ones(nx), np.ones(ny)
+    wx[0] = wx[-1] = wy[0] = wy[-1] = 0.5
+    vel = (u_cur - u_prev) / dt
+    half = 0.5 * (u_prev + u_cur)
+    gx = (half[:, 1:] - half[:, :-1]) / dx
+    gy = (half[1:, :] - half[:-1, :]) / dy
+    kinetic = float(np.sum((wy[:, None] * wx[None, :]) * vel * vel))
+    grad = float(np.sum(wy[:, None] * gx * gx)) + float(np.sum(wx[None, :] * gy * gy))
+    return 0.5 * dx * dy * (kinetic + c2 * grad)
+
+
+def _plain_solve(u0, ut0, c2, dt, tau, dx, dy):
+    """u(tau) and the energy of every stored pair."""
+    n_full = int(np.floor(tau / dt + 1e-9))
+    rem = tau - n_full * dt
+    if rem < 1e-12 * tau:
+        rem = 0.0
+
+    def starter(u, vel, h, lap):
+        return u + h * vel + (0.5 * h * h * c2) * lap
+
+    u_prev, u_cur = u0, starter(u0, ut0, dt, _padded_laplacian(u0, dx, dy))
+    energies = [_plain_energy(u_prev, u_cur, c2, dt, dx, dy)]
+    coeff = c2 * dt * dt
+    for _ in range(2, n_full + 1):
+        u_next = 2.0 * u_cur - u_prev + coeff * _padded_laplacian(u_cur, dx, dy)
+        energies.append(_plain_energy(u_cur, u_next, c2, dt, dx, dy))
+        u_prev, u_cur = u_cur, u_next
+    if rem > 0.0:
+        lap_cur = _padded_laplacian(u_cur, dx, dy)
+        vel = (u_cur - u_prev) / dt + (0.5 * dt * c2) * lap_cur
+        u_next = starter(u_cur, vel, rem, lap_cur)
+        energies.append(_plain_energy(u_cur, u_next, c2, rem, dx, dy))
+        u_cur = u_next
+    return u_cur, energies
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2, 2), (5, 9)])
+def test_buffered_energy_is_bit_identical(rng, shape):
+    """In new arrays or in reused buffers, the energy is the float of the
+    one-temporary-per-operation form; a second pair in the same buffers too."""
+    ny, nx = shape
+    dx, dy = 0.37, 0.21
+    weights = _node_weights(ny, nx)
+    ghost, work, out = np.empty((ny + 2, nx + 2)), np.empty(shape), np.empty(shape)
+    for _ in range(2):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = _plain_energy(a, b, 1.7, 0.013, dx, dy)
+        assert _energy_values(a, b, 1.7, 0.013, dx, dy) == want
+        assert _energy_values(a, b, 1.7, 0.013, dx, dy, weights, ghost, work, out) == want
+
+
+@pytest.mark.parametrize("substeps", [3.4, 1.5, 5.0])
+def test_wave_solve_is_bit_identical_and_leaves_inputs(rng, tmp_path, substeps):
+    """Full substeps and a remainder (three and 0.4 of one; one and a half;
+    five exactly), logged and unlogged: u(tau) and every logged energy have
+    the bits of the plain leapfrog, the inputs are left as they were, and a
+    second call gives the same bits."""
+    g = make_grid(13, 9, (-1.3, 2.0, -0.7, 1.1))
+    u0 = ScalarField(g, rng.standard_normal(g.shape))
+    ut0 = ScalarField(g, rng.standard_normal(g.shape))
+    before = u0.values.copy(), ut0.values.copy()
+    dt = 0.5 * cfl_max_dt(2.0, g)
+    params = WaveParams(2.0, dt, substeps * dt)
+    want, energies = _plain_solve(u0.values, ut0.values, 2.0, dt, params.tau, g.dx, g.dy)
+    for log in (None, tmp_path / "energy.csv"):
+        first = wave_solve(u0, ut0, params, energy_log=log).values
+        second = wave_solve(u0, ut0, params, energy_log=log).values
+        assert np.array_equal(_bits(first), _bits(want))
+        assert np.array_equal(_bits(second), _bits(want))
+        assert np.array_equal(_bits(u0.values), _bits(before[0]))
+        assert np.array_equal(_bits(ut0.values), _bits(before[1]))
+    rows = log.read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == energies
