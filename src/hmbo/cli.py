@@ -7,8 +7,8 @@ Subcommands:
 * oracle       -- reference radius series (closed form or RK4) as t,r CSV
 * verify       -- dual-route consistency checks (quadrature vs solver)
 
-Exit codes: 0 success, 1 invalid input or unwritable output, 2 numerical
-failure.
+Exit codes: 0 success, 1 invalid input, unwritable output or a request too
+large to allocate, 2 numerical failure.
 """
 
 import argparse
@@ -74,7 +74,7 @@ def _cmd_convergence(args) -> int:
         print(f"grid size {n} failed: {msg}", file=sys.stderr)
     for row in report.rows:
         if not row.went_extinct:
-            steps = cfg.flow_config(row.n).max_steps
+            steps = cfg.runs[row.n][0].max_steps
             print(f"grid size {row.n}: no extinction within {steps} steps; ns_tau is max_steps*tau",
                   file=sys.stderr)
     sys.stdout.write(format_error_table(report))
@@ -158,8 +158,8 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:  # MemoryError: a request too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -62,9 +62,10 @@ CURVED = {"hmcf": True, "mcf": False}
 # The most leapfrog substeps a step may take.  The default mcf study takes
 # 25.5 per step at N = 256, and the damped mode 27, 85 and 850 there for
 # alpha = 1e-3, 1e-4 and 1e-6 (c^2 = 2*gamma/alpha).  A substep at N = 256
-# takes about 2 ms on one core of a 2-vCPU Xeon guest, so a step at the
-# ceiling takes some 20 s; alpha = 1e-300 asks for 5e148 substeps per step
-# at N = 16, a run that never ends.
+# takes 0.5 to 0.7 ms on one core of a 2-vCPU Xeon guest (best of 5 runs of
+# 200 substeps, no energy log), so a step at the ceiling takes 5 to 7 s;
+# alpha = 1e-300 asks for 5e148 substeps per step at N = 16, a run that
+# never ends.
 MAX_SUBSTEPS = 10_000
 
 

@@ -74,14 +74,18 @@ class ExperimentConfig:
     and beta (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
     The field names are the keys of a JSON config file.  Every value is
     checked here, its type first, and then every grid size's run is built
-    (build_run) and checked as run_flow checks it (flow.check_start), so a
-    bad value, a repeated size, a grid too fine for the stability bound, a
-    step past flow.MAX_SUBSTEPS leapfrog substeps, wave data or a first
-    substep that overflow a double, a circle that crosses no cell of its
-    grid or, in damped mode, an initial speed that empties the offset level
-    set or an alpha/beta too small for the RK4 reference (rk4_substeps)
-    fails on construction with a ValidationError naming its key or size,
-    before any grid job starts.
+    and checked once (build_run), so a bad value, a repeated size, a grid
+    too fine for the stability bound, a step past flow.MAX_SUBSTEPS
+    leapfrog substeps, wave data or a first substep that overflow a double,
+    a circle that crosses no cell of its grid or, in damped mode, an
+    initial speed that empties the offset level set or an alpha/beta too
+    small for the RK4 reference (rk4_substeps) fails on construction with a
+    ValidationError naming its key or size, before any grid job starts.
+    runs, {size: (HmboConfig, d0)}, keeps the built runs; it is no field,
+    so asdict, == and hash do not see it.  No run writes its d0 (hmbo_step
+    builds new arrays, wave_solve never writes its u0), so the study's
+    threads share them: 174 KB for sizes 16..128, whose study peaks at
+    42.8 MB RSS, and 0.7 MB for 16..256.
     """
 
     mode: str = "mcf"
@@ -120,14 +124,12 @@ class ExperimentConfig:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
         if self.mode == "mcf" and self.v0_normal != 0:
             raise ValidationError(f"'v0_normal' must be 0 in mcf mode, got {self.v0_normal}")
+        runs = {}
         for n in self.grid_sizes:
             if self.grid_sizes.count(n) > 1:
                 raise ValidationError(f"'grid_sizes' repeats grid size {n}")
-            flow_cfg, d0 = build_run(self, n)
-            try:
-                check_start(flow_cfg, d0, self.v0_normal)
-            except ValidationError as exc:
-                raise ValidationError(f"grid size {n}: {exc}") from None
+            runs[int(n)] = build_run(self, n)
+        object.__setattr__(self, "runs", runs)
         if self.mode == "hmcf":  # the damped study's RK4 reference, sampled every tau
             rk4_substeps(self.params, self.tau)
 
@@ -138,12 +140,6 @@ class ExperimentConfig:
     @property
     def params(self) -> PhysicalParams:
         return PhysicalParams(self.alpha, self.beta, self.gamma)
-
-    def flow_config(self, n: int) -> HmboConfig:
-        """Grid size n's run: the mode, coefficients, tau, max_steps
-        (default 2*n_tau) and grid; HmboConfig checks them."""
-        max_steps = self.max_steps if self.max_steps is not None else 2 * self.n_tau
-        return HmboConfig(self.mode, self.params, self.tau, max_steps, make_grid(n, n, self.bounds))
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -204,9 +200,14 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 
 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
-    """Flow config and initial distance field for one grid size."""
-    flow_cfg = cfg.flow_config(n)
+    """Grid size n's run, (HmboConfig, d0), checked as run_flow checks it."""
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
+    flow_cfg = HmboConfig(cfg.mode, cfg.params, cfg.tau, max_steps, make_grid(n, n, cfg.bounds))
     d0 = field_from_function(flow_cfg.grid, lambda x, y: np.hypot(x, y) - cfg.r0)
+    try:
+        check_start(flow_cfg, d0, cfg.v0_normal)
+    except ValidationError as exc:
+        raise ValidationError(f"grid size {n}: {exc}") from None
     return flow_cfg, d0
 
 
@@ -240,7 +241,7 @@ def _reference_radius(cfg: ExperimentConfig, n_s: int) -> RadiusSeries:
 
 
 def _study_one(cfg: ExperimentConfig, n: int):
-    flow_cfg, d0 = build_run(cfg, int(n))
+    flow_cfg, d0 = cfg.runs[int(n)]
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal)
     numeric = radius_history(cfg, records, d0)
     n_s = len(numeric.radii) - 1
@@ -279,7 +280,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
         raise ValidationError("'save_interfaces' is read by hmbo run only; a study writes no snapshots")
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    sizes = sorted(int(n) for n in cfg.grid_sizes)
+    sizes = sorted(cfg.runs)
     report = ErrorReport()
     histories: dict[int, RadiusSeries] = {}
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
@@ -316,7 +317,7 @@ def single_run(cfg: ExperimentConfig) -> list[RunRecord]:
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     size = int(cfg.grid_sizes[0])
-    flow_cfg, d0 = build_run(cfg, size)
+    flow_cfg, d0 = cfg.runs[size]
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal,
                        record_interfaces=cfg.save_interfaces)
     if cfg.out_dir is not None:
@@ -358,11 +359,10 @@ def write_error_table(report: ErrorReport, path) -> None:
 
 def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
     """Echo the configuration plus per-size derived quantities to JSON."""
-    sizes = [int(n) for n in (sizes if sizes is not None else cfg.grid_sizes)]
     echo = asdict(cfg)  # json writes its tuples as arrays
     derived = {"tau": cfg.tau}
-    for n in sizes:
-        flow_cfg = cfg.flow_config(n)
+    for n in (sizes if sizes is not None else cfg.runs):
+        flow_cfg = cfg.runs[n][0]
         derived[str(n)] = {
             "dx": flow_cfg.grid.dx,
             "c2": flow_cfg.c2,

@@ -344,10 +344,13 @@ def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
 
     Central differences at every node, reading the mirror ghost nodes past
     the walls (so K is tangent to a wall at its nodes); nodes with a
-    vanishing gradient get K = 0.  K does not change under f -> -f.
+    vanishing gradient get K = 0.  K does not change under f -> -f or
+    f -> 2^k f, so f is first scaled by the power of two that brings
+    max|f|/dx near 1: exact, and |grad f|^4 then neither overflows nor
+    underflows however large or small f is.
     """
     g = f.grid
-    c = f.values
+    c = np.ldexp(f.values, np.frexp(min(g.dx, g.dy))[1] - np.frexp(np.max(np.abs(f.values)))[1])
     p = _mirror_ghosts(c)
     fx = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.dx)
     fy = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.dy)

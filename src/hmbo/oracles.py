@@ -160,10 +160,9 @@ def hmcf_circle_radius(
     n_sub = rk4_substeps(p, dt)
 
     n = int(np.floor(t_end / dt + 1e-9))
-    samples = [i * dt for i in range(n + 1)]
+    samples = np.arange(n + 1) * dt  # an oversized lattice fails here, allocated at once
     if samples[-1] < t_end - 1e-12 * t_end:
-        samples.append(t_end)
-    samples = np.array(samples)
+        samples = np.append(samples, t_end)
 
     radii, t_ext = _rk4_run(p.alpha, p.beta, p.gamma, r0, rdot0, samples, n_sub)
     while dt / (2 * n_sub) >= _RK4_FLOOR:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from hmbo import harness
+from hmbo import harness, oracles
 from hmbo.cli import cli_main
+from hmbo.harness import ExperimentConfig, build_run
 
 
 def _lines(text):
@@ -214,6 +215,76 @@ def test_non_extinct_row_is_marked_on_stderr(tmp_path, capsys):
     assert err == "grid size 16: no extinction within 40 steps; ns_tau is max_steps*tau\n"
     assert _lines(out)[1].startswith("16,1,")
     assert (tmp_path / "error_table.csv").read_text().splitlines() == _lines(out)[:2]
+
+
+def test_a_study_builds_each_size_once(tmp_path, monkeypatch, capsys):
+    """Construction builds each size's grid and d0 once, and the study, the
+    config echo and the no-extinction lines read those runs (each size's
+    grid was built four times and its d0 twice)."""
+    calls = {"make_grid": 0, "field_from_function": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    rc = cli_main(["convergence", "--mode", "hmcf", "--sizes", "16,32", "--n-tau", "20",
+                   "--max-steps", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert err.count("no extinction within 2 steps") == 2
+    assert calls == {"make_grid": 2, "field_from_function": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["convergence", "--mode", "hmcf", "--sizes", "16,32", "--n-tau", "10", "--max-steps", "2"],
+         ExperimentConfig(mode="hmcf", grid_sizes=(16, 32), n_tau=10, max_steps=2)),
+        (["run", "--n", "12", "--n-tau", "10"], ExperimentConfig(grid_sizes=(12,), n_tau=10)),
+    ],
+    ids=["study", "run"],
+)
+def test_config_echo_derives_each_size_as_build_run(tmp_path, capsys, argv, cfg):
+    """The echo's derived block holds tau and, per size, the dx, c2, dt and
+    max_steps of that size's run, exactly (JSON keeps a double's repr)."""
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    derived = json.loads((tmp_path / "config_echo.json").read_text())["derived"]
+    assert set(derived) == {"tau"} | {str(n) for n in cfg.grid_sizes}
+    assert derived["tau"] == cfg.tau
+    for n in cfg.grid_sizes:
+        run = build_run(cfg, n)[0]
+        assert derived[str(n)] == {"dx": run.grid.dx, "c2": run.c2, "dt": run.dt, "max_steps": run.max_steps}
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, msg",
+    [
+        (["oracle", "--mode", "mcf", "--t-end", "0.5"], oracles.np, "linspace",
+         "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+        (["oracle", "--mode", "hmcf", "--t-end", "0.3", "--dt", "0.05"], oracles.np, "arange",
+         "Unable to allocate 72.8 TiB for an array with shape (10000000000001,) and data type int64"),
+        (["convergence", "--sizes", "16", "--n-tau", "5"], harness, "field_from_function", ""),
+        (["run", "--n", "16", "--n-tau", "5"], harness, "field_from_function", ""),
+    ],
+    ids=["oracle-mcf", "oracle-hmcf", "convergence", "run"],
+)
+def test_a_request_too_large_to_allocate_exits_one(tmp_path, monkeypatch, capsys, no_grid_runs,
+                                                    argv, module, name, msg):
+    """A MemoryError is one error line and exit code 1, not a traceback, and
+    the damped oracle allocates its sample lattice at once (it grew a list
+    toward the full length).  The allocation fails by a patch: no test asks
+    for a really oversized one, which an overcommitting kernel might grant."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(msg)
+
+    monkeypatch.setattr(module, name, no_memory)
+    monkeypatch.chdir(tmp_path)
+    rc = cli_main(argv + ["--out", "out"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {msg or 'out of memory'}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mcf_initial_speed_exits_one_before_any_grid_runs(tmp_path, capsys):

@@ -360,6 +360,22 @@ def test_velocity_sign_flip_same_interfaces():
         assert ra.avg_radius == rb.avg_radius
 
 
+def _damped_radii(scale):
+    g = make_grid(48, 48, (-2, 2, -2, 2))
+    p = PhysicalParams(scale, scale, scale)
+    return [r.avg_radius for r in run_flow(HmboConfig.hmcf(g, p, 1.0 / 300.0, max_steps=20), _circle_sdf(g), 0.3)]
+
+
+@pytest.mark.parametrize("k", [-900, -300, -100, 100, 200, 250, 260, 300, 500, 1000])
+def test_damped_step_is_invariant_under_power_of_two_coefficients(k):
+    """The damped law is homogeneous in (alpha, beta, gamma): scaling all
+    three by 2^k leaves c^2 alone and scales u0, ut0 and u(tau) exactly, so
+    the radii are the same bit for bit.  The curvature of the curved
+    reconstruction divides by |grad f|^4, which overflowed past k = 250
+    (radii off by 0.039) and broke the run at k = 500 and k = -300."""
+    assert _damped_radii(2.0 ** k) == _damped_radii(1.0)
+
+
 # ---------------------------------------------------------------------------
 # run loop
 

@@ -5,6 +5,7 @@ closed-form moment cross-checks."""
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ def test_build_run_damped_mode():
     assert flow_cfg.c2 == pytest.approx(2.0 * cfg.gamma / cfg.alpha)
 
 
+def test_construction_keeps_the_runs_it_built():
+    """Each size's (HmboConfig, d0) is built at construction and kept in
+    runs, keyed by size in grid_sizes order; runs is no field, so asdict,
+    the JSON keys, == and hash do not see it."""
+    cfg = ExperimentConfig(grid_sizes=(32, 16), n_tau=10)
+    assert list(cfg.runs) == [32, 16]
+    for n, (flow_cfg, d0) in cfg.runs.items():
+        want_cfg, want_d0 = build_run(cfg, n)
+        assert flow_cfg == want_cfg
+        assert np.array_equal(d0.values, want_d0.values)
+    assert "runs" not in dataclasses.asdict(cfg)
+    twin = ExperimentConfig(grid_sizes=(32, 16), n_tau=10)
+    assert twin == cfg and hash(twin) == hash(cfg)
+
+
 def test_radius_history_prepends_initial_radius():
     cfg = ExperimentConfig(grid_sizes=(32,), n_tau=10)
     flow_cfg, d0 = build_run(cfg, 32)
@@ -248,6 +264,25 @@ def test_worker_count_rejects_bad_env(monkeypatch, raw):
 
 # ---------------------------------------------------------------------------
 # the study
+
+
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_a_study_leaves_its_shared_runs_unwritten(monkeypatch, mode):
+    """The study's threads share the d0 that construction built, more
+    threads than cores and a short switch interval included; no run writes
+    it."""
+    monkeypatch.setenv("HMCF_THREADS", "4")
+    cfg = ExperimentConfig(mode=mode, grid_sizes=(16, 24, 32, 40), n_tau=10, max_steps=3)
+    before = {n: d0.values.copy() for n, (_, d0) in cfg.runs.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = convergence_study(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row.n for row in report.rows] == [16, 24, 32, 40] and report.failures == []
+    for n, (_, d0) in cfg.runs.items():
+        assert np.array_equal(d0.values, before[n]), n
 
 
 def test_convergence_study_single_size(tmp_path):

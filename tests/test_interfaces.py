@@ -12,6 +12,7 @@ from hmbo.interfaces import (
     InterfaceCurve,
     _bent_chord_distance,
     _bent_chord_frames,
+    _curvature_vector,
     _nearest_segment,
     _scan_block,
     average_radius,
@@ -679,6 +680,23 @@ def test_extraction_and_redistance_commute_with_transposition():
             assert np.array_equal(np.unique(curve.vertices, axis=0), np.unique(curve_t.vertices[:, ::-1], axis=0))
             d, d_t = signed_distance(f, curve, curved=curved), signed_distance(f_t, curve_t, curved=curved)
             assert np.max(np.abs(d_t.values - d.values.T)) <= 1e-12, (i, curved)
+
+
+@pytest.mark.parametrize("k", [-900, -300, -1, 1, 300, 1000])
+def test_curvature_vector_is_invariant_under_power_of_two_scaling(k):
+    """K of 2^k f is K of f bit for bit, however far 2^k is from 1: the
+    field is brought to max|f|/dx near 1 by an exact power of two before
+    |grad f|^4 is formed, which overflowed or underflowed to K = 0 at
+    |k| of some hundreds."""
+    g = make_grid(40, 40, (-2, 2, -2, 2))
+    for f in (
+        field_from_function(g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.2 * np.cos(3.0 * x)),
+        ScalarField(g, np.random.default_rng(0).standard_normal(g.shape)),
+    ):
+        want = _curvature_vector(f)
+        assert np.any(want[0] != 0.0)
+        got = _curvature_vector(ScalarField(g, np.ldexp(f.values, k)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.15], ids=["noise", "noise-with-zeros"])
