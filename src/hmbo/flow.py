@@ -88,17 +88,24 @@ def wave_data(mode: str, p: PhysicalParams, tau: float) -> tuple[float, float, f
     a scales the initial displacement a*(2*d_n - d_nm1), b the initial
     velocity b*d_n and c2 is the squared propagation speed: damped,
     (alpha, beta, 2*gamma/alpha); mcf, (0, 1, 6*gamma/tau), which reads
-    neither alpha nor beta.
+    neither alpha nor beta.  A c2 that underflows to 0 or overflows is
+    rejected with its formula and inputs.
     """
     if mode == "mcf":
         if p.gamma <= 0 or tau <= 0:
             raise ValidationError(f"need gamma > 0 and tau > 0, got {p.gamma}, {tau}")
-        return 0.0, 1.0, 6.0 * p.gamma / tau
-    if mode != "hmcf":
+        a, b, c2 = 0.0, 1.0, 6.0 * p.gamma / tau
+    elif mode == "hmcf":
+        if p.alpha <= 0:
+            raise ValidationError(f"alpha must be positive, got {p.alpha}")
+        a, b, c2 = p.alpha, p.beta, 2.0 * p.gamma / p.alpha
+    else:
         raise ValidationError(f"unknown mode {mode!r}")
-    if p.alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {p.alpha}")
-    return p.alpha, p.beta, 2.0 * p.gamma / p.alpha
+    if not 0 < c2 < np.inf:  # underflowed to 0 or overflowed
+        formula, other = (("6*gamma/tau", f"tau = {tau}") if mode == "mcf"
+                          else ("2*gamma/alpha", f"alpha = {p.alpha}"))
+        raise ValidationError(f"{formula} = {c2} is no positive finite double for gamma = {p.gamma}, {other}")
+    return a, b, c2
 
 
 @dataclass(frozen=True)
@@ -216,8 +223,9 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     Its three stages: propagate the wave data u0 = a*(2*d_n - d_nm1),
     ut0 = b*d_n over tau (wave_solve), extract the zero set of u(tau), and
     redistance from it.  Returns (d_new, curve), the new distance field and
-    the interface it was rebuilt from, or None when u(tau) has one sign:
-    the interface is extinct.  In mcf a = 0, so d_nm1 does not change the
+    the interface it was rebuilt from, or None when the extracted interface
+    is empty, which on a grid is exactly when u(tau) has one sign: the
+    interface is extinct.  In mcf a = 0, so d_nm1 does not change the
     step.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
@@ -225,10 +233,10 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     u0 = ScalarField(cfg.grid, cfg.a * (2.0 * d_n.values - d_nm1.values))
     ut0 = ScalarField(cfg.grid, cfg.b * d_n.values)
     u_tau = wave_solve(u0, ut0, cfg.wave_params())
-    if not has_interface(u_tau):
-        return None
     curved = CURVED[cfg.mode]
     curve = extract_zero_set(u_tau, curved=curved)
+    if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
+        return None
     return signed_distance(u_tau, curve, curved=curved), curve
 
 

@@ -68,19 +68,20 @@ class ExperimentConfig:
     """Parameters of a shrinking-circle experiment.
 
     The step length is tau = r0^2 / (2 * gamma * n_tau), i.e. the exact
-    extinction time of the circle divided into n_tau steps; the substep is
-    derived per grid size by flow.HmboConfig, never set.  alpha, beta and
-    gamma are nonnegative in either mode; the damped mode alone reads alpha
-    and beta (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
+    extinction time of the circle divided into n_tau steps, which must not
+    underflow to 0 or overflow; the substep is derived per grid size by
+    flow.HmboConfig, never set.  alpha, beta and gamma are nonnegative in
+    either mode; the damped mode alone reads alpha and beta
+    (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
     The field names are the keys of a JSON config file.  Every value is
     checked here, its type first, and then every grid size's run is built
     and checked once (build_run), so a bad value, a repeated size, a grid
     too fine for the stability bound, a step past flow.MAX_SUBSTEPS
     leapfrog substeps, wave data or a first substep that overflow a double,
     a circle that crosses no cell of its grid or, in damped mode, an
-    initial speed that empties the offset level set or an alpha/beta too
-    small for the RK4 reference (rk4_substeps) fails on construction with a
-    ValidationError naming its key or size, before any grid job starts.
+    initial speed that empties the offset level set fails on construction
+    with a ValidationError naming its key or size, before any grid job
+    starts.
     runs, {size: (HmboConfig, d0)}, keeps the built runs; it is no field,
     so asdict, == and hash do not see it.  No run writes its d0 (hmbo_step
     builds new arrays, wave_solve never writes its u0), so the study's
@@ -122,6 +123,9 @@ class ExperimentConfig:
             raise ValidationError("r0 does not fit inside the domain")
         if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.tau < np.inf:  # underflowed to 0 or overflowed
+            raise ValidationError(f"tau = r0^2/(2*gamma*n_tau) = {self.tau} is no positive finite double "
+                                  f"for r0 = {self.r0}, gamma = {self.gamma}, n_tau = {self.n_tau}")
         if self.mode == "mcf" and self.v0_normal != 0:
             raise ValidationError(f"'v0_normal' must be 0 in mcf mode, got {self.v0_normal}")
         runs = {}
@@ -130,8 +134,6 @@ class ExperimentConfig:
                 raise ValidationError(f"'grid_sizes' repeats grid size {n}")
             runs[int(n)] = build_run(self, n)
         object.__setattr__(self, "runs", runs)
-        if self.mode == "hmcf":  # the damped study's RK4 reference, sampled every tau
-            rk4_substeps(self.params, self.tau)
 
     @property
     def tau(self) -> float:
@@ -240,17 +242,6 @@ def _reference_radius(cfg: ExperimentConfig, n_s: int) -> RadiusSeries:
     return RadiusSeries(np.arange(n_s + 1) * cfg.tau, radii)
 
 
-def _study_one(cfg: ExperimentConfig, n: int):
-    flow_cfg, d0 = cfg.runs[int(n)]
-    records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal)
-    numeric = radius_history(cfg, records, d0)
-    n_s = len(numeric.radii) - 1
-    exact = _reference_radius(cfg, n_s)
-    err = error_integral(exact, numeric, cfg.tau, min(n_s, len(exact.radii) - 1))
-    row = ErrorRow(int(n), n_s * cfg.tau, err, went_extinct=numeric.extinction_time is not None)
-    return row, numeric
-
-
 def _worker_count(n_jobs: int) -> int:
     raw = os.environ.get(THREADS_ENV, "").strip()
     if raw:
@@ -268,36 +259,42 @@ def _worker_count(n_jobs: int) -> int:
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     """Run the shrinking-circle experiment over cfg.grid_sizes.
 
-    Per-size runs are independent and may execute in parallel (worker count
-    capped by the HMCF_THREADS environment variable); results are merged in
-    ascending grid order, so output files are reproducible byte for byte.
-    A failing size goes to report.failures as (n, message), for the caller
-    to print, and does not stop the others.  out_dir is created before any
-    size runs, so an unwritable one fails first.  A study writes no
-    interface snapshots, so save_interfaces is rejected.
+    The pool runs each size's run_flow (worker count capped by the
+    HMCF_THREADS environment variable), and the sizes are scored in
+    ascending grid order while larger ones still run, so output files are
+    reproducible byte for byte.  A size whose run or scoring fails goes to
+    report.failures as (n, message), for the caller to print, and does not
+    stop the others.  A study writes no interface snapshots, so
+    save_interfaces is rejected; a damped study samples its RK4 reference
+    every tau, so an alpha/beta too small for it (rk4_substeps) is rejected
+    too.  Both checks come before out_dir is created, and out_dir before any
+    size runs, so an unwritable one fails first.
     """
     if cfg.save_interfaces:
         raise ValidationError("'save_interfaces' is read by hmbo run only; a study writes no snapshots")
+    if cfg.mode == "hmcf":
+        rk4_substeps(cfg.params, cfg.tau)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     sizes = sorted(cfg.runs)
     report = ErrorReport()
-    histories: dict[int, RadiusSeries] = {}
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        futures = {n: pool.submit(_study_one, cfg, n) for n in sizes}
-    for n in sizes:
-        try:
-            row, numeric = futures[n].result()
-        except Exception as exc:  # noqa: BLE001 - reported per size
-            report.failures.append((n, str(exc)))
-            continue
-        report.rows.append(row)
-        histories[n] = numeric
+        futures = {n: pool.submit(run_flow, *cfg.runs[n], v0_normal=cfg.v0_normal) for n in sizes}
+        for n in sizes:
+            try:
+                numeric = radius_history(cfg, futures[n].result(), cfg.runs[n][1])
+                n_s = len(numeric.radii) - 1
+                exact = _reference_radius(cfg, n_s)
+                err = error_integral(exact, numeric, cfg.tau, min(n_s, len(exact.radii) - 1))
+            except Exception as exc:  # noqa: BLE001 - reported per size
+                report.failures.append((n, str(exc)))
+                continue
+            report.rows.append(ErrorRow(n, n_s * cfg.tau, err, went_extinct=numeric.extinction_time is not None))
+            if cfg.out_dir is not None:
+                write_run_csv(numeric, os.path.join(cfg.out_dir, f"run_{n}.csv"))
 
     if cfg.out_dir is not None:
         write_error_table(report, os.path.join(cfg.out_dir, "error_table.csv"))
-        for n, numeric in histories.items():
-            write_run_csv(numeric, os.path.join(cfg.out_dir, f"run_{n}.csv"))
         write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"))
     return report
 

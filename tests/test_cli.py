@@ -6,6 +6,7 @@ import pytest
 
 from hmbo import harness, oracles
 from hmbo.cli import cli_main
+from hmbo.errors import NumericalError
 from hmbo.harness import ExperimentConfig, build_run
 
 
@@ -205,6 +206,39 @@ def test_convergence_partial_failure_exit_code(fail_at_64, capsys):
     assert err.count("grid size 64 failed") == 1
 
 
+def test_a_size_whose_scoring_fails_is_that_sizes_failure(tmp_path, monkeypatch, capsys):
+    """A size's run goes to the pool and its scoring to the ordered merge; a
+    scoring error is that size's failure, as a failed run is, and the other
+    sizes keep their rows and radius logs."""
+    radius_history = harness.radius_history
+
+    def flaky(cfg, records, d0):
+        if d0.grid.nx == 32:
+            raise NumericalError("radius of a broken interface")
+        return radius_history(cfg, records, d0)
+
+    monkeypatch.setattr(harness, "radius_history", flaky)
+    out = tmp_path / "d"
+    rc = cli_main(["convergence", "--sizes", "16,32,64", "--n-tau", "10", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "grid size 32 failed: radius of a broken interface" in err
+    table = (out / "error_table.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in table] == ["N", "16", "64"]
+    assert (out / "run_16.csv").exists() and (out / "run_64.csv").exists()
+    assert not (out / "run_32.csv").exists()
+
+
+def test_run_reads_no_rk4_reference(capsys):
+    """hmbo run computes no RK4 reference, so an alpha/beta below its floor
+    runs (the study of the same config exits 1, test_bad_config_input_exits_one)."""
+    rc = cli_main(["run", "--mode", "hmcf", "--alpha", "1e-8", "--n", "16", "--n-tau", "20", "--max-steps", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ""
+    assert out.startswith("step 1: t=0.025 ")
+
+
 def test_non_extinct_row_is_marked_on_stderr(tmp_path, capsys):
     """A row whose circle never went extinct reports ns_tau = max_steps*tau
     (here 40 steps of 0.025); one stderr line says so, and the exit code and
@@ -374,6 +408,20 @@ def test_validation_errors_exit_one(capsys):
         ("convergence", '{"mode": "hmcf"}', ["--alpha", "1e-8", "--sizes", "16", "--n-tau", "20"], None),
         ("convergence", '{"bounds": [-4.7e153, 4.7e153, -4.7e153, 4.7e153], "r0": 1e153}',
          ["--sizes", "17", "--n-tau", "5"], None),
+        # a squared wave speed or a tau that underflows to 0 or overflows,
+        # reported with the inputs it comes from
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--gamma", "1e-300"], ("gamma",)),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--gamma", "1e200"], ("gamma",)),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--mode", "hmcf", "--gamma", "1e-320",
+                       "--alpha", "1e10"], ("r0", "gamma", "n_tau")),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--mode", "hmcf", "--gamma", "1e-300",
+                       "--alpha", "1e30"], ("gamma", "alpha")),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--mode", "hmcf", "--alpha", "5e-324"],
+         ("gamma", "alpha")),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--mode", "hmcf", "--alpha", "1e-310"],
+         ("gamma", "alpha")),
+        ("run", "{}", ["--n", "16", "--n-tau", "5", "--max-steps", "1", "--gamma", "1e300", "--r0", "1e-100"],
+         ("r0", "gamma", "n_tau")),
     ],
     ids=[
         "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
@@ -387,6 +435,8 @@ def test_validation_errors_exit_one(capsys):
         "convergence-save_interfaces",
         "circle-between-nodes", "run-circle-between-nodes", "hmcf-offset-empty", "sizes-repeated",
         "hmcf-substeps-past-ceiling", "hmcf-rk4-below-floor", "wave-data-overflow",
+        "mcf-c2-underflow", "mcf-c2-overflow", "hmcf-tau-overflow", "hmcf-c2-underflow", "hmcf-c2-overflow-subnormal-alpha",
+        "hmcf-c2-overflow", "tau-underflow",
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, no_grid_runs, command, config_text, extra, key):
@@ -402,6 +452,9 @@ def test_bad_config_input_exits_one(tmp_path, capsys, no_grid_runs, command, con
     assert len(_lines(err)) == 1  # and no "grid size N failed" line
     if isinstance(key, int):  # a bad grid size is reported with the size
         assert f"grid size {key}:" in err
+    elif isinstance(key, tuple):  # derived data out of range, reported with its inputs
+        assert all(f"{k} = " in err for k in key)
+        assert "c2" not in err and "dt" not in err
     elif key is not None:  # a wrongly typed value is reported with its key
         assert repr(key) in err.splitlines()[0]
     assert not out.exists()  # rejected before any output is written

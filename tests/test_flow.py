@@ -316,10 +316,10 @@ def test_run_flow_shifts_the_history(monkeypatch, mode):
 
 
 def test_damped_run_builds_and_checks_its_start_once(monkeypatch):
-    """A damped run checks the sign of two fields before any step, d0 and the
-    offset d0 + v0*tau, each once."""
+    """A damped run checks the sign of two fields, d0 and the offset
+    d0 + v0*tau, each once; a step decides extinction from its extracted
+    interface and makes no sign pass of its own (five steps made five)."""
     g = make_grid(32, 32, (-2, 2, -2, 2))
-    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 60.0, max_steps=0)
     d0 = _circle_sdf(g, inside_positive=True)
     checked, has_interface = [], flow.has_interface
 
@@ -328,9 +328,13 @@ def test_damped_run_builds_and_checks_its_start_once(monkeypatch):
         return has_interface(field)
 
     monkeypatch.setattr(flow, "has_interface", recording_has_interface)
-    assert run_flow(cfg, d0, 0.3) == []
-    assert len(checked) == 2 and checked[0] is d0
-    assert np.array_equal(checked[1].values, d0.values + 0.3 * cfg.tau)
+    for max_steps in (0, 5):
+        checked.clear()
+        cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 60.0, max_steps=max_steps)
+        records = run_flow(cfg, d0, 0.3)
+        assert len(records) == max_steps and not any(rec.extinct for rec in records)
+        assert len(checked) == 2 and checked[0] is d0
+        assert np.array_equal(checked[1].values, d0.values + 0.3 * cfg.tau)
 
 
 def test_step_grid_mismatch_rejected():
