@@ -74,8 +74,7 @@ def _cmd_convergence(args) -> int:
         print(f"grid size {n} failed: {msg}", file=sys.stderr)
     for row in report.rows:
         if not row.went_extinct:
-            steps = cfg.runs[row.n][0].max_steps
-            print(f"grid size {row.n}: no extinction within {steps} steps; ns_tau is max_steps*tau",
+            print(f"grid size {row.n}: no extinction within {cfg.steps} steps; ns_tau is max_steps*tau",
                   file=sys.stderr)
     sys.stdout.write(format_error_table(report))
     if cfg.out_dir:

@@ -34,6 +34,7 @@ from .flow import (
     RunRecord,
     check_start,
     run_flow,
+    wave_data,
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval, rk4_substeps
@@ -59,13 +60,15 @@ def _conforms(value, tp) -> bool:
         return tp is bool and isinstance(value, bool)
     if tp in (float, int):  # not NaN, infinite or an int past a double's range
         kind = numbers.Real if tp is float else numbers.Integral
-        return isinstance(value, kind) and abs(value) <= sys.float_info.max
+        # a numpy scalar as a Python number, so the bound is not cast down to a float32
+        number = value.item() if isinstance(value, np.generic) else value
+        return isinstance(value, kind) and abs(number) <= sys.float_info.max
     return isinstance(value, tp)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of a shrinking-circle experiment.
+    """Parameters of a shrinking-circle experiment, and nothing else.
 
     The step length is tau = r0^2 / (2 * gamma * n_tau), i.e. the exact
     extinction time of the circle divided into n_tau steps, which must not
@@ -73,20 +76,15 @@ class ExperimentConfig:
     flow.HmboConfig, never set.  alpha, beta and gamma are nonnegative in
     either mode; the damped mode alone reads alpha and beta
     (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
-    The field names are the keys of a JSON config file.  Every value is
-    checked here, its type first, and then every grid size's run is built
-    and checked once (build_run), so a bad value, a repeated size, a grid
+    The field names are the keys of a JSON config file.  Construction makes
+    every check that needs no grid, with a ValidationError naming its key:
+    each value's type first, then its range, a repeated size, and the mode
+    and coefficients (flow.wave_data).  A check that needs a grid (a grid
     too fine for the stability bound, a step past flow.MAX_SUBSTEPS
     leapfrog substeps, wave data or a first substep that overflow a double,
     a circle that crosses no cell of its grid or, in damped mode, an
-    initial speed that empties the offset level set fails on construction
-    with a ValidationError naming its key or size, before any grid job
-    starts.
-    runs, {size: (HmboConfig, d0)}, keeps the built runs; it is no field,
-    so asdict, == and hash do not see it.  No run writes its d0 (hmbo_step
-    builds new arrays, wave_solve never writes its u0), so the study's
-    threads share them: 174 KB for sizes 16..128, whose study peaks at
-    42.8 MB RSS, and 0.7 MB for 16..256.
+    initial speed that empties the offset level set) is made by build_run,
+    for the sizes a command runs, before any of them runs.
     """
 
     mode: str = "mcf"
@@ -128,12 +126,12 @@ class ExperimentConfig:
                                   f"for r0 = {self.r0}, gamma = {self.gamma}, n_tau = {self.n_tau}")
         if self.mode == "mcf" and self.v0_normal != 0:
             raise ValidationError(f"'v0_normal' must be 0 in mcf mode, got {self.v0_normal}")
-        runs = {}
-        for n in self.grid_sizes:
-            if self.grid_sizes.count(n) > 1:
-                raise ValidationError(f"'grid_sizes' repeats grid size {n}")
-            runs[int(n)] = build_run(self, n)
-        object.__setattr__(self, "runs", runs)
+        repeated = [n for n in self.grid_sizes if self.grid_sizes.count(n) > 1]
+        if repeated:
+            raise ValidationError(f"'grid_sizes' repeats grid size {repeated[0]}")
+        wave_data(self.mode, self.params, self.tau)
+        if self.steps < 0:
+            raise ValidationError(f"max_steps must be nonnegative, got {self.max_steps}")
 
     @property
     def tau(self) -> float:
@@ -142,6 +140,10 @@ class ExperimentConfig:
     @property
     def params(self) -> PhysicalParams:
         return PhysicalParams(self.alpha, self.beta, self.gamma)
+
+    @property
+    def steps(self) -> int:  # each run's step cap
+        return self.max_steps if self.max_steps is not None else 2 * self.n_tau
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -203,8 +205,7 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
     """Grid size n's run, (HmboConfig, d0), checked as run_flow checks it."""
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * cfg.n_tau
-    flow_cfg = HmboConfig(cfg.mode, cfg.params, cfg.tau, max_steps, make_grid(n, n, cfg.bounds))
+    flow_cfg = HmboConfig(cfg.mode, cfg.params, cfg.tau, cfg.steps, make_grid(n, n, cfg.bounds))
     d0 = field_from_function(flow_cfg.grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     try:
         check_start(flow_cfg, d0, cfg.v0_normal)
@@ -259,7 +260,8 @@ def _worker_count(n_jobs: int) -> int:
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     """Run the shrinking-circle experiment over cfg.grid_sizes.
 
-    The pool runs each size's run_flow (worker count capped by the
+    Every size's run is built and checked (build_run) before any runs.  The
+    pool runs each size's run_flow (worker count capped by the
     HMCF_THREADS environment variable), and the sizes are scored in
     ascending grid order while larger ones still run, so output files are
     reproducible byte for byte.  A size whose run or scoring fails goes to
@@ -270,19 +272,20 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     too.  Both checks come before out_dir is created, and out_dir before any
     size runs, so an unwritable one fails first.
     """
+    runs = {int(n): build_run(cfg, n) for n in cfg.grid_sizes}
     if cfg.save_interfaces:
         raise ValidationError("'save_interfaces' is read by hmbo run only; a study writes no snapshots")
     if cfg.mode == "hmcf":
         rk4_substeps(cfg.params, cfg.tau)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    sizes = sorted(cfg.runs)
+    sizes = sorted(runs)
     report = ErrorReport()
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        futures = {n: pool.submit(run_flow, *cfg.runs[n], v0_normal=cfg.v0_normal) for n in sizes}
+        futures = {n: pool.submit(run_flow, *runs[n], v0_normal=cfg.v0_normal) for n in sizes}
         for n in sizes:
             try:
-                numeric = radius_history(cfg, futures[n].result(), cfg.runs[n][1])
+                numeric = radius_history(cfg, futures[n].result(), runs[n][1])
                 n_s = len(numeric.radii) - 1
                 exact = _reference_radius(cfg, n_s)
                 err = error_integral(exact, numeric, cfg.tau, min(n_s, len(exact.radii) - 1))
@@ -295,7 +298,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
 
     if cfg.out_dir is not None:
         write_error_table(report, os.path.join(cfg.out_dir, "error_table.csv"))
-        write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"))
+        write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"), runs)
     return report
 
 
@@ -303,23 +306,23 @@ def single_run(cfg: ExperimentConfig) -> list[RunRecord]:
     """One flow at the first entry n of grid_sizes, with optional CSV
     outputs.
 
-    Writes run_{n}.csv, config_echo.json and (when save_interfaces is set)
-    per-step vertex clouds interface_step{k}.csv into out_dir, which is
-    created before the run, so an unwritable one fails first.
-    save_interfaces without out_dir is rejected, since nothing would be
-    written.
+    Size n's run alone is built and checked (build_run).  Writes run_{n}.csv,
+    config_echo.json and (when save_interfaces is set) per-step vertex
+    clouds interface_step{k}.csv into out_dir, which is created before the
+    run, so an unwritable one fails first.  save_interfaces without out_dir
+    is rejected, since nothing would be written.
     """
+    size = int(cfg.grid_sizes[0])
+    flow_cfg, d0 = run = build_run(cfg, size)
     if cfg.save_interfaces and cfg.out_dir is None:
         raise ValidationError("'save_interfaces' (--snapshots) needs an output directory (--out)")
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    size = int(cfg.grid_sizes[0])
-    flow_cfg, d0 = cfg.runs[size]
     records = run_flow(flow_cfg, d0, v0_normal=cfg.v0_normal,
                        record_interfaces=cfg.save_interfaces)
     if cfg.out_dir is not None:
         write_run_csv(radius_history(cfg, records, d0), os.path.join(cfg.out_dir, f"run_{size}.csv"))
-        write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"), sizes=[size])
+        write_config_echo(cfg, os.path.join(cfg.out_dir, "config_echo.json"), {size: run})
         if cfg.save_interfaces:
             write_interface_csv(
                 extract_zero_set(d0, curved=CURVED[cfg.mode]),
@@ -354,12 +357,11 @@ def write_error_table(report: ErrorReport, path) -> None:
         fh.write(format_error_table(report))
 
 
-def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
-    """Echo the configuration plus per-size derived quantities to JSON."""
+def write_config_echo(cfg: ExperimentConfig, path, runs) -> None:
+    """Echo cfg and the derived quantities of runs, {size: build_run(cfg, size)}, to JSON."""
     echo = asdict(cfg)  # json writes its tuples as arrays
     derived = {"tau": cfg.tau}
-    for n in (sizes if sizes is not None else cfg.runs):
-        flow_cfg = cfg.runs[n][0]
+    for n, (flow_cfg, _) in runs.items():
         derived[str(n)] = {
             "dx": flow_cfg.grid.dx,
             "c2": flow_cfg.c2,
@@ -368,7 +370,8 @@ def write_config_echo(cfg: ExperimentConfig, path, sizes=None) -> None:
         }
     echo["derived"] = derived
     with open(path, "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
+        # a numpy scalar in cfg is written as the number it holds
+        json.dump(echo, fh, indent=2, sort_keys=True, default=lambda o: o.item())
         fh.write("\n")
 
 

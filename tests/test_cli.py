@@ -252,9 +252,9 @@ def test_non_extinct_row_is_marked_on_stderr(tmp_path, capsys):
 
 
 def test_a_study_builds_each_size_once(tmp_path, monkeypatch, capsys):
-    """Construction builds each size's grid and d0 once, and the study, the
-    config echo and the no-extinction lines read those runs (each size's
-    grid was built four times and its d0 twice)."""
+    """A command builds the grid and d0 of each size it runs once, and no
+    other size's (a study built each size's grid four times and its d0
+    twice; hmbo run built all five default sizes to run the first)."""
     calls = {"make_grid": 0, "field_from_function": 0}
     for name in calls:
         def counted(*args, _f=getattr(harness, name), _name=name, **kwargs):
@@ -262,11 +262,28 @@ def test_a_study_builds_each_size_once(tmp_path, monkeypatch, capsys):
             return _f(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     rc = cli_main(["convergence", "--mode", "hmcf", "--sizes", "16,32", "--n-tau", "20",
-                   "--max-steps", "2", "--out", str(tmp_path)])
+                   "--max-steps", "2", "--out", str(tmp_path / "study")])
     err = capsys.readouterr().err
     assert rc == 0
     assert err.count("no extinction within 2 steps") == 2
     assert calls == {"make_grid": 2, "field_from_function": 2}
+    calls.update(make_grid=0, field_from_function=0)
+    rc = cli_main(["run", "--n-tau", "10", "--max-steps", "1", "--out", str(tmp_path / "run")])  # default sizes
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.startswith("step 1:")
+    assert calls == {"make_grid": 1, "field_from_function": 1}
+
+
+def test_run_builds_and_checks_only_the_size_it_runs(capsys):
+    """hmbo run checks only the first size: a damped step at alpha = 1e-9
+    takes 1581 leapfrog substeps on its 16x16 grid, within the ceiling, but
+    13,400 on the 128x128 grid of the default sizes, which it never runs."""
+    rc = cli_main(["run", "--mode", "hmcf", "--alpha", "1e-9", "--beta", "0", "--max-steps", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ""
+    assert out.startswith("step 1:")
 
 
 @pytest.mark.parametrize(

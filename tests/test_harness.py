@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from hmbo import harness
 from hmbo.errors import ValidationError
 from hmbo.flow import RunRecord
 from hmbo.harness import (
@@ -60,7 +61,6 @@ def test_default_step_length():
         {"r0": True},
         {"max_steps": "3"},
         {"max_steps": -1},
-        {"grid_sizes": (16, 10**200)},  # a spacing whose square underflows
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -68,12 +68,47 @@ def test_config_rejects_bad_values(kw):
         ExperimentConfig(**kw)
 
 
-def test_config_accepts_ints_for_floats_and_numpy_scalars():
-    cfg = ExperimentConfig(r0=1, bounds=(-2, 2, -2, 2), grid_sizes=(np.int64(16),),
-                           max_steps=np.int32(3), gamma=np.float64(1.0))
-    assert cfg.tau == pytest.approx(1.0 / 300.0)
+def _python_typed(value):
+    """value with each numpy scalar in it replaced by the number it holds."""
+    if isinstance(value, tuple):
+        return tuple(map(_python_typed, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def test_config_accepts_ints_for_floats_and_numpy_scalars(tmp_path):
+    """Accepted, and the study writes the same config echo, byte for byte,
+    as for the config with each numpy scalar replaced by the number it
+    holds."""
+    for kw in (
+        {"r0": 1, "bounds": (-2, 2, -2, 2), "grid_sizes": (np.int64(16),), "max_steps": np.int32(1),
+         "gamma": np.float64(1.0)},
+        {"n_tau": np.int64(10), "max_steps": np.int64(2)},
+        # float32 and float16 values are compared with a double's range in
+        # double precision, with no overflowing cast (an error in this suite)
+        {"bounds": (np.float32(-2), np.float16(2), np.float16(-2), np.float32(2)),
+         "v0_normal": np.float16(0), "alpha": np.float32(0.5), "beta": np.float16(2)},
+    ):
+        kw = {"grid_sizes": (16,), "n_tau": 10, "max_steps": 1, "out_dir": str(tmp_path), **kw}
+        cfg = ExperimentConfig(**kw)
+        twin = ExperimentConfig(**{k: _python_typed(v) for k, v in kw.items()})
+        assert cfg.tau == twin.tau
+        echoes = []
+        for c in (cfg, twin):
+            convergence_study(c)
+            echoes.append((tmp_path / "config_echo.json").read_bytes())
+        assert echoes[0] == echoes[1], kw
     # alpha is read only in damped mode
     assert ExperimentConfig(alpha=0.0).alpha == 0.0
+
+
+def test_a_float32_radius_is_echoed_whole(tmp_path):
+    """r0 = float32(1.0) is accepted with no overflowing cast, and its study
+    writes the whole echo (JSON writing stopped at the first numpy scalar)."""
+    cfg = ExperimentConfig(r0=np.float32(1.0), grid_sizes=(16,), n_tau=10, max_steps=1, out_dir=str(tmp_path))
+    convergence_study(cfg)
+    echo = json.loads((tmp_path / "config_echo.json").read_text())
+    assert echo["r0"] == 1.0
+    assert set(echo["derived"]) == {"tau", "16"}
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +226,13 @@ def test_build_run_damped_mode():
     assert flow_cfg.c2 == pytest.approx(2.0 * cfg.gamma / cfg.alpha)
 
 
-def test_construction_keeps_the_runs_it_built():
-    """Each size's (HmboConfig, d0) is built at construction and kept in
-    runs, keyed by size in grid_sizes order; runs is no field, so asdict,
-    the JSON keys, == and hash do not see it."""
-    cfg = ExperimentConfig(grid_sizes=(32, 16), n_tau=10)
-    assert list(cfg.runs) == [32, 16]
-    for n, (flow_cfg, d0) in cfg.runs.items():
-        want_cfg, want_d0 = build_run(cfg, n)
-        assert flow_cfg == want_cfg
-        assert np.array_equal(d0.values, want_d0.values)
-    assert "runs" not in dataclasses.asdict(cfg)
-    twin = ExperimentConfig(grid_sizes=(32, 16), n_tau=10)
-    assert twin == cfg and hash(twin) == hash(cfg)
+def test_build_run_rejects_a_grid_whose_spacing_squared_underflows():
+    """A size in a double's range whose spacing squared underflows needs its
+    grid to be found out, so build_run rejects it, not construction."""
+    cfg = ExperimentConfig(grid_sizes=(16, 10**200))
+    build_run(cfg, 16)
+    with pytest.raises(ValidationError, match="too fine"):
+        build_run(cfg, 10**200)
 
 
 def test_radius_history_prepends_initial_radius():
@@ -268,12 +297,19 @@ def test_worker_count_rejects_bad_env(monkeypatch, raw):
 
 @pytest.mark.parametrize("mode", ["mcf", "hmcf"])
 def test_a_study_leaves_its_shared_runs_unwritten(monkeypatch, mode):
-    """The study's threads share the d0 that construction built, more
-    threads than cores and a short switch interval included; no run writes
-    it."""
+    """The study's threads read the d0 that build_run built and the study
+    scores, more threads than cores and a short switch interval included;
+    no run writes it."""
+    built, before = {}, {}
+
+    def build_and_keep(cfg, n):
+        run = build_run(cfg, n)
+        built[n], before[n] = run[1], run[1].values.copy()
+        return run
+
+    monkeypatch.setattr(harness, "build_run", build_and_keep)
     monkeypatch.setenv("HMCF_THREADS", "4")
     cfg = ExperimentConfig(mode=mode, grid_sizes=(16, 24, 32, 40), n_tau=10, max_steps=3)
-    before = {n: d0.values.copy() for n, (_, d0) in cfg.runs.items()}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -281,7 +317,8 @@ def test_a_study_leaves_its_shared_runs_unwritten(monkeypatch, mode):
     finally:
         sys.setswitchinterval(interval)
     assert [row.n for row in report.rows] == [16, 24, 32, 40] and report.failures == []
-    for n, (_, d0) in cfg.runs.items():
+    assert sorted(built) == [16, 24, 32, 40]
+    for n, d0 in built.items():
         assert np.array_equal(d0.values, before[n]), n
 
 
