@@ -135,7 +135,10 @@ class ExperimentConfig:
 
     @property
     def tau(self) -> float:
-        return self.r0 * self.r0 / (2.0 * self.gamma * self.n_tau)
+        # in doubles whatever the operands' types: an integer r0 squares
+        # past a double's range, and a float32 one rounds tau to float32
+        r0, gamma, n_tau = float(self.r0), float(self.gamma), float(self.n_tau)
+        return r0 * r0 / (2.0 * gamma * n_tau)
 
     @property
     def params(self) -> PhysicalParams:

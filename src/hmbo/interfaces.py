@@ -29,6 +29,12 @@ block's diagonal (widened by a relative slack far above rounding).  Only
 those are scanned, in increasing index order, by _point_segment_sq, the one
 copy of the per-pair arithmetic.  So the field is bit-identical to an
 exhaustive scan's with that arithmetic, and the first segment wins ties.
+A block's result does not depend on the other blocks, so signed_distance
+can compute a band of them (reach=W): it then returns a BandField, exact on
+the blocks whose centre lies within W + r of the interface (r the block's
+half-diagonal) and elsewhere provisional, the source field's sign bit times
+the centre's distance, until its values are first read, which completes
+them to the same bits.  hmbo.flow's damped step uses the band.
 
 Two reconstructions of the interface are offered:
 
@@ -261,6 +267,85 @@ def _scan_block(px, py, seg):
     return best.reshape(shape), first.reshape(shape)
 
 
+class _Tiles:
+    """The grid's nodes in blocks (tiles) of _TILE x _TILE, and each tile's
+    candidate segments: the state of the pruned scan of _nearest_segment,
+    which scan() runs on any subset of the tiles.
+
+    Tile k is tile row k // kx and tile column k % kx; node r * _TILE + c
+    of a tile is its node in row r and column c, at grid index
+    (iy[k // kx, r], ix[k % kx, c]) and coordinates (col[k % kx, c],
+    row[k // kx, r]).  The last tile row and column
+    repeat the grid's last node row and column.  Each tile has a centre
+    (cx, cy), a half-diagonal r from its first to its last node and the
+    least computed distance dc from its centre to a segment.
+    """
+
+    def __init__(self, grid, seg, scale):
+        ny, nx = grid.shape
+        self.ix, self.iy = (np.minimum(np.arange(-(-n // _TILE) * _TILE), n - 1).reshape(-1, _TILE)
+                            for n in (nx, ny))
+        self.col, self.row = grid.x_coords()[self.ix], grid.y_coords()[self.iy]
+        col, row = self.col, self.row
+        kx, ky = self.kx, self.ky = len(col), len(row)
+        cx, cy = np.tile(0.5 * (col[:, 0] + col[:, -1]), ky), np.repeat(0.5 * (row[:, 0] + row[:, -1]), kx)
+        self.r = np.hypot(np.tile(0.5 * (col[:, -1] - col[:, 0]), ky), np.repeat(0.5 * (row[:, -1] - row[:, 0]), kx))
+
+        # each tile's candidates, for as many tiles at a time as keep the
+        # centre distances within _BLOCK (tile, segment) pairs
+        per = max(1, _BLOCK // seg[0].shape[0])
+        n_cand, found, dc2 = [], [], []
+        for p in (slice(t, t + per) for t in range(0, kx * ky, per)):
+            d2 = _point_segment_sq(cx[p, None], cy[p, None], seg)
+            dc2.append(d2.min(axis=1))
+            bound = (np.sqrt(dc2[-1]) + 2.0 * self.r[p]) * (1.0 + _SLACK) + _SLACK * scale
+            near = d2 <= (bound**2)[:, None]
+            n_cand.append(near.sum(axis=1))
+            found.append(np.nonzero(near)[1])
+        self.n_cand, self.cand = np.concatenate(n_cand), np.concatenate(found)
+        self.cand_start = np.cumsum(self.n_cand) - self.n_cand
+        self.dc = np.sqrt(np.concatenate(dc2))
+
+    def nodes(self, tiles):
+        """Grid indices (j, i) and coordinates (x, y) of the tiles' nodes,
+        each (T, _TILE * _TILE)."""
+        tx, ty = tiles % self.kx, tiles // self.kx
+        return (np.repeat(self.iy[ty], _TILE, axis=1), np.tile(self.ix[tx], _TILE),
+                np.tile(self.col[tx], _TILE), np.repeat(self.row[ty], _TILE, axis=1))
+
+    def scan(self, seg, tiles):
+        """Least squared distance from each node of the tiles to a segment
+        and the first segment attaining it, each (T, _TILE * _TILE)."""
+        best = np.empty((tiles.size, _TILE * _TILE))
+        nearest = np.empty((tiles.size, _TILE * _TILE), dtype=np.intp)
+        n_cand = self.n_cand[tiles]
+        order = np.argsort(-n_cand, kind="stable")
+        i = 0
+        while i < order.size:
+            width = n_cand[order[i]]
+            at = order[i : i + max(1, _BLOCK // (_TILE * _TILE * width))]
+            i += at.size
+            bl = tiles[at]
+            cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
+            _, _, qx, qy = self.nodes(bl)
+            best[at], j = _scan_block(qx[..., None], qy[..., None], tuple(v[cand][:, None, :] for v in seg))
+            nearest[at] = np.take_along_axis(cand, j, axis=1)
+        return best, nearest
+
+    def untile(self, v, shape):
+        """Values of every tile, (kx * ky, _TILE * _TILE), in the (ny, nx)
+        node layout, without the repeated nodes."""
+        kx, ky = self.kx, self.ky
+        return v.reshape(ky, kx, _TILE, _TILE).swapaxes(1, 2).reshape(ky * _TILE, kx * _TILE)[: shape[0], : shape[1]]
+
+
+def _scale(grid, a, b):
+    """The largest coordinate magnitude of the grid's nodes and the segment
+    ends, the unit of the scan's and the band's rounding slack."""
+    g = grid
+    return max(np.abs(a).max(), np.abs(b).max(), abs(g.xmin), abs(g.xmax), abs(g.ymin), abs(g.ymax))
+
+
 def _nearest_segment(grid, a, b):
     """Squared distance from each node of grid to its nearest segment, and
     the index of that segment (the first one on ties), as (ny, nx) arrays.
@@ -268,78 +353,35 @@ def _nearest_segment(grid, a, b):
 
     A pruned scan, exactly equal to the exhaustive one:
 
-    * the nodes are grouped into blocks of _TILE x _TILE nodes by index; the
-      last block row and column repeat the grid's last node row and column.
-      Every node p of a block lies within r, half the diagonal from its
-      first to its last node, of its centre c, so by the triangle inequality
-      p's nearest segment s* has d(c, s*) <= r + d(p) <= 2r + d(c);
+    * the nodes are grouped into tiles of _TILE x _TILE nodes by index
+      (_Tiles).  Every node p of a tile lies within r, half the diagonal
+      from its first to its last node, of its centre c, so by the triangle
+      inequality p's nearest segment s* has d(c, s*) <= r + d(p) <=
+      2r + d(c);
     * a computed distance falls below the exact one by at most a few units
       in the last place of the largest coordinate (scale), so the segments
       within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c include every one
       whose computed distance can reach or tie the computed minimum.  They
       are compared as squares, so a bound whose square overflows keeps every
       segment;
-    * each block's candidates, in increasing index order, are scanned by
+    * each tile's candidates, in increasing index order, are scanned by
       _point_segment_sq, so the minimum is bit-identical and the first index
-      among equal distances wins.  Blocks go in order of decreasing candidate
-      count, as dense (block, node, candidate) arrays of as many blocks as
+      among equal distances wins.  Tiles go in order of decreasing candidate
+      count, as dense (tile, node, candidate) arrays of as many tiles as
       fit in _BLOCK pairs at the first one's count; a shorter candidate list
       is padded with its own last candidate, which does not change the first
-      minimum.
+      minimum.  A tile's result does not depend on the tiles scanned with
+      it, so any subset of the tiles scans to the same bits.
 
     On a 128 x 128 grid and a circle this scans about a fifth of the
     (node, segment) pairs.
     """
     seg = _segments(a, b)
-    xs, ys = grid.x_coords(), grid.y_coords()
-    scale = max(np.abs(a).max(), np.abs(b).max(), np.abs(xs).max(), np.abs(ys).max())
-
-    # the (blocks, _TILE) node coordinates of each block column and block
-    # row, the last node standing in past the grid's end, and each block's
-    # centre (cx, cy) and half-diagonal r; block k is block row k // kx and
-    # block column k % kx
-    col, row = (
-        c[np.minimum(np.arange(-(-c.size // _TILE) * _TILE), c.size - 1)].reshape(-1, _TILE) for c in (xs, ys)
-    )
-    kx, ky = len(col), len(row)
-    cx, cy = np.tile(0.5 * (col[:, 0] + col[:, -1]), ky), np.repeat(0.5 * (row[:, 0] + row[:, -1]), kx)
-    r = np.hypot(np.tile(0.5 * (col[:, -1] - col[:, 0]), ky), np.repeat(0.5 * (row[:, -1] - row[:, 0]), kx))
-
-    # each block's candidates, for as many blocks at a time as keep the
-    # centre distances within _BLOCK (block, segment) pairs
-    per = max(1, _BLOCK // a.shape[0])
-    n_cand, cols = [], []
-    for p in (slice(t, t + per) for t in range(0, kx * ky, per)):
-        d2 = _point_segment_sq(cx[p, None], cy[p, None], seg)
-        bound = (np.sqrt(d2.min(axis=1)) + 2.0 * r[p]) * (1.0 + _SLACK) + _SLACK * scale
-        near = d2 <= (bound**2)[:, None]
-        n_cand.append(near.sum(axis=1))
-        cols.append(np.nonzero(near)[1])
-    n_cand, cols = np.concatenate(n_cand), np.concatenate(cols)
-    cand_start = np.cumsum(n_cand) - n_cand
-
-    # node r * _TILE + c of a block is its node in row r and column c
-    best = np.empty((kx * ky, _TILE * _TILE))
-    nearest = np.empty((kx * ky, _TILE * _TILE), dtype=np.intp)
-    order = np.argsort(-n_cand, kind="stable")
-    i = 0
-    while i < order.size:
-        width = n_cand[order[i]]
-        bl = order[i : i + max(1, _BLOCK // (_TILE * _TILE * width))]
-        i += bl.size
-        cand = cols[cand_start[bl, None] + np.minimum(np.arange(width), n_cand[bl, None] - 1)]
-        qx = np.tile(col[bl % kx], _TILE)[..., None]
-        qy = np.repeat(row[bl // kx], _TILE, axis=1)[..., None]
-        best[bl], j = _scan_block(qx, qy, tuple(v[cand][:, None, :] for v in seg))
-        nearest[bl] = np.take_along_axis(cand, j, axis=1)
-    # back to the (ny, nx) node layout, without the repeated nodes
-    return tuple(
-        v.reshape(ky, kx, _TILE, _TILE).swapaxes(1, 2).reshape(ky * _TILE, kx * _TILE)[: grid.ny, : grid.nx]
-        for v in (best, nearest)
-    )
+    tiles = _Tiles(grid, seg, _scale(grid, a, b))
+    return tuple(tiles.untile(v, grid.shape) for v in tiles.scan(seg, np.arange(tiles.kx * tiles.ky)))
 
 
-def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+def _curvature_vector(f: ScalarField, e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Curvature vector K = -div(n) n, n = grad f/|grad f|, of f's level sets.
 
     Central differences at every node, reading the mirror ghost nodes past
@@ -347,10 +389,13 @@ def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     vanishing gradient get K = 0.  K does not change under f -> -f or
     f -> 2^k f, so f is first scaled by the power of two that brings
     max|f|/dx near 1: exact, and |grad f|^4 then neither overflows nor
-    underflows however large or small f is.
+    underflows however large or small f is.  e, if given, stands in for
+    the binary exponent of max|f| (np.frexp) in that scaling.
     """
     g = f.grid
-    c = np.ldexp(f.values, np.frexp(min(g.dx, g.dy))[1] - np.frexp(np.max(np.abs(f.values)))[1])
+    if e is None:
+        e = np.frexp(np.max(np.abs(f.values)))[1]
+    c = np.ldexp(f.values, np.frexp(min(g.dx, g.dy))[1] - e)
     p = _mirror_ghosts(c)
     fx = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.dx)
     fy = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.dy)
@@ -433,32 +478,154 @@ def _bent_chord_distance(px, py, frame):
     return np.hypot(x - t * seg_len, y - h * t * (1.0 - t))
 
 
-def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False) -> ScalarField:
+def _bends(f: ScalarField, curve: InterfaceCurve, a, b):
+    """The curved reconstruction's bent chords of curve (_bent_chord_frames,
+    with the curvature of f) and each segment's neighbours."""
+    return _bent_chord_frames(a, b, *_segment_curvature(f, a, b)), _segment_neighbours(curve)
+
+
+def _curved_distance(px, py, nearest, frames, neighbours):
+    """Least distance from each point to the bent chords of its nearest
+    segment and of that segment's two neighbours, which share its end
+    vertices and so tie with it near them; each segment's frame is gathered
+    per point with np.take.  Arguments broadcast elementwise."""
+    around = np.take(neighbours, nearest, axis=0)
+    dist = np.inf
+    for k in (nearest, around[..., 0], around[..., 1]):
+        dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
+    return dist
+
+
+def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False,
+                    reach: float | None = None) -> ScalarField:
     """Rebuild a signed distance field from f's sign pattern and its zero set.
 
     Magnitude is the exact distance to the nearest segment of curve, or with
     curved=True the least distance to that segment and its two neighbours,
     each bent by its sagitta (see the module docstring); the sign bit is
     taken from f at each node, so -f gives exactly the negated field.
+
+    With a reach W (a length, inf included) the field is a BandField, whose
+    values are the same bits but whose tiles farther than W from the
+    interface are computed only when its values are first read.
     """
     if curve.is_empty:
         raise ValidationError("cannot redistance against an empty interface")
+    if reach is not None:
+        return BandField(f, curve, curved, reach)
     g = f.grid
     sa, sb = curve.segment_points()
     d2, nearest = _nearest_segment(g, sa, sb)
     if curved:
-        # the bent chords of the nearest segment and of its two neighbours,
-        # which share its end vertices and so tie with it near them; each
-        # segment's frame is built once and gathered per node with np.take
-        px, py = g.x_coords()[None, :], g.y_coords()[:, None]
-        frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
-        around = np.take(_segment_neighbours(curve), nearest, axis=0)
-        dist = np.inf
-        for k in (nearest, around[..., 0], around[..., 1]):
-            dist = np.minimum(dist, _bent_chord_distance(px, py, np.take(frames, k, axis=1)))
+        dist = _curved_distance(g.x_coords()[None, :], g.y_coords()[:, None], nearest, *_bends(f, curve, sa, sb))
     else:
         dist = np.sqrt(d2)
     return ScalarField(g, np.copysign(dist, f.values))
+
+
+class BandField(ScalarField):
+    """The field of signed_distance(f, curve, curved, reach=W), exact in a
+    band about curve and completed elsewhere when first read.
+
+    A tile of _Tiles is exact when its centre's computed chord distance dc
+    is at most W + r (r its half-diagonal, both widened by the scan's
+    slack), so every node within W of the chords lies in an exact tile, and
+    every node of another tile lies farther than W from them.  The exact
+    tiles hold the bits of signed_distance(f, curve, curved).  Every other
+    node holds a provisional value: f's sign bit times its tile's dc.
+    Reading .values completes those tiles exactly, once (complete), so a
+    caller that reads it sees signed_distance's field; provisional holds the
+    values as they are, without completing them.
+
+    What hmbo.flow's certificate reads of the field it does not hold:
+    exact, the nodes whose value is final; nearest, their nearest segment;
+    and two gaps between the field's magnitude D and the exact distance c
+    to the chords, c - below <= D <= c + above at every node.  A
+    provisional node's c lies within spread (the largest r) of its |value|.
+    slack is the scan's rounding slack in length units.  The chord
+    reconstruction's D is c up to rounding.  A curved D is the distance to
+    some point of one bent chord, the nearest segment's or a neighbour's,
+    and a bent chord lies within |h|/4 (h its capped sagitta) of its chord
+    at the same parameter, so D >= c - max|h|/4.  D is at most the distance
+    to some point of the nearest segment's bent chord, which lies within
+    L + |h|/4 of that chord's point nearest the node (L the chord's
+    length), so D <= c + max L + max|h|/4.  Both gaps carry the slack.
+    """
+
+    def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
+        g = self.grid = f.grid
+        self.curve = curve
+        sa, sb = curve.segment_points()
+        self._seg = _segments(sa, sb)
+        scale = _scale(g, sa, sb)
+        self._tiles = tiles = _Tiles(g, self._seg, scale)
+        slack = self.slack = _SLACK * scale
+        self._bends = _bends(f, curve, sa, sb) if curved else None
+        self.neighbours = self._bends[1] if curved else _segment_neighbours(curve)
+        self.below = self.above = slack
+        if curved:
+            frames = self._bends[0]
+            self.below += np.max(np.abs(frames[7])) / 4.0
+            self.above = self.below + np.max(frames[4])
+        self.spread = float(np.max(tiles.r))
+        self.provisional = np.empty(g.shape)
+        self.nearest = np.empty(g.shape, dtype=np.intp)
+        self.exact = np.zeros(g.shape, dtype=bool)
+        near = tiles.dc <= (reach + tiles.r) * (1.0 + _SLACK) + slack
+        self._fill(np.flatnonzero(near), f.values)
+        far = np.flatnonzero(~near)
+        j, i, _, _ = tiles.nodes(far)
+        self.provisional[j, i] = np.copysign(tiles.dc[far, None], f.values[j, i])
+        self._far = far if far.size else None
+
+    def _fill(self, tiles, sign):
+        """Compute the tiles exactly, with the sign bits of sign."""
+        best, nearest = self._tiles.scan(self._seg, tiles)
+        j, i, x, y = self._tiles.nodes(tiles)
+        dist = np.sqrt(best) if self._bends is None else _curved_distance(x, y, nearest, *self._bends)
+        self.provisional[j, i] = np.copysign(dist, sign[j, i])
+        self.nearest[j, i] = nearest
+        self.exact[j, i] = True
+
+    @property
+    def values(self) -> np.ndarray:
+        self.complete()
+        return self.provisional
+
+    @property
+    def is_complete(self) -> bool:
+        return self._far is None
+
+    def complete(self) -> None:
+        """Compute every provisional tile exactly, if any is left; the sign
+        bits are the provisional values' own."""
+        if self._far is not None:
+            self._fill(self._far, self.provisional)
+            self._far = None
+
+
+def _curve_gap(a: BandField, b: BandField) -> float:
+    """An upper bound on the distance from any point of a's chords to b's
+    chords, or inf.
+
+    Each segment of a is measured against one segment t of b: the one
+    nearest to the node nearest the segment's midpoint, or a neighbour of
+    it, whichever gives the least bound.  The distance to the fixed segment
+    t is convex along the segment, so the larger of its two end values
+    bounds it over the whole segment.  The node must be exact in b, or the
+    bound is inf.
+    """
+    g = a.grid
+    sa, sb = a.curve.segment_points()
+    mid = 0.5 * (sa + sb)
+    i = np.clip(np.rint((mid[:, 0] - g.xmin) / g.dx), 0, g.nx - 1).astype(np.intp)
+    j = np.clip(np.rint((mid[:, 1] - g.ymin) / g.dy), 0, g.ny - 1).astype(np.intp)
+    if not b.exact[j, i].all():
+        return np.inf
+    t = b.nearest[j, i]
+    seg = tuple(v[np.column_stack([t, b.neighbours[t]])] for v in b._seg)
+    ends = np.maximum(_point_segment_sq(sa[:, :1], sa[:, 1:], seg), _point_segment_sq(sb[:, :1], sb[:, 1:], seg))
+    return float(np.sqrt(ends.min(axis=1).max()))
 
 
 def average_radius(curve: InterfaceCurve) -> float:

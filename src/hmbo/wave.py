@@ -75,6 +75,15 @@ def cfl_substep(c2: float, grid: Grid2D, tau: float) -> float:
     return min(0.5 * cfl_max_dt(c2, grid), tau)
 
 
+def substeps(tau: float, dt: float) -> tuple[int, float]:
+    """The full substeps of length dt that wave_solve takes over a window
+    tau, and the length of its shortened last substep (0 when there is
+    none)."""
+    n_full = int(np.floor(tau / dt + 1e-9))
+    rem = tau - n_full * dt
+    return n_full, (rem if rem >= 1e-12 * tau else 0.0)
+
+
 def _check_finite(v: np.ndarray, step: int) -> None:
     if not np.all(np.isfinite(v)):
         raise NumericalError(f"non-finite field values at substep {step}")
@@ -99,10 +108,7 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     # object, so there is at least one full substep
     c2, tau, dt = params.c2, params.tau, min(params.dt, params.tau)
     dx, dy = grid.dx, grid.dy
-    n_full = int(np.floor(tau / dt + 1e-9))
-    rem = tau - n_full * dt
-    if rem < 1e-12 * tau:
-        rem = 0.0
+    n_full, rem = substeps(tau, dt)
 
     # the buffers every Laplacian and energy evaluation of this solve works
     # in; local to the call, as a study solves on a thread pool

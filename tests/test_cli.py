@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hmbo import harness, oracles
+from hmbo import flow, harness, oracles
 from hmbo.cli import cli_main
 from hmbo.errors import NumericalError
 from hmbo.harness import ExperimentConfig, build_run
@@ -552,3 +552,37 @@ def test_verify_passes(capsys):
 
 def test_unknown_subcommand(capsys):
     assert cli_main(["frobnicate"]) == 1
+
+
+def test_a_numerical_breakdown_names_the_size_step_and_stage(monkeypatch, capsys):
+    """A NumericalError in a study's third wave solve (the 16-node run's
+    third step, with one worker) is that size's failure line, naming the
+    step and the stage, and the study exits 2."""
+    calls, wave_solve = [], flow.wave_solve
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalError("non-finite field values at substep 2")
+        return wave_solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "wave_solve", flaky)
+    monkeypatch.setenv(harness.THREADS_ENV, "1")
+    rc = cli_main(["convergence", "--sizes", "16", "--n-tau", "10"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert _lines(err) == ["grid size 16 failed: step 3, propagate: non-finite field values at substep 2"]
+
+
+def test_an_integer_radius_whose_square_overflows_exits_one(tmp_path, capsys, no_grid_runs):
+    """An integer r0 of 10^200 fits a double, but r0^2 does not: tau is
+    formed in doubles, overflows to inf and is rejected with one error line
+    and exit code 1 (squared as an integer, it crashed the division with an
+    OverflowError traceback)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bounds": [-1e300, 1e300, -1e300, 1e300], "r0": 10**200}))
+    rc = cli_main(["run", "--config", str(cfg_path), "--n", "16", "--max-steps", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(_lines(err)) == 1
+    assert err.startswith("error: tau = r0^2/(2*gamma*n_tau) = inf is no positive finite double")

@@ -15,8 +15,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hmbo import flow
-from hmbo.errors import ValidationError
+from hmbo import flow, interfaces
+from hmbo.errors import NumericalError, ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.flow import (
     HmboConfig,
@@ -27,7 +27,7 @@ from hmbo.flow import (
     run_flow,
     wave_data,
 )
-from hmbo.interfaces import average_radius, extract_zero_set
+from hmbo.interfaces import BandField, average_radius, extract_zero_set
 from hmbo.oracles import hmcf_circle_radius
 from hmbo.wave import cfl_max_dt, cfl_substep
 
@@ -492,3 +492,169 @@ def test_damped_run_from_initial_speed_tracks_circle_ode(beta, v0):
     oracle = hmcf_circle_radius(params, 1.0, -v0, 90 * tau, tau)
     assert len(records) == 90 and len(oracle.radii) == 91
     assert np.max(np.abs(np.array([rec.avg_radius for rec in records]) - oracle.radii[1:])) < 2e-3
+
+
+# ---------------------------------------------------------------------------
+# the damped step's band: exact only where the next step reads it
+
+
+def _star(x, y):
+    return np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3))
+
+
+def _two_disks(x, y):
+    return np.maximum(0.7 - np.hypot(x + 0.8, y), 0.4 - np.hypot(x - 0.8, y))
+
+
+def _exhaustive_curves(cfg, d0, v0, steps):
+    """The curves of a loop of hmbo_step whose inputs are forced exact, so
+    that every step redistances every node; None once extinct."""
+    d_n, d_nm1 = d0, init_history(cfg, d0, v0)
+    curves = []
+    for _ in range(steps):
+        step = hmbo_step(ScalarField(cfg.grid, d_n.values.copy()), ScalarField(cfg.grid, d_nm1.values.copy()), cfg)
+        if step is None:
+            curves.append(None)
+            break
+        d_nm1, (d_n, curve) = d_n, step
+        curves.append(curve)
+    return curves
+
+
+def _assert_same_curves(records, curves):
+    assert len(records) == len(curves)
+    for rec, curve in zip(records, curves):
+        if curve is None:
+            assert rec.extinct
+        else:
+            assert rec.curve.vertices.tobytes() == curve.vertices.tobytes()
+            assert rec.curve.segments.tobytes() == curve.segments.tobytes()
+            assert rec.avg_radius == average_radius(curve)
+
+
+def _count_completions(monkeypatch):
+    """A list that gains one entry for each BandField completion that
+    computes tiles."""
+    done, complete = [], BandField.complete
+
+    def counting(self):
+        if not self.is_complete:
+            done.append(self)
+        complete(self)
+
+    monkeypatch.setattr(BandField, "complete", counting)
+    return done
+
+
+@pytest.mark.parametrize(
+    "n, shape, alpha, v0, steps",
+    [
+        (128, lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.0, 90),
+        (96, _star, 1.0, 0.0, 30),
+        (96, _two_disks, 1.0, 0.0, 30),
+        (96, lambda x, y: 1.0 - np.hypot(x - 1.5, y), 1.0, 0.0, 30),
+        (96, lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.5, 30),
+        (96, lambda x, y: 1.0 - np.hypot(x, y), 1.0, -0.5, 30),
+        (96, lambda x, y: 1.0 - np.hypot(x, y), 0.1, 0.0, 30),
+        (96, lambda x, y: 1.0 - np.hypot(x, y), 0.03, 0.0, 30),
+    ],
+    ids=["circle-128", "star", "two-disks", "wall-cut-circle", "v0+0.5", "v0-0.5", "alpha-0.1", "alpha-0.03"],
+)
+def test_banded_run_is_the_exhaustive_run(n, shape, alpha, v0, steps):
+    """run_flow's damped steps, which redistance only the band the next
+    step reads, give the curves of a loop of exhaustive steps byte for
+    byte: on the unit circle of criterion 7, an off-centre 5-fold star, two
+    disks, a circle cut by a wall, an initial speed of either sign, and at
+    alpha = 0.1 and 0.03, which take 2 and 3 substeps per step."""
+    g = make_grid(n, n, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0, max_steps=steps)
+    d0 = field_from_function(g, shape)
+    _assert_same_curves(run_flow(cfg, d0, v0, record_interfaces=True), _exhaustive_curves(cfg, d0, v0, steps))
+
+
+def test_a_rejected_certificate_completes_the_fields_and_keeps_the_bytes(monkeypatch):
+    """With a certificate that rejects every step, each step from a field
+    with provisional tiles completes it and runs again, and the curves stay
+    the exhaustive ones.  The first two steps read exact fields (d0, and
+    the fully exact field a step from d0 returns), so the steps from the
+    third on complete one field each."""
+    g = make_grid(96, 96, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=12)
+    d0 = field_from_function(g, _star)
+    want = _exhaustive_curves(cfg, d0, 0.0, 12)
+    done = _count_completions(monkeypatch)
+    monkeypatch.setattr(flow, "_certified", lambda *args: False)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert len(done) == 12 - 2
+
+
+def test_criterion_7_run_never_completes_a_field(monkeypatch):
+    """The certificate holds on each of criterion 7's 90 steps (unit
+    circle, N = 128, alpha = beta = gamma = 1, tau = 1/300): no field is
+    completed."""
+    g = make_grid(128, 128, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=90)
+    done = _count_completions(monkeypatch)
+    records = run_flow(cfg, field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y)))
+    assert len(records) == 90 and not records[-1].extinct
+    assert done == []
+
+
+def test_banded_step_scans_a_fraction_of_the_pairs(monkeypatch):
+    """One damped step on the N = 128 unit circle hands _scan_block at most
+    half the (node, candidate) pairs of the same step from exact fields,
+    which scans every tile: 0.187 measured (157,888 of 842,688 pairs), with
+    a quarter of the tiles exact."""
+    g = make_grid(128, 128, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
+    d0 = field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y))
+    d1, _ = hmbo_step(d0, init_history(cfg, d0, 0.0), cfg)
+    pairs, scan = [], interfaces._scan_block
+
+    def counting(px, py, seg):
+        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
+        return scan(px, py, seg)
+
+    monkeypatch.setattr(interfaces, "_scan_block", counting)
+    banded, _ = hmbo_step(d1, d0, cfg)
+    band = sum(pairs)
+    pairs.clear()
+    exact, _ = hmbo_step(ScalarField(g, d1.values.copy()), d0, cfg)
+    assert 0 < band <= 0.5 * sum(pairs)
+    assert not banded.is_complete and exact.is_complete
+    assert banded.values.tobytes() == exact.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a numerical breakdown names its step and stage
+
+
+def _failing_third_wave_solve(monkeypatch, from_then_on=False):
+    """Make flow.wave_solve raise a NumericalError on its third call (and,
+    with from_then_on, on every later one)."""
+    calls, wave_solve = [], flow.wave_solve
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3 or (from_then_on and len(calls) > 3):
+            raise NumericalError("non-finite field values at substep 2")
+        return wave_solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "wave_solve", flaky)
+
+
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_a_breakdown_in_run_flow_names_its_step_and_stage(monkeypatch, mode):
+    """A NumericalError in the third step's propagation reaches run_flow's
+    caller as "step 3, propagate: ...".  A damped step whose fields hold
+    provisional values runs again from exact ones after a breakdown, so
+    there the wave solve fails from its third call on."""
+    g = make_grid(32, 32, (-2, 2, -2, 2))
+    if mode == "mcf":
+        cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 60.0, max_steps=5)
+    else:
+        cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 60.0, max_steps=5)
+    _failing_third_wave_solve(monkeypatch, from_then_on=mode == "hmcf")
+    with pytest.raises(NumericalError) as exc:
+        run_flow(cfg, _circle_sdf(g))
+    assert str(exc.value) == "step 3, propagate: non-finite field values at substep 2"

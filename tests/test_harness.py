@@ -111,6 +111,13 @@ def test_a_float32_radius_is_echoed_whole(tmp_path):
     assert set(echo["derived"]) == {"tau", "16"}
 
 
+def test_tau_is_a_double_for_float32_operands():
+    """tau is formed in doubles: r0 = float32(1.0) gives the double 1/300,
+    not float32(0.0033333334)."""
+    tau = ExperimentConfig(r0=np.float32(1.0)).tau
+    assert type(tau) is float and tau == 1.0 / 300.0
+
+
 # ---------------------------------------------------------------------------
 # JSON loading
 
