@@ -51,7 +51,9 @@ fails it completes both fields and runs again.  The field a step returns
 completes its provisional tiles when its values are first read, so
 callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
-and the proof are in the hmbo_step docstring.  mcf keeps full fields.
+and the proof are in the hmbo_step docstring.  Every other redistance (an
+mcf step, init_history, a damped step without a band or from a field that
+is not banded) has reach inf: its field is complete at construction.
 """
 
 import functools
@@ -391,26 +393,26 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
 
     Its three stages: propagate the wave data u0 = a*(2*d_n - d_nm1),
     ut0 = b*d_n over tau (wave_solve), extract the zero set of u(tau), and
-    redistance from it.  Returns (d_new, curve), the new distance field and
-    the interface it was rebuilt from, or None when the extracted interface
-    is empty, which on a grid is exactly when u(tau) has one sign: the
-    interface is extinct.  In mcf a = 0, so d_nm1 does not change the
-    step.  A NumericalError names its stage: propagate, extract or
-    redistance.
+    redistance from it.  Returns (d_new, curve), the new distance field (a
+    BandField of hmbo.interfaces) and the interface it was rebuilt from, or
+    None when the extracted interface is empty, which on a grid is exactly
+    when u(tau) has one sign: the interface is extinct.  In mcf a = 0, so
+    d_nm1 does not change the step.  A NumericalError names its stage:
+    propagate, extract or redistance.
 
-    The damped step's band.  Its d_new is a BandField (hmbo.interfaces),
-    exact on the tiles within W of the interface and provisional elsewhere
-    until its values are read; run_flow never reads them.  So the step
-    returns the bits of the exhaustive step, the one that redistances every
-    node, and whose fields D_n, D_nm1 it is given, as long as every
-    provisional value that reaches u(tau) is certified.  W is _band's width,
-    derived from the config.  The step takes k substeps, and a substep's
-    5-point Laplacian reads one node along each axis, so u(tau) at a node p
-    reads the inputs only within k steps along the axes of p (a mirror
-    ghost node is a node that close).  Let R be the nodes whose whole such
-    neighbourhood is exact in both d_n and d_nm1; there u(tau) is the
-    exhaustive step's U(tau) bit for bit.  A step from fields that hold
-    provisional values checks, on every step:
+    The damped step's band.  Its d_new is exact on the tiles within W of
+    the interface and provisional elsewhere until its values are read;
+    run_flow never reads them.  So the step returns the bits of the
+    exhaustive step, the one that redistances every node, and whose fields
+    D_n, D_nm1 it is given, as long as every provisional value that reaches
+    u(tau) is certified.  W is _band's width, derived from the config.
+    The step takes k substeps, and a substep's 5-point Laplacian reads one
+    node along each axis, so u(tau) at a node p reads the inputs only
+    within k steps along the axes of p (a mirror ghost node is a node that
+    close).  Let R be the nodes whose whole such neighbourhood is exact in
+    both d_n and d_nm1; there u(tau) is the exhaustive step's U(tau) bit
+    for bit.  A step from fields that hold provisional values checks, on
+    every step:
 
     * (C1) the corners of every cell whose corners differ in sign bit,
       dilated by 2 nodes in each direction, lie in R.  Extraction reads
@@ -473,8 +475,11 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
 
     A step that fails the check, or breaks down numerically, completes both
     fields and runs again from the exhaustive ones, which need no check.
-    A step from a field that is not a BandField returns an exact one: the
-    next step's H reads both fields' interfaces.
+    The step redistances with reach W when it has a band and d_n is a
+    BandField, and with reach inf otherwise: an mcf step, a damped step
+    past _band's limits, and a step from a field that is not a BandField
+    (the next step's certificate reads H from both fields' curves, so it
+    could not pass) return fields that are complete at construction.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
         raise ValidationError("the step's fields and its config lie on different grids")
@@ -493,12 +498,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
     if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
         return None
-    if band is None:
-        reach = None
-    elif isinstance(d_n, BandField):
-        reach = band.width
-    else:  # an exact field, with the interface data the next step's certificate reads
-        reach = np.inf
+    reach = band.width if band is not None and isinstance(d_n, BandField) else np.inf
     with _stage("redistance"):
         return signed_distance(u_tau, curve, curved=CURVED[cfg.mode], reach=reach), curve
 

@@ -21,20 +21,24 @@ every field, zero nodes included: the threshold-dynamics step is odd under
 d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
-an exact pruned scan (_nearest_segment).  The grid's nodes are grouped into
-blocks of 8 x 8 nodes, and the distances from each block's centre to every
-segment bound, by the triangle inequality, the segments that can be nearest
-to a node of the block: those within the centre's least distance plus the
-block's diagonal (widened by a relative slack far above rounding).  Only
-those are scanned, in increasing index order, by _point_segment_sq, the one
-copy of the per-pair arithmetic.  So the field is bit-identical to an
-exhaustive scan's with that arithmetic, and the first segment wins ties.
-A block's result does not depend on the other blocks, so signed_distance
-can compute a band of them (reach=W): it then returns a BandField, exact on
-the blocks whose centre lies within W + r of the interface (r the block's
-half-diagonal) and elsewhere provisional, the source field's sign bit times
-the centre's distance, until its values are first read, which completes
-them to the same bits.  hmbo.flow's damped step uses the band.
+an exact pruned scan (_Tiles; _nearest_segment runs it over the whole grid,
+the form the exactness tests hold to an exhaustive scan).  The grid's nodes
+are grouped into blocks of 8 x 8 nodes, and the distances from each block's
+centre to every segment bound, by the triangle inequality, the segments
+that can be nearest to a node of the block: those within the centre's least
+distance plus the block's diagonal (widened by a relative slack far above
+rounding).  Only those are scanned, in increasing index order, by
+_point_segment_sq, the one copy of the per-pair arithmetic.  So the field
+is bit-identical to an exhaustive scan's with that arithmetic, and the
+first segment wins ties.
+signed_distance runs this scan and returns a BandField, its one kind of
+field.  A block's result does not depend on the other blocks, so with a
+finite reach W the field is exact on the blocks whose centre lies within
+W + r of the interface (r the block's half-diagonal) and elsewhere
+provisional, the source field's sign bit times the centre's distance, until
+its values are first read, which completes them to the same bits;
+hmbo.flow's damped step uses that band.  With the default reach, inf,
+every block is computed at once, and the field is complete at construction.
 
 Two reconstructions of the interface are offered:
 
@@ -478,12 +482,6 @@ def _bent_chord_distance(px, py, frame):
     return np.hypot(x - t * seg_len, y - h * t * (1.0 - t))
 
 
-def _bends(f: ScalarField, curve: InterfaceCurve, a, b):
-    """The curved reconstruction's bent chords of curve (_bent_chord_frames,
-    with the curvature of f) and each segment's neighbours."""
-    return _bent_chord_frames(a, b, *_segment_curvature(f, a, b)), _segment_neighbours(curve)
-
-
 def _curved_distance(px, py, nearest, frames, neighbours):
     """Least distance from each point to the bent chords of its nearest
     segment and of that segment's two neighbours, which share its end
@@ -497,7 +495,7 @@ def _curved_distance(px, py, nearest, frames, neighbours):
 
 
 def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False,
-                    reach: float | None = None) -> ScalarField:
+                    reach: float = np.inf) -> "BandField":
     """Rebuild a signed distance field from f's sign pattern and its zero set.
 
     Magnitude is the exact distance to the nearest segment of curve, or with
@@ -505,22 +503,14 @@ def signed_distance(f: ScalarField, curve: InterfaceCurve, curved: bool = False,
     each bent by its sagitta (see the module docstring); the sign bit is
     taken from f at each node, so -f gives exactly the negated field.
 
-    With a reach W (a length, inf included) the field is a BandField, whose
-    values are the same bits but whose tiles farther than W from the
-    interface are computed only when its values are first read.
+    The field is a BandField.  With the default reach, inf, every tile is
+    computed at once; with a finite reach W the tiles farther than W from
+    the interface are computed only when its values are first read, to the
+    same bits.
     """
     if curve.is_empty:
         raise ValidationError("cannot redistance against an empty interface")
-    if reach is not None:
-        return BandField(f, curve, curved, reach)
-    g = f.grid
-    sa, sb = curve.segment_points()
-    d2, nearest = _nearest_segment(g, sa, sb)
-    if curved:
-        dist = _curved_distance(g.x_coords()[None, :], g.y_coords()[:, None], nearest, *_bends(f, curve, sa, sb))
-    else:
-        dist = np.sqrt(d2)
-    return ScalarField(g, np.copysign(dist, f.values))
+    return BandField(f, curve, curved, reach)
 
 
 class BandField(ScalarField):
@@ -531,25 +521,31 @@ class BandField(ScalarField):
     is at most W + r (r its half-diagonal, both widened by the scan's
     slack), so every node within W of the chords lies in an exact tile, and
     every node of another tile lies farther than W from them.  The exact
-    tiles hold the bits of signed_distance(f, curve, curved).  Every other
-    node holds a provisional value: f's sign bit times its tile's dc.
-    Reading .values completes those tiles exactly, once (complete), so a
-    caller that reads it sees signed_distance's field; provisional holds the
-    values as they are, without completing them.
+    tiles hold the nearest-segment scan's distances (_Tiles.scan, the scan
+    of _nearest_segment), or the bent chords' of curved=True, with f's sign
+    bits.  Every other node holds a provisional value: f's sign bit times
+    its tile's dc.  Reading .values completes those tiles exactly, once
+    (complete), so a caller that reads it sees the whole exact field;
+    provisional holds the values as they are, without completing them.  A
+    field whose tiles are all exact, as with W = inf, is complete at
+    construction: it places its tiles with _Tiles.untile and keeps no scan
+    state.
 
     What hmbo.flow's certificate reads of the field it does not hold:
-    exact, the nodes whose value is final; nearest, their nearest segment;
-    and two gaps between the field's magnitude D and the exact distance c
-    to the chords, c - below <= D <= c + above at every node.  A
-    provisional node's c lies within spread (the largest r) of its |value|.
-    slack is the scan's rounding slack in length units.  The chord
-    reconstruction's D is c up to rounding.  A curved D is the distance to
-    some point of one bent chord, the nearest segment's or a neighbour's,
-    and a bent chord lies within |h|/4 (h its capped sagitta) of its chord
-    at the same parameter, so D >= c - max|h|/4.  D is at most the distance
-    to some point of the nearest segment's bent chord, which lies within
-    L + |h|/4 of that chord's point nearest the node (L the chord's
-    length), so D <= c + max L + max|h|/4.  Both gaps carry the slack.
+    exact, the nodes whose value is final; nearest, their nearest segment,
+    and neighbours, each segment's two neighbours, both on curved fields
+    only, the ones the damped step builds (None on chord fields); and two
+    gaps between the field's magnitude D and the exact distance c to the
+    chords, c - below <= D <= c + above at every node.  A provisional
+    node's c lies within spread (the largest r) of its |value|.  slack is
+    the scan's rounding slack in length units.  The chord reconstruction's
+    D is c up to rounding.  A curved D is the distance to some point of one
+    bent chord, the nearest segment's or a neighbour's, and a bent chord
+    lies within |h|/4 (h its capped sagitta) of its chord at the same
+    parameter, so D >= c - max|h|/4.  D is at most the distance to some
+    point of the nearest segment's bent chord, which lies within L + |h|/4
+    of that chord's point nearest the node (L the chord's length), so
+    D <= c + max L + max|h|/4.  Both gaps carry the slack.
     """
 
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
@@ -560,31 +556,49 @@ class BandField(ScalarField):
         scale = _scale(g, sa, sb)
         self._tiles = tiles = _Tiles(g, self._seg, scale)
         slack = self.slack = _SLACK * scale
-        self._bends = _bends(f, curve, sa, sb) if curved else None
-        self.neighbours = self._bends[1] if curved else _segment_neighbours(curve)
         self.below = self.above = slack
+        self._frames = self.neighbours = None
         if curved:
-            frames = self._bends[0]
+            frames = self._frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
+            self.neighbours = _segment_neighbours(curve)
             self.below += np.max(np.abs(frames[7])) / 4.0
             self.above = self.below + np.max(frames[4])
         self.spread = float(np.max(tiles.r))
-        self.provisional = np.empty(g.shape)
-        self.nearest = np.empty(g.shape, dtype=np.intp)
-        self.exact = np.zeros(g.shape, dtype=bool)
         near = tiles.dc <= (reach + tiles.r) * (1.0 + _SLACK) + slack
+        self.exact = np.full(g.shape, near.all())
+        if near.all():
+            dist, nearest = self._measure(np.arange(near.size))
+            self.provisional = np.copysign(tiles.untile(dist, g.shape), f.values)
+            self.nearest = tiles.untile(nearest, g.shape) if curved else None
+            self._tiles = self._far = None
+            return
+        self.provisional = np.empty(g.shape)
+        self.nearest = np.empty(g.shape, dtype=np.intp) if curved else None
         self._fill(np.flatnonzero(near), f.values)
-        far = np.flatnonzero(~near)
+        far = self._far = np.flatnonzero(~near)
         j, i, _, _ = tiles.nodes(far)
         self.provisional[j, i] = np.copysign(tiles.dc[far, None], f.values[j, i])
-        self._far = far if far.size else None
+
+    def _measure(self, tiles):
+        """The tiles' exact distances (unsigned) and nearest segments, each
+        (T, _TILE * _TILE).  A distance whose square overflows is rejected,
+        as every ScalarField rejects a non-finite value."""
+        best, nearest = self._tiles.scan(self._seg, tiles)
+        if self._frames is None:
+            dist = np.sqrt(best)
+        else:
+            dist = _curved_distance(*self._tiles.nodes(tiles)[2:], nearest, self._frames, self.neighbours)
+        if not np.all(np.isfinite(dist)):
+            raise ValidationError("field contains non-finite values")
+        return dist, nearest
 
     def _fill(self, tiles, sign):
         """Compute the tiles exactly, with the sign bits of sign."""
-        best, nearest = self._tiles.scan(self._seg, tiles)
-        j, i, x, y = self._tiles.nodes(tiles)
-        dist = np.sqrt(best) if self._bends is None else _curved_distance(x, y, nearest, *self._bends)
+        dist, nearest = self._measure(tiles)
+        j, i, _, _ = self._tiles.nodes(tiles)
         self.provisional[j, i] = np.copysign(dist, sign[j, i])
-        self.nearest[j, i] = nearest
+        if self.nearest is not None:
+            self.nearest[j, i] = nearest
         self.exact[j, i] = True
 
     @property
@@ -613,7 +627,8 @@ def _curve_gap(a: BandField, b: BandField) -> float:
     it, whichever gives the least bound.  The distance to the fixed segment
     t is convex along the segment, so the larger of its two end values
     bounds it over the whole segment.  The node must be exact in b, or the
-    bound is inf.
+    bound is inf.  b is a curved field, the only kind that keeps nearest
+    and neighbours.
     """
     g = a.grid
     sa, sb = a.curve.segment_points()

@@ -546,30 +546,46 @@ def _count_completions(monkeypatch):
     return done
 
 
+def _ellipse(x, y):
+    return np.hypot(x / 1.6, y / 0.3) - 1.0
+
+
+_BOX = (-2, 2, -2, 2)
+
+
 @pytest.mark.parametrize(
-    "n, shape, alpha, v0, steps",
+    "grid, shape, alpha, v0, steps, completions",
     [
-        (128, lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.0, 90),
-        (96, _star, 1.0, 0.0, 30),
-        (96, _two_disks, 1.0, 0.0, 30),
-        (96, lambda x, y: 1.0 - np.hypot(x - 1.5, y), 1.0, 0.0, 30),
-        (96, lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.5, 30),
-        (96, lambda x, y: 1.0 - np.hypot(x, y), 1.0, -0.5, 30),
-        (96, lambda x, y: 1.0 - np.hypot(x, y), 0.1, 0.0, 30),
-        (96, lambda x, y: 1.0 - np.hypot(x, y), 0.03, 0.0, 30),
+        ((128, 128, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.0, 90, 0),
+        ((96, 96, _BOX), _star, 1.0, 0.0, 30, 0),
+        ((96, 96, _BOX), _two_disks, 1.0, 0.0, 30, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x - 1.5, y), 1.0, 0.0, 30, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 1.0, 0.5, 30, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 1.0, -0.5, 30, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 0.1, 0.0, 30, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 0.03, 0.0, 30, 0),
+        ((97, 61, (-2, 2, -1.5, 1.5)), _star, 1.0, 0.0, 60, 0),
+        ((96, 96, _BOX), _ellipse, 1.0, 0.0, 60, 2),
     ],
-    ids=["circle-128", "star", "two-disks", "wall-cut-circle", "v0+0.5", "v0-0.5", "alpha-0.1", "alpha-0.03"],
+    ids=["circle-128", "star", "two-disks", "wall-cut-circle", "v0+0.5", "v0-0.5", "alpha-0.1", "alpha-0.03",
+         "star-97x61", "ellipse"],
 )
-def test_banded_run_is_the_exhaustive_run(n, shape, alpha, v0, steps):
+def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, steps, completions):
     """run_flow's damped steps, which redistance only the band the next
     step reads, give the curves of a loop of exhaustive steps byte for
     byte: on the unit circle of criterion 7, an off-centre 5-fold star, two
-    disks, a circle cut by a wall, an initial speed of either sign, and at
-    alpha = 0.1 and 0.03, which take 2 and 3 substeps per step."""
-    g = make_grid(n, n, (-2, 2, -2, 2))
+    disks, a circle cut by a wall, an initial speed of either sign, at
+    alpha = 0.1 and 0.03, which take 2 and 3 substeps per step, the star on
+    97 x 61 nodes with dx != dy, whose last tiles repeat nodes, and a thin
+    ellipse.  The ellipse is the one case where the certificate rejects
+    steps of its own accord: its run completes 2 fields, the others none."""
+    g = make_grid(*grid)
     cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0, max_steps=steps)
     d0 = field_from_function(g, shape)
-    _assert_same_curves(run_flow(cfg, d0, v0, record_interfaces=True), _exhaustive_curves(cfg, d0, v0, steps))
+    want = _exhaustive_curves(cfg, d0, v0, steps)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, v0, record_interfaces=True), want)
+    assert len(done) == completions
 
 
 def test_a_rejected_certificate_completes_the_fields_and_keeps_the_bytes(monkeypatch):

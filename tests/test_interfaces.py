@@ -8,13 +8,18 @@ import pytest
 
 from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
+from hmbo.flow import HmboConfig, PhysicalParams, hmbo_step, init_history
 from hmbo.interfaces import (
     InterfaceCurve,
     _bent_chord_distance,
     _bent_chord_frames,
     _curvature_vector,
+    _curve_gap,
+    _curved_distance,
     _nearest_segment,
     _scan_block,
+    _segment_curvature,
+    _segment_neighbours,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -526,23 +531,100 @@ def test_nearest_segment_exact_on_random_soups():
     check()
 
 
-def test_signed_distance_equals_brute_build(rng, monkeypatch):
-    """Both reconstructions give the same field on the pruned scan as on
-    the exhaustive one."""
+def test_signed_distance_equals_brute_build(rng):
+    """Both reconstructions give the field built over the whole grid from
+    the exhaustive scan: the square root of _brute_nearest's minimum, or
+    the bent chords' distance (_curved_distance) from each node's
+    exhaustive nearest segment and its neighbours, with f's sign bits.  On
+    57 x 64 nodes, so the last tile column repeats nodes."""
     g = make_grid(57, 64, (-2, 2, -2, 2))
-    fields = (_circle_field(g), _smooth_random_field(g, rng))
-    pruned = [
-        signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
-    ]
-    monkeypatch.setattr(
-        "hmbo.interfaces._nearest_segment",
-        lambda g, a, b: tuple(v.reshape(g.shape) for v in _brute_nearest(g, a, b)),
-    )
-    brute = [
-        signed_distance(f, extract_zero_set(f, curved=c), curved=c) for f in fields for c in RECONSTRUCTIONS
-    ]
-    for p, q in zip(pruned, brute):
-        assert np.array_equal(p.values, q.values)
+    x, y = g.x_coords()[None, :], g.y_coords()[:, None]
+    for f in (_circle_field(g), _smooth_random_field(g, rng)):
+        for curved in RECONSTRUCTIONS:
+            curve = extract_zero_set(f, curved=curved)
+            a, b = curve.segment_points()
+            d2, nearest = (v.reshape(g.shape) for v in _brute_nearest(g, a, b))
+            if curved:
+                frames = _bent_chord_frames(a, b, *_segment_curvature(f, a, b))
+                dist = _curved_distance(x, y, nearest, frames, _segment_neighbours(curve))
+            else:
+                dist = np.sqrt(d2)
+            want = np.copysign(dist, f.values)
+            assert signed_distance(f, curve, curved=curved).values.tobytes() == want.tobytes(), curved
+
+
+# shapes of the band tests: a circle, an off-centre 5-fold star, two disks
+# and a circle cut by the wall x = 2
+_BAND_SHAPES = {
+    "circle": lambda x, y: np.hypot(x, y) - 1.0,
+    "star": lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3)),
+    "two-disks": lambda x, y: np.maximum(0.7 - np.hypot(x + 0.8, y), 0.4 - np.hypot(x - 0.8, y)),
+    "wall-cut-circle": lambda x, y: 1.0 - np.hypot(x - 1.5, y),
+}
+
+
+@pytest.mark.parametrize("curved", RECONSTRUCTIONS, ids=["chord", "curved"])
+@pytest.mark.parametrize("nx, ny", [(96, 96), (57, 64)], ids=["96x96", "57x64"])
+@pytest.mark.parametrize("shape", list(_BAND_SHAPES))
+def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
+    """What hmbo.flow's certificate takes from a BandField, checked at every
+    node against the exhaustive chord distance c, for reach W = 0, 2h, 8h
+    and inf (h the larger spacing): every node with c <= W is exact; a
+    provisional node carries f's sign bit, and its value lies within
+    spread + slack of c; c - below <= |D| <= c + above for the completed
+    field D; and D has the bytes of the reach-inf field, which is complete
+    at construction.  Every finite reach leaves provisional nodes, and only
+    a curved field keeps its nodes' nearest segments and the segments'
+    neighbours, which _curve_gap reads for hmbo.flow's certificate."""
+    g = make_grid(nx, ny, (-2, 2, -2, 2))
+    f = field_from_function(g, _BAND_SHAPES[shape])
+    curve = extract_zero_set(f, curved=curved)
+    c = np.sqrt(_brute_nearest(g, *curve.segment_points())[0]).reshape(g.shape)
+    whole = signed_distance(f, curve, curved=curved)
+    assert whole.is_complete and whole.exact.all()
+    h = max(g.dx, g.dy)
+    for reach in (0.0, 2.0 * h, 8.0 * h, np.inf):
+        d = signed_distance(f, curve, curved=curved, reach=reach)
+        exact, held = d.exact.copy(), d.provisional.copy()
+        assert (d.nearest is None, d.neighbours is None) == (not curved, not curved)
+        assert exact[c <= reach].all(), reach
+        far = ~exact
+        assert far.any() == (reach < np.inf), reach
+        assert np.array_equal(np.signbit(held[far]), np.signbit(f.values[far])), reach
+        assert np.all(np.abs(np.abs(held[far]) - c[far]) <= d.spread + d.slack), reach
+        mag = np.abs(d.values)
+        assert np.all(c - d.below <= mag) and np.all(mag <= c + d.above), reach
+        assert d.values.tobytes() == whole.values.tobytes(), reach
+
+
+def test_curve_gap_bounds_the_distance_between_curves():
+    """_curve_gap(a, b) bounds the distance from a's chords to b's, sampled
+    at 17 points per chord, both ways between the fields of consecutive
+    damped steps of the off-centre star at N = 96, over its first 8 steps
+    (the first pair is init_history's field and the first step's); the
+    first step's field is whole, the others banded.  Measured at step 2,
+    0.93e-3 against 0.61e-3, and at step 8, 1.98e-3 against 1.11e-3.  It
+    is inf once a midpoint's node is not exact in b."""
+    g = make_grid(96, 96, (-2, 2, -2, 2))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
+    d0 = field_from_function(g, _BAND_SHAPES["star"])
+    ts = np.linspace(0.0, 1.0, 17)[:, None, None]
+    d_nm1, d_n = init_history(cfg, d0, 0.0), d0
+    fields = [d_nm1]
+    for _ in range(8):
+        d_nm1, (d_n, _) = d_n, hmbo_step(d_n, d_nm1, cfg)
+        fields.append(d_n)
+    assert not fields[-1].is_complete
+    for a, b in zip(fields[:-1], fields[1:]):
+        for p, q in ((a, b), (b, a)):
+            sa, sb = p.curve.segment_points()
+            pts = (sa + ts * (sb - sa)).reshape(-1, 2)
+            sampled = np.sqrt(_min_sq_brute(pts[:, 0], pts[:, 1], *q.curve.segment_points()).max())
+            assert 0.0 < sampled <= _curve_gap(p, q) + p.slack + q.slack
+    a, b = fields[-2:]
+    mid = 0.5 * np.add(*a.curve.segment_points())[0]
+    b.exact[int(np.rint((mid[1] - g.ymin) / g.dy)), int(np.rint((mid[0] - g.xmin) / g.dx))] = False
+    assert _curve_gap(a, b) == np.inf
 
 
 @pytest.mark.parametrize(
@@ -749,6 +831,22 @@ def test_redistance_rejects_empty_curve():
     f = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(ValidationError):
         signed_distance(f, extract_zero_set(f))
+
+
+def test_redistance_rejects_an_overflowing_distance():
+    """On a grid of extent 3e154 the far nodes' squared chord distances
+    overflow: the field is rejected, as any ScalarField with a non-finite
+    value is, at construction, or with a finite reach when its provisional
+    tiles are completed."""
+    g = make_grid(41, 39, (-1.5e154, 1.5e154, -1.5e154, 1.5e154))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = field_from_function(g, lambda x, y: x + 1.45e154)
+        curve = extract_zero_set(f)
+        with pytest.raises(ValidationError, match="non-finite"):
+            signed_distance(f, curve)
+        banded = signed_distance(f, curve, reach=0.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            banded.values
 
 
 def _eikonal_residual(d, mask):

@@ -157,6 +157,11 @@ def _plain_rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
         ((1.0, 1.0, 1.0, 1.0, 0.0, 1), np.arange(13) * 0.05),     # stays positive
         ((0.3, 2.0, 0.7, 0.8, -1.0, 4), np.arange(13) * 0.05),
         ((1.0, 0.0, 1.0, 0.5, -1.0, 1), np.array([0.0, 1.0])),    # a stage radius of exactly 0
+        # the fourth stage's radius r4 is exactly 0, yet the step's end
+        # radius is finite: both forms give t_ext = 0.9498602904877845, and
+        # a run that ended the step at t0 + h on the Python-float division
+        # error would give 1.0
+        ((1.0, 0.0, 1.0, 1.0, -0.3819660112501052, 1), np.array([0.0, 1.0])),
     ],
 )
 def test_rk4_run_matches_per_stage_form_bit_for_bit(args, times):
