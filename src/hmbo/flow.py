@@ -53,7 +53,8 @@ callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
 and the proof are in the hmbo_step docstring.  Every other redistance (an
 mcf step, init_history, a damped step without a band or from a field that
-is not banded) has reach inf: its field is complete at construction.
+is not a curved BandField) has reach inf: its field is complete at
+construction.
 """
 
 import functools
@@ -476,9 +477,10 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     A step that fails the check, or breaks down numerically, completes both
     fields and runs again from the exhaustive ones, which need no check.
     The step redistances with reach W when it has a band and d_n is a
-    BandField, and with reach inf otherwise: an mcf step, a damped step
-    past _band's limits, and a step from a field that is not a BandField
-    (the next step's certificate reads H from both fields' curves, so it
+    curved BandField, and with reach inf otherwise: an mcf step, a damped
+    step past _band's limits, and a step from a field that is not a curved
+    BandField (the next step's certificate reads H from both fields'
+    curves, with the nearest segments that only a curved field keeps, so it
     could not pass) return fields that are complete at construction.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
@@ -498,7 +500,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
     if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
         return None
-    reach = band.width if band is not None and isinstance(d_n, BandField) else np.inf
+    reach = band.width if band is not None and isinstance(d_n, BandField) and d_n.curved else np.inf
     with _stage("redistance"):
         return signed_distance(u_tau, curve, curved=CURVED[cfg.mode], reach=reach), curve
 

@@ -21,8 +21,8 @@ every field, zero nodes included: the threshold-dynamics step is odd under
 d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
-an exact pruned scan (_Tiles; _nearest_segment runs it over the whole grid,
-the form the exactness tests hold to an exhaustive scan).  The grid's nodes
+an exact pruned scan (_Tiles, which the exactness tests hold to an
+exhaustive scan over the whole grid).  The grid's nodes
 are grouped into blocks of 8 x 8 nodes, and the distances from each block's
 centre to every segment bound, by the triangle inequality, the segments
 that can be nearest to a node of the block: those within the centre's least
@@ -273,8 +273,8 @@ def _scan_block(px, py, seg):
 
 class _Tiles:
     """The grid's nodes in blocks (tiles) of _TILE x _TILE, and each tile's
-    candidate segments: the state of the pruned scan of _nearest_segment,
-    which scan() runs on any subset of the tiles.
+    candidate segments: the state of the pruned nearest-segment scan, which
+    scan() runs on any subset of the tiles.
 
     Tile k is tile row k // kx and tile column k % kx; node r * _TILE + c
     of a tile is its node in row r and column c, at grid index
@@ -283,6 +283,30 @@ class _Tiles:
     repeat the grid's last node row and column.  Each tile has a centre
     (cx, cy), a half-diagonal r from its first to its last node and the
     least computed distance dc from its centre to a segment.
+
+    The scan is exactly equal to the exhaustive one (there is at least one
+    segment, and segment ends are finite):
+
+    * every node p of a tile lies within r of its centre c, so by the
+      triangle inequality p's nearest segment s* has d(c, s*) <= r + d(p)
+      <= 2r + d(c);
+    * a computed distance falls below the exact one by at most a few units
+      in the last place of the largest coordinate (scale), so the segments
+      within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c include every one
+      whose computed distance can reach or tie the computed minimum.  They
+      are compared as squares, so a bound whose square overflows keeps every
+      segment;
+    * each tile's candidates, in increasing index order, are scanned by
+      _point_segment_sq, so the minimum is bit-identical and the first index
+      among equal distances wins.  Tiles go in order of decreasing candidate
+      count, as dense (tile, node, candidate) arrays of as many tiles as
+      fit in _BLOCK pairs at the first one's count; a shorter candidate list
+      is padded with its own last candidate, which does not change the first
+      minimum.  A tile's result does not depend on the tiles scanned with
+      it, so any subset of the tiles scans to the same bits.
+
+    On a 128 x 128 grid and a circle the scan of every tile reads about a
+    fifth of the (node, segment) pairs.
     """
 
     def __init__(self, grid, seg, scale):
@@ -348,41 +372,6 @@ def _scale(grid, a, b):
     ends, the unit of the scan's and the band's rounding slack."""
     g = grid
     return max(np.abs(a).max(), np.abs(b).max(), abs(g.xmin), abs(g.xmax), abs(g.ymin), abs(g.ymax))
-
-
-def _nearest_segment(grid, a, b):
-    """Squared distance from each node of grid to its nearest segment, and
-    the index of that segment (the first one on ties), as (ny, nx) arrays.
-    There is at least one segment, and segment ends are finite.
-
-    A pruned scan, exactly equal to the exhaustive one:
-
-    * the nodes are grouped into tiles of _TILE x _TILE nodes by index
-      (_Tiles).  Every node p of a tile lies within r, half the diagonal
-      from its first to its last node, of its centre c, so by the triangle
-      inequality p's nearest segment s* has d(c, s*) <= r + d(p) <=
-      2r + d(c);
-    * a computed distance falls below the exact one by at most a few units
-      in the last place of the largest coordinate (scale), so the segments
-      within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c include every one
-      whose computed distance can reach or tie the computed minimum.  They
-      are compared as squares, so a bound whose square overflows keeps every
-      segment;
-    * each tile's candidates, in increasing index order, are scanned by
-      _point_segment_sq, so the minimum is bit-identical and the first index
-      among equal distances wins.  Tiles go in order of decreasing candidate
-      count, as dense (tile, node, candidate) arrays of as many tiles as
-      fit in _BLOCK pairs at the first one's count; a shorter candidate list
-      is padded with its own last candidate, which does not change the first
-      minimum.  A tile's result does not depend on the tiles scanned with
-      it, so any subset of the tiles scans to the same bits.
-
-    On a 128 x 128 grid and a circle this scans about a fifth of the
-    (node, segment) pairs.
-    """
-    seg = _segments(a, b)
-    tiles = _Tiles(grid, seg, _scale(grid, a, b))
-    return tuple(tiles.untile(v, grid.shape) for v in tiles.scan(seg, np.arange(tiles.kx * tiles.ky)))
 
 
 def _curvature_vector(f: ScalarField, e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -521,8 +510,8 @@ class BandField(ScalarField):
     is at most W + r (r its half-diagonal, both widened by the scan's
     slack), so every node within W of the chords lies in an exact tile, and
     every node of another tile lies farther than W from them.  The exact
-    tiles hold the nearest-segment scan's distances (_Tiles.scan, the scan
-    of _nearest_segment), or the bent chords' of curved=True, with f's sign
+    tiles hold the nearest-segment scan's distances (_Tiles.scan), or the
+    bent chords' of curved=True, with f's sign
     bits.  Every other node holds a provisional value: f's sign bit times
     its tile's dc.  Reading .values completes those tiles exactly, once
     (complete), so a caller that reads it sees the whole exact field;
@@ -532,9 +521,10 @@ class BandField(ScalarField):
     state.
 
     What hmbo.flow's certificate reads of the field it does not hold:
-    exact, the nodes whose value is final; nearest, their nearest segment,
-    and neighbours, each segment's two neighbours, both on curved fields
-    only, the ones the damped step builds (None on chord fields); and two
+    exact, the nodes whose value is final; curved, the reconstruction;
+    nearest, their nearest segment, and neighbours, each segment's two
+    neighbours, both on curved fields only, the ones the damped step builds
+    (None on chord fields); and two
     gaps between the field's magnitude D and the exact distance c to the
     chords, c - below <= D <= c + above at every node.  A provisional
     node's c lies within spread (the largest r) of its |value|.  slack is
@@ -550,7 +540,7 @@ class BandField(ScalarField):
 
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
         g = self.grid = f.grid
-        self.curve = curve
+        self.curve, self.curved = curve, curved
         sa, sb = curve.segment_points()
         self._seg = _segments(sa, sb)
         scale = _scale(g, sa, sb)
@@ -626,16 +616,16 @@ def _curve_gap(a: BandField, b: BandField) -> float:
     nearest to the node nearest the segment's midpoint, or a neighbour of
     it, whichever gives the least bound.  The distance to the fixed segment
     t is convex along the segment, so the larger of its two end values
-    bounds it over the whole segment.  The node must be exact in b, or the
-    bound is inf.  b is a curved field, the only kind that keeps nearest
-    and neighbours.
+    bounds it over the whole segment.  b must be a curved field, the only
+    kind that keeps nearest and neighbours, and the node must be exact in
+    b, or the bound is inf.
     """
     g = a.grid
     sa, sb = a.curve.segment_points()
     mid = 0.5 * (sa + sb)
     i = np.clip(np.rint((mid[:, 0] - g.xmin) / g.dx), 0, g.nx - 1).astype(np.intp)
     j = np.clip(np.rint((mid[:, 1] - g.ymin) / g.dy), 0, g.ny - 1).astype(np.intp)
-    if not b.exact[j, i].all():
+    if not (b.curved and b.exact[j, i].all()):
         return np.inf
     t = b.nearest[j, i]
     seg = tuple(v[np.column_stack([t, b.neighbours[t]])] for v in b._seg)

@@ -27,7 +27,7 @@ from hmbo.flow import (
     run_flow,
     wave_data,
 )
-from hmbo.interfaces import BandField, average_radius, extract_zero_set
+from hmbo.interfaces import BandField, average_radius, extract_zero_set, signed_distance
 from hmbo.oracles import hmcf_circle_radius
 from hmbo.wave import cfl_max_dt, cfl_substep
 
@@ -586,6 +586,28 @@ def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, s
     done = _count_completions(monkeypatch)
     _assert_same_curves(run_flow(cfg, d0, v0, record_interfaces=True), want)
     assert len(done) == completions
+
+
+@pytest.mark.parametrize("start", ["chord", "mcf-step"])
+def test_a_damped_run_from_a_chord_field_is_the_exhaustive_run(monkeypatch, start):
+    """A damped run may start from a chord BandField, which keeps no
+    nearest segments for the certificate's curve gap: signed_distance's
+    default reconstruction of the star, or the field of an mcf step from
+    it.  The step from it redistances every node, so the next step reads
+    whole fields and the certificate first compares two curved ones; the
+    curves are the exhaustive loop's, byte for byte, and no field is
+    completed."""
+    g = make_grid(96, 96, _BOX)
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=12)
+    f = field_from_function(g, _star)
+    d0 = signed_distance(f, extract_zero_set(f))
+    if start == "mcf-step":
+        d0 = hmbo_step(d0, d0, HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0))[0]
+    assert isinstance(d0, BandField) and not d0.curved
+    want = _exhaustive_curves(cfg, d0, 0.0, 12)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert done == []
 
 
 def test_a_rejected_certificate_completes_the_fields_and_keeps_the_bytes(monkeypatch):

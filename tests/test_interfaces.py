@@ -11,15 +11,17 @@ from hmbo.fields import ScalarField, field_from_function, make_grid
 from hmbo.flow import HmboConfig, PhysicalParams, hmbo_step, init_history
 from hmbo.interfaces import (
     InterfaceCurve,
+    _Tiles,
     _bent_chord_distance,
     _bent_chord_frames,
     _curvature_vector,
     _curve_gap,
     _curved_distance,
-    _nearest_segment,
+    _scale,
     _scan_block,
     _segment_curvature,
     _segment_neighbours,
+    _segments,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -293,6 +295,15 @@ def test_curved_vertices_are_roots_of_their_edge_cubic(rng):
 def _nodes(g):
     X, Y = g.mesh()
     return X.ravel(), Y.ravel()
+
+
+def _nearest_segment(g, a, b):
+    """The pruned scan (_Tiles) run on every tile of g: the squared distance
+    from each node to its nearest segment [a, b] and that segment's index,
+    as (ny, nx) arrays, the form held to the exhaustive reference below."""
+    seg = _segments(a, b)
+    tiles = _Tiles(g, seg, _scale(g, a, b))
+    return tuple(tiles.untile(v, g.shape) for v in tiles.scan(seg, np.arange(tiles.kx * tiles.ky)))
 
 
 def test_min_segment_distance_handcrafted():
@@ -586,7 +597,7 @@ def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
     for reach in (0.0, 2.0 * h, 8.0 * h, np.inf):
         d = signed_distance(f, curve, curved=curved, reach=reach)
         exact, held = d.exact.copy(), d.provisional.copy()
-        assert (d.nearest is None, d.neighbours is None) == (not curved, not curved)
+        assert (d.curved, d.nearest is None, d.neighbours is None) == (curved, not curved, not curved)
         assert exact[c <= reach].all(), reach
         far = ~exact
         assert far.any() == (reach < np.inf), reach
@@ -604,7 +615,8 @@ def test_curve_gap_bounds_the_distance_between_curves():
     (the first pair is init_history's field and the first step's); the
     first step's field is whole, the others banded.  Measured at step 2,
     0.93e-3 against 0.61e-3, and at step 8, 1.98e-3 against 1.11e-3.  It
-    is inf once a midpoint's node is not exact in b."""
+    is inf once a midpoint's node is not exact in b, and against a chord
+    field, which keeps no nearest segments."""
     g = make_grid(96, 96, (-2, 2, -2, 2))
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
     d0 = field_from_function(g, _BAND_SHAPES["star"])
@@ -625,6 +637,7 @@ def test_curve_gap_bounds_the_distance_between_curves():
     mid = 0.5 * np.add(*a.curve.segment_points())[0]
     b.exact[int(np.rint((mid[1] - g.ymin) / g.dy)), int(np.rint((mid[0] - g.xmin) / g.dx))] = False
     assert _curve_gap(a, b) == np.inf
+    assert _curve_gap(fields[0], signed_distance(d0, extract_zero_set(d0))) == np.inf
 
 
 @pytest.mark.parametrize(
