@@ -68,7 +68,6 @@ from .fields import Grid2D, ScalarField
 from .interfaces import (
     BandField,
     InterfaceCurve,
-    _curvature_vector,
     _curve_gap,
     average_radius,
     extract_zero_set,
@@ -253,14 +252,15 @@ def _stage(name: str):
 @dataclass(frozen=True)
 class _Band:
     """The damped step's band (see hmbo_step): the substeps k, the band
-    width, and the sums of the step's stencil that its certificate reads."""
+    width, and the stencil sums and a + b*tau that its certificate's bound
+    (C2) reads."""
 
     k: int
     width: float
     s0: float  # sum over q != 0 of |P_q|
     s1: float  # sum over q != 0 of |P_q| |q|
     n_u0: float  # sum of |S_q|
-    mass: tuple[float, float]  # a + b*tau, rounded down and up
+    mass: float  # a + b*tau, rounded down
 
 
 @functools.lru_cache(maxsize=16)
@@ -297,8 +297,7 @@ def _band(cfg: HmboConfig) -> _Band | None:
     mass = cfg.a + cfg.b * cfg.tau
     h = max(g.dx, g.dy)
     need = (s1 + 2.0 * h * s0 + 3.0 * h * cfg.a * n_u0) / mass
-    return _Band(k, (k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need), s0, s1, n_u0,
-                 (mass * (1.0 - 1e-9), mass * (1.0 + 1e-9)))
+    return _Band(k, (k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need), s0, s1, n_u0, mass * (1.0 - 1e-9))
 
 
 def _dilate(mask: np.ndarray, k: int, box: bool = False) -> np.ndarray:
@@ -326,10 +325,9 @@ def _exact(d: ScalarField) -> np.ndarray | bool:
     return d.exact if isinstance(d, BandField) else True
 
 
-def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, curve: InterfaceCurve,
-               cfg: HmboConfig, band: _Band) -> bool:
-    """The certificate (C1)-(C3) of hmbo_step, and its scale condition, for
-    a step from fields that hold provisional values."""
+def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band) -> bool:
+    """The certificate (C1)-(C3) of hmbo_step, for a step from fields that
+    hold provisional values."""
     stale = _dilate(~(_exact(d_n) & _exact(d_nm1)), band.k)
     neg = np.signbit(u_tau.values)
     cell = (neg[:-1, :-1] != neg[:-1, 1:]) | (neg[:-1, :-1] != neg[1:, :-1]) | (neg[:-1, :-1] != neg[1:, 1:])
@@ -337,8 +335,7 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, curve: 
     for sj in (slice(None, -1), slice(1, None)):
         for si in (slice(None, -1), slice(1, None)):
             corners[sj, si] |= cell
-    k_read = _dilate(corners, 1, box=True)
-    if (_dilate(k_read, 1, box=True) & stale).any():  # C1
+    if (_dilate(corners, 2, box=True) & stale).any():  # C1
         return False
     v_n = _known(d_n)
     if (neg[stale] != np.signbit(v_n[stale])).any():  # C3
@@ -352,29 +349,9 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, curve: 
     a, b = cfg.a, cfg.b
     rounding = 2.0**-40 * 4.0**band.k * (band.k + 1) * (3.0 * a + b * cfg.tau) * d_max
     bound = band.s1 + band.s0 * (d_n.above + d_n.below) + a * band.n_u0 * h_max + rounding
-    v, exact = np.abs(v_n[stale]), d_n.exact[stale]
-    lo = np.where(exact, v, v - d_n.spread - d_n.below)
-    if not band.mass[0] * np.min(lo) > bound:
-        return False
-    if curve.is_empty:
-        return True
-    # the scale of _curvature_vector: every binary exponent that max|U| may
-    # have gives the same K at the nodes the redistance reads it at
-    hi = np.where(exact, v, v + d_n.spread + d_n.above)
-    fresh = np.abs(u_tau.values[~stale])
-    m_r = float(np.max(fresh)) if fresh.size else 0.0
-    m_lo = max(m_r, band.mass[0] * float(np.max(lo)) - bound)
-    m_hi = max(m_r, band.mass[1] * float(np.max(hi)) + bound)
-    if not 0.0 < m_lo <= m_hi < np.inf:
-        return False
-    exps = range(np.frexp(m_lo)[1], np.frexp(m_hi)[1] + 1)
-    if len(exps) > 1 or exps[0] != np.frexp(np.max(np.abs(u_tau.values)))[1]:
-        want = [kc[k_read] for kc in _curvature_vector(u_tau)]
-        for e in exps:
-            got = _curvature_vector(u_tau, e)
-            if not all(x[k_read].tobytes() == y.tobytes() for x, y in zip(got, want)):
-                return False
-    return True
+    v = np.abs(v_n[stale])
+    lo = np.where(d_n.exact[stale], v, v - d_n.spread - d_n.below)
+    return bool(band.mass * np.min(lo) > bound)
 
 
 def _propagate(d_n: ScalarField, d_nm1: ScalarField, cfg: HmboConfig) -> tuple[ScalarField, InterfaceCurve]:
@@ -420,8 +397,9 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       sign bits everywhere, and values only there: the crossed edges' cubic
       reads one node past either end, a saddle the cell's corners.  The
       curvature is read bilinearly at the chord midpoints, inside the cell
-      or, by rounding, in a neighbour, at their corners, and each
-      curvature reads a node's 3 x 3 neighbours;
+      or, by rounding, in a neighbour, at their corners, and the curvature
+      at a node reads u(tau) only in the node's 3 x 3 box
+      (_curvature_vector scales each stencil by its own power of two);
     * (C2) at every node p outside R the exhaustive U(tau) has the sign of
       D_n(p).  The step is linear and reproduces constants and linear
       motion, so U(tau)(p) = (a + b*tau) D_n(p) + sum over q != 0 of
@@ -445,13 +423,14 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
 
     Then u(tau) and U(tau) agree in every sign bit, outside R by (C2) and
     (C3) and in R bit for bit, so they have the same crossed cells, and by
-    (C1) the extraction reads equal values: the curve is the exhaustive
-    one.  An empty curve is an extinction of both.  The exact tiles of
-    d_new then hold the exhaustive bits, since a tile's scan and its bent
-    chords read only the curve, the node and the curvature, and the
-    provisional ones the exhaustive sign bits.
+    (C1) the extraction and the curvature read equal values: the curve
+    and its curvature are the exhaustive ones.  An empty curve is an
+    extinction of both.  The exact tiles of d_new then hold the exhaustive
+    bits, since a tile's scan and its bent chords read only the curve, the
+    node and the curvature, and the provisional ones the exhaustive sign
+    bits.
 
-    The four gaps of this argument:
+    The three gaps of this argument:
 
     * a curved distance against a chord distance: a bent chord lies within
       |h|/4 <= L/8 of its chord, and the step measures to some point of the
@@ -459,12 +438,6 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       below = max|h|/4 and above = L + max|h|/4 with the largest L
       (BandField), not a tighter bound that the Newton iteration would need
       a proof of;
-    * the power of two by which _curvature_vector scales u(tau) is taken
-      from the global max|u|, which a provisional value may change.  The
-      exhaustive max|U| lies between bounds from R (where it is u) and from
-      (C2)'s terms outside R; the check computes the curvature at the read
-      nodes with every binary exponent in that range and requires the same
-      bits;
     * extinction: with one-signed u(tau) there is no crossed cell, (C1)
       holds, and (C2), (C3) give a one-signed U(tau), so both go extinct;
     * rounding: the computed D's carry the scan's relative slack in below
@@ -489,7 +462,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     partial = [d for d in (d_n, d_nm1) if isinstance(d, BandField) and not d.is_complete]
     try:
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
-        certified = not partial or (band is not None and _certified(d_n, d_nm1, u_tau, curve, cfg, band))
+        certified = not partial or (band is not None and _certified(d_n, d_nm1, u_tau, cfg, band))
     except NumericalError:
         if not partial:
             raise

@@ -374,27 +374,35 @@ def _scale(grid, a, b):
     return max(np.abs(a).max(), np.abs(b).max(), abs(g.xmin), abs(g.xmax), abs(g.ymin), abs(g.ymax))
 
 
-def _curvature_vector(f: ScalarField, e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Curvature vector K = -div(n) n, n = grad f/|grad f|, of f's level sets.
 
     Central differences at every node, reading the mirror ghost nodes past
     the walls (so K is tangent to a wall at its nodes); nodes with a
     vanishing gradient get K = 0.  K does not change under f -> -f or
-    f -> 2^k f, so f is first scaled by the power of two that brings
-    max|f|/dx near 1: exact, and |grad f|^4 then neither overflows nor
-    underflows however large or small f is.  e, if given, stands in for
-    the binary exponent of max|f| (np.frexp) in that scaling.
+    f -> 2^k f, so each node's 3 x 3 stencil is first scaled by the power
+    of two that brings the largest |f| in it near dx: exact, and
+    |grad f|^4 then neither overflows nor underflows however large or small
+    f is.  So K at a node reads f only in its 3 x 3 box, folded at the
+    walls.
     """
     g = f.grid
-    if e is None:
-        e = np.frexp(np.max(np.abs(f.values)))[1]
-    c = np.ldexp(f.values, np.frexp(min(g.dx, g.dy))[1] - e)
-    p = _mirror_ghosts(c)
-    fx = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.dx)
-    fy = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.dy)
-    fxx = (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / (g.dx * g.dx)
-    fyy = (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / (g.dy * g.dy)
-    fxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * g.dx * g.dy)
+    ny, nx = f.values.shape
+    p = _mirror_ghosts(f.values)
+    a = np.abs(p)
+    m = np.maximum(np.maximum(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+    m = np.maximum(np.maximum(m[:-2], m[1:-1]), m[2:])
+    e = np.frexp(min(g.dx, g.dy))[1] - np.frexp(m)[1]
+
+    def at(j, i):  # the neighbour j rows and i columns away, in the node's scale
+        return np.ldexp(p[1 + j:ny + 1 + j, 1 + i:nx + 1 + i], e)
+
+    c, left, right, down, up = at(0, 0), at(0, -1), at(0, 1), at(-1, 0), at(1, 0)
+    fx = (right - left) / (2.0 * g.dx)
+    fy = (up - down) / (2.0 * g.dy)
+    fxx = (right - 2.0 * c + left) / (g.dx * g.dx)
+    fyy = (up - 2.0 * c + down) / (g.dy * g.dy)
+    fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * g.dx * g.dy)
     g2 = fx * fx + fy * fy
     ok = g2 > 0.0
     g2 = np.where(ok, g2, 1.0)

@@ -48,6 +48,8 @@ def exact_mcf_radius(r0: float, t: float) -> float:
     """Radius of a circle under unit-mobility curvature flow, clamped at 0."""
     if not 0 < r0 < math.inf:
         raise ValidationError(f"r0 must be positive and finite, got {r0}")
+    if not 0 < r0 * r0 < math.inf:
+        raise ValidationError(f"r0^2 must be a positive finite double, got r0^2 = {r0 * r0} for r0 = {r0}")
     return float(np.sqrt(max(r0 * r0 - 2.0 * t, 0.0)))
 
 

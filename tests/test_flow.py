@@ -566,9 +566,10 @@ _BOX = (-2, 2, -2, 2)
         ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 0.03, 0.0, 30, 0),
         ((97, 61, (-2, 2, -1.5, 1.5)), _star, 1.0, 0.0, 60, 0),
         ((96, 96, _BOX), _ellipse, 1.0, 0.0, 60, 2),
+        ((128, 128, _BOX), lambda x, y: np.hypot(x, y) - 0.7, 1.0, 0.0, 30, 0),
     ],
     ids=["circle-128", "star", "two-disks", "wall-cut-circle", "v0+0.5", "v0-0.5", "alpha-0.1", "alpha-0.03",
-         "star-97x61", "ellipse"],
+         "star-97x61", "ellipse", "circle-0.7"],
 )
 def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, steps, completions):
     """run_flow's damped steps, which redistance only the band the next
@@ -576,9 +577,12 @@ def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, s
     byte: on the unit circle of criterion 7, an off-centre 5-fold star, two
     disks, a circle cut by a wall, an initial speed of either sign, at
     alpha = 0.1 and 0.03, which take 2 and 3 substeps per step, the star on
-    97 x 61 nodes with dx != dy, whose last tiles repeat nodes, and a thin
-    ellipse.  The ellipse is the one case where the certificate rejects
-    steps of its own accord: its run completes 2 fields, the others none."""
+    97 x 61 nodes with dx != dy, whose last tiles repeat nodes, a thin
+    ellipse, and a circle of radius 0.7 at N = 128, negative inside, where
+    a curvature scale taken from the global max|u| would depend on the
+    provisional values on every step.  The ellipse is the one case where
+    the certificate rejects steps of its own accord: its run completes 2
+    fields, the others none."""
     g = make_grid(*grid)
     cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0, max_steps=steps)
     d0 = field_from_function(g, shape)

@@ -779,10 +779,10 @@ def test_extraction_and_redistance_commute_with_transposition():
 
 @pytest.mark.parametrize("k", [-900, -300, -1, 1, 300, 1000])
 def test_curvature_vector_is_invariant_under_power_of_two_scaling(k):
-    """K of 2^k f is K of f bit for bit, however far 2^k is from 1: the
-    field is brought to max|f|/dx near 1 by an exact power of two before
-    |grad f|^4 is formed, which overflowed or underflowed to K = 0 at
-    |k| of some hundreds."""
+    """K of 2^k f is K of f bit for bit, however far 2^k is from 1: each
+    node's stencil is brought to its largest |f| near dx by an exact power
+    of two before |grad f|^4 is formed, which overflowed or underflowed to
+    K = 0 at |k| of some hundreds."""
     g = make_grid(40, 40, (-2, 2, -2, 2))
     for f in (
         field_from_function(g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.2 * np.cos(3.0 * x)),
@@ -792,6 +792,23 @@ def test_curvature_vector_is_invariant_under_power_of_two_scaling(k):
         assert np.any(want[0] != 0.0)
         got = _curvature_vector(ScalarField(g, np.ldexp(f.values, k)))
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
+
+
+def test_curvature_vector_reads_only_its_stencil():
+    """K at a node reads f only in its 3 x 3 box: a value of 1e300 at the
+    corner node (0, 0) leaves K bit for bit at every node outside rows and
+    columns 0-1.  With one power of two taken from the global max|f|, the
+    1e300 scaled every other stencil so far down that |grad f|^4
+    underflowed, and K became 0 at every node near the curve."""
+    g = make_grid(40, 40, (-2, 2, -2, 2))
+    f = field_from_function(g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.2 * np.cos(3.0 * x))
+    v = f.values.copy()
+    v[0, 0] = 1e300
+    want, got = _curvature_vector(f), _curvature_vector(ScalarField(g, v))
+    far = np.ones(g.shape, dtype=bool)
+    far[:2, :2] = False
+    assert np.count_nonzero(want[0][far]) > 1000
+    assert all(np.array_equal(a[far], b[far]) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.15], ids=["noise", "noise-with-zeros"])
