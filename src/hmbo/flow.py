@@ -39,22 +39,22 @@ delta/tau and keeps the chord reconstruction, which its frozen reference
 figures rest on.  The choice is made in one place, CURVED, which the step,
 init_history and the harness's radius and interface outputs all read.
 
-The damped step redistances only the band the next step reads: the tiles
-of hmbo.interfaces' scan whose centre lies within W + r of the new
-interface (r the tile's half-diagonal), where W = (k + 1) h plus the larger
-of the 3*sqrt(2) h that the cubic and curvature stencils reach from a
-crossed cell and the distance at which the step's sign bound is expected
-to hold (_band), with k the substeps of a step and h the larger spacing.
-The other nodes hold provisional values of the right sign, which the next
+A step redistances only the band the next step reads: the tiles of
+hmbo.interfaces' scan whose centre lies within W + r of the new interface
+(r the tile's half-diagonal), where W = (k + 1) h plus the larger of the
+3*sqrt(2) h that the cubic and curvature stencils reach from a crossed
+cell and the distance at which the step's sign bound is expected to hold
+(_band), with k the substeps of a step and h the larger spacing.  The
+other nodes hold provisional values of the right sign, which the next
 step uses only under a certificate it checks on every step; a step that
 fails it completes both fields and runs again.  The field a step returns
 completes its provisional tiles when its values are first read, so
 callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
-and the proof are in the hmbo_step docstring.  Every other redistance (an
-mcf step, init_history, a damped step without a band or from a field that
-is not a curved BandField) has reach inf: its field is complete at
-construction.
+and the proof are in the hmbo_step docstring.  Every other redistance
+(init_history, a step past _band's limit, a step from a field that is
+not a BandField, or a damped step from one that is not curved) has reach
+inf: its field is complete at construction.
 """
 
 import functools
@@ -251,9 +251,9 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class _Band:
-    """The damped step's band (see hmbo_step): the substeps k, the band
-    width, and the stencil sums and a + b*tau that its certificate's bound
-    (C2) reads."""
+    """A step's band (see hmbo_step): the substeps k, the band width, and
+    the stencil sums, a + b*tau and rounding factor that its certificate's
+    bound (C2) reads."""
 
     k: int
     width: float
@@ -261,26 +261,36 @@ class _Band:
     s1: float  # sum over q != 0 of |P_q| |q|
     n_u0: float  # sum of |S_q|
     mass: float  # a + b*tau, rounded down
+    rho: float  # the rounding bound rho of hmbo_step per unit of max|D|
 
 
 @functools.lru_cache(maxsize=16)
 def _band(cfg: HmboConfig) -> _Band | None:
-    """The band of cfg's damped step, or None where its k substeps reach
-    across the grid or make the rounding bound rho of hmbo_step exceed
-    2^-20 of (3a + b*tau) max|D| (k > 8).
+    """The band of cfg's step, or None where its width would span the
+    grid: where (k + 1) h plus the rounding bound rho of hmbo_step, taken
+    at the grid's diagonal and divided by a + b*tau, reaches the diagonal.
+    A band that wide holds every tile.  rho grows like 4^k, so past some k
+    no grid has a band: the default mcf study has one at N = 128, with
+    k = 13, and none at N = 256, with k = 26 and rho about 1e5 times
+    a + b*tau.
 
     The stencils S (of u0) and T (of ut0) are the step's response to a unit
     impulse, propagated by wave_solve itself on a box of 2k + 3 nodes a
     side, whose walls it does not reach, and P = a S + b T.  The width is
     k + 1 nodes plus the larger of the stencils' 3*sqrt(2) nodes and the
     least |D_n| that the certificate's bound C2 asks for, estimated with
-    gaps G = 2h and H = 3h (h the larger spacing): the interface may move
-    by one node, the bound's terms are in the hmbo_step docstring.
+    gaps G = 2h and H = 3h (h the larger spacing) and rho at the diagonal:
+    the interface may move by one node, the bound's terms are in the
+    hmbo_step docstring.
     """
     g = cfg.grid
     n_full, rem = substeps(cfg.tau, cfg.dt)
     k = n_full + int(rem > 0.0)
-    if k >= max(g.nx, g.ny) or 4.0**k * (k + 1) > 2.0**20:  # the rounding bound rho grows like 4^k
+    h, diag = max(g.dx, g.dy), float(np.hypot(g.xmax - g.xmin, g.ymax - g.ymin))
+    mass = cfg.a + cfg.b * cfg.tau
+    with np.errstate(over="ignore"):  # an inf rho has no band
+        rho = float(np.ldexp((k + 1) * (3.0 * cfg.a + cfg.b * cfg.tau), 2 * k - 40))
+    if (k + 1) * h + rho * diag / mass >= diag:
         return None
     m = 2 * k + 3
     box = Grid2D(m, m, 0.0, (m - 1) * g.dx, 0.0, (m - 1) * g.dy)
@@ -294,10 +304,8 @@ def _band(cfg: HmboConfig) -> _Band | None:
     # the stencils are computed in floating point: widen their sums
     reach = np.hypot(off * g.dx, off[:, None] * g.dy)
     s0, s1, n_u0 = ((1.0 + 2.0**-30) * float(np.sum(v)) for v in (w, w * reach, np.abs(s)))
-    mass = cfg.a + cfg.b * cfg.tau
-    h = max(g.dx, g.dy)
-    need = (s1 + 2.0 * h * s0 + 3.0 * h * cfg.a * n_u0) / mass
-    return _Band(k, (k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need), s0, s1, n_u0, mass * (1.0 - 1e-9))
+    need = (s1 + 2.0 * h * s0 + 3.0 * h * cfg.a * n_u0 + rho * diag) / mass
+    return _Band(k, (k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need), s0, s1, n_u0, mass * (1.0 - 1e-9), rho)
 
 
 def _dilate(mask: np.ndarray, k: int, box: bool = False) -> np.ndarray:
@@ -327,7 +335,8 @@ def _exact(d: ScalarField) -> np.ndarray | bool:
 
 def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band) -> bool:
     """The certificate (C1)-(C3) of hmbo_step, for a step from fields that
-    hold provisional values."""
+    hold provisional values.  With a = 0 the bound reads nothing of d_nm1
+    but its exact nodes: no curve gap H, no magnitude."""
     stale = _dilate(~(_exact(d_n) & _exact(d_nm1)), band.k)
     neg = np.signbit(u_tau.values)
     cell = (neg[:-1, :-1] != neg[:-1, 1:]) | (neg[:-1, :-1] != neg[1:, :-1]) | (neg[:-1, :-1] != neg[1:, 1:])
@@ -340,15 +349,18 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: Hm
     v_n = _known(d_n)
     if (neg[stale] != np.signbit(v_n[stale])).any():  # C3
         return False
-    if not (isinstance(d_n, BandField) and isinstance(d_nm1, BandField)):
+    a = cfg.a
+    fields = (d_n, d_nm1) if a > 0 else (d_n,)
+    if not all(isinstance(d, BandField) for d in fields):
         return False
     # C2: the least |D_n| at a stale node against the bound B
-    h_gap = max(_curve_gap(d_n, d_nm1), _curve_gap(d_nm1, d_n)) + d_n.slack + d_nm1.slack
-    h_max = h_gap + max(d_n.above + d_nm1.below, d_n.below + d_nm1.above)
-    d_max = max(float(np.max(np.abs(_known(d)))) + d.spread + d.above for d in (d_n, d_nm1))
-    a, b = cfg.a, cfg.b
-    rounding = 2.0**-40 * 4.0**band.k * (band.k + 1) * (3.0 * a + b * cfg.tau) * d_max
-    bound = band.s1 + band.s0 * (d_n.above + d_n.below) + a * band.n_u0 * h_max + rounding
+    bound = band.s1 + band.s0 * (d_n.above + d_n.below)
+    if a > 0:  # a chord field's curve gap is inf, and 0*inf is no bound
+        h_gap = max(_curve_gap(d_n, d_nm1), _curve_gap(d_nm1, d_n)) + d_n.slack + d_nm1.slack
+        h_max = h_gap + max(d_n.above + d_nm1.below, d_n.below + d_nm1.above)
+        bound += a * band.n_u0 * h_max
+    d_max = max(float(np.max(np.abs(_known(d)))) + d.spread + d.above for d in fields)
+    bound += band.rho * d_max
     v = np.abs(v_n[stale])
     lo = np.where(d_n.exact[stale], v, v - d_n.spread - d_n.below)
     return bool(band.mass * np.min(lo) > bound)
@@ -378,7 +390,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     d_nm1 does not change the step.  A NumericalError names its stage:
     propagate, extract or redistance.
 
-    The damped step's band.  Its d_new is exact on the tiles within W of
+    The step's band.  Its d_new is exact on the tiles within W of
     the interface and provisional elsewhere until its values are read;
     run_flow never reads them.  So the step returns the bits of the
     exhaustive step, the one that redistances every node, and whose fields
@@ -447,18 +459,28 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       solve is at most 4 times the larger of the two before in max norm,
       and its at most 8 roundings per node are of 2^-53 relative.
 
+    In mcf a = 0, and the argument above holds with the terms that a
+    scales left out: P = b T, U(tau)(p) = b*tau D_n(p) + sum over q != 0
+    of P_q (D_n(p+q) - D_n(p)), and B = sum |P_q| (|q| + G) + rho, with
+    rho's 3a gone and max|D| taken over D_n alone.  So the bound reads
+    neither H, which a chord field cannot give, nor D_nm1's magnitude.
+    R still asks for exact d_nm1: u0 = 0*(2*d_n - d_nm1) is a zero whose
+    sign bit d_nm1 decides.
+
     A step that fails the check, or breaks down numerically, completes both
     fields and runs again from the exhaustive ones, which need no check.
-    The step redistances with reach W when it has a band and d_n is a
-    curved BandField, and with reach inf otherwise: an mcf step, a damped
-    step past _band's limits, and a step from a field that is not a curved
-    BandField (the next step's certificate reads H from both fields'
-    curves, with the nearest segments that only a curved field keeps, so it
-    could not pass) return fields that are complete at construction.
+    The step redistances with reach W when it has a band and the next
+    step's certificate can read d_n: d_n is a BandField, and curved or
+    a = 0.  It redistances with reach inf otherwise: a step past _band's
+    limit, a step from a field that is not a BandField, and a damped step
+    from a chord BandField (the next step's certificate reads H from both
+    fields' curves, with the nearest segments that only a curved field
+    keeps, so it could not pass) return fields that are complete at
+    construction.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
         raise ValidationError("the step's fields and its config lie on different grids")
-    band = _band(cfg) if cfg.mode == "hmcf" else None
+    band = _band(cfg)
     partial = [d for d in (d_n, d_nm1) if isinstance(d, BandField) and not d.is_complete]
     try:
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
@@ -473,7 +495,8 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
     if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
         return None
-    reach = band.width if band is not None and isinstance(d_n, BandField) and d_n.curved else np.inf
+    readable = isinstance(d_n, BandField) and (d_n.curved or cfg.a == 0)
+    reach = band.width if band is not None and readable else np.inf
     with _stage("redistance"):
         return signed_distance(u_tau, curve, curved=CURVED[cfg.mode], reach=reach), curve
 

@@ -64,6 +64,9 @@ def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101, gamma: float
     times = np.linspace(0.0, t_end, n_samples)
     radii = np.array([exact_mcf_radius(r0, gamma * t) for t in times])
     t_ext = 0.5 * r0 * r0 / gamma
+    if not t_ext > 0:  # underflowed: the circle would vanish at t = 0 with a positive radius
+        raise ValidationError(f"the extinction time 0.5*r0^2/gamma = {t_ext} is no positive double "
+                              f"for r0 = {r0}, gamma = {gamma}")
     return RadiusSeries(times, radii, t_ext if t_ext <= t_end else None)
 
 
@@ -179,6 +182,10 @@ def hmcf_circle_radius(
         radii, t_ext = radii2, t_ext2
         if diff < 1e-8:
             break
+    if t_ext is not None and not t_ext > 0:
+        # the first internal step takes r from r0 to far below 0, and the
+        # interpolated time h*r0/(r0 - r_next) underflows
+        raise ValidationError(f"the RK4 reference's extinction time underflows to {t_ext} for r0 = {r0}")
     return RadiusSeries(samples[: len(radii)], radii, t_ext)
 
 

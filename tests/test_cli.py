@@ -510,15 +510,20 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
         ["--mode", "hmcf", "--t-end", "inf"],
         ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e200"],
         ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e-200"],
+        ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e-100", "--gamma", "1e200"],
+        ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--r0", "1e-200"],
     ],
     ids=["mcf-r0-nan", "mcf-t_end-inf", "mcf-gamma-nan", "hmcf-alpha-nan", "hmcf-rdot0-nan", "hmcf-t_end-inf",
-         "mcf-r0-squared-overflows", "mcf-r0-squared-underflows"],
+         "mcf-r0-squared-overflows", "mcf-r0-squared-underflows", "mcf-extinction-time-underflows",
+         "hmcf-extinction-time-underflows"],
 )
 def test_non_finite_oracle_input_exits_one(capsys, argv):
-    """A NaN or infinite number, or an mcf r0 whose square overflows or
-    underflows, is bad input: one error line and exit code 1, not a NaN or
-    inf table, a radius of 0 at t = 0, a made-up extinction time or a
-    traceback."""
+    """A NaN or infinite number, an mcf r0 whose square overflows or
+    underflows, or a circle whose extinction time underflows to 0 (in mcf
+    0.5*r0^2/gamma, in the damped mode the RK4 reference's interpolated
+    time), is bad input: one error line and exit code 1, not a NaN or inf
+    table, a radius of 0 at t = 0, an extinction at t = 0 with a positive
+    radius there, a made-up extinction time or a traceback."""
     rc = cli_main(["oracle"] + argv)
     out, err = capsys.readouterr()
     assert rc == 1

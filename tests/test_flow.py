@@ -592,6 +592,58 @@ def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, s
     assert len(done) == completions
 
 
+def _close_disks(x, y):
+    return np.maximum(0.7 - np.hypot(x + 0.79, y), 0.7 - np.hypot(x - 0.79, y))
+
+
+@pytest.mark.parametrize(
+    "grid, shape, tau, steps, completions",
+    [
+        ((128, 128, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 1.0 / 300.0, 160, 0),
+        ((96, 96, _BOX), _star, 1.0 / 300.0, 60, 0),
+        ((97, 61, (-2, 2, -1.5, 1.5)), _star, 1.0 / 300.0, 60, 0),
+        ((96, 96, _BOX), _close_disks, 1.0 / 300.0, 60, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x - 1.5, y), 1.0 / 300.0, 60, 0),
+        ((96, 96, _BOX), _ellipse, 1.0 / 300.0, 60, 0),
+        ((96, 96, _BOX), lambda x, y: 1.0 - np.hypot(x, y), 1.0 / 1200.0, 60, 0),
+    ],
+    ids=["circle-128", "star", "star-97x61", "two-disks", "wall-cut-circle", "ellipse", "tau-1/1200"],
+)
+def test_banded_mcf_run_is_the_exhaustive_run(monkeypatch, grid, shape, tau, steps, completions):
+    """run_flow's mcf steps, which redistance only the band the next step
+    reads, give the curves of a loop of exhaustive steps byte for byte: the
+    unit circle at N = 128 (13 substeps a step) to its extinction at step
+    144, the off-centre star on 96 x 96 and on 97 x 61 nodes, two disks
+    0.18 apart that merge at step 4, a circle cut by a wall, a thin ellipse,
+    and the circle at tau = 1/1200 (5 substeps).  No run completes a
+    field."""
+    g = make_grid(*grid)
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=tau, max_steps=steps)
+    d0 = field_from_function(g, shape)
+    want = _exhaustive_curves(cfg, d0, 0.0, steps)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert len(done) == completions
+
+
+def test_step_band_reaches_as_far_as_its_rounding_bound_allows():
+    """_band derives its limit: a band is given up only where its width,
+    with the rounding bound that grows like 4^k, would span the grid.  mcf
+    at N = 128 (13 substeps a step) and the damped step at alpha = 0.002
+    (10 substeps) have a band; mcf at N = 256 (26 substeps) has none."""
+    def config(n, mode, alpha=1.0):
+        g = make_grid(n, n, _BOX)
+        if mode == "mcf":
+            return HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0)
+        return HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0)
+
+    for cfg, k in ((config(128, "mcf"), 13), (config(128, "hmcf", 0.002), 10)):
+        band = flow._band(cfg)
+        assert band is not None and band.k == k
+        assert band.width < np.hypot(4.0, 4.0)
+    assert flow._band(config(256, "mcf")) is None
+
+
 @pytest.mark.parametrize("start", ["chord", "mcf-step"])
 def test_a_damped_run_from_a_chord_field_is_the_exhaustive_run(monkeypatch, start):
     """A damped run may start from a chord BandField, which keeps no
@@ -614,6 +666,15 @@ def test_a_damped_run_from_a_chord_field_is_the_exhaustive_run(monkeypatch, star
     assert done == []
 
 
+def _assert_rejected_certificates_keep_the_bytes(monkeypatch, cfg):
+    d0 = field_from_function(cfg.grid, _star)
+    want = _exhaustive_curves(cfg, d0, 0.0, cfg.max_steps)
+    done = _count_completions(monkeypatch)
+    monkeypatch.setattr(flow, "_certified", lambda *args: False)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert len(done) == cfg.max_steps - 2
+
+
 def test_a_rejected_certificate_completes_the_fields_and_keeps_the_bytes(monkeypatch):
     """With a certificate that rejects every step, each step from a field
     with provisional tiles completes it and runs again, and the curves stay
@@ -622,12 +683,16 @@ def test_a_rejected_certificate_completes_the_fields_and_keeps_the_bytes(monkeyp
     third on complete one field each."""
     g = make_grid(96, 96, (-2, 2, -2, 2))
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=12)
-    d0 = field_from_function(g, _star)
-    want = _exhaustive_curves(cfg, d0, 0.0, 12)
-    done = _count_completions(monkeypatch)
-    monkeypatch.setattr(flow, "_certified", lambda *args: False)
-    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
-    assert len(done) == 12 - 2
+    _assert_rejected_certificates_keep_the_bytes(monkeypatch, cfg)
+
+
+def test_a_rejected_mcf_certificate_completes_the_fields_and_keeps_the_bytes(monkeypatch):
+    """The same in mcf, whose steps have a band too: from the third step
+    on each step completes one field, and the curves are the exhaustive
+    ones."""
+    g = make_grid(96, 96, (-2, 2, -2, 2))
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=12)
+    _assert_rejected_certificates_keep_the_bytes(monkeypatch, cfg)
 
 
 def test_criterion_7_run_never_completes_a_field(monkeypatch):
@@ -665,6 +730,27 @@ def test_banded_step_scans_a_fraction_of_the_pairs(monkeypatch):
     assert 0 < band <= 0.5 * sum(pairs)
     assert not banded.is_complete and exact.is_complete
     assert banded.values.tobytes() == exact.values.tobytes()
+
+
+def test_banded_mcf_run_scans_a_fraction_of_the_pairs(monkeypatch):
+    """The mcf run of the unit circle at N = 128 to extinction hands
+    _scan_block at most 0.6 of the (node, candidate) pairs of the loop of
+    exhaustive steps: 0.43 measured."""
+    g = make_grid(128, 128, _BOX)
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=160)
+    d0 = field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y))
+    pairs, scan = [], interfaces._scan_block
+
+    def counting(px, py, seg):
+        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
+        return scan(px, py, seg)
+
+    monkeypatch.setattr(interfaces, "_scan_block", counting)
+    assert run_flow(cfg, d0)[-1].extinct
+    band = sum(pairs)
+    pairs.clear()
+    _exhaustive_curves(cfg, d0, 0.0, 160)
+    assert 0 < band <= 0.6 * sum(pairs)
 
 
 # ---------------------------------------------------------------------------
