@@ -72,6 +72,8 @@ def exact_mcf_series(r0: float, t_end: float, n_samples: int = 101, gamma: float
 
 # the smallest internal step the refinement takes
 _RK4_FLOOR = 1e-7
+# the smallest positive double, the last bracket of an extinction at t = 0
+_TINY = math.ulp(0.0)
 
 
 def rk4_substeps(p: PhysicalParams, dt: float) -> int:
@@ -96,53 +98,73 @@ def rk4_substeps(p: PhysicalParams, dt: float) -> int:
 
 
 def _rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
-    """Fixed-step RK4 over consecutive sample intervals.
+    """Fixed-step RK4 on Python floats over consecutive sample intervals.
 
-    Returns (radii at completed sample times, extinction time or None).  The
-    run halts at the first internal step whose end state has r <= 0; that
-    time is located by linear interpolation of the bracketing states.
-
-    The steps run on Python floats.  Where a stage radius is exactly 0 they
-    refuse the division, and the run is repeated on numpy scalars, whose
-    IEEE infinity the halting test then sees; both give the same bits.
+    Returns (radii at completed sample times, extinction time or None).  A
+    step crosses zero when a stage radius r2, r3 or r4, or its end radius,
+    is no positive finite double, or its end speed is not finite.  Each
+    stage radius is tested before anything divides by it, so no division
+    by zero arises.  The run halts at the first step that crosses and
+    locates the extinction inside it by bisection (_extinction_time), so
+    that time converges at RK4's order.
     """
-    try:
-        return _rk4_steps(float, alpha, beta, gamma, r0, rdot0, sample_times, n_sub)
-    except ZeroDivisionError:
-        with np.errstate(all="ignore"):
-            return _rk4_steps(np.float64, alpha, beta, gamma, r0, rdot0, sample_times, n_sub)
+    alpha, beta, neg_gamma = float(alpha), float(beta), -float(gamma)
 
+    def step(r, v, h):
+        """The state (r, v) one step h on, with r = nan where a stage
+        radius is no positive finite double.  Each stage derivative is
+        (v, (-gamma/r - beta*v)/alpha)."""
+        hh = 0.5 * h
+        k1v = (neg_gamma / r - beta * v) / alpha
+        r2, k2r = r + hh * v, v + hh * k1v
+        if not 0.0 < r2 < math.inf:
+            return math.nan, math.nan
+        k2v = (neg_gamma / r2 - beta * k2r) / alpha
+        r3, k3r = r + hh * k2r, v + hh * k2v
+        if not 0.0 < r3 < math.inf:
+            return math.nan, math.nan
+        k3v = (neg_gamma / r3 - beta * k3r) / alpha
+        r4, k4r = r + h * k3r, v + h * k3v
+        if not 0.0 < r4 < math.inf:
+            return math.nan, math.nan
+        k4v = (neg_gamma / r4 - beta * k4r) / alpha
+        h6 = h / 6.0
+        return r + h6 * (v + 2 * k2r + 2 * k3r + k4r), v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
 
-def _rk4_steps(scalar, alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
-    """_rk4_run's steps on the scalar type given: every input is cast to it
-    once.  Each stage derivative is (v, (-gamma/r - beta*v)/alpha)."""
-    alpha, beta, neg_gamma = scalar(alpha), scalar(beta), -scalar(gamma)
-    times = [scalar(t) for t in sample_times]
+    times = [float(t) for t in sample_times]
     radii = [r0]
-    r, v = scalar(r0), scalar(rdot0)
+    r, v = float(r0), float(rdot0)
     for t0, t1 in zip(times[:-1], times[1:]):
         h = (t1 - t0) / n_sub
-        hh, h6 = 0.5 * h, h / 6.0
         for j in range(n_sub):
-            k1v = (neg_gamma / r - beta * v) / alpha
-            r2, k2r = r + hh * v, v + hh * k1v
-            k2v = (neg_gamma / r2 - beta * k2r) / alpha
-            r3, k3r = r + hh * k2r, v + hh * k2v
-            k3v = (neg_gamma / r3 - beta * k3r) / alpha
-            r4, k4r = r + h * k3r, v + h * k3v
-            k4v = (neg_gamma / r4 - beta * k4r) / alpha
-            rn = r + h6 * (v + 2 * k2r + 2 * k3r + k4r)
-            vn = v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not (math.isfinite(rn) and math.isfinite(vn)) or rn <= 0.0:
-                t_here = t0 + j * h
-                if math.isfinite(rn) and r > rn:
-                    t_ext = t_here + h * r / (r - rn)
-                else:
-                    t_ext = t_here + h
-                return np.array(radii), float(t_ext)
+            rn, vn = step(r, v, h)
+            if not (0.0 < rn < math.inf and math.isfinite(vn)):
+                return np.array(radii), _extinction_time(step, r, v, t0 + j * h, h)
             r, v = rn, vn
         radii.append(r)
     return np.array(radii), None
+
+
+def _extinction_time(step, r, v, t, h):
+    """Where the radius reaches zero in the step h from the state (r, v) at
+    time t, a step that crosses zero (_rk4_run).
+
+    The step is halved, and its first half taken whenever that half does
+    not cross, until the bracket cannot shrink in doubles (t + h/2 == t or
+    h/2 == 0).  The time is then read by linear interpolation of the radius
+    across the last bracket, or is its end where that step's end radius is
+    not finite.  It lies in [t, t + h] of the first bracket.
+    """
+    while True:
+        half = 0.5 * h
+        if half == 0.0 or t + half == t:
+            break
+        rn, vn = step(r, v, half)
+        if 0.0 < rn < math.inf and math.isfinite(vn):
+            r, v, t = rn, vn, t + half
+        h = half
+    rn, _ = step(r, v, h)
+    return t + h * (r / (r - rn) if -math.inf < rn <= 0.0 else 1.0)
 
 
 def hmcf_circle_radius(
@@ -154,7 +176,10 @@ def hmcf_circle_radius(
     alpha/beta, and is halved until two successive refinements agree to
     1e-8 in the max norm (or the step reaches a floor of 1e-7).  Returned
     samples lie on the requested dt lattice and end at t_end, or earlier if
-    the radius reaches zero.
+    the radius reaches zero.  The extinction time is bisected inside the
+    first step that crosses zero (_rk4_run), so it converges at RK4's
+    order and resolves a circle far smaller than the internal step; one at
+    or below the smallest positive double, 5e-324, is rejected.
     """
     if p.alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {p.alpha}")
@@ -182,10 +207,11 @@ def hmcf_circle_radius(
         radii, t_ext = radii2, t_ext2
         if diff < 1e-8:
             break
-    if t_ext is not None and not t_ext > 0:
-        # the first internal step takes r from r0 to far below 0, and the
-        # interpolated time h*r0/(r0 - r_next) underflows
-        raise ValidationError(f"the RK4 reference's extinction time underflows to {t_ext} for r0 = {r0}")
+    if t_ext is not None and t_ext <= _TINY:
+        # even a step of 5e-324 from r0 crosses zero: the time cannot be
+        # told from 0
+        raise ValidationError(f"the RK4 reference's extinction time underflows: it is at most {_TINY:.3g} "
+                              f"for r0 = {r0}, gamma = {p.gamma}, alpha = {p.alpha}")
     return RadiusSeries(samples[: len(radii)], radii, t_ext)
 
 

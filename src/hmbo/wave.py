@@ -132,13 +132,12 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     with open(energy_log, "w", newline="") if energy_log is not None else nullcontext() as log:
         if log is not None:
             log.write("step,t,energy\n")
-            weights = _node_weights(ny, nx)
 
         def stored(k, t, prev, new, h):
             """Check and log the pair (prev, new) that ends substep k at time t."""
             _check_finite(new, k)
             if log is not None:
-                e = _energy_values(prev, new, c2, h, dx, dy, weights, ghost, work, lap)
+                e = _energy_values(prev, new, c2, h, dx, dy, ghost, work, lap)
                 log.write(f"{k},{t:.17g},{e:.17g}\n")
             return new
 
@@ -178,13 +177,26 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _node_weights(ny: int, nx: int) -> np.ndarray:
-    """Trapezoid weights of the (ny, nx) nodes: 1 inside, 1/2 on the walls,
-    1/4 at the corners."""
-    return _trapezoid_weights(ny)[:, None] * _trapezoid_weights(nx)[None, :]
+def _weighted_square(f, out, rows, cols):
+    """(w*f)*f into out, w the trapezoid weights of f's nodes: 1/2 on the
+    first and last row if rows, on the first and last column if cols, and
+    their product at the corners.  Inside, w is 1 and (w*f)*f is f*f bit
+    for bit, so only the wall rows and columns are multiplied by w."""
+    np.multiply(f, f, out=out)
+    if rows:
+        w = 0.5 * _trapezoid_weights(f.shape[1]) if cols else 0.5
+        for i in (0, -1):
+            np.multiply(w, f[i], out=out[i])
+            out[i] *= f[i]
+    if cols:
+        w = 0.5 * _trapezoid_weights(f.shape[0]) if rows else 0.5
+        for j in (0, -1):
+            np.multiply(w, f[:, j], out=out[:, j])
+            out[:, j] *= f[:, j]
+    return out
 
 
-def _energy_values(u_prev, u_cur, c2, dt, dx, dy, weights=None, ghost=None, work=None, out=None):
+def _energy_values(u_prev, u_cur, c2, dt, dx, dy, ghost=None, work=None, out=None):
     """Discrete wave energy of a stored substep pair.
 
     Velocity term is the backward difference at nodes; the gradient term uses
@@ -196,32 +208,22 @@ def _energy_values(u_prev, u_cur, c2, dt, dx, dy, weights=None, ghost=None, work
     Laplacian, so the logged energy is flat up to O(dt^2) for eigenmodes
     instead of showing a spurious O(dx) boundary oscillation.
 
-    weights (_node_weights), ghost, work and out, if given, are the node
-    weights and the buffers of _laplacian_values; the terms are computed in
-    them, and every sum runs over a contiguous array of the term's shape.
+    ghost, work and out, if given, are the buffers of _laplacian_values;
+    the terms are computed in them (_weighted_square), and every sum runs
+    over a contiguous array of the term's shape.
     """
     ny, nx = u_cur.shape
-    wx = _trapezoid_weights(nx)
-    wy = _trapezoid_weights(ny)
-    if weights is None:
-        weights = _node_weights(ny, nx)
     if ghost is None:
         ghost, work, out = np.empty((ny + 2, nx + 2)), np.empty((ny, nx)), np.empty((ny, nx))
     vel = np.subtract(u_cur, u_prev, out=work)
     vel /= dt
-    term = np.multiply(weights, vel, out=out)
-    term *= vel
-    kinetic = float(np.sum(term))
+    kinetic = float(np.sum(_weighted_square(vel, out, True, True)))
     half = np.add(u_prev, u_cur, out=_leading(ghost, (ny, nx)))
     np.multiply(0.5, half, out=half)
     gx = np.subtract(half[:, 1:], half[:, :-1], out=_leading(work, (ny, nx - 1)))
     gx /= dx
-    term = np.multiply(wy[:, None], gx, out=_leading(out, (ny, nx - 1)))
-    term *= gx
-    grad_x = float(np.sum(term))
+    grad_x = float(np.sum(_weighted_square(gx, _leading(out, (ny, nx - 1)), True, False)))
     gy = np.subtract(half[1:, :], half[:-1, :], out=_leading(work, (ny - 1, nx)))
     gy /= dy
-    term = np.multiply(wx[None, :], gy, out=_leading(out, (ny - 1, nx)))
-    term *= gy
-    grad = grad_x + float(np.sum(term))
+    grad = grad_x + float(np.sum(_weighted_square(gy, _leading(out, (ny - 1, nx)), False, True)))
     return 0.5 * dx * dy * (kinetic + c2 * grad)

@@ -92,6 +92,18 @@ def test_oracle_damped_to_file(tmp_path):
     assert r_last == pytest.approx(0.958875787327617, abs=1e-6)
 
 
+@pytest.mark.parametrize("r0", ["1e-150", "1e-200"])
+def test_oracle_damped_resolves_a_tiny_circle(capsys, r0):
+    """A circle far smaller than the RK4 step vanishes after
+    r0*sqrt(pi/2) at unit coefficients; the reference bisects the step that
+    crosses zero and reports that time, with exit code 0."""
+    rc = cli_main(["oracle", "--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--r0", r0])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert _lines(out) == ["t,r", f"0,{float(r0):.17g}"]
+    assert err.startswith("extinction at t=1.25") and err.endswith(r0[1:] + "\n")
+
+
 def test_oracle_requires_t_end(capsys):
     rc = cli_main(["oracle", "--mode", "mcf"])
     assert rc == 1
@@ -511,7 +523,7 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
         ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e200"],
         ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e-200"],
         ["--mode", "mcf", "--t-end", "1", "--samples", "2", "--r0", "1e-100", "--gamma", "1e200"],
-        ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--r0", "1e-200"],
+        ["--mode", "hmcf", "--t-end", "0.1", "--dt", "0.05", "--r0", "1e-200", "--gamma", "1e300"],
     ],
     ids=["mcf-r0-nan", "mcf-t_end-inf", "mcf-gamma-nan", "hmcf-alpha-nan", "hmcf-rdot0-nan", "hmcf-t_end-inf",
          "mcf-r0-squared-overflows", "mcf-r0-squared-underflows", "mcf-extinction-time-underflows",
@@ -519,11 +531,12 @@ def test_bad_damped_coefficients_exit_one(capsys, alpha):
 )
 def test_non_finite_oracle_input_exits_one(capsys, argv):
     """A NaN or infinite number, an mcf r0 whose square overflows or
-    underflows, or a circle whose extinction time underflows to 0 (in mcf
-    0.5*r0^2/gamma, in the damped mode the RK4 reference's interpolated
-    time), is bad input: one error line and exit code 1, not a NaN or inf
-    table, a radius of 0 at t = 0, an extinction at t = 0 with a positive
-    radius there, a made-up extinction time or a traceback."""
+    underflows, or a circle whose extinction time underflows (in mcf
+    0.5*r0^2/gamma, in the damped mode a time of about 1e-350 that even
+    the RK4 reference's step of 5e-324 crosses), is bad input: one error
+    line and exit code 1, not a NaN or inf table, a radius of 0 at t = 0,
+    an extinction at t = 0 with a positive radius there, a made-up
+    extinction time or a traceback."""
     rc = cli_main(["oracle"] + argv)
     out, err = capsys.readouterr()
     assert rc == 1

@@ -6,9 +6,12 @@ themselves at their default refinement settings and cross-checked against
 closed forms where one exists (damping-only decay, small-time Taylor).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from hmbo import oracles
 from hmbo.errors import ValidationError
 from hmbo.flow import PhysicalParams
 from hmbo.oracles import (
@@ -124,10 +127,28 @@ def test_hmcf_oracle_validation():
 
 def _plain_rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
     """_rk4_run as a derivative function called per stage, on whatever
-    scalars it is given: the reference its inlined stages must match."""
+    scalars it is given, with every stage computed before the crossing
+    test reads them: the reference its inlined stages and bisection must
+    match."""
 
     def deriv(r, v):
         return v, (-gamma / r - beta * v) / alpha
+
+    def step(r, v, h):
+        """(end radius, end speed, whether the step crosses zero); the end
+        radius is nan where a stage radius is no positive finite double"""
+        k1r, k1v = deriv(r, v)
+        r2, v2 = r + 0.5 * h * k1r, v + 0.5 * h * k1v
+        k2r, k2v = deriv(r2, v2)
+        r3, v3 = r + 0.5 * h * k2r, v + 0.5 * h * k2v
+        k3r, k3v = deriv(r3, v3)
+        r4, v4 = r + h * k3r, v + h * k3v
+        k4r, k4v = deriv(r4, v4)
+        rn = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+        vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not all(0.0 < x < np.inf for x in (r2, r3, r4)):
+            rn = np.nan
+        return rn, vn, not (0.0 < rn < np.inf and np.isfinite(vn))
 
     radii = [r0]
     r, v = r0, rdot0
@@ -135,16 +156,17 @@ def _plain_rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
         t0, t1 = sample_times[idx], sample_times[idx + 1]
         h = (t1 - t0) / n_sub
         for j in range(n_sub):
-            k1r, k1v = deriv(r, v)
-            k2r, k2v = deriv(r + 0.5 * h * k1r, v + 0.5 * h * k1v)
-            k3r, k3v = deriv(r + 0.5 * h * k2r, v + 0.5 * h * k2v)
-            k4r, k4v = deriv(r + h * k3r, v + h * k3v)
-            rn = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-            vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not (np.isfinite(rn) and np.isfinite(vn)) or rn <= 0.0:
-                t_here = t0 + j * h
-                t_ext = t_here + h * r / (r - rn) if np.isfinite(rn) and r > rn else t_here + h
-                return np.array(radii), float(t_ext)
+            rn, vn, crossed = step(r, v, h)
+            if crossed:
+                t = t0 + j * h
+                while 0.5 * h != 0.0 and t + 0.5 * h != t:
+                    rn, vn, crossed = step(r, v, 0.5 * h)
+                    if not crossed:
+                        r, v, t = rn, vn, t + 0.5 * h
+                    h = 0.5 * h
+                rn, _, _ = step(r, v, h)
+                frac = r / (r - rn) if np.isfinite(rn) and rn <= 0.0 else 1.0
+                return np.array(radii), float(t + h * frac)
             r, v = rn, vn
         radii.append(r)
     return np.array(radii), None
@@ -158,9 +180,8 @@ def _plain_rk4_run(alpha, beta, gamma, r0, rdot0, sample_times, n_sub):
         ((0.3, 2.0, 0.7, 0.8, -1.0, 4), np.arange(13) * 0.05),
         ((1.0, 0.0, 1.0, 0.5, -1.0, 1), np.array([0.0, 1.0])),    # a stage radius of exactly 0
         # the fourth stage's radius r4 is exactly 0, yet the step's end
-        # radius is finite: both forms give t_ext = 0.9498602904877845, and
-        # a run that ended the step at t0 + h on the Python-float division
-        # error would give 1.0
+        # radius is finite: the step crosses all the same, and both forms
+        # bisect it
         ((1.0, 0.0, 1.0, 1.0, -0.3819660112501052, 1), np.array([0.0, 1.0])),
     ],
 )
@@ -173,12 +194,56 @@ def test_rk4_run_matches_per_stage_form_bit_for_bit(args, times):
     assert got_t == want_t
 
 
-def test_rk4_zero_stage_radius_gives_the_ieee_result():
-    """The second stage lands on r = 0 exactly; a division by it gives the
-    numpy infinity, not a ZeroDivisionError, and the run stops there."""
+def test_rk4_zero_stage_radius_halts_the_step_before_dividing():
+    """The second stage lands on r = 0 exactly: the step crosses zero before
+    anything divides by that radius, and the run stops there.  Bisecting
+    the step finds the exact crossing of r'' = -1/r from r = 0.5,
+    r' = -1, the integral of dr/sqrt(1 + 2 ln(0.5/r)) over (0, 0.5)."""
     radii, t_ext = _rk4_run(1.0, 0.0, 1.0, 0.5, -1.0, np.array([0.0, 1.0]), 1)
     assert np.array_equal(radii, [0.5])
-    assert t_ext == 1.0
+    assert abs(t_ext - 0.32783977) < 2e-4
+
+
+def test_extinction_refinement_converges_at_rk4_order(monkeypatch):
+    """The extinction time is bisected inside the step that crosses zero,
+    so alpha = 0.005 agrees to 1e-8 after 4 passes (n_sub 16 to 128), not
+    13, within 2e-8 of a reference at n_sub = 65536 (frozen)."""
+    passes = []
+
+    def counted(*args):
+        passes.append(args[-1])
+        return _rk4_run(*args)
+
+    monkeypatch.setattr(oracles, "_rk4_run", counted)
+    series = hmcf_circle_radius(PhysicalParams(0.005, 1.0, 1.0), 1.0, 0.0, 0.6, 0.05)
+    assert len(passes) <= 5
+    assert abs(series.extinction_time - 0.5178404860809749) < 2e-8
+
+
+@pytest.mark.parametrize("r0", [1e-6, 1e-100, 1e-150, 1e-200])
+def test_extinction_of_a_tiny_circle_is_resolved(r0):
+    """From rest, alpha r'' = -gamma/r gives r'^2/2 = (gamma/alpha) ln(r0/r),
+    so a circle far smaller than the internal step vanishes after
+    r0*sqrt(pi*alpha/(2*gamma)); the damping has no time to act."""
+    series = hmcf_circle_radius(PhysicalParams(1.0, 1.0, 1.0), r0, 0.0, 0.1, 0.05)
+    assert abs(series.extinction_time / (r0 * np.sqrt(np.pi / 2)) - 1.0) < 2e-3
+
+
+def test_extinction_below_the_smallest_double_is_rejected():
+    """gamma = 1e300 takes a circle of 1e-200 to zero after about 1e-350,
+    which no double can tell from 0: even a step of 5e-324 crosses zero."""
+    with pytest.raises(ValidationError, match="underflows"):
+        hmcf_circle_radius(PhysicalParams(1.0, 1.0, 1e300), 1e-200, 0.0, 0.1, 0.05)
+
+
+def test_criterion_7_oracle_radii_are_frozen():
+    """A run that never reaches zero takes the steps it took before the
+    bisection existed: the same bits (sha256 of the radii, frozen)."""
+    tau = 1.0 / 300.0
+    series = hmcf_circle_radius(PhysicalParams(1.0, 1.0, 1.0), 1.0, 0.0, 90 * tau, tau)
+    assert series.extinction_time is None
+    digest = hashlib.sha256(series.radii.tobytes()).hexdigest()
+    assert digest == "32fca096051c72023aec46e1c750a334e2e56b439d747a45851ac4cdbb3fc477"
 
 
 def test_rk4_substeps_start_within_the_relaxation_time():

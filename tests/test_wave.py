@@ -6,7 +6,7 @@ import pytest
 
 from hmbo.errors import NumericalError, ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
-from hmbo.wave import WaveParams, _energy_values, _node_weights, cfl_max_dt, cfl_number, wave_solve
+from hmbo.wave import WaveParams, _energy_values, cfl_max_dt, cfl_number, wave_solve
 
 
 def _zeros(grid):
@@ -273,13 +273,23 @@ def test_buffered_energy_is_bit_identical(rng, shape):
     one-temporary-per-operation form; a second pair in the same buffers too."""
     ny, nx = shape
     dx, dy = 0.37, 0.21
-    weights = _node_weights(ny, nx)
     ghost, work, out = np.empty((ny + 2, nx + 2)), np.empty(shape), np.empty(shape)
     for _ in range(2):
         a, b = rng.standard_normal(shape), rng.standard_normal(shape)
         want = _plain_energy(a, b, 1.7, 0.013, dx, dy)
         assert _energy_values(a, b, 1.7, 0.013, dx, dy) == want
-        assert _energy_values(a, b, 1.7, 0.013, dx, dy, weights, ghost, work, out) == want
+        assert _energy_values(a, b, 1.7, 0.013, dx, dy, ghost, work, out) == want
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-310, 1e150])
+def test_energy_of_extreme_fields_is_bit_identical(rng, scale):
+    """Fields scaled so that the weighted squares are subnormal, or near
+    1e300: the energy is still the float of the one-temporary-per-operation
+    form.  With dx*dy = 2 and c2 = 1 the energy is the sum of the terms, and
+    a sum of subnormals is exact, so a wall term (w*v)*v computed as
+    w*(v*v), which rounds twice, would show."""
+    a, b = scale * rng.standard_normal((6, 7)), scale * rng.standard_normal((6, 7))
+    assert _energy_values(a, b, 1.0, 0.5, 2.0, 1.0) == _plain_energy(a, b, 1.0, 0.5, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("substeps", [3.4, 1.5, 5.0])
