@@ -95,31 +95,43 @@ def field_from_function(grid: Grid2D, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
-def _mirror_ghosts(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _mirror_ghosts(v: np.ndarray, out: np.ndarray | None = None, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """v with one ring of mirror ghost nodes: p[j + 1, i + 1] = v[j, i], and
     p[j + 1, 0] = v[j, 1] at the low x wall, and so on (the corners too), as
     np.pad(v, 1, mode="reflect") gives it.  Filled into out, a
-    (ny + 2, nx + 2) buffer, if given."""
+    (ny + 2, nx + 2) buffer, if given.
+
+    With a row range lo:hi, only the rows lo - 1 .. hi of that array:
+    p[j + 1 - lo, i + 1] = v[j, i], and the rows past the strip are v's
+    rows lo - 1 and hi, or their mirrors at a wall; out then has
+    hi - lo + 2 rows.  Every value is a copy, so a strip's rows are those
+    of the whole array bit for bit.
+    """
     ny, nx = v.shape
-    p = np.empty((ny + 2, nx + 2)) if out is None else out
-    p[1:-1, 1:-1] = v
-    p[0, 1:-1] = v[1]
-    p[-1, 1:-1] = v[-2]
+    hi = ny if hi is None else hi
+    p = np.empty((hi - lo + 2, nx + 2)) if out is None else out
+    p[1:-1, 1:-1] = v[lo:hi]
+    p[0, 1:-1] = v[lo - 1 if lo > 0 else 1]
+    p[-1, 1:-1] = v[hi if hi < ny else ny - 2]
     # the columns last, from the filled rows, so the corners are mirrored twice
     p[:, 0] = p[:, 2]
     p[:, -1] = p[:, -3]
     return p
 
 
-def _laplacian_values(v: np.ndarray, dx: float, dy: float, ghost=None, work=None, out=None) -> np.ndarray:
+def _laplacian_values(v: np.ndarray, dx: float, dy: float, ghost=None, work=None, out=None,
+                      lo: int = 0, hi: int | None = None) -> np.ndarray:
     """5-point Laplacian with mirror (Neumann) ghost nodes, on a raw array.
 
     It is (p_left - 2v + p_right)/dx^2 + (p_down - 2v + p_up)/dy^2, evaluated
     in that order.  ghost, work and out, if given, are the (ny + 2, nx + 2)
     ghost buffer and two (ny, nx) arrays it computes in; the result is out.
+    With a row range lo:hi it is the Laplacian's rows lo:hi alone, from
+    _mirror_ghosts' rows of that range: ghost has hi - lo + 2 rows and work
+    and out hi - lo, and each element has the bits of the whole array's.
     """
-    p = _mirror_ghosts(v, ghost)
-    out = np.multiply(v, 2.0, out=out)
+    p = _mirror_ghosts(v, ghost, lo, hi)
+    out = np.multiply(v[lo:hi], 2.0, out=out)
     work = np.subtract(p[1:-1, :-2], out, out=work)
     work += p[1:-1, 2:]
     work /= dx * dx
@@ -135,9 +147,18 @@ def eval_bilinear(f: ScalarField, p):
 
     A point lies in the cell whose lower-left node is (floor(s_x), floor(s_y)),
     s = (p - lower-left corner of the domain) / spacing, clipped to the grid,
-    at fractions s - floor(s) across it.
+    at fractions s - floor(s) across it (_bilinear_cells).
     """
-    g = f.grid
+    j, i, u, v = _bilinear_cells(f.grid, p)
+    z = f.values
+    val = _bilinear(u, v, z[j, i], z[j, i + 1], z[j + 1, i], z[j + 1, i + 1])
+    return float(val) if val.ndim == 0 else val
+
+
+def _bilinear_cells(g: Grid2D, p):
+    """The cells and the fractions across them at which eval_bilinear reads
+    the points p: the row j and column i of each cell's lower-left node, and
+    the fractions v along y and u along x."""
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
     # tolerate roundoff at the outer edges, reject genuinely outside points
@@ -152,13 +173,10 @@ def eval_bilinear(f: ScalarField, p):
     sy = (y - g.ymin) / g.dy
     i = np.clip(np.floor(sx).astype(np.intp), 0, g.nx - 2)
     j = np.clip(np.floor(sy).astype(np.intp), 0, g.ny - 2)
-    u = sx - i
-    v = sy - j
-    z = f.values
-    val = (
-        (1 - u) * (1 - v) * z[j, i]
-        + u * (1 - v) * z[j, i + 1]
-        + (1 - u) * v * z[j + 1, i]
-        + u * v * z[j + 1, i + 1]
-    )
-    return float(val) if val.ndim == 0 else val
+    return j, i, sx - i, sy - j
+
+
+def _bilinear(u, v, z00, z01, z10, z11):
+    """The bilinear blend at fractions (u, v) of a cell's corner values:
+    z00 at its lower-left node, z01 one column on, z10 one row up."""
+    return (1 - u) * (1 - v) * z00 + u * (1 - v) * z01 + (1 - u) * v * z10 + u * v * z11

@@ -38,9 +38,7 @@ from .flow import (
 )
 from .interfaces import average_radius, extract_zero_set, write_interface_csv
 from .oracles import RadiusSeries, exact_mcf_radius, hmcf_circle_radius, poisson_eval, rk4_substeps
-from .wave import WaveParams, cfl_substep, wave_solve
-
-THREADS_ENV = "HMCF_THREADS"
+from .wave import THREADS_ENV, WaveParams, _worker_count, cfl_substep, wave_solve
 
 
 def _conforms(value, tp) -> bool:
@@ -244,20 +242,6 @@ def _reference_radius(cfg: ExperimentConfig, n_s: int) -> RadiusSeries:
         return hmcf_circle_radius(cfg.params, cfg.r0, cfg.v0_normal, max(n_s, 1) * cfg.tau, cfg.tau)
     radii = [exact_mcf_radius(cfg.r0, cfg.gamma * i * cfg.tau) for i in range(n_s + 1)]
     return RadiusSeries(np.arange(n_s + 1) * cfg.tau, radii)
-
-
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            k = int(raw)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-        if k < 0:
-            raise ValidationError(f"{THREADS_ENV} must be nonnegative, got {k}")
-        if k > 0:
-            return min(k, n_jobs)
-    return min(n_jobs, os.cpu_count() or 1)
 
 
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:

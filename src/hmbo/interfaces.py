@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fields import ScalarField, _mirror_ghosts, eval_bilinear
+from .fields import ScalarField, _bilinear, _bilinear_cells, _mirror_ghosts
 
 
 @dataclass
@@ -374,28 +374,31 @@ def _scale(grid, a, b):
     return max(np.abs(a).max(), np.abs(b).max(), abs(g.xmin), abs(g.xmax), abs(g.ymin), abs(g.ymax))
 
 
-def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature vector K = -div(n) n, n = grad f/|grad f|, of f's level sets.
+def _curvature_vector(f: ScalarField, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature vector K = -div(n) n, n = grad f/|grad f|, of f's level sets,
+    at the nodes (j, i), two index arrays of one shape; K's two components
+    have that shape.
 
-    Central differences at every node, reading the mirror ghost nodes past
-    the walls (so K is tangent to a wall at its nodes); nodes with a
-    vanishing gradient get K = 0.  K does not change under f -> -f or
-    f -> 2^k f, so each node's 3 x 3 stencil is first scaled by the power
-    of two that brings the largest |f| in it near dx: exact, and
-    |grad f|^4 then neither overflows nor underflows however large or small
-    f is.  So K at a node reads f only in its 3 x 3 box, folded at the
-    walls.
+    Central differences, reading the mirror ghost nodes past the walls (so
+    K is tangent to a wall at its nodes); nodes with a vanishing gradient
+    get K = 0.  K does not change under f -> -f or f -> 2^k f, so each
+    node's 3 x 3 stencil is first scaled by the power of two that brings the
+    largest |f| in it near dx: exact, and |grad f|^4 then neither overflows
+    nor underflows however large or small f is.  So K at a node reads f only
+    in its 3 x 3 box, folded at the walls, and is the same at any node set.
     """
     g = f.grid
-    ny, nx = f.values.shape
-    p = _mirror_ghosts(f.values)
-    a = np.abs(p)
-    m = np.maximum(np.maximum(a[:, :-2], a[:, 1:-1]), a[:, 2:])
-    m = np.maximum(np.maximum(m[:-2], m[1:-1]), m[2:])
+    j, i = (np.asarray(n, dtype=np.intp) for n in nodes)
+
+    def fold(k, n):  # a mirror ghost index past a wall is the node inside
+        return np.where(k < 0, -k, np.where(k >= n, 2 * (n - 1) - k, k))
+
+    box = {(dj, di): f.values[fold(j + dj, g.ny), fold(i + di, g.nx)] for dj in (-1, 0, 1) for di in (-1, 0, 1)}
+    m = np.abs(np.stack(tuple(box.values()))).max(axis=0)
     e = np.frexp(min(g.dx, g.dy))[1] - np.frexp(m)[1]
 
-    def at(j, i):  # the neighbour j rows and i columns away, in the node's scale
-        return np.ldexp(p[1 + j:ny + 1 + j, 1 + i:nx + 1 + i], e)
+    def at(dj, di):  # the neighbour dj rows and di columns away, in the node's scale
+        return np.ldexp(box[dj, di], e)
 
     c, left, right, down, up = at(0, 0), at(0, -1), at(0, 1), at(-1, 0), at(1, 0)
     fx = (right - left) / (2.0 * g.dx)
@@ -414,9 +417,11 @@ def _curvature_vector(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
 
 def _segment_curvature(f: ScalarField, a: np.ndarray, b: np.ndarray):
     """_curvature_vector taken bilinearly (fields.eval_bilinear) at each
-    chord midpoint."""
-    mid = 0.5 * (a + b)
-    return tuple(eval_bilinear(ScalarField(f.grid, kc), mid) for kc in _curvature_vector(f))
+    chord midpoint, evaluated only at the four corners of the cell that
+    each midpoint is read in."""
+    j, i, u, v = _bilinear_cells(f.grid, 0.5 * (a + b))
+    kx, ky = _curvature_vector(f, (np.stack((j, j, j + 1, j + 1)), np.stack((i, i + 1, i, i + 1))))
+    return _bilinear(u, v, *kx), _bilinear(u, v, *ky)
 
 
 def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:

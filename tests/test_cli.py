@@ -609,3 +609,16 @@ def test_an_integer_radius_whose_square_overflows_exits_one(tmp_path, capsys, no
     assert rc == 1
     assert len(_lines(err)) == 1
     assert err.startswith("error: tau = r0^2/(2*gamma*n_tau) = inf is no positive finite double")
+
+
+@pytest.mark.parametrize("argv", [["convergence", "--sizes", "16,32", "--n-tau", "10"],
+                                  ["run", "--n", "385", "--max-steps", "1"]],
+                         ids=["study", "run-on-strips"])
+def test_a_bad_thread_count_exits_one(monkeypatch, capsys, argv):
+    """HMCF_THREADS is read in one place, which a study's pool and a solve
+    on strips (N = 385, above the strip threshold) share: a value that is
+    no integer exits 1 with one error line."""
+    monkeypatch.setenv(harness.THREADS_ENV, "abc")
+    rc = cli_main(argv)
+    assert rc == 1
+    assert _lines(capsys.readouterr().err) == ["error: HMCF_THREADS must be an integer, got 'abc'"]

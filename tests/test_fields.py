@@ -133,6 +133,22 @@ def test_buffered_laplacian_is_bit_identical(rng, shape):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (3, 4), (9, 6)])
+def test_laplacian_rows_are_the_whole_arrays_rows(rng, shape):
+    """The ghost rows and the Laplacian of a row range lo:hi, the first and
+    last rows included, have the bits of the whole array's rows."""
+    ny, nx = shape
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    ghosts, lap = _mirror_ghosts(v), _laplacian_values(v, 0.37, 0.21)
+    for lo in range(ny):
+        for hi in range(lo + 1, ny + 1):
+            assert np.array_equal(_bits(_mirror_ghosts(v, None, lo, hi)), _bits(ghosts[lo:hi + 2]))
+            block, work, out = np.empty((hi - lo + 2, nx + 2)), np.empty((hi - lo, nx)), np.empty((hi - lo, nx))
+            got = _laplacian_values(v, 0.37, 0.21, block, work, out, lo, hi)
+            assert got is out
+            assert np.array_equal(_bits(got), _bits(lap[lo:hi]))
+
+
 def test_eval_bilinear_reproduces_bilinear_functions(rng):
     """Sampling is exact for a + b x + c y + d x y, the interpolation class."""
     g = make_grid(9, 7, (-2, 2, -1, 1))

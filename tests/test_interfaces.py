@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hmbo.errors import ValidationError
-from hmbo.fields import ScalarField, field_from_function, make_grid
+from hmbo.fields import ScalarField, eval_bilinear, field_from_function, make_grid
 from hmbo.flow import HmboConfig, PhysicalParams, hmbo_step, init_history
 from hmbo.interfaces import (
     InterfaceCurve,
@@ -788,9 +788,9 @@ def test_curvature_vector_is_invariant_under_power_of_two_scaling(k):
         field_from_function(g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.2 * np.cos(3.0 * x)),
         ScalarField(g, np.random.default_rng(0).standard_normal(g.shape)),
     ):
-        want = _curvature_vector(f)
+        want = _curvature_vector(f, np.indices(g.shape))
         assert np.any(want[0] != 0.0)
-        got = _curvature_vector(ScalarField(g, np.ldexp(f.values, k)))
+        got = _curvature_vector(ScalarField(g, np.ldexp(f.values, k)), np.indices(g.shape))
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
 
 
@@ -804,11 +804,33 @@ def test_curvature_vector_reads_only_its_stencil():
     f = field_from_function(g, lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.2 * np.cos(3.0 * x))
     v = f.values.copy()
     v[0, 0] = 1e300
-    want, got = _curvature_vector(f), _curvature_vector(ScalarField(g, v))
+    nodes = np.indices(g.shape)
+    want, got = _curvature_vector(f, nodes), _curvature_vector(ScalarField(g, v), nodes)
     far = np.ones(g.shape, dtype=bool)
     far[:2, :2] = False
     assert np.count_nonzero(want[0][far]) > 1000
     assert all(np.array_equal(a[far], b[far]) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30])
+def test_segment_curvature_reads_the_whole_grid_curvature_at_cell_corners(scale):
+    """K at the chord midpoints, evaluated only at the four corners of each
+    midpoint's cell, has the bits of K over the whole grid sampled by
+    eval_bilinear, on 20 random fields of 97 x 61 nodes (walls and corners
+    included), scaled by powers of two; and K at any node set is K at the
+    whole grid's nodes there."""
+    g = make_grid(97, 61, (-1.3, 2.0, -0.7, 1.1))
+    rng = np.random.default_rng(7)
+    nodes = np.indices(g.shape)
+    for _ in range(20):
+        f = ScalarField(g, scale * rng.standard_normal(g.shape))
+        a, b = extract_zero_set(f, curved=True).segment_points()
+        whole = _curvature_vector(f, nodes)
+        want = [eval_bilinear(ScalarField(g, k), 0.5 * (a + b)) for k in whole]
+        got = _segment_curvature(f, a, b)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        j, i = rng.integers(0, g.ny, 50), rng.integers(0, g.nx, 50)
+        assert all(x.tobytes() == k[j, i].tobytes() for x, k in zip(_curvature_vector(f, (j, i)), whole))
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.15], ids=["noise", "noise-with-zeros"])

@@ -1,12 +1,28 @@
 """Leapfrog wave solver tests: stability guard, exactness cases, the Neumann
-standing mode, time reversal, and the logged discrete energy."""
+standing mode, time reversal, the logged discrete energy, and large grids
+solved on row strips across threads."""
+
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from hmbo.errors import NumericalError, ValidationError
 from hmbo.fields import ScalarField, field_from_function, make_grid
-from hmbo.wave import WaveParams, _energy_values, cfl_max_dt, cfl_number, wave_solve
+from hmbo.wave import (
+    _STRIP_NODES,
+    THREADS_ENV,
+    WaveParams,
+    _energy_values,
+    _Strips,
+    cfl_max_dt,
+    cfl_number,
+    wave_solve,
+)
 
 
 def _zeros(grid):
@@ -314,3 +330,121 @@ def test_wave_solve_is_bit_identical_and_leaves_inputs(rng, tmp_path, substeps):
         assert np.array_equal(_bits(ut0.values), _bits(before[1]))
     rows = log.read_text().splitlines()[1:]
     assert [float(row.split(",")[2]) for row in rows] == energies
+
+
+# ---------------------------------------------------------------------------
+# row strips on threads: a grid just above the threshold, with an odd row
+# count, so its two strips differ in height
+
+
+def _strip_grid():
+    g = make_grid(364, 361, (-1.3, 2.0, -0.7, 1.1))
+    assert 2 * _STRIP_NODES <= g.nx * g.ny < 3 * _STRIP_NODES
+    return g
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_strips_are_bit_identical(monkeypatch, rng, tmp_path, threads):
+    """On one strip or two (180 and 181 rows), with five full substeps and a
+    shortened last one, u(tau) and every logged energy have the bits of the
+    plain leapfrog, and the threads the solve started have ended."""
+    monkeypatch.setenv(THREADS_ENV, threads)
+    g = _strip_grid()
+    assert [hi - lo for lo, hi, _ in _Strips(g.ny, g.nx)._jobs] == ([361] if threads == "1" else [180, 181])
+    u0 = ScalarField(g, rng.standard_normal(g.shape))
+    ut0 = ScalarField(g, rng.standard_normal(g.shape))
+    dt = 0.5 * cfl_max_dt(2.0, g)
+    params = WaveParams(2.0, dt, 5.4 * dt)
+    want, energies = _plain_solve(u0.values, ut0.values, 2.0, dt, params.tau, g.dx, g.dy)
+    log = tmp_path / "energy.csv"
+    before = threading.active_count()
+    got = wave_solve(u0, ut0, params, energy_log=log).values
+    assert threading.active_count() == before
+    assert np.array_equal(_bits(got), _bits(want))
+    rows = log.read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == energies
+
+
+def test_more_strips_than_cores_under_a_short_switch_interval(monkeypatch, rng, tmp_path):
+    """Four strips of 127 or 128 rows on 515 x 511 nodes, more threads than
+    this machine's cores may have, with threads switched every 10 us: a
+    strip that read a row another strip had not yet written, or wrote one
+    that another still read, would change u(tau) or a logged energy."""
+    monkeypatch.setenv(THREADS_ENV, "4")
+    g = make_grid(515, 511, (-1.3, 2.0, -0.7, 1.1))
+    assert [hi - lo for lo, hi, _ in _Strips(g.ny, g.nx)._jobs] == [127, 128, 128, 128]
+    u0, ut0 = ScalarField(g, rng.standard_normal(g.shape)), ScalarField(g, rng.standard_normal(g.shape))
+    dt = 0.5 * cfl_max_dt(1.0, g)
+    params = WaveParams(1.0, dt, 3.5 * dt)
+    want, energies = _plain_solve(u0.values, ut0.values, 1.0, dt, params.tau, g.dx, g.dy)
+    log = tmp_path / "energy.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = wave_solve(u0, ut0, params, energy_log=log).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert [float(row.split(",")[2]) for row in log.read_text().splitlines()[1:]] == energies
+
+
+def test_a_grid_below_the_threshold_is_one_strip(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "4")
+    assert len(_Strips(361, 363)._jobs) == 1  # 131,043 nodes, just below 2^17
+    assert len(_Strips(361, 364)._jobs) == 2
+
+
+@pytest.mark.parametrize("warn", ["ignored", "error"])
+def test_a_blowup_on_strips_names_its_substep(monkeypatch, warn):
+    """A field that overflows in the first substep raises the finiteness
+    check's NumericalError, on two strips, whether the caller ignores
+    overflow and invalid values or makes every RuntimeWarning an error; the
+    strips' threads have ended after the raise."""
+    monkeypatch.setenv(THREADS_ENV, "2")
+    g = _strip_grid()
+    huge = np.full(g.shape, 1e308)
+    huge[::2, ::2] *= -1.0
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore") if warn == "ignored" else nullcontext():
+            with pytest.raises(NumericalError, match="substep 1"):
+                wave_solve(ScalarField(g, huge), _zeros(g), WaveParams(1.0, 0.05 * g.dx, 0.5 * g.dx))
+    assert threading.active_count() == before
+
+
+def test_strips_run_in_the_callers_errstate(monkeypatch, tmp_path):
+    """The energy's terms of a field near 1e200 overflow on every strip.
+    Under the caller's np.errstate(over="ignore") no strip warns, and the
+    logged energy is inf; without it the overflow is a RuntimeWarning, an
+    error in this suite."""
+    monkeypatch.setenv(THREADS_ENV, "2")
+    g = _strip_grid()
+    u0 = field_from_function(g, lambda x, y: 1e200 * np.cos(3.0 * x) * np.cos(2.0 * y))
+    params = WaveParams(1.0, 0.5 * cfl_max_dt(1.0, g), cfl_max_dt(1.0, g))
+    log = tmp_path / "energy.csv"
+    with np.errstate(over="ignore"):
+        wave_solve(u0, _zeros(g), params, energy_log=log)
+    assert np.all(np.isinf(np.loadtxt(log, delimiter=",", skiprows=1)[:, 2]))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        wave_solve(u0, _zeros(g), params, energy_log=log)
+
+
+def test_a_solve_on_strips_runs_in_a_study_worker(monkeypatch, rng):
+    """Called from a worker thread of a study's pool, the solve starts its
+    own strips' threads and returns the calling thread's bits."""
+    monkeypatch.setenv(THREADS_ENV, "2")
+    g = _strip_grid()
+    u0, ut0 = ScalarField(g, rng.standard_normal(g.shape)), _zeros(g)
+    params = WaveParams(1.0, 0.5 * cfl_max_dt(1.0, g), 2.5 * cfl_max_dt(1.0, g))
+    want = wave_solve(u0, ut0, params).values
+    with ThreadPoolExecutor(2) as pool:
+        got = [f.result(timeout=60).values for f in [pool.submit(wave_solve, u0, ut0, params) for _ in range(2)]]
+    assert all(np.array_equal(_bits(v), _bits(want)) for v in got)
+
+
+def test_a_bad_thread_count_is_rejected_by_a_solve_on_strips(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "two")
+    g = _strip_grid()
+    with pytest.raises(ValidationError, match="HMCF_THREADS must be an integer, got 'two'"):
+        wave_solve(_zeros(g), _zeros(g), WaveParams(1.0, 0.5 * cfl_max_dt(1.0, g), cfl_max_dt(1.0, g)))
