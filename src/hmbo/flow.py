@@ -51,9 +51,10 @@ fails it completes both fields and runs again.  The field a step returns
 completes its provisional tiles when its values are first read, so
 callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
-and the proof are in the hmbo_step docstring.  Every other redistance
-(init_history, a step past _band's limit, a step from a field that is
-not a BandField, or a damped step from one that is not curved) has reach
+and the proof are in the hmbo_step docstring.  A step redistances with
+reach W whenever it has a band and d_n is a BandField, of either
+reconstruction.  Every other redistance (init_history, a step past
+_band's limit, or a step from a field that is not a BandField) has reach
 inf: its field is complete at construction.
 """
 
@@ -64,11 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fields import Grid2D, ScalarField
+from .fields import Grid2D, ScalarField, _bilinear_cells
 from .interfaces import (
     BandField,
     InterfaceCurve,
-    _curve_gap,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -333,6 +333,29 @@ def _exact(d: ScalarField) -> np.ndarray | bool:
     return d.exact if isinstance(d, BandField) else True
 
 
+def _curve_gap(a: BandField, b: BandField) -> float:
+    """H of hmbo_step's (C2) one way: an upper bound on the distance from
+    any point of a's chords to b's chords, read from b's exact nodes, or
+    inf where one of them is not exact.
+
+    Take a chord of a and a corner e of the cell that its midpoint is read
+    in (fields._bilinear_cells).  The distance c_b to b's chords is
+    1-Lipschitz and c_b(e) <= |D_b(e)| + b.below, so at any point y of the
+    chord c_b(y) <= |D_b(e)| + b.below + |y - e|, and |y - e| is convex
+    along the chord, so its larger value at the chord's two ends bounds it.
+    The bound is the least over the cell's four corners, and the gap the
+    largest over a's chords.
+    """
+    sa, sb = a.curve.segment_points()
+    j, i, _, _ = _bilinear_cells(a.grid, 0.5 * (sa + sb))
+    j, i = np.stack((j, j, j + 1, j + 1)), np.stack((i, i + 1, i, i + 1))
+    if not b.exact[j, i].all():
+        return np.inf
+    ex, ey = a.grid.x_coords()[i], a.grid.y_coords()[j]
+    ends = np.maximum(np.hypot(sa[:, 0] - ex, sa[:, 1] - ey), np.hypot(sb[:, 0] - ex, sb[:, 1] - ey))
+    return float(np.max(np.min(np.abs(b.provisional[j, i]) + ends, axis=0))) + b.below
+
+
 def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band) -> bool:
     """The certificate (C1)-(C3) of hmbo_step, for a step from fields that
     hold provisional values.  With a = 0 the bound reads nothing of d_nm1
@@ -355,7 +378,7 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: Hm
         return False
     # C2: the least |D_n| at a stale node against the bound B
     bound = band.s1 + band.s0 * (d_n.above + d_n.below)
-    if a > 0:  # a chord field's curve gap is inf, and 0*inf is no bound
+    if a > 0:  # an inf gap (a corner that is not exact) times a = 0 is no bound
         h_gap = max(_curve_gap(d_n, d_nm1), _curve_gap(d_nm1, d_n)) + d_n.slack + d_nm1.slack
         h_max = h_gap + max(d_n.above + d_nm1.below, d_n.below + d_nm1.above)
         bound += a * band.n_u0 * h_max
@@ -422,8 +445,12 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       which is 1-Lipschitz, so |D_n(p+q) - D_n(p)| <= |q| + G, with
       G = above + below; and D_n - D_nm1 is bounded by the correlated
       H_max = H + the larger of above_n + below_nm1 and below_n + above_nm1,
-      where H bounds the distance from each curve's chords to the other's
-      (_curve_gap, both ways), so c_n and c_nm1 differ by at most H.  So
+      where H bounds the distance from each curve's chords to the other's,
+      so c_n and c_nm1 differ by at most H.  H is read from the other
+      field's exact nodes (_curve_gap, both ways): over each chord, the
+      least over the corners e of its midpoint's cell of |D(e)| + below +
+      the farther chord end's distance from e, the largest over the
+      chords, and inf where a corner is not exact.  So
       U(tau)(p) has D_n(p)'s sign when (a + b*tau) |D_n(p)| exceeds
       B = sum |P_q| (|q| + G) + a * sum |S_q| * H_max + rho, and the check
       is that the least lower bound of |D_n| outside R (|d_n| itself at an
@@ -463,20 +490,17 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     scales left out: P = b T, U(tau)(p) = b*tau D_n(p) + sum over q != 0
     of P_q (D_n(p+q) - D_n(p)), and B = sum |P_q| (|q| + G) + rho, with
     rho's 3a gone and max|D| taken over D_n alone.  So the bound reads
-    neither H, which a chord field cannot give, nor D_nm1's magnitude.
+    neither H nor D_nm1's magnitude.
     R still asks for exact d_nm1: u0 = 0*(2*d_n - d_nm1) is a zero whose
     sign bit d_nm1 decides.
 
     A step that fails the check, or breaks down numerically, completes both
     fields and runs again from the exhaustive ones, which need no check.
     The step redistances with reach W when it has a band and the next
-    step's certificate can read d_n: d_n is a BandField, and curved or
-    a = 0.  It redistances with reach inf otherwise: a step past _band's
-    limit, a step from a field that is not a BandField, and a damped step
-    from a chord BandField (the next step's certificate reads H from both
-    fields' curves, with the nearest segments that only a curved field
-    keeps, so it could not pass) return fields that are complete at
-    construction.
+    step's certificate can read d_n, which is then its d_nm1: d_n is a
+    BandField, of either reconstruction.  It redistances with reach inf
+    otherwise: a step past _band's limit and a step from a field that is
+    not a BandField return fields that are complete at construction.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
         raise ValidationError("the step's fields and its config lie on different grids")
@@ -495,8 +519,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
         u_tau, curve = _propagate(d_n, d_nm1, cfg)
     if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
         return None
-    readable = isinstance(d_n, BandField) and (d_n.curved or cfg.a == 0)
-    reach = band.width if band is not None and readable else np.inf
+    reach = band.width if band is not None and isinstance(d_n, BandField) else np.inf
     with _stage("redistance"):
         return signed_distance(u_tau, curve, curved=CURVED[cfg.mode], reach=reach), curve
 

@@ -205,7 +205,10 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 
 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
-    """Grid size n's run, (HmboConfig, d0), checked as run_flow checks it."""
+    """Grid size n's run, (HmboConfig, d0), checked as run_flow checks it,
+    and HMCF_THREADS with it (_worker_count), which a grid of any size may
+    read."""
+    _worker_count(1)
     flow_cfg = HmboConfig(cfg.mode, cfg.params, cfg.tau, cfg.steps, make_grid(n, n, cfg.bounds))
     d0 = field_from_function(flow_cfg.grid, lambda x, y: np.hypot(x, y) - cfg.r0)
     try:

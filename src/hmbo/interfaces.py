@@ -37,7 +37,7 @@ finite reach W the field is exact on the blocks whose centre lies within
 W + r of the interface (r the block's half-diagonal) and elsewhere
 provisional, the source field's sign bit times the centre's distance, until
 its values are first read, which completes them to the same bits;
-hmbo.flow's damped step uses that band.  With the default reach, inf,
+hmbo.flow's steps use that band.  With the default reach, inf,
 every block is computed at once, and the field is complete at construction.
 
 Two reconstructions of the interface are offered:
@@ -280,7 +280,10 @@ class _Tiles:
     of a tile is its node in row r and column c, at grid index
     (iy[k // kx, r], ix[k % kx, c]) and coordinates (col[k % kx, c],
     row[k // kx, r]).  The last tile row and column
-    repeat the grid's last node row and column.  Each tile has a centre
+    repeat the grid's last node row and column: a repeated node is scanned
+    and written (BandField._fill) once for each time its tile holds it,
+    with the same bits each time, since it has the same coordinates and
+    the same candidates.  Each tile has a centre
     (cx, cy), a half-diagonal r from its first to its last node and the
     least computed distance dc from its centre to a segment.
 
@@ -359,12 +362,6 @@ class _Tiles:
             best[at], j = _scan_block(qx[..., None], qy[..., None], tuple(v[cand][:, None, :] for v in seg))
             nearest[at] = np.take_along_axis(cand, j, axis=1)
         return best, nearest
-
-    def untile(self, v, shape):
-        """Values of every tile, (kx * ky, _TILE * _TILE), in the (ny, nx)
-        node layout, without the repeated nodes."""
-        kx, ky = self.kx, self.ky
-        return v.reshape(ky, kx, _TILE, _TILE).swapaxes(1, 2).reshape(ky * _TILE, kx * _TILE)[: shape[0], : shape[1]]
 
 
 def _scale(grid, a, b):
@@ -522,27 +519,23 @@ class BandField(ScalarField):
     A tile of _Tiles is exact when its centre's computed chord distance dc
     is at most W + r (r its half-diagonal, both widened by the scan's
     slack), so every node within W of the chords lies in an exact tile, and
-    every node of another tile lies farther than W from them.  The exact
-    tiles hold the nearest-segment scan's distances (_Tiles.scan), or the
-    bent chords' of curved=True, with f's sign
-    bits.  Every other node holds a provisional value: f's sign bit times
-    its tile's dc.  Reading .values completes those tiles exactly, once
-    (complete), so a caller that reads it sees the whole exact field;
-    provisional holds the values as they are, without completing them.  A
-    field whose tiles are all exact, as with W = inf, is complete at
-    construction: it places its tiles with _Tiles.untile and keeps no scan
-    state.
+    every node of another tile lies farther than W from them.  Every tile
+    is filled one way (_fill), the exact ones at construction and the
+    others when .values is first read (complete): the nearest-segment
+    scan's distances (_Tiles.scan), or the bent chords' of curved=True,
+    with the sign bits of f.  Until then another tile's nodes hold a
+    provisional value, f's sign bit times the tile's dc; provisional holds
+    the values as they are, without completing them.  A complete field,
+    one with W = inf included, keeps no _Tiles.
 
-    What hmbo.flow's certificate reads of the field it does not hold:
-    exact, the nodes whose value is final; curved, the reconstruction;
-    nearest, their nearest segment, and neighbours, each segment's two
-    neighbours, both on curved fields only, the ones the damped step builds
-    (None on chord fields); and two
-    gaps between the field's magnitude D and the exact distance c to the
-    chords, c - below <= D <= c + above at every node.  A provisional
-    node's c lies within spread (the largest r) of its |value|.  slack is
-    the scan's rounding slack in length units.  The chord reconstruction's
-    D is c up to rounding.  A curved D is the distance to some point of one
+    What hmbo.flow's certificate reads of the field: exact, the nodes
+    whose value is final, and their values; curve, whose chords it
+    measures against the other field's exact nodes; and two gaps between
+    the field's magnitude D and the exact distance c to the chords,
+    c - below <= D <= c + above at every node.  A provisional node's c
+    lies within spread (the largest r) of its |value|.  slack is the
+    scan's rounding slack in length units.  The chord reconstruction's D
+    is c up to rounding.  A curved D is the distance to some point of one
     bent chord, the nearest segment's or a neighbour's, and a bent chord
     lies within |h|/4 (h its capped sagitta) of its chord at the same
     parameter, so D >= c - max|h|/4.  D is at most the distance to some
@@ -553,55 +546,44 @@ class BandField(ScalarField):
 
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
         g = self.grid = f.grid
-        self.curve, self.curved = curve, curved
+        self.curve = curve
         sa, sb = curve.segment_points()
         self._seg = _segments(sa, sb)
         scale = _scale(g, sa, sb)
         self._tiles = tiles = _Tiles(g, self._seg, scale)
         slack = self.slack = _SLACK * scale
         self.below = self.above = slack
-        self._frames = self.neighbours = None
+        self._frames = self._neighbours = None
         if curved:
             frames = self._frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
-            self.neighbours = _segment_neighbours(curve)
+            self._neighbours = _segment_neighbours(curve)
             self.below += np.max(np.abs(frames[7])) / 4.0
             self.above = self.below + np.max(frames[4])
         self.spread = float(np.max(tiles.r))
         near = tiles.dc <= (reach + tiles.r) * (1.0 + _SLACK) + slack
-        self.exact = np.full(g.shape, near.all())
-        if near.all():
-            dist, nearest = self._measure(np.arange(near.size))
-            self.provisional = np.copysign(tiles.untile(dist, g.shape), f.values)
-            self.nearest = tiles.untile(nearest, g.shape) if curved else None
-            self._tiles = self._far = None
-            return
         self.provisional = np.empty(g.shape)
-        self.nearest = np.empty(g.shape, dtype=np.intp) if curved else None
+        self.exact = np.zeros(g.shape, dtype=bool)
         self._fill(np.flatnonzero(near), f.values)
         far = self._far = np.flatnonzero(~near)
         j, i, _, _ = tiles.nodes(far)
         self.provisional[j, i] = np.copysign(tiles.dc[far, None], f.values[j, i])
+        if not far.size:
+            self._tiles = self._far = None
 
-    def _measure(self, tiles):
-        """The tiles' exact distances (unsigned) and nearest segments, each
-        (T, _TILE * _TILE).  A distance whose square overflows is rejected,
-        as every ScalarField rejects a non-finite value."""
+    def _fill(self, tiles, sign):
+        """Compute the tiles exactly, with the sign bits of sign.  A distance
+        whose square overflows is rejected, as every ScalarField rejects a
+        non-finite value."""
         best, nearest = self._tiles.scan(self._seg, tiles)
         if self._frames is None:
             dist = np.sqrt(best)
         else:
-            dist = _curved_distance(*self._tiles.nodes(tiles)[2:], nearest, self._frames, self.neighbours)
+            dist = _curved_distance(*self._tiles.nodes(tiles)[2:], nearest, self._frames, self._neighbours)
         if not np.all(np.isfinite(dist)):
             raise ValidationError("field contains non-finite values")
-        return dist, nearest
-
-    def _fill(self, tiles, sign):
-        """Compute the tiles exactly, with the sign bits of sign."""
-        dist, nearest = self._measure(tiles)
+        # the index arrays come after the distances, out of the curved fill's peak memory
         j, i, _, _ = self._tiles.nodes(tiles)
         self.provisional[j, i] = np.copysign(dist, sign[j, i])
-        if self.nearest is not None:
-            self.nearest[j, i] = nearest
         self.exact[j, i] = True
 
     @property
@@ -614,36 +596,11 @@ class BandField(ScalarField):
         return self._far is None
 
     def complete(self) -> None:
-        """Compute every provisional tile exactly, if any is left; the sign
-        bits are the provisional values' own."""
+        """Compute every provisional tile exactly, if any is left, and drop
+        the scan's state; the sign bits are the provisional values' own."""
         if self._far is not None:
             self._fill(self._far, self.provisional)
-            self._far = None
-
-
-def _curve_gap(a: BandField, b: BandField) -> float:
-    """An upper bound on the distance from any point of a's chords to b's
-    chords, or inf.
-
-    Each segment of a is measured against one segment t of b: the one
-    nearest to the node nearest the segment's midpoint, or a neighbour of
-    it, whichever gives the least bound.  The distance to the fixed segment
-    t is convex along the segment, so the larger of its two end values
-    bounds it over the whole segment.  b must be a curved field, the only
-    kind that keeps nearest and neighbours, and the node must be exact in
-    b, or the bound is inf.
-    """
-    g = a.grid
-    sa, sb = a.curve.segment_points()
-    mid = 0.5 * (sa + sb)
-    i = np.clip(np.rint((mid[:, 0] - g.xmin) / g.dx), 0, g.nx - 1).astype(np.intp)
-    j = np.clip(np.rint((mid[:, 1] - g.ymin) / g.dy), 0, g.ny - 1).astype(np.intp)
-    if not (b.curved and b.exact[j, i].all()):
-        return np.inf
-    t = b.nearest[j, i]
-    seg = tuple(v[np.column_stack([t, b.neighbours[t]])] for v in b._seg)
-    ends = np.maximum(_point_segment_sq(sa[:, :1], sa[:, 1:], seg), _point_segment_sq(sb[:, :1], sb[:, 1:], seg))
-    return float(np.sqrt(ends.min(axis=1).max()))
+            self._tiles = self._far = None
 
 
 def average_radius(curve: InterfaceCurve) -> float:

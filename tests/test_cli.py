@@ -612,12 +612,14 @@ def test_an_integer_radius_whose_square_overflows_exits_one(tmp_path, capsys, no
 
 
 @pytest.mark.parametrize("argv", [["convergence", "--sizes", "16,32", "--n-tau", "10"],
-                                  ["run", "--n", "385", "--max-steps", "1"]],
-                         ids=["study", "run-on-strips"])
+                                  ["run", "--n", "385", "--max-steps", "1"],
+                                  ["run", "--n", "16", "--max-steps", "1"]],
+                         ids=["study", "run-on-strips", "run-on-one-strip"])
 def test_a_bad_thread_count_exits_one(monkeypatch, capsys, argv):
     """HMCF_THREADS is read in one place, which a study's pool and a solve
-    on strips (N = 385, above the strip threshold) share: a value that is
-    no integer exits 1 with one error line."""
+    on strips (N = 385, above the strip threshold) share, and checked as
+    each run is built: a value that is no integer exits 1 with one error
+    line, also on a grid whose solves never read it (N = 16)."""
     monkeypatch.setenv(harness.THREADS_ENV, "abc")
     rc = cli_main(argv)
     assert rc == 1

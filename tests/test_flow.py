@@ -646,21 +646,21 @@ def test_step_band_reaches_as_far_as_its_rounding_bound_allows():
 
 @pytest.mark.parametrize("start", ["chord", "mcf-step"])
 def test_a_damped_run_from_a_chord_field_is_the_exhaustive_run(monkeypatch, start):
-    """A damped run may start from a chord BandField, which keeps no
-    nearest segments for the certificate's curve gap: signed_distance's
-    default reconstruction of the star, or the field of an mcf step from
-    it.  The step from it redistances every node, so the next step reads
-    whole fields and the certificate first compares two curved ones; the
-    curves are the exhaustive loop's, byte for byte, and no field is
-    completed."""
+    """A damped run may start from a chord BandField, whose gaps to the
+    exact chord distance are its slack alone: signed_distance's default
+    reconstruction of the star, or the field of an mcf step from it.  The
+    certificate's curve gap reads a chord field's exact nodes as it reads a
+    curved one's, so the first step from it is banded too; the curves are
+    the exhaustive loop's, byte for byte, and no field is completed."""
     g = make_grid(96, 96, _BOX)
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=12)
     f = field_from_function(g, _star)
     d0 = signed_distance(f, extract_zero_set(f))
     if start == "mcf-step":
         d0 = hmbo_step(d0, d0, HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0))[0]
-    assert isinstance(d0, BandField) and not d0.curved
+    assert isinstance(d0, BandField) and d0.below == d0.above == d0.slack
     want = _exhaustive_curves(cfg, d0, 0.0, 12)
+    assert not hmbo_step(d0, init_history(cfg, d0, 0.0), cfg)[0].is_complete
     done = _count_completions(monkeypatch)
     _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
     assert done == []
@@ -705,6 +705,30 @@ def test_criterion_7_run_never_completes_a_field(monkeypatch):
     records = run_flow(cfg, field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y)))
     assert len(records) == 90 and not records[-1].extinct
     assert done == []
+
+
+@pytest.mark.parametrize(
+    "n, shape, steps",
+    [(128, lambda x, y: 1.0 - np.hypot(x, y), 90), (96, _star, 30)],
+    ids=["criterion-7", "star"],
+)
+def test_curve_gap_stays_within_the_band_budget(n, shape, steps):
+    """The certificate's curve gap H between consecutive damped fields,
+    read from the exact nodes (flow._curve_gap, both ways), stays within
+    the 3h that _band budgets for it (h the larger spacing) on each of
+    criterion 7's 90 steps and 30 steps of the off-centre star at N = 96:
+    1.62h and 1.67h measured at the worst step."""
+    g = make_grid(n, n, _BOX)
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
+    d0 = field_from_function(g, shape)
+    d_n, d_nm1 = d0, init_history(cfg, d0, 0.0)
+    gaps = []
+    for _ in range(steps):
+        d_nm1, (d_n, _) = d_n, hmbo_step(d_n, d_nm1, cfg)
+        if isinstance(d_nm1, BandField):
+            gaps.append(max(flow._curve_gap(d_n, d_nm1), flow._curve_gap(d_nm1, d_n)))
+    assert len(gaps) == steps - 1
+    assert 0.0 < max(gaps) <= 3.0 * max(g.dx, g.dy)
 
 
 def test_banded_step_scans_a_fraction_of_the_pairs(monkeypatch):

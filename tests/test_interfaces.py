@@ -8,14 +8,14 @@ import pytest
 
 from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, eval_bilinear, field_from_function, make_grid
-from hmbo.flow import HmboConfig, PhysicalParams, hmbo_step, init_history
+from hmbo.flow import HmboConfig, PhysicalParams, _curve_gap, hmbo_step, init_history
 from hmbo.interfaces import (
+    BandField,
     InterfaceCurve,
     _Tiles,
     _bent_chord_distance,
     _bent_chord_frames,
     _curvature_vector,
-    _curve_gap,
     _curved_distance,
     _scale,
     _scan_block,
@@ -303,7 +303,13 @@ def _nearest_segment(g, a, b):
     as (ny, nx) arrays, the form held to the exhaustive reference below."""
     seg = _segments(a, b)
     tiles = _Tiles(g, seg, _scale(g, a, b))
-    return tuple(tiles.untile(v, g.shape) for v in tiles.scan(seg, np.arange(tiles.kx * tiles.ky)))
+    every = np.arange(tiles.kx * tiles.ky)
+    j, i, _, _ = tiles.nodes(every)
+    out = []
+    for v in tiles.scan(seg, every):
+        out.append(np.empty(g.shape, dtype=v.dtype))
+        out[-1][j, i] = v
+    return tuple(out)
 
 
 def test_min_segment_distance_handcrafted():
@@ -583,10 +589,9 @@ def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
     and inf (h the larger spacing): every node with c <= W is exact; a
     provisional node carries f's sign bit, and its value lies within
     spread + slack of c; c - below <= |D| <= c + above for the completed
-    field D; and D has the bytes of the reach-inf field, which is complete
-    at construction.  Every finite reach leaves provisional nodes, and only
-    a curved field keeps its nodes' nearest segments and the segments'
-    neighbours, which _curve_gap reads for hmbo.flow's certificate."""
+    field D, with below = above = slack on a chord field; and D has the
+    bytes of the reach-inf field, which is complete at construction.
+    Every finite reach leaves provisional nodes."""
     g = make_grid(nx, ny, (-2, 2, -2, 2))
     f = field_from_function(g, _BAND_SHAPES[shape])
     curve = extract_zero_set(f, curved=curved)
@@ -597,7 +602,7 @@ def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
     for reach in (0.0, 2.0 * h, 8.0 * h, np.inf):
         d = signed_distance(f, curve, curved=curved, reach=reach)
         exact, held = d.exact.copy(), d.provisional.copy()
-        assert (d.curved, d.nearest is None, d.neighbours is None) == (curved, not curved, not curved)
+        assert (d.below == d.above == d.slack) == (not curved), reach
         assert exact[c <= reach].all(), reach
         far = ~exact
         assert far.any() == (reach < np.inf), reach
@@ -608,15 +613,33 @@ def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
         assert d.values.tobytes() == whole.values.tobytes(), reach
 
 
+@pytest.mark.parametrize("curved", RECONSTRUCTIONS, ids=["chord", "curved"])
+def test_a_complete_band_field_keeps_no_scan_state(curved):
+    """A BandField complete at construction (reach inf) keeps no _Tiles,
+    and a banded one drops its _Tiles when it is completed, whether by
+    complete() or by a read of its values; the completed field has the
+    reach-inf field's bytes."""
+    g = make_grid(57, 64, (-2, 2, -2, 2))
+    f = field_from_function(g, _BAND_SHAPES["star"])
+    curve = extract_zero_set(f, curved=curved)
+    whole = signed_distance(f, curve, curved=curved)
+    assert whole.is_complete and whole._tiles is None
+    for finish in (BandField.complete, lambda d: d.values):
+        d = signed_distance(f, curve, curved=curved, reach=2.0 * g.dx)
+        assert not d.is_complete and d._tiles is not None
+        finish(d)
+        assert d.is_complete and d._tiles is None
+        assert d.provisional.tobytes() == whole.values.tobytes()
+
+
 def test_curve_gap_bounds_the_distance_between_curves():
     """_curve_gap(a, b) bounds the distance from a's chords to b's, sampled
     at 17 points per chord, both ways between the fields of consecutive
     damped steps of the off-centre star at N = 96, over its first 8 steps
     (the first pair is init_history's field and the first step's); the
-    first step's field is whole, the others banded.  Measured at step 2,
-    0.93e-3 against 0.61e-3, and at step 8, 1.98e-3 against 1.11e-3.  It
-    is inf once a midpoint's node is not exact in b, and against a chord
-    field, which keeps no nearest segments."""
+    first step's field is whole, the others banded.  It reads only b's
+    exact nodes, so it bounds the distance to a chord field's chords too,
+    and it is inf once a corner of a midpoint's cell is not exact in b."""
     g = make_grid(96, 96, (-2, 2, -2, 2))
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
     d0 = field_from_function(g, _BAND_SHAPES["star"])
@@ -627,17 +650,37 @@ def test_curve_gap_bounds_the_distance_between_curves():
         d_nm1, (d_n, _) = d_n, hmbo_step(d_n, d_nm1, cfg)
         fields.append(d_n)
     assert not fields[-1].is_complete
-    for a, b in zip(fields[:-1], fields[1:]):
+    chord = signed_distance(d0, extract_zero_set(d0))
+    pairs = list(zip(fields[:-1], fields[1:])) + [(fields[0], chord)]
+    for a, b in pairs:
         for p, q in ((a, b), (b, a)):
             sa, sb = p.curve.segment_points()
             pts = (sa + ts * (sb - sa)).reshape(-1, 2)
             sampled = np.sqrt(_min_sq_brute(pts[:, 0], pts[:, 1], *q.curve.segment_points()).max())
-            assert 0.0 < sampled <= _curve_gap(p, q) + p.slack + q.slack
+            assert 0.0 < sampled <= _curve_gap(p, q) + p.slack + q.slack < np.inf
     a, b = fields[-2:]
     mid = 0.5 * np.add(*a.curve.segment_points())[0]
-    b.exact[int(np.rint((mid[1] - g.ymin) / g.dy)), int(np.rint((mid[0] - g.xmin) / g.dx))] = False
+    b.exact[int((mid[1] - g.ymin) // g.dy) + 1, int((mid[0] - g.xmin) // g.dx) + 1] = False
     assert _curve_gap(a, b) == np.inf
-    assert _curve_gap(fields[0], signed_distance(d0, extract_zero_set(d0))) == np.inf
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.0])
+@pytest.mark.parametrize("offset", [0.05, 1.3])
+def test_curve_gap_is_tight_between_straight_lines(angle, offset):
+    """Between two straight level sets, a slanted one a and a vertical one
+    b at x = offset, the distance to b's chords grows linearly along each
+    of a's chords, so the gap must take the farther chord end: it bounds
+    the distance sampled at 33 points per chord and exceeds it by less than
+    h/2 (0.29h measured at angle 0.3, h = 1/8).  Taking the nearer end
+    instead falls below the sampled distance."""
+    g = make_grid(33, 33, (-2, 2, -2, 2))
+    fa = field_from_function(g, lambda x, y: np.cos(angle) * x + np.sin(angle) * y - 0.013)
+    fb = field_from_function(g, lambda x, y: x - offset)
+    a, b = (signed_distance(f, extract_zero_set(f)) for f in (fa, fb))
+    sa, sb = a.curve.segment_points()
+    pts = (sa + np.linspace(0.0, 1.0, 33)[:, None, None] * (sb - sa)).reshape(-1, 2)
+    sampled = np.sqrt(_min_sq_brute(pts[:, 0], pts[:, 1], *b.curve.segment_points()).max())
+    assert sampled <= _curve_gap(a, b) + a.slack + b.slack < sampled + 0.5 * g.dx
 
 
 @pytest.mark.parametrize(
