@@ -22,15 +22,20 @@ d -> -d, and either side of the interface may be the positive one.
 
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_Tiles, which the exactness tests hold to an
-exhaustive scan over the whole grid).  The grid's nodes
-are grouped into blocks of 8 x 8 nodes, and the distances from each block's
-centre to every segment bound, by the triangle inequality, the segments
-that can be nearest to a node of the block: those within the centre's least
-distance plus the block's diagonal (widened by a relative slack far above
-rounding).  Only those are scanned, in increasing index order, by
-_point_segment_sq, the one copy of the per-pair arithmetic.  So the field
-is bit-identical to an exhaustive scan's with that arithmetic, and the
-first segment wins ties.
+exhaustive scan over the whole grid).  The grid's nodes are grouped into
+blocks of 8 x 8 nodes (fewer in the last block row and column), and a
+block keeps a segment as a candidate only if it passes two tests, each
+with a margin far above rounding.  By the triangle inequality, the
+segment nearest to a node of the block lies within the centre's least
+distance plus the block's diagonal.  And a segment can be nearest only to
+points in its slab, between the normals at its ends, or beyond an end in
+the wedge that the normal of the segment sharing that end leaves it (the
+nearest-point regions of a closest-point transform), so a block whose box
+lies wholly past one end's wedge drops it.  Only the candidates are
+scanned, in increasing index order, by _point_segment_sq, the one copy of
+the per-pair arithmetic, which forms (x - ax) ux once per block column and
+(y - ay) uy once per block row.  So the field is bit-identical to an
+exhaustive scan's with that arithmetic, and the first segment wins ties.
 signed_distance runs this scan and returns a BandField, its one kind of
 field.  A block's result does not depend on the other blocks, so with a
 finite reach W the field is exact on the blocks whose centre lies within
@@ -219,44 +224,55 @@ def _segments(a, b):
 
 def _point_segment_sq(px, py, seg):
     """Squared distances from the points px, py to the segments seg of
-    _segments; arguments broadcast, and px - ax has the full shape.
+    _segments; arguments broadcast.
 
-    The one copy of the per-pair arithmetic, on two temporaries updated in
-    place: t = ((px - ax) ux + (py - ay) uy) / l2 clipped to [0, 1], then
-    (px - (ax + t ux))^2 + (py - (ay + t uy))^2.
+    The one copy of the per-pair arithmetic: t = ((px - ax) ux + (py - ay)
+    uy) / l2 clipped to [0, 1], then (px - (ax + t ux))^2 + (py - (ay +
+    t uy))^2.  (px - ax) ux has the shape of px against the segments, and
+    (py - ay) uy that of py, so where px holds a tile's columns and py its
+    rows each is formed once per column or row; the 12 passes after them
+    have the full shape and run in place on two temporaries.
     """
     ax, ay, ux, uy, l2 = seg
-    t = np.subtract(px, ax)
-    e = np.subtract(py, ay)
-    t *= ux
-    e *= uy
-    t += e
+    x = np.subtract(px, ax)
+    x *= ux
+    y = np.subtract(py, ay)
+    y *= uy
+    t = np.add(x, y)
     t /= l2
     np.clip(t, 0.0, 1.0, out=t)
-    np.square(np.subtract(px, np.add(ax, np.multiply(t, ux, out=e), out=e), out=e), out=e)
+    e = np.multiply(t, ux)
+    np.square(np.subtract(px, np.add(ax, e, out=e), out=e), out=e)
     np.square(np.subtract(py, np.add(ay, np.multiply(t, uy, out=t), out=t), out=t), out=t)
     return np.add(e, t, out=e)
 
 
-# The scan groups the grid's nodes into blocks of _TILE x _TILE nodes, and
-# hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
+# The scan groups the grid's nodes into tiles of at most _TILE x _TILE nodes,
+# and hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
 # (512 KiB of temporaries, small enough to stay in a typical L2 cache).
-# _SLACK widens the pruning bound far beyond the rounding error of the
-# per-pair arithmetic.
+# _SLACK widens the pruning bounds far beyond the rounding error of the
+# per-pair arithmetic.  The region test runs where the largest coordinate
+# lies in [2^(_REGION_EXP - 1), 2^-_REGION_EXP), on a chunk of at least
+# _REGION_PAIRS triangle candidates: its fixed cost, some fifty numpy calls,
+# outweighs the scan it saves (64 node distances for each candidate it
+# drops) on fewer, as on a 16 x 16 grid.
 _TILE = 8
 _BLOCK = 1 << 15
 _SLACK = 1e-9
+_REGION_EXP = -500
+_REGION_PAIRS = 256
 
 
 def _scan_block(px, py, seg):
-    """Least squared distance from the nodes px, py (T, _TILE * _TILE, 1)
-    of T blocks to their candidate segments seg of _segments, each
-    (T, 1, C), and the first position along C that attains it, by
-    _point_segment_sq on as many candidates at a time as keep each call
-    within _BLOCK pairs (at least one).
+    """Least squared distance from the nodes of T tiles of one shape, their
+    columns px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
+    segments seg of _segments, each (T, 1, 1, C), and the first position
+    along C that attains it, each (T, H, W); by _point_segment_sq on as
+    many candidates at a time as keep each call within _BLOCK pairs (at
+    least one).
     """
-    shape = px.shape[:2]
-    rows = shape[0] * shape[1]
+    shape = np.broadcast_shapes(px.shape, py.shape)[:-1]
+    rows = shape[0] * shape[1] * shape[2]
     best = np.full(rows, np.inf)
     first = np.zeros(rows, dtype=np.intp)
     at = np.arange(rows)
@@ -271,96 +287,253 @@ def _scan_block(px, py, seg):
     return best.reshape(shape), first.reshape(shape)
 
 
-class _Tiles:
-    """The grid's nodes in blocks (tiles) of _TILE x _TILE, and each tile's
-    candidate segments: the state of the pruned nearest-segment scan, which
-    scan() runs on any subset of the tiles.
+def _regions(a, b, k, hx, hy):
+    """The linear forms of _Tiles' region test for the S segments [a, b],
+    on the coordinates scaled by 2^-k, as a (12, S) array f: a box of
+    half-widths (hx, hy) and centre (x, y) lies wholly past form q of
+    segment s when x f[q, s] + y f[4 + q, s] + f[8 + q, s] > 0.  The forms
+    q are beyond a, beyond b, past the cut at a and past the cut at b.
+    """
+    ends = np.ldexp(np.concatenate((a, b), axis=1), -k).view(np.complex128)  # (S, 2): a, b as x + iy
+    flat = ends.ravel()  # end 2s is segment s's a, 2s + 1 its b
+    n = flat.size
+    # each end's partner, in (lexicographic) sorted order: the next end at
+    # the same coordinates, or else the previous one, or else the end itself
+    order = np.argsort(flat)
+    z = flat[order]
+    same = np.zeros(n + 1, dtype=bool)
+    np.equal(z[1:], z[:-1], out=same[1:n])
+    away = np.empty(n, dtype=np.complex128)  # the partner's vector u' away from the end
+    away[order] = flat[order ^ 1][np.arange(n) + same[1:] - (same[:-1] > same[1:])] - z
+    # the normals, [beyond, cut][a, b]: s's vector w away from its other
+    # end, and u'
+    normal = np.empty((2, 2, ends.shape[0]), dtype=np.complex128)
+    np.subtract(ends[:, 1], ends[:, 0], out=normal[0, 1])
+    np.negative(normal[0, 1], out=normal[0, 0])
+    normal[1] = away.reshape(-1, 2).T
+    f = np.empty((3,) + normal.shape)
+    f[0], f[1] = normal.real, normal.imag
+    eta = 16.0 * _SLACK
+    limit = (np.conj(normal) * ends.T).real
+    limit += np.dot((hx, hy), np.abs(f[:2]).reshape(2, -1)).reshape(limit.shape)
+    limit[1] += np.maximum(2.0 * eta, np.sqrt(2.0 * eta) * np.abs(normal[1]))
+    np.negative(limit, out=f[2])
+    f[2] -= _SLACK
+    return f.reshape(12, -1)
 
-    Tile k is tile row k // kx and tile column k % kx; node r * _TILE + c
-    of a tile is its node in row r and column c, at grid index
-    (iy[k // kx, r], ix[k % kx, c]) and coordinates (col[k % kx, c],
-    row[k // kx, r]).  The last tile row and column
-    repeat the grid's last node row and column: a repeated node is scanned
-    and written (BandField._fill) once for each time its tile holds it,
-    with the same bits each time, since it has the same coordinates and
-    the same candidates.  Each tile has a centre
-    (cx, cy), a half-diagonal r from its first to its last node and the
-    least computed distance dc from its centre to a segment.
+
+def _wedged(forms, s, x, y):
+    """For each segment s and box centre (x, y), scaled, whether the box
+    lies wholly beyond an end of the segment and past that end's cut, by
+    the forms of _regions; in slices of _BLOCK // 8 pairs, which bounds the
+    memory of the forms gathered."""
+    out = np.empty(s.size, dtype=bool)
+    for p in range(0, s.size, _BLOCK // 8):
+        q = slice(p, p + _BLOCK // 8)
+        f = np.take(forms, s[q], axis=1)
+        f[:4] *= x[q]
+        f[4:8] *= y[q]
+        f[8:] += f[:4]
+        f[8:] += f[4:8]
+        past = f[8:] > 0.0
+        out[q] = (past[0] & past[2]) | (past[1] & past[3])
+    return out
+
+
+class _Tiles:
+    """The grid's nodes in tiles of at most _TILE x _TILE, and each tile's
+    candidate segments [a, b]: the state of the pruned nearest-segment scan,
+    which scan() runs on any subset of the tiles.
+
+    Tile k is tile row k // kx and tile column k % kx.  Tile column c holds
+    the w[c] node columns from x0[c], tile row r the h[r] node rows from
+    y0[r]: _TILE of each, and in the last tile column and row what is left
+    of the grid, so every node lies in exactly one tile.  Each tile has a
+    centre (cx, cy), the midpoint of its first and last nodes, a
+    half-diagonal r from that centre to them, and the least computed
+    distance dc from its centre to a segment.
 
     The scan is exactly equal to the exhaustive one (there is at least one
-    segment, and segment ends are finite):
+    segment, and segment ends are finite).  A tile's candidates are the
+    segments that pass two tests, each of which keeps every segment whose
+    computed distance can reach or tie a node's computed minimum:
 
-    * every node p of a tile lies within r of its centre c, so by the
-      triangle inequality p's nearest segment s* has d(c, s*) <= r + d(p)
-      <= 2r + d(c);
-    * a computed distance falls below the exact one by at most a few units
-      in the last place of the largest coordinate (scale), so the segments
-      within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c include every one
-      whose computed distance can reach or tie the computed minimum.  They
-      are compared as squares, so a bound whose square overflows keeps every
-      segment;
-    * each tile's candidates, in increasing index order, are scanned by
-      _point_segment_sq, so the minimum is bit-identical and the first index
-      among equal distances wins.  Tiles go in order of decreasing candidate
-      count, as dense (tile, node, candidate) arrays of as many tiles as
-      fit in _BLOCK pairs at the first one's count; a shorter candidate list
-      is padded with its own last candidate, which does not change the first
-      minimum.  A tile's result does not depend on the tiles scanned with
-      it, so any subset of the tiles scans to the same bits.
+    * the triangle inequality.  Every node p of a tile lies within r of its
+      centre c, so p's nearest segment s* has d(c, s*) <= r + d(p) <= 2r +
+      d(c).  A computed distance falls below the exact one by at most a few
+      units in the last place of the largest coordinate (scale), so the
+      segments within (d(c) + 2r)(1 + _SLACK) + _SLACK * scale of c pass.
+      They are compared as squares, so a bound whose square overflows keeps
+      every segment;
+    * the nearest-point region (after Mauch, "A fast algorithm for
+      computing the closest point and distance transform", Caltech 2000).
+      A segment s can be nearest only to points in its slab, between the
+      normals at its two ends, or beyond one of its ends v in a wedge, cut
+      off by the normal at v of a segment s' with an end at exactly v's
+      coordinates.
 
-    On a 128 x 128 grid and a circle the scan of every tile reads about a
-    fifth of the (node, segment) pairs.
+    The lemma behind the wedge.  Let w be s's vector from its other end to
+    v, and u' the vector of s' away from v, of length L'.  If p lies beyond
+    v, (p - v).w > 0, and lam = (p - v).u' / L' > 0, then
+
+        d(p, s')^2 <= d(p, s)^2 - min(lam^2, L' lam),
+
+    for v is the point of s nearest to p, and the point of s' at distance
+    t = min(lam, L') from v is nearer by 2 t lam - t^2 >= min(lam^2, L' lam).
+    So if eta bounds the gap between each computed squared distance and
+    the exact one, a node beyond v with min(lam^2, L' lam) > 2 eta has s'
+    strictly nearer than s in computed terms, and s can neither reach nor
+    tie the node's computed minimum, that of the exhaustive scan.  That
+    holds once lam > max(sqrt(2 eta), 2 eta / L'), i.e. (p - v).u' >
+    max(2 eta, sqrt(2 eta) L'): the wedge widened by that margin, and the
+    slab by the rounding of (p - v).w, each plus the test's own rounding,
+    keeps every segment that can reach or tie a node's computed minimum.
+
+    A tile drops a candidate when, for one end v, its box (the rectangle of
+    its nodes) lies wholly beyond v by more than the rounding, and wholly
+    past the widened cut: the least of a linear function (p - v).n over a
+    box of centre c and half-widths (hx, hy) is (c - v).n - hx |n_x| -
+    hy |n_y|.  Otherwise the box meets the widened slab or a widened
+    wedge, and the tile keeps it.  The test takes the largest half-widths
+    of any tile, and a wedge's two half-planes one at a time; both only
+    keep more.
+
+    Each end's partner s' comes from sorting the 2S ends by their
+    coordinates: the next end at the same coordinates, or else the
+    previous one, so curves, vertices repeated under other ids and soups
+    are treated alike.  An end with no such segment is its own partner,
+    whose cut, (p - v).(-w) > 0, never holds beyond v, so it keeps its
+    whole half-plane; a zero-length partner has u' = 0 and cuts nothing;
+    and a zero-length s has w = 0, is never beyond an end, and keeps
+    everything.
+
+    The rounding.  The test runs on the coordinates scaled by 2^-k, where
+    scale < 2^k, which is exact but for underflow, with eta = 16 _SLACK
+    scale^2 (16 _SLACK in the scaled units).  The scan's squares stay below
+    50 scale^2, so its rounding is a few units in the last place of that;
+    underflow adds at most about 2^-1072 to a square and moves the foot of
+    a node on a segment by at most 2^-537.  All of these lie far below eta
+    where k is in [_REGION_EXP, -_REGION_EXP], and there no square the scan
+    forms overflows.  Outside that window the test is off, and every
+    triangle candidate is kept; only there can a bound's square overflow.
+    The cut is widened by _SLACK (scaled) beyond eta's margin, and beyond v
+    by _SLACK, both far above the test's own rounding.  The test also
+    skips a chunk of fewer than _REGION_PAIRS triangle candidates, where it
+    would cost more than it saves; keeping every candidate is exact too.
+
+    Each tile's candidates, in increasing index order, are scanned by
+    _point_segment_sq, so the minimum is bit-identical and the first index
+    among equal distances wins.  Tiles go in groups of one shape, in order
+    of decreasing candidate count, as dense (tile, row, column, candidate)
+    arrays of as many tiles as fit in _BLOCK pairs at the first one's
+    count; a shorter candidate list is padded with its own last candidate,
+    which does not change the first minimum.  A tile's result does not
+    depend on the tiles scanned with it, so any subset of the tiles scans
+    to the same bits.
+
+    On a 128 x 128 grid the scan of every tile reads about a twentieth of
+    the (node, segment) pairs of a circle or a 5-fold star.
     """
 
-    def __init__(self, grid, seg, scale):
+    def __init__(self, grid, a, b):
+        seg = self.seg = _segments(a, b)
+        scale = self.scale = _scale(grid, a, b)
         ny, nx = grid.shape
-        self.ix, self.iy = (np.minimum(np.arange(-(-n // _TILE) * _TILE), n - 1).reshape(-1, _TILE)
-                            for n in (nx, ny))
-        self.col, self.row = grid.x_coords()[self.ix], grid.y_coords()[self.iy]
-        col, row = self.col, self.row
-        kx, ky = self.kx, self.ky = len(col), len(row)
-        cx, cy = np.tile(0.5 * (col[:, 0] + col[:, -1]), ky), np.repeat(0.5 * (row[:, 0] + row[:, -1]), kx)
-        self.r = np.hypot(np.tile(0.5 * (col[:, -1] - col[:, 0]), ky), np.repeat(0.5 * (row[:, -1] - row[:, 0]), kx))
+        self.xs, self.ys = grid.x_coords(), grid.y_coords()
+        self.x0, self.y0 = np.arange(0, nx, _TILE), np.arange(0, ny, _TILE)
+        self.w, self.h = np.minimum(nx - self.x0, _TILE), np.minimum(ny - self.y0, _TILE)
+        kx, ky = self.kx, self.ky = self.x0.size, self.y0.size
+        self._kinds = sorted({(h, w) for h in (min(ny, _TILE), ny - _TILE * (ky - 1))
+                              for w in (min(nx, _TILE), nx - _TILE * (kx - 1))})
+        lo_x, hi_x = self.xs[self.x0], self.xs[self.x0 + self.w - 1]
+        lo_y, hi_y = self.ys[self.y0], self.ys[self.y0 + self.h - 1]
+        cx, cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
+        hx, hy = 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
+        self.r = np.hypot(hx, hy[:, None]).ravel()
+        k = int(np.frexp(scale)[1])
+        forms = None  # built for the first chunk that runs the region test
 
         # each tile's candidates, for as many tiles at a time as keep the
-        # centre distances within _BLOCK (tile, segment) pairs
-        per = max(1, _BLOCK // seg[0].shape[0])
+        # centre distances within _BLOCK (tile, segment) pairs: whole tile
+        # rows, or part of one, so that a chunk's tiles are start to stop
+        n_seg = seg[0].size
+        cols = max(1, min(kx, _BLOCK // n_seg))
+        rows = max(1, _BLOCK // (kx * n_seg)) if cols == kx else 1
         n_cand, found, dc2 = [], [], []
-        for p in (slice(t, t + per) for t in range(0, kx * ky, per)):
-            d2 = _point_segment_sq(cx[p, None], cy[p, None], seg)
+        for y, x in ((y, x) for y in range(0, ky, rows) for x in range(0, kx, cols)):
+            start = y * kx + x
+            stop = min(y + rows, ky) * kx if cols == kx else start + min(cols, kx - x)
+            d2 = _point_segment_sq(cx[x : x + cols, None], cy[y : y + rows, None, None], seg).reshape(-1, n_seg)
             dc2.append(d2.min(axis=1))
-            bound = (np.sqrt(dc2[-1]) + 2.0 * self.r[p]) * (1.0 + _SLACK) + _SLACK * scale
-            near = d2 <= (bound**2)[:, None]
-            n_cand.append(near.sum(axis=1))
-            found.append(np.nonzero(near)[1])
+            bound = (np.sqrt(dc2[-1]) + 2.0 * self.r[start:stop]) * (1.0 + _SLACK) + _SLACK * scale
+            t, s = np.divmod(np.flatnonzero(d2 <= (bound**2)[:, None]), n_seg)
+            del d2
+            if t.size >= _REGION_PAIRS and _REGION_EXP <= k <= -_REGION_EXP:
+                if forms is None:
+                    forms = _regions(a, b, k, np.ldexp(hx.max(), -k), np.ldexp(hy.max(), -k))
+                    sx, sy = np.ldexp(cx, -k), np.ldexp(cy, -k)
+                row, col = np.divmod(t, cols)
+                keep = ~_wedged(forms, s, sx[x:][col], sy[y:][row])
+                t, s = t[keep], s[keep]
+            n_cand.append(np.bincount(t, minlength=stop - start))
+            found.append(s)
         self.n_cand, self.cand = np.concatenate(n_cand), np.concatenate(found)
         self.cand_start = np.cumsum(self.n_cand) - self.n_cand
         self.dc = np.sqrt(np.concatenate(dc2))
 
-    def nodes(self, tiles):
-        """Grid indices (j, i) and coordinates (x, y) of the tiles' nodes,
-        each (T, _TILE * _TILE)."""
-        tx, ty = tiles % self.kx, tiles // self.kx
-        return (np.repeat(self.iy[ty], _TILE, axis=1), np.tile(self.ix[tx], _TILE),
-                np.tile(self.col[tx], _TILE), np.repeat(self.row[ty], _TILE, axis=1))
+    def _shapes(self, tiles):
+        """The tiles by node shape, in a fixed order: (h, w, positions in
+        tiles) for each shape among them."""
+        if len(self._kinds) == 1:
+            return [(*self._kinds[0], np.arange(tiles.size))]
+        h, w = self.h[tiles // self.kx], self.w[tiles % self.kx]
+        groups = [(th, tw, np.flatnonzero((h == th) & (w == tw))) for th, tw in self._kinds]
+        return [g for g in groups if g[2].size]
 
-    def scan(self, seg, tiles):
+    def nodes(self, tiles):
+        """Grid indices (j, i) of the tiles' nodes, and the position in
+        tiles of each node's tile, as the rows of a (3, nodes) array: the
+        tiles grouped by shape (_shapes), each tile's nodes row by row, the
+        order of scan's results."""
+        shapes = self._shapes(tiles)
+        out = np.empty((3, sum(at.size * h * w for h, w, at in shapes)), dtype=np.intp)
+        done = 0
+        for h, w, at in shapes:
+            j, i, k = out[:, done : done + at.size * h * w].reshape(3, -1, h, w)
+            done += at.size * h * w
+            t = tiles[at]
+            j[...] = self.y0[t // self.kx, None, None] + np.arange(h)[:, None]
+            i[...] = self.x0[t % self.kx, None, None] + np.arange(w)
+            k[...] = at[:, None, None]
+        return out
+
+    def scan(self, tiles):
         """Least squared distance from each node of the tiles to a segment
-        and the first segment attaining it, each (T, _TILE * _TILE)."""
-        best = np.empty((tiles.size, _TILE * _TILE))
-        nearest = np.empty((tiles.size, _TILE * _TILE), dtype=np.intp)
-        n_cand = self.n_cand[tiles]
-        order = np.argsort(-n_cand, kind="stable")
-        i = 0
-        while i < order.size:
-            width = n_cand[order[i]]
-            at = order[i : i + max(1, _BLOCK // (_TILE * _TILE * width))]
-            i += at.size
-            bl = tiles[at]
-            cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
-            _, _, qx, qy = self.nodes(bl)
-            best[at], j = _scan_block(qx[..., None], qy[..., None], tuple(v[cand][:, None, :] for v in seg))
-            nearest[at] = np.take_along_axis(cand, j, axis=1)
+        and the first segment attaining it, flat in the order of nodes()."""
+        kx = self.kx
+        shapes = self._shapes(tiles)
+        size = sum(at.size * h * w for h, w, at in shapes)
+        best = np.empty(size)
+        nearest = np.empty(size, dtype=np.intp)
+        done = 0
+        for h, w, group in shapes:
+            best_g = best[done : done + group.size * h * w].reshape(-1, h, w)
+            nearest_g = nearest[done : done + group.size * h * w].reshape(-1, h * w)
+            done += group.size * h * w
+            tiles_g = tiles[group]
+            n_cand = self.n_cand[tiles_g]
+            order = np.argsort(-n_cand, kind="stable")
+            i = 0
+            while i < order.size:
+                width = n_cand[order[i]]
+                at = order[i : i + max(1, _BLOCK // (h * w * width))]
+                i += at.size
+                bl = tiles_g[at]
+                cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
+                px = self.xs[self.x0[bl % kx, None] + np.arange(w)][:, None, :, None]
+                py = self.ys[self.y0[bl // kx, None] + np.arange(h)][:, :, None, None]
+                best_g[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg))
+                nearest_g[at] = cand[np.arange(at.size)[:, None], j.reshape(at.size, -1)]
         return best, nearest
 
 
@@ -548,10 +721,8 @@ class BandField(ScalarField):
         g = self.grid = f.grid
         self.curve = curve
         sa, sb = curve.segment_points()
-        self._seg = _segments(sa, sb)
-        scale = _scale(g, sa, sb)
-        self._tiles = tiles = _Tiles(g, self._seg, scale)
-        slack = self.slack = _SLACK * scale
+        self._tiles = tiles = _Tiles(g, sa, sb)
+        slack = self.slack = _SLACK * tiles.scale
         self.below = self.above = slack
         self._frames = self._neighbours = None
         if curved:
@@ -565,8 +736,9 @@ class BandField(ScalarField):
         self.exact = np.zeros(g.shape, dtype=bool)
         self._fill(np.flatnonzero(near), f.values)
         far = self._far = np.flatnonzero(~near)
-        j, i, _, _ = tiles.nodes(far)
-        self.provisional[j, i] = np.copysign(tiles.dc[far, None], f.values[j, i])
+        j, i, k = tiles.nodes(far)
+        sign = f.values[j, i]
+        self.provisional[j, i] = np.copysign(tiles.dc[far][k], sign, out=sign)
         if not far.size:
             self._tiles = self._far = None
 
@@ -574,15 +746,18 @@ class BandField(ScalarField):
         """Compute the tiles exactly, with the sign bits of sign.  A distance
         whose square overflows is rejected, as every ScalarField rejects a
         non-finite value."""
-        best, nearest = self._tiles.scan(self._seg, tiles)
+        best, nearest = self._tiles.scan(tiles)
         if self._frames is None:
             dist = np.sqrt(best)
         else:
-            dist = _curved_distance(*self._tiles.nodes(tiles)[2:], nearest, self._frames, self._neighbours)
+            j, i, _ = self._tiles.nodes(tiles)
+            x, y = self._tiles.xs[i], self._tiles.ys[j]
+            del j, i, _
+            dist = _curved_distance(x, y, nearest, self._frames, self._neighbours)
         if not np.all(np.isfinite(dist)):
             raise ValidationError("field contains non-finite values")
         # the index arrays come after the distances, out of the curved fill's peak memory
-        j, i, _, _ = self._tiles.nodes(tiles)
+        j, i, _ = self._tiles.nodes(tiles)
         self.provisional[j, i] = np.copysign(dist, sign[j, i])
         self.exact[j, i] = True
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hmbo import harness
+from hmbo import harness, interfaces
 from hmbo.errors import NumericalError
 
 _acceptance_lines = []
@@ -32,6 +32,22 @@ def fail_at_64(monkeypatch):
         return run_flow(cfg, d0, **kw)
 
     monkeypatch.setattr(harness, "run_flow", flaky)
+
+
+@pytest.fixture
+def scan_shapes(monkeypatch):
+    """A list that gains, for each call of interfaces._scan_block, the
+    broadcast shape (tiles, rows, columns, candidates) of its arguments:
+    the call scans the shape's product of (node, segment) pairs, and the
+    product of all but its last axis of nodes."""
+    shapes, scan = [], interfaces._scan_block
+
+    def counting(px, py, seg):
+        shapes.append(np.broadcast_shapes(px.shape, py.shape, seg[0].shape))
+        return scan(px, py, seg)
+
+    monkeypatch.setattr(interfaces, "_scan_block", counting)
+    return shapes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -731,50 +731,51 @@ def test_curve_gap_stays_within_the_band_budget(n, shape, steps):
     assert 0.0 < max(gaps) <= 3.0 * max(g.dx, g.dy)
 
 
-def test_banded_step_scans_a_fraction_of_the_pairs(monkeypatch):
+def _pairs(shapes):
+    """The (node, segment) pairs of the scan_shapes fixture's calls."""
+    return sum(int(np.prod(s)) for s in shapes)
+
+
+def test_banded_step_scans_a_fraction_of_the_pairs(scan_shapes):
     """One damped step on the N = 128 unit circle hands _scan_block at most
     half the (node, candidate) pairs of the same step from exact fields,
-    which scans every tile: 0.187 measured (157,888 of 842,688 pairs), with
+    which scans every tile: 0.294 measured (63,232 of 214,976 pairs), with
     a quarter of the tiles exact."""
     g = make_grid(128, 128, (-2, 2, -2, 2))
     cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
     d0 = field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y))
     d1, _ = hmbo_step(d0, init_history(cfg, d0, 0.0), cfg)
-    pairs, scan = [], interfaces._scan_block
-
-    def counting(px, py, seg):
-        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
-        return scan(px, py, seg)
-
-    monkeypatch.setattr(interfaces, "_scan_block", counting)
+    scan_shapes.clear()
     banded, _ = hmbo_step(d1, d0, cfg)
-    band = sum(pairs)
-    pairs.clear()
+    band = _pairs(scan_shapes)
+    scan_shapes.clear()
     exact, _ = hmbo_step(ScalarField(g, d1.values.copy()), d0, cfg)
-    assert 0 < band <= 0.5 * sum(pairs)
+    assert 0 < band <= 0.5 * _pairs(scan_shapes)
     assert not banded.is_complete and exact.is_complete
     assert banded.values.tobytes() == exact.values.tobytes()
 
 
-def test_banded_mcf_run_scans_a_fraction_of_the_pairs(monkeypatch):
+def test_banded_mcf_run_scans_a_fraction_of_the_pairs(monkeypatch, scan_shapes):
     """The mcf run of the unit circle at N = 128 to extinction hands
-    _scan_block at most 0.6 of the (node, candidate) pairs of the loop of
-    exhaustive steps: 0.43 measured."""
+    _scan_block fewer (node, candidate) pairs than the loop of exhaustive
+    steps (0.64 of them measured), and at most 0.05 of the nodes x
+    segments of its redistances (0.038 measured, 15.4M pairs)."""
     g = make_grid(128, 128, _BOX)
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=160)
     d0 = field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y))
-    pairs, scan = [], interfaces._scan_block
+    everything, redistance = [], flow.signed_distance
 
-    def counting(px, py, seg):
-        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
-        return scan(px, py, seg)
+    def counting(f, curve, **kwargs):
+        everything.append(g.nx * g.ny * curve.n_segments)
+        return redistance(f, curve, **kwargs)
 
-    monkeypatch.setattr(interfaces, "_scan_block", counting)
+    monkeypatch.setattr(flow, "signed_distance", counting)
     assert run_flow(cfg, d0)[-1].extinct
-    band = sum(pairs)
-    pairs.clear()
+    band = _pairs(scan_shapes)
+    assert 0 < band <= 0.05 * sum(everything)
+    scan_shapes.clear()
     _exhaustive_curves(cfg, d0, 0.0, 160)
-    assert 0 < band <= 0.6 * sum(pairs)
+    assert band < _pairs(scan_shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,8 @@ from hmbo.interfaces import (
     _bent_chord_frames,
     _curvature_vector,
     _curved_distance,
-    _scale,
-    _scan_block,
     _segment_curvature,
     _segment_neighbours,
-    _segments,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -53,6 +50,14 @@ def _smooth_random_field(grid, rng, k_max=3):
                 j * np.pi * (Y - grid.ymin) / ly
             )
     return ScalarField(grid, out)
+
+
+@pytest.fixture(autouse=True)
+def _region_test_on_every_chunk(monkeypatch):
+    """_Tiles skips its region test on chunks of few candidates, where it
+    costs more than it saves; here it runs on every chunk, so the exactness
+    tests hold it to the exhaustive scan on small soups too."""
+    monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +306,11 @@ def _nearest_segment(g, a, b):
     """The pruned scan (_Tiles) run on every tile of g: the squared distance
     from each node to its nearest segment [a, b] and that segment's index,
     as (ny, nx) arrays, the form held to the exhaustive reference below."""
-    seg = _segments(a, b)
-    tiles = _Tiles(g, seg, _scale(g, a, b))
+    tiles = _Tiles(g, a, b)
     every = np.arange(tiles.kx * tiles.ky)
-    j, i, _, _ = tiles.nodes(every)
+    j, i, _ = tiles.nodes(every)
     out = []
-    for v in tiles.scan(seg, every):
+    for v in tiles.scan(every):
         out.append(np.empty(g.shape, dtype=v.dtype))
         out[-1][j, i] = v
     return tuple(out)
@@ -548,6 +552,78 @@ def test_nearest_segment_exact_on_random_soups():
     check()
 
 
+def _polygon(centre, radius, sides, turn=0.0):
+    """The vertices of a regular polygon, in order."""
+    ang = turn + 2.0 * np.pi * np.arange(sides) / sides
+    return np.column_stack([centre[0] + radius * np.cos(ang), centre[1] + radius * np.sin(ang)])
+
+
+def _region_soups():
+    """Soups on which _Tiles' region test decides, each (grid, a, b)."""
+    g = make_grid(24, 24, (-1, 1, -1, 1))
+    h = g.dx
+    soups = {}
+    # a hexagon a thousandth of a node spacing across: every node lies
+    # beyond an end of every segment, outside every slab, so it is scanned
+    # only because it lies in an end's wedge
+    hexagon = _polygon((0.0123, -0.0311), 1e-3 * h, 6)
+    soups["tiny-hexagon"] = (g, hexagon, np.roll(hexagon, -1, axis=0))
+    # a regular 12-gon across the grid, whose outside nodes near its
+    # vertices lie in the wedges
+    ring = _polygon((0.05, -0.02), 0.7, 12, 0.1)
+    soups["12-gon"] = (g, ring, np.roll(ring, -1, axis=0))
+    # three segments sharing one end, and a fourth from its far end
+    centre = np.array([[0.11, 0.07]])
+    arms = np.array([[0.8, 0.1], [-0.5, 0.6], [-0.2, -0.9]])
+    soups["three-at-one-end"] = (g, np.vstack([centre] * 3 + [arms[:1]]), np.vstack([arms, [[0.9, 0.9]]]))
+    # a segment of 1e-12 h inside a polyline and another alone, beside long ones
+    chain = np.array([[-0.9, -0.3], [0.1, -0.2], [0.1 + 1e-12 * h, -0.2], [0.8, 0.6]])
+    lone = np.array([[-0.4, 0.5]])
+    soups["1e-12h-segments"] = (g, np.vstack([chain[:-1], lone]), np.vstack([chain[1:], lone + [0.0, 1e-12 * h]]))
+    # an open polyline whose ends lie on two walls, and one with a free end
+    wall = np.array([[-1.0, -0.37], [-0.2, 0.1], [0.3, -0.05], [1.0, 0.45]])
+    free = np.array([[0.2, 1.0], [0.4, 0.6], [0.35, 0.3]])
+    soups["wall-ends"] = (g, np.vstack([wall[:-1], free[:-1]]), np.vstack([wall[1:], free[1:]]))
+    # a field with exact zeros at nodes: vertices under other ids at the
+    # same coordinates, and segments of zero length
+    g2 = make_grid(21, 19, (-1, 1, -1, 1))
+    zeros = field_from_function(g2, lambda x, y: np.round(np.hypot(x, y) * 10.0) - 6.0)
+    soups["zeros-at-nodes"] = (g2, *extract_zero_set(zeros).segment_points())
+    return soups
+
+
+@pytest.mark.parametrize("soup", list(_region_soups()))
+def test_nearest_segment_exact_where_the_region_test_decides(soup):
+    """The pruned scan equals the exhaustive one on soups where the region
+    test of _Tiles decides which candidates stay: a polygon whose every
+    node lies in an end's wedge (taking the wedges out of the test fails
+    it), a polygon's outside nodes, three segments sharing an end, segments
+    of 1e-12 h, ends on the walls and free ends, and vertices repeated
+    under other ids at nodes where the field is exactly zero."""
+    g, a, b = _region_soups()[soup]
+    if soup == "tiny-hexagon":
+        px, py = _nodes(g)
+        u = b - a
+        tau = ((px[:, None] - a[:, 0]) * u[:, 0] + (py[:, None] - a[:, 1]) * u[:, 1]) / np.sum(u * u, axis=1)
+        assert not ((tau >= 0.0) & (tau <= 1.0)).any()
+    if soup == "zeros-at-nodes":
+        ends = np.vstack([a, b])
+        assert len(np.unique(ends, axis=0)) < len(ends) // 2
+    _assert_scan_exact(g, a, b)
+
+
+def test_scan_reads_each_node_once(scan_shapes):
+    """The scan hands _scan_block each node of the grid once, on grids
+    whose node counts are no multiple of the tile size too: the last tile
+    row and column hold only the grid's own nodes."""
+    for nx, ny in ((20, 20), (97, 61), (8, 8), (3, 5)):
+        g = make_grid(nx, ny, (-2, 2, -1.5, 1.7))
+        a, b = extract_zero_set(_circle_field(g)).segment_points()
+        scan_shapes.clear()
+        _nearest_segment(g, a, b)
+        assert sum(int(np.prod(s[:-1])) for s in scan_shapes) == nx * ny, (nx, ny)
+
+
 def test_signed_distance_equals_brute_build(rng):
     """Both reconstructions give the field built over the whole grid from
     the exhaustive scan: the square root of _brute_nearest's minimum, or
@@ -686,28 +762,22 @@ def test_curve_gap_is_tight_between_straight_lines(angle, offset):
 @pytest.mark.parametrize(
     "field, share",
     [
-        (lambda x, y: np.hypot(x, y) - 1.0, 0.22),
-        (lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3)), 0.16),
+        (lambda x, y: np.hypot(x, y) - 1.0, 0.0564),
+        (lambda x, y: np.hypot(x - 0.3, y + 0.2) - 1.0 - 0.25 * np.cos(5.0 * np.arctan2(y + 0.2, x - 0.3)), 0.0454),
     ],
     ids=["circle", "off-centre-star"],
 )
-def test_nearest_segment_prunes(monkeypatch, field, share):
+def test_nearest_segment_prunes(scan_shapes, field, share):
     """The (node, candidate) pairs the scan hands to _scan_block stay a small
     share of the nodes x segments of the exhaustive scan at N = 128: about
-    a fifth on the unit circle (0.201 measured) and a seventh on an
-    off-centre 5-fold star (0.142), held with 10% headroom.  A bound that
-    keeps every segment stays exact, so only this count notices it."""
-    pairs = []
-
-    def counting(px, py, seg):
-        pairs.append(px.shape[0] * px.shape[1] * seg[0].shape[-1])
-        return _scan_block(px, py, seg)
-
-    monkeypatch.setattr("hmbo.interfaces._scan_block", counting)
+    a twentieth on the unit circle (0.0513 measured) and on an off-centre
+    5-fold star (0.0413), held with 10% headroom.  A bound or a region
+    test that keeps every segment stays exact, so only this count notices
+    it."""
     g = make_grid(128, 128, (-2, 2, -2, 2))
     a, b = extract_zero_set(field_from_function(g, field)).segment_points()
     _nearest_segment(g, a, b)
-    assert 0 < sum(pairs) <= share * g.nx * g.ny * len(a)
+    assert 0 < sum(int(np.prod(s)) for s in scan_shapes) <= share * g.nx * g.ny * len(a)
 
 
 @pytest.mark.parametrize("curved", RECONSTRUCTIONS)
