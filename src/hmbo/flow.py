@@ -60,15 +60,16 @@ inf: its field is complete at construction.
 
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fields import Grid2D, ScalarField, _bilinear_cells
+from .fields import Grid2D, ScalarField
 from .interfaces import (
     BandField,
     InterfaceCurve,
+    _midpoint_cells,
     average_radius,
     extract_zero_set,
     has_interface,
@@ -259,9 +260,16 @@ class _Band:
     width: float
     s0: float  # sum over q != 0 of |P_q|
     s1: float  # sum over q != 0 of |P_q| |q|
-    n_u0: float  # sum of |S_q|
+    a_u0: float  # a times the sum of |S_q|
     mass: float  # a + b*tau, rounded down
     rho: float  # the rounding bound rho of hmbo_step per unit of max|D|
+
+    def bound(self, gap: float, h_max: float, d_max: float) -> float:
+        """B of hmbo_step's (C2), sum |P_q| (|q| + G) + a sum |S_q| H_max +
+        rho max|D|, with G = gap and max|D| = d_max, summed in that order.
+        With a = 0 the H term must add nothing: pass h_max = 0 (0 times an
+        inf gap is nan)."""
+        return self.s1 + self.s0 * gap + self.a_u0 * h_max + self.rho * d_max
 
 
 @functools.lru_cache(maxsize=16)
@@ -278,10 +286,11 @@ def _band(cfg: HmboConfig) -> _Band | None:
     impulse, propagated by wave_solve itself on a box of 2k + 3 nodes a
     side, whose walls it does not reach, and P = a S + b T.  The width is
     k + 1 nodes plus the larger of the stencils' 3*sqrt(2) nodes and the
-    least |D_n| that the certificate's bound C2 asks for, estimated with
-    gaps G = 2h and H = 3h (h the larger spacing) and rho at the diagonal:
-    the interface may move by one node, the bound's terms are in the
-    hmbo_step docstring.
+    least |D_n| that the certificate's bound C2 asks for: _Band.bound, the
+    one copy of B that _certified checks too, divided by a + b*tau and
+    evaluated with guessed gaps G = 2h and H_max = 3h (h the larger
+    spacing) and max|D| at the diagonal: the interface may move by one
+    node, the bound's terms are in the hmbo_step docstring.
     """
     g = cfg.grid
     n_full, rem = substeps(cfg.tau, cfg.dt)
@@ -304,8 +313,9 @@ def _band(cfg: HmboConfig) -> _Band | None:
     # the stencils are computed in floating point: widen their sums
     reach = np.hypot(off * g.dx, off[:, None] * g.dy)
     s0, s1, n_u0 = ((1.0 + 2.0**-30) * float(np.sum(v)) for v in (w, w * reach, np.abs(s)))
-    need = (s1 + 2.0 * h * s0 + 3.0 * h * cfg.a * n_u0 + rho * diag) / mass
-    return _Band(k, (k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need), s0, s1, n_u0, mass * (1.0 - 1e-9), rho)
+    band = _Band(k, np.inf, s0, s1, cfg.a * n_u0, mass * (1.0 - 1e-9), rho)
+    need = band.bound(2.0 * h, 3.0 * h, diag) / mass
+    return replace(band, width=(k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need))
 
 
 def _dilate(mask: np.ndarray, k: int, box: bool = False) -> np.ndarray:
@@ -347,8 +357,7 @@ def _curve_gap(a: BandField, b: BandField) -> float:
     largest over a's chords.
     """
     sa, sb = a.curve.segment_points()
-    j, i, _, _ = _bilinear_cells(a.grid, 0.5 * (sa + sb))
-    j, i = np.stack((j, j, j + 1, j + 1)), np.stack((i, i + 1, i, i + 1))
+    j, i, _, _ = _midpoint_cells(a.grid, sa, sb)
     if not b.exact[j, i].all():
         return np.inf
     ex, ey = a.grid.x_coords()[i], a.grid.y_coords()[j]
@@ -358,8 +367,11 @@ def _curve_gap(a: BandField, b: BandField) -> float:
 
 def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band) -> bool:
     """The certificate (C1)-(C3) of hmbo_step, for a step from fields that
-    hold provisional values.  With a = 0 the bound reads nothing of d_nm1
-    but its exact nodes: no curve gap H, no magnitude."""
+    hold provisional values.  C2 measures the gaps G and H_max and max|D|
+    and checks (a + b*tau) min|D_n| > B by _Band.bound, which sized the
+    band with guessed gaps.  With a = 0 the bound reads nothing of d_nm1
+    but its exact nodes: no curve gap H (H_max = 0, which a = 0 scales to
+    nothing), no magnitude."""
     stale = _dilate(~(_exact(d_n) & _exact(d_nm1)), band.k)
     neg = np.signbit(u_tau.values)
     cell = (neg[:-1, :-1] != neg[:-1, 1:]) | (neg[:-1, :-1] != neg[1:, :-1]) | (neg[:-1, :-1] != neg[1:, 1:])
@@ -377,16 +389,14 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: Hm
     if not all(isinstance(d, BandField) for d in fields):
         return False
     # C2: the least |D_n| at a stale node against the bound B
-    bound = band.s1 + band.s0 * (d_n.above + d_n.below)
-    if a > 0:  # an inf gap (a corner that is not exact) times a = 0 is no bound
+    h_max = 0.0
+    if a > 0:
         h_gap = max(_curve_gap(d_n, d_nm1), _curve_gap(d_nm1, d_n)) + d_n.slack + d_nm1.slack
         h_max = h_gap + max(d_n.above + d_nm1.below, d_n.below + d_nm1.above)
-        bound += a * band.n_u0 * h_max
     d_max = max(float(np.max(np.abs(_known(d)))) + d.spread + d.above for d in fields)
-    bound += band.rho * d_max
     v = np.abs(v_n[stale])
     lo = np.where(d_n.exact[stale], v, v - d_n.spread - d_n.below)
-    return bool(band.mass * np.min(lo) > bound)
+    return bool(band.mass * np.min(lo) > band.bound(d_n.above + d_n.below, h_max, d_max))
 
 
 def _propagate(d_n: ScalarField, d_nm1: ScalarField, cfg: HmboConfig) -> tuple[ScalarField, InterfaceCurve]:
@@ -452,7 +462,8 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       the farther chord end's distance from e, the largest over the
       chords, and inf where a corner is not exact.  So
       U(tau)(p) has D_n(p)'s sign when (a + b*tau) |D_n(p)| exceeds
-      B = sum |P_q| (|q| + G) + a * sum |S_q| * H_max + rho, and the check
+      B = sum |P_q| (|q| + G) + a * sum |S_q| * H_max + rho (_Band.bound,
+      which also sizes W), and the check
       is that the least lower bound of |D_n| outside R (|d_n| itself at an
       exact node, |d_n| - spread - below at a provisional one) times
       a + b*tau exceeds B.  The provisional values carry the exhaustive

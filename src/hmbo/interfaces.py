@@ -31,19 +31,23 @@ distance plus the block's diagonal.  And a segment can be nearest only to
 points in its slab, between the normals at its ends, or beyond an end in
 the wedge that the normal of the segment sharing that end leaves it (the
 nearest-point regions of a closest-point transform), so a block whose box
-lies wholly past one end's wedge drops it.  Only the candidates are
-scanned, in increasing index order, by _point_segment_sq, the one copy of
-the per-pair arithmetic, which forms (x - ax) ux once per block column and
-(y - ay) uy once per block row.  So the field is bit-identical to an
-exhaustive scan's with that arithmetic, and the first segment wins ties.
-signed_distance runs this scan and returns a BandField, its one kind of
-field.  A block's result does not depend on the other blocks, so with a
-finite reach W the field is exact on the blocks whose centre lies within
-W + r of the interface (r the block's half-diagonal) and elsewhere
-provisional, the source field's sign bit times the centre's distance, until
-its values are first read, which completes them to the same bits;
-hmbo.flow's steps use that band.  With the default reach, inf,
-every block is computed at once, and the field is complete at construction.
+lies wholly past one end's wedge drops it.  The sharing segment is read
+from the vertex ids (_segment_neighbours), the one map from an end to the
+other segment at its vertex, built once per redistance; the curved
+reconstruction takes a segment's two neighbours from the same map.  Only
+the candidates are scanned, in increasing index order, by
+_point_segment_sq, the one copy of the per-pair arithmetic, which forms
+(x - ax) ux once per block column and (y - ay) uy once per block row.  So
+the field is bit-identical to an exhaustive scan's with that arithmetic,
+and the first segment wins ties.  signed_distance runs this scan and
+returns a BandField, its one kind of field.  A block's result does not
+depend on the other blocks, so with a finite reach W the field is exact on
+the blocks whose centre lies within W + r of the interface (r the block's
+half-diagonal) and elsewhere provisional, the source field's sign bit times
+the centre's distance, until its values are first read, which completes
+them to the same bits; hmbo.flow's steps use that band.  With the default
+reach, inf, every block is computed at once, and the field is complete at
+construction.
 
 Two reconstructions of the interface are offered:
 
@@ -287,30 +291,25 @@ def _scan_block(px, py, seg):
     return best.reshape(shape), first.reshape(shape)
 
 
-def _regions(a, b, k, hx, hy):
-    """The linear forms of _Tiles' region test for the S segments [a, b],
-    on the coordinates scaled by 2^-k, as a (12, S) array f: a box of
-    half-widths (hx, hy) and centre (x, y) lies wholly past form q of
-    segment s when x f[q, s] + y f[4 + q, s] + f[8 + q, s] > 0.  The forms
-    q are beyond a, beyond b, past the cut at a and past the cut at b.
+def _regions(curve, partners, k, hx, hy):
+    """The linear forms of _Tiles' region test for the S segments [a, b] of
+    curve, whose ends' partners are partners (_segment_neighbours), on the
+    coordinates scaled by 2^-k, as a (12, S) array f: a box of half-widths
+    (hx, hy) and centre (x, y) lies wholly past form q of segment s when
+    x f[q, s] + y f[4 + q, s] + f[8 + q, s] > 0.  The forms q are beyond a,
+    beyond b, past the cut at a and past the cut at b.
     """
-    ends = np.ldexp(np.concatenate((a, b), axis=1), -k).view(np.complex128)  # (S, 2): a, b as x + iy
-    flat = ends.ravel()  # end 2s is segment s's a, 2s + 1 its b
-    n = flat.size
-    # each end's partner, in (lexicographic) sorted order: the next end at
-    # the same coordinates, or else the previous one, or else the end itself
-    order = np.argsort(flat)
-    z = flat[order]
-    same = np.zeros(n + 1, dtype=bool)
-    np.equal(z[1:], z[:-1], out=same[1:n])
-    away = np.empty(n, dtype=np.complex128)  # the partner's vector u' away from the end
-    away[order] = flat[order ^ 1][np.arange(n) + same[1:] - (same[:-1] > same[1:])] - z
+    points = np.ldexp(curve.vertices, -k).view(np.complex128).ravel()  # x + iy
+    ids = curve.segments
+    ends = points[ids]  # (S, 2): a, b
+    # each partner's other vertex: its far end from the vertex it shares
+    far = np.where(ids[partners, 0] == ids, ids[partners, 1], ids[partners, 0])
     # the normals, [beyond, cut][a, b]: s's vector w away from its other
-    # end, and u'
+    # end, and the partner's vector u' away from the end
     normal = np.empty((2, 2, ends.shape[0]), dtype=np.complex128)
     np.subtract(ends[:, 1], ends[:, 0], out=normal[0, 1])
     np.negative(normal[0, 1], out=normal[0, 0])
-    normal[1] = away.reshape(-1, 2).T
+    np.subtract(points[far], ends, out=normal[1].T)
     f = np.empty((3,) + normal.shape)
     f[0], f[1] = normal.real, normal.imag
     eta = 16.0 * _SLACK
@@ -342,8 +341,9 @@ def _wedged(forms, s, x, y):
 
 class _Tiles:
     """The grid's nodes in tiles of at most _TILE x _TILE, and each tile's
-    candidate segments [a, b]: the state of the pruned nearest-segment scan,
-    which scan() runs on any subset of the tiles.
+    candidate segments [a, b] of the curve: the state of the pruned
+    nearest-segment scan, which scan() runs on any subset of the tiles, and
+    partners, each end's other segment at its vertex (_segment_neighbours).
 
     Tile k is tile row k // kx and tile column k % kx.  Tile column c holds
     the w[c] node columns from x0[c], tile row r the h[r] node rows from
@@ -398,14 +398,17 @@ class _Tiles:
     of any tile, and a wedge's two half-planes one at a time; both only
     keep more.
 
-    Each end's partner s' comes from sorting the 2S ends by their
-    coordinates: the next end at the same coordinates, or else the
-    previous one, so curves, vertices repeated under other ids and soups
-    are treated alike.  An end with no such segment is its own partner,
-    whose cut, (p - v).(-w) > 0, never holds beyond v, so it keeps its
-    whole half-plane; a zero-length partner has u' = 0 and cuts nothing;
-    and a zero-length s has w = 0, is never beyond an end, and keeps
-    everything.
+    Each end's partner s' is the other segment at its vertex id
+    (_segment_neighbours, built once in partners), and u' runs to the
+    partner's other vertex; a shared vertex id is an end at exactly v's
+    coordinates, all the lemma asks.  An end whose vertex ends no other
+    segment, as on a wall, is its own partner, with u' = -w, whose cut,
+    (p - v).(-w) > 0, never holds beyond v, so it keeps its whole
+    half-plane.  Coordinates repeated under other vertex ids (as at a node
+    where the field is exactly zero) are not merged: the segment sharing
+    the id is as good a partner as any other end at those coordinates.  A
+    zero-length partner has u' = 0 and cuts nothing; and a zero-length s
+    has w = 0, is never beyond an end, and keeps everything.
 
     The rounding.  The test runs on the coordinates scaled by 2^-k, where
     scale < 2^k, which is exact but for underflow, with eta = 16 _SLACK
@@ -435,7 +438,9 @@ class _Tiles:
     the (node, segment) pairs of a circle or a 5-fold star.
     """
 
-    def __init__(self, grid, a, b):
+    def __init__(self, grid, curve):
+        a, b = curve.segment_points()
+        self.partners = _segment_neighbours(curve)
         seg = self.seg = _segments(a, b)
         scale = self.scale = _scale(grid, a, b)
         ny, nx = grid.shape
@@ -470,7 +475,7 @@ class _Tiles:
             del d2
             if t.size >= _REGION_PAIRS and _REGION_EXP <= k <= -_REGION_EXP:
                 if forms is None:
-                    forms = _regions(a, b, k, np.ldexp(hx.max(), -k), np.ldexp(hy.max(), -k))
+                    forms = _regions(curve, self.partners, k, np.ldexp(hx.max(), -k), np.ldexp(hy.max(), -k))
                     sx, sy = np.ldexp(cx, -k), np.ldexp(cy, -k)
                 row, col = np.divmod(t, cols)
                 keep = ~_wedged(forms, s, sx[x:][col], sy[y:][row])
@@ -484,8 +489,6 @@ class _Tiles:
     def _shapes(self, tiles):
         """The tiles by node shape, in a fixed order: (h, w, positions in
         tiles) for each shape among them."""
-        if len(self._kinds) == 1:
-            return [(*self._kinds[0], np.arange(tiles.size))]
         h, w = self.h[tiles // self.kx], self.w[tiles % self.kx]
         groups = [(th, tw, np.flatnonzero((h == th) & (w == tw))) for th, tw in self._kinds]
         return [g for g in groups if g[2].size]
@@ -585,12 +588,21 @@ def _curvature_vector(f: ScalarField, nodes) -> tuple[np.ndarray, np.ndarray]:
     return -k * fx, -k * fy
 
 
+def _midpoint_cells(grid, a: np.ndarray, b: np.ndarray):
+    """The cells that the midpoints of the chords [a, b] are read in
+    (fields._bilinear_cells): the rows and the columns of each cell's four
+    corners, (4, S) each in the order _bilinear takes them, and the
+    fractions u along x and v along y."""
+    j, i, u, v = _bilinear_cells(grid, 0.5 * (a + b))
+    return np.stack((j, j, j + 1, j + 1)), np.stack((i, i + 1, i, i + 1)), u, v
+
+
 def _segment_curvature(f: ScalarField, a: np.ndarray, b: np.ndarray):
     """_curvature_vector taken bilinearly (fields.eval_bilinear) at each
     chord midpoint, evaluated only at the four corners of the cell that
     each midpoint is read in."""
-    j, i, u, v = _bilinear_cells(f.grid, 0.5 * (a + b))
-    kx, ky = _curvature_vector(f, (np.stack((j, j, j + 1, j + 1)), np.stack((i, i + 1, i, i + 1))))
+    j, i, u, v = _midpoint_cells(f.grid, a, b)
+    kx, ky = _curvature_vector(f, (j, i))
     return _bilinear(u, v, *kx), _bilinear(u, v, *ky)
 
 
@@ -600,7 +612,10 @@ def _segment_neighbours(curve: InterfaceCurve) -> np.ndarray:
 
     extract_zero_set ends two segments at a vertex, one from each cell
     beside its edge, or one where that edge lies on a wall, so the least
-    and the largest owner of a vertex are its two segments.
+    and the largest owner of a vertex are its two segments.  Where more
+    segments share a vertex, as in a soup, each end gets one of the others.
+    _Tiles builds this map once per redistance: its region test and the
+    curved distance both read it.
     """
     owner = np.repeat(np.arange(curve.n_segments), 2)
     ends = curve.segments.ravel()
@@ -695,11 +710,12 @@ class BandField(ScalarField):
     every node of another tile lies farther than W from them.  Every tile
     is filled one way (_fill), the exact ones at construction and the
     others when .values is first read (complete): the nearest-segment
-    scan's distances (_Tiles.scan), or the bent chords' of curved=True,
-    with the sign bits of f.  Until then another tile's nodes hold a
-    provisional value, f's sign bit times the tile's dc; provisional holds
-    the values as they are, without completing them.  A complete field,
-    one with W = inf included, keeps no _Tiles.
+    scan's distances (_Tiles.scan), or with curved=True the least distance
+    to the bent chords of the nearest segment and of its neighbours, read
+    from the _Tiles' partners, with the sign bits of f.  Until then another
+    tile's nodes hold a provisional value, f's sign bit times the tile's
+    dc; provisional holds the values as they are, without completing them.
+    A complete field, one with W = inf included, keeps no _Tiles.
 
     What hmbo.flow's certificate reads of the field: exact, the nodes
     whose value is final, and their values; curve, whose chords it
@@ -720,14 +736,13 @@ class BandField(ScalarField):
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
         g = self.grid = f.grid
         self.curve = curve
-        sa, sb = curve.segment_points()
-        self._tiles = tiles = _Tiles(g, sa, sb)
+        self._tiles = tiles = _Tiles(g, curve)
         slack = self.slack = _SLACK * tiles.scale
         self.below = self.above = slack
-        self._frames = self._neighbours = None
+        self._frames = None
         if curved:
+            sa, sb = curve.segment_points()
             frames = self._frames = _bent_chord_frames(sa, sb, *_segment_curvature(f, sa, sb))
-            self._neighbours = _segment_neighbours(curve)
             self.below += np.max(np.abs(frames[7])) / 4.0
             self.above = self.below + np.max(frames[4])
         self.spread = float(np.max(tiles.r))
@@ -753,7 +768,7 @@ class BandField(ScalarField):
             j, i, _ = self._tiles.nodes(tiles)
             x, y = self._tiles.xs[i], self._tiles.ys[j]
             del j, i, _
-            dist = _curved_distance(x, y, nearest, self._frames, self._neighbours)
+            dist = _curved_distance(x, y, nearest, self._frames, self._tiles.partners)
         if not np.all(np.isfinite(dist)):
             raise ValidationError("field contains non-finite values")
         # the index arrays come after the distances, out of the curved fill's peak memory

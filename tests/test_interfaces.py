@@ -187,6 +187,37 @@ def test_every_vertex_ends_two_segments_or_one_on_a_wall(field):
         assert np.all((x == g.xmin) | (x == g.xmax) | (y == g.ymin) | (y == g.ymax)), curved
 
 
+@pytest.mark.parametrize("field", ["circle", "star", "two-disks", "noise", "zeros-at-nodes"])
+def test_each_end_partner_has_a_vertex_at_that_end(field):
+    """The premise of _Tiles' region test: the partner _segment_neighbours
+    gives each end of an extracted segment is another segment with a vertex
+    at exactly that end's coordinates, except at a vertex on a wall, where
+    the segment is its own partner.  On three band shapes, white noise on
+    40 x 40 nodes, and a field with exact zeros at nodes, whose vertices
+    repeat coordinates under other ids."""
+    if field == "noise":
+        g = make_grid(40, 40, (-2, 2, -1.5, 1.7))
+        f = ScalarField(g, np.random.default_rng(40).standard_normal(g.shape))
+    elif field == "zeros-at-nodes":  # rings of zero nodes, cut by the wall x = 1
+        g = make_grid(21, 19, (-1, 1, -1, 1))
+        f = field_from_function(g, lambda x, y: np.round(np.hypot(x - 0.5, y) * 10.0) - 6.0)
+    else:
+        g = make_grid(64, 64, (-2, 2, -2, 2))
+        f = field_from_function(g, _BAND_SHAPES[field])
+    for curved in RECONSTRUCTIONS:
+        curve = extract_zero_set(f, curved=curved)
+        repeats = len(np.unique(curve.vertices, axis=0)) < curve.n_vertices
+        assert repeats == (field == "zeros-at-nodes"), curved
+        partners = _segment_neighbours(curve)
+        ends = curve.vertices[curve.segments]  # (S, 2 ends, 2 coordinates)
+        theirs = curve.vertices[curve.segments[partners]]  # (S, 2 ends, 2 ends, 2)
+        assert (theirs == ends[:, :, None]).all(axis=-1).any(axis=-1).all(), curved
+        own = partners == np.arange(curve.n_segments)[:, None]
+        x, y = ends[own].T
+        assert np.all((x == g.xmin) | (x == g.xmax) | (y == g.ymin) | (y == g.ymax)), curved
+        assert own.any() == (field in ("noise", "zeros-at-nodes")), curved
+
+
 def test_vertices_deduplicated_and_on_grid_edges(rng):
     g = make_grid(31, 31, (-2, 2, -2, 2))
     f = _smooth_random_field(g, rng)
@@ -302,11 +333,21 @@ def _nodes(g):
     return X.ravel(), Y.ravel()
 
 
+def _soup_curve(a, b):
+    """The segments [a, b] as an InterfaceCurve whose ends at equal
+    coordinates share one vertex id, so that the scan's region test finds
+    each end's partners as it does on an extracted curve.  The ends are
+    merged by their bits, so the curve's segment ends are a's and b's own."""
+    ends = np.concatenate((a, b)).astype(float)
+    _, first, ids = np.unique(ends.view(np.int64), axis=0, return_index=True, return_inverse=True)
+    return InterfaceCurve(ends[first], ids.reshape(2, -1).T)
+
+
 def _nearest_segment(g, a, b):
     """The pruned scan (_Tiles) run on every tile of g: the squared distance
     from each node to its nearest segment [a, b] and that segment's index,
     as (ny, nx) arrays, the form held to the exhaustive reference below."""
-    tiles = _Tiles(g, a, b)
+    tiles = _Tiles(g, _soup_curve(a, b))
     every = np.arange(tiles.kx * tiles.ky)
     j, i, _ = tiles.nodes(every)
     out = []
@@ -629,7 +670,7 @@ def test_signed_distance_equals_brute_build(rng):
     the exhaustive scan: the square root of _brute_nearest's minimum, or
     the bent chords' distance (_curved_distance) from each node's
     exhaustive nearest segment and its neighbours, with f's sign bits.  On
-    57 x 64 nodes, so the last tile column repeats nodes."""
+    57 x 64 nodes, so the last tile column holds one node column."""
     g = make_grid(57, 64, (-2, 2, -2, 2))
     x, y = g.x_coords()[None, :], g.y_coords()[:, None]
     for f in (_circle_field(g), _smooth_random_field(g, rng)):
