@@ -15,6 +15,7 @@ Laplacian here, and the curved reconstruction's four-node cubic and
 curvature differences in hmbo.interfaces.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +48,40 @@ class Grid2D:
         return (self.ny, self.nx)
 
     def x_coords(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.nx)
+        """The nodes' x coordinates, read-only: one array per grid."""
+        return self._coords[0]
 
     def y_coords(self) -> np.ndarray:
-        return np.linspace(self.ymin, self.ymax, self.ny)
+        return self._coords[1]
+
+    @functools.cached_property
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
+        out = np.linspace(self.xmin, self.xmax, self.nx), np.linspace(self.ymin, self.ymax, self.ny)
+        for v in out:
+            v.flags.writeable = False
+        return out
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinate arrays X, Y, each of shape (ny, nx)."""
         return np.meshgrid(self.x_coords(), self.y_coords(), indexing="xy")
+
+
+@dataclass(frozen=True)
+class _SubGrid(Grid2D):
+    """A box of a parent grid's nodes that keeps the parent's spacing bit for
+    bit.  (xmax - xmin) / (nx - 1) on the box's own bounds need not give it
+    back: fl(fl(3 * 0.1) / 3) != 0.1."""
+
+    spacing: tuple[float, float] = (1.0, 1.0)
+    dx = property(lambda self: self.spacing[0])
+    dy = property(lambda self: self.spacing[1])
+
+
+def _sub_grid(g: Grid2D, rows: slice, cols: slice) -> Grid2D:
+    """The nodes [rows, cols] of g (two slices of unit step) as a grid with
+    g's dx and dy."""
+    xs, ys = g.x_coords()[cols], g.y_coords()[rows]
+    return _SubGrid(xs.size, ys.size, float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]), (g.dx, g.dy))
 
 
 def make_grid(nx: int, ny: int, bounds) -> Grid2D:

@@ -47,8 +47,12 @@ cell and the distance at which the step's sign bound is expected to hold
 (_band), with k the substeps of a step and h the larger spacing.  The
 other nodes hold provisional values of the right sign, which the next
 step uses only under a certificate it checks on every step; a step that
-fails it completes both fields and runs again.  The field a step returns
-completes its provisional tiles when its values are first read, so
+fails it completes both fields and runs again.  Such a step solves the
+wave only on a box: the nodes R whose k-neighbourhood is exact in both
+fields, their bounding box grown by k nodes and clipped to the walls.
+u(tau) is that solve on R and takes d_n's sign bits everywhere else,
+which the certificate proves are the exhaustive step's.  The field a step
+returns completes its provisional tiles when its values are first read, so
 callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
 and the proof are in the hmbo_step docstring.  A step redistances with
@@ -65,7 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fields import Grid2D, ScalarField
+from .fields import Grid2D, ScalarField, _sub_grid
 from .interfaces import (
     BandField,
     InterfaceCurve,
@@ -365,14 +369,17 @@ def _curve_gap(a: BandField, b: BandField) -> float:
     return float(np.max(np.min(np.abs(b.provisional[j, i]) + ends, axis=0))) + b.below
 
 
-def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band) -> bool:
-    """The certificate (C1)-(C3) of hmbo_step, for a step from fields that
-    hold provisional values.  C2 measures the gaps G and H_max and max|D|
-    and checks (a + b*tau) min|D_n| > B by _Band.bound, which sized the
-    band with guessed gaps.  With a = 0 the bound reads nothing of d_nm1
-    but its exact nodes: no curve gap H (H_max = 0, which a = 0 scales to
-    nothing), no magnitude."""
-    stale = _dilate(~(_exact(d_n) & _exact(d_nm1)), band.k)
+def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band,
+               exact: np.ndarray) -> bool:
+    """The certificate, (C1) and (C2) of hmbo_step, for a step from fields
+    that hold provisional values, with exact the set R of _reach, and
+    u_tau the step's u(tau), which takes d_n's sign bits outside R.  C2
+    measures the gaps G and H_max and max|D| and checks (a + b*tau)
+    min|D_n| > B by _Band.bound, which sized the band with guessed gaps.
+    With a = 0 the bound reads nothing of d_nm1 but its exact nodes: no
+    curve gap H (H_max = 0, which a = 0 scales to nothing), no
+    magnitude."""
+    stale = ~exact
     neg = np.signbit(u_tau.values)
     cell = (neg[:-1, :-1] != neg[:-1, 1:]) | (neg[:-1, :-1] != neg[1:, :-1]) | (neg[:-1, :-1] != neg[1:, 1:])
     corners = np.zeros(neg.shape, dtype=bool)
@@ -380,9 +387,6 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: Hm
         for si in (slice(None, -1), slice(1, None)):
             corners[sj, si] |= cell
     if (_dilate(corners, 2, box=True) & stale).any():  # C1
-        return False
-    v_n = _known(d_n)
-    if (neg[stale] != np.signbit(v_n[stale])).any():  # C3
         return False
     a = cfg.a
     fields = (d_n, d_nm1) if a > 0 else (d_n,)
@@ -394,17 +398,36 @@ def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: Hm
         h_gap = max(_curve_gap(d_n, d_nm1), _curve_gap(d_nm1, d_n)) + d_n.slack + d_nm1.slack
         h_max = h_gap + max(d_n.above + d_nm1.below, d_n.below + d_nm1.above)
     d_max = max(float(np.max(np.abs(_known(d)))) + d.spread + d.above for d in fields)
-    v = np.abs(v_n[stale])
-    lo = np.where(d_n.exact[stale], v, v - d_n.spread - d_n.below)
-    return bool(band.mass * np.min(lo) > band.bound(d_n.above + d_n.below, h_max, d_max))
+    v = np.abs(_known(d_n))
+    lo = np.min(np.where(d_n.exact, v, v - d_n.spread - d_n.below), where=stale, initial=np.inf)
+    return bool(band.mass * lo > band.bound(d_n.above + d_n.below, h_max, d_max))
 
 
-def _propagate(d_n: ScalarField, d_nm1: ScalarField, cfg: HmboConfig) -> tuple[ScalarField, InterfaceCurve]:
-    """u(tau) from (d_n, d_nm1) as they are held, and its zero set."""
-    v_n = _known(d_n)
+def _reach(d_n: ScalarField, d_nm1: ScalarField, k: int) -> np.ndarray:
+    """R of hmbo_step: the nodes whose k-neighbourhood along the axes is
+    exact in both fields."""
+    return ~_dilate(~(_exact(d_n) & _exact(d_nm1)), k)
+
+
+def _propagate(d_n: ScalarField, d_nm1: ScalarField, cfg: HmboConfig,
+               exact: np.ndarray | None = None, k: int = 0) -> tuple[ScalarField, InterfaceCurve]:
+    """u(tau) from (d_n, d_nm1) as they are held, and its zero set: with
+    exact, the nonempty set R of a step of k substeps (_reach), the wave is
+    solved only on the box of hmbo_step, and u(tau) is that solve on R and
+    d_n elsewhere; without, on the whole grid."""
+    g, v_n, v_nm1 = cfg.grid, _known(d_n), _known(d_nm1)
+    box = np.s_[:, :]
+    if exact is not None:
+        j, i = (np.flatnonzero(exact.any(axis=axis)) for axis in (1, 0))
+        box = np.s_[max(j[0] - k, 0):j[-1] + k + 1, max(i[0] - k, 0):i[-1] + k + 1]
+        g = _sub_grid(g, *box)
     with _stage("propagate"):
-        u_tau = wave_solve(ScalarField(cfg.grid, cfg.a * (2.0 * v_n - _known(d_nm1))),
-                           ScalarField(cfg.grid, cfg.b * v_n), cfg.wave_params())
+        u_tau = wave_solve(ScalarField(g, cfg.a * (2.0 * v_n[box] - v_nm1[box])), ScalarField(g, cfg.b * v_n[box]),
+                           cfg.wave_params())
+    if exact is not None:
+        u = v_n.copy()
+        np.copyto(u[box], u_tau.values, where=exact[box])
+        u_tau = ScalarField(cfg.grid, u)
     with _stage("extract"):
         return u_tau, extract_zero_set(u_tau, curved=CURVED[cfg.mode])
 
@@ -433,9 +456,16 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     node along each axis, so u(tau) at a node p reads the inputs only
     within k steps along the axes of p (a mirror ghost node is a node that
     close).  Let R be the nodes whose whole such neighbourhood is exact in
-    both d_n and d_nm1; there u(tau) is the exhaustive step's U(tau) bit
-    for bit.  A step from fields that hold provisional values checks, on
-    every step:
+    both d_n and d_nm1 (_reach); there u(tau) is the exhaustive step's
+    U(tau) bit for bit.  A step from fields that hold provisional values
+    computes R before it propagates, and solves the wave only on the box
+    B: R's bounding box grown by k nodes and clipped to the walls.  A side
+    of B that is no wall lies at least k nodes from every node of R, and
+    the wrong mirror ghost nodes past it reach one node further inside on
+    each substep, so they reach no node of R; the box grid keeps the
+    grid's dx and dy bit for bit (fields._sub_grid), and on R the box solve
+    is the whole grid's.  u(tau) is the box solve on R, and d_n's values,
+    with their sign bits, everywhere else.  It checks, on every step:
 
     * (C1) the corners of every cell whose corners differ in sign bit,
       dilated by 2 nodes in each direction, lie in R.  Extraction reads
@@ -468,11 +498,12 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       exact node, |d_n| - spread - below at a provisional one) times
       a + b*tau exceeds B.  The provisional values carry the exhaustive
       sign bits, by induction over the steps: d_new takes its sign bit from
-      u(tau) at every node, exact or not;
-    * (C3) at every node outside R the computed u(tau) has d_n's sign bit.
+      u(tau) at every node, exact or not.
 
-    Then u(tau) and U(tau) agree in every sign bit, outside R by (C2) and
-    (C3) and in R bit for bit, so they have the same crossed cells, and by
+    Then u(tau) and U(tau) agree in every sign bit, outside R by (C2), for
+    u(tau) takes d_n's sign bits there, and in R bit for bit, so they have
+    the same crossed cells (the former check (C3), that the computed
+    u(tau) has d_n's sign bit outside R, holds by construction), and by
     (C1) the extraction and the curvature read equal values: the curve
     and its curvature are the exhaustive ones.  An empty curve is an
     extinction of both.  The exact tiles of d_new then hold the exhaustive
@@ -489,7 +520,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       (BandField), not a tighter bound that the Newton iteration would need
       a proof of;
     * extinction: with one-signed u(tau) there is no crossed cell, (C1)
-      holds, and (C2), (C3) give a one-signed U(tau), so both go extinct;
+      holds, and (C2) gives a one-signed U(tau), so both go extinct;
     * rounding: the computed D's carry the scan's relative slack in below
       and above, the stencil sums are widened by 2^-30 relative, a + b*tau
       is rounded down by 1e-9, and rho = 2^-40 4^k (k + 1) (3a + b*tau)
@@ -506,7 +537,9 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     sign bit d_nm1 decides.
 
     A step that fails the check, or breaks down numerically, completes both
-    fields and runs again from the exhaustive ones, which need no check.
+    fields and runs again from the exhaustive ones on the whole grid,
+    which need no check; so does a step whose R is empty.  The box solve
+    checks finiteness on B only, the exhaustive rerun on the whole grid.
     The step redistances with reach W when it has a band and the next
     step's certificate can read d_n, which is then its d_nm1: d_n is a
     BandField, of either reconstruction.  It redistances with reach inf
@@ -517,13 +550,13 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
         raise ValidationError("the step's fields and its config lie on different grids")
     band = _band(cfg)
     partial = [d for d in (d_n, d_nm1) if isinstance(d, BandField) and not d.is_complete]
-    try:
-        u_tau, curve = _propagate(d_n, d_nm1, cfg)
-        certified = not partial or (band is not None and _certified(d_n, d_nm1, u_tau, cfg, band))
-    except NumericalError:
-        if not partial:
-            raise
-        certified = False
+    certified = False
+    if partial and band is not None and (exact := _reach(d_n, d_nm1, band.k)).any():
+        try:
+            u_tau, curve = _propagate(d_n, d_nm1, cfg, exact, band.k)
+            certified = _certified(d_n, d_nm1, u_tau, cfg, band, exact)
+        except NumericalError:
+            pass
     if not certified:
         for d in partial:
             d.complete()

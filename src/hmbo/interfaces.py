@@ -6,7 +6,9 @@ a cell crosses zero, two or four of its edges (0 bottom, 1 right, 2 top,
 3 left).  A cell joins its two crossed edges, in increasing edge number; a
 saddle cell, with four, joins (0, 3) and (1, 2) when the average of its
 corners is nonzero and differs in sign from its bottom-left node, and
-(0, 1) and (2, 3) otherwise.  Segments come out in row-major cell order.
+(0, 1) and (2, 3) otherwise.  Segments come out in row-major cell order:
+the table of each cell's edge ids is built only for the cells beside a
+crossed edge, in that order, and the corner average only for the saddles.
 Vertices are identified with the crossed cell edge they sit on, which
 deduplicates shared segment endpoints exactly: every vertex ends two
 segments, one from each cell beside its edge, or one on a wall edge.  An
@@ -45,9 +47,10 @@ depend on the other blocks, so with a finite reach W the field is exact on
 the blocks whose centre lies within W + r of the interface (r the block's
 half-diagonal) and elsewhere provisional, the source field's sign bit times
 the centre's distance, until its values are first read, which completes
-them to the same bits; hmbo.flow's steps use that band.  With the default
-reach, inf, every block is computed at once, and the field is complete at
-construction.
+them to the same bits; hmbo.flow's steps use that band.  A provisional
+block needs only its centre's distance: its candidates are built when it
+is filled.  With the default reach, inf, every block is computed at once,
+and the field is complete at construction.
 
 Two reconstructions of the interface are offered:
 
@@ -189,8 +192,8 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     # along y (node (i,j) -- (i,j+1)), each set in row-major order
     hmask = neg[:, :-1] != neg[:, 1:]
     vmask = neg[:-1, :] != neg[1:, :]
-    hj, hi = np.nonzero(hmask)
-    vj, vi = np.nonzero(vmask)
+    hj, hi = np.divmod(np.flatnonzero(hmask), hmask.shape[1])  # 2-d nonzero is several times slower
+    vj, vi = np.divmod(np.flatnonzero(vmask), vmask.shape[1])
     vertices = np.concatenate([
         np.column_stack([xs[hi] + _edge_roots(v, hj, hi, curved) * g.dx, ys[hj]]),
         np.column_stack([xs[vi], ys[vj] + _edge_roots(v.T, vi, vj, curved) * g.dy]),
@@ -202,14 +205,18 @@ def extract_zero_set(f: ScalarField, curved: bool = False) -> InterfaceCurve:
     v_idx = np.full(vmask.shape, -1, dtype=np.intp)
     v_idx[vj, vi] = n_h + np.arange(vi.size)
 
-    # each cell's vertex ids on its edges 0..3, -1 where an edge is not
-    # crossed; a saddle cell whose corner average is nonzero and differs in
-    # sign from its bottom-left node is reordered to join (0, 3) and (1, 2).
-    # A zero average is +0 in f and in -f alike, so it never turns a cell.
-    ids = np.stack([h_idx[:-1], v_idx[:, 1:], h_idx[1:], v_idx[:, :-1]], axis=-1)
+    # the cells beside a crossed edge, in row-major order, and their vertex
+    # ids on their edges 0..3, -1 where an edge is not crossed; a saddle
+    # cell whose corner average is nonzero and differs in sign from its
+    # bottom-left node is reordered to join (0, 3) and (1, 2).  A zero
+    # average is +0 in f and in -f alike, so it never turns a cell.
+    cj, ci = np.divmod(np.flatnonzero(hmask[:-1] | hmask[1:] | vmask[:, :-1] | vmask[:, 1:]), hmask.shape[1])
+    ids = np.stack([h_idx[cj, ci], v_idx[cj, ci + 1], h_idx[cj + 1, ci], v_idx[cj, ci]], axis=-1)
     crossed = ids >= 0
-    centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) * 0.25
-    turn = crossed.all(axis=-1) & (centre != 0.0) & (np.signbit(centre) != neg[:-1, :-1])
+    quad = crossed.all(axis=-1)
+    sj, si = cj[quad], ci[quad]
+    centre = (v[sj, si] + v[sj, si + 1] + v[sj + 1, si] + v[sj + 1, si + 1]) * 0.25
+    turn = np.flatnonzero(quad)[(centre != 0.0) & (np.signbit(centre) != neg[sj, si])]
     ids[turn] = ids[turn][:, [0, 3, 1, 2]]
     # the crossed ids in row-major cell order and increasing edge number,
     # read in pairs: (0, 1) and (2, 3) of each cell's crossed edges
@@ -267,28 +274,33 @@ _REGION_EXP = -500
 _REGION_PAIRS = 256
 
 
-def _scan_block(px, py, seg):
+def _scan_block(px, py, seg, nearest):
     """Least squared distance from the nodes of T tiles of one shape, their
     columns px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
-    segments seg of _segments, each (T, 1, 1, C), and the first position
-    along C that attains it, each (T, H, W); by _point_segment_sq on as
-    many candidates at a time as keep each call within _BLOCK pairs (at
-    least one).
+    segments seg of _segments, each (T, 1, 1, C), and with nearest the
+    first position along C that attains it (else None), each (T, H, W); by
+    _point_segment_sq on as many candidates at a time as keep each call
+    within _BLOCK pairs (at least one).  The pairs are formed with the
+    candidates along the leading axis, where the least over them is taken
+    slab by slab: the arithmetic is elementwise, so its bits do not depend
+    on the layout.
     """
     shape = np.broadcast_shapes(px.shape, py.shape)[:-1]
-    rows = shape[0] * shape[1] * shape[2]
-    best = np.full(rows, np.inf)
-    first = np.zeros(rows, dtype=np.intp)
-    at = np.arange(rows)
-    step = max(1, _BLOCK // rows)
-    for s in range(0, seg[0].shape[-1], step):
-        d2 = _point_segment_sq(px, py, tuple(v[..., s : s + step] for v in seg)).reshape(rows, -1)
-        k = d2.argmin(axis=1)
-        m = d2[at, k]
+    px, py = px.transpose(3, 0, 1, 2), py.transpose(3, 0, 1, 2)
+    seg = tuple(v.transpose(3, 0, 1, 2) for v in seg)
+    best = first = None
+    step = max(1, _BLOCK // (shape[0] * shape[1] * shape[2]))
+    for s in range(0, seg[0].shape[0], step):
+        d2 = _point_segment_sq(px, py, tuple(v[s : s + step] for v in seg))
+        m = np.minimum.reduce(d2, axis=0)
+        if best is None:
+            best, first = m, d2.argmin(axis=0) if nearest else None
+            continue
         closer = m < best
         best[closer] = m[closer]
-        first[closer] = k[closer] + s
-    return best.reshape(shape), first.reshape(shape)
+        if nearest:
+            first[closer] = d2.argmin(axis=0)[closer] + s
+    return best, first
 
 
 def _regions(curve, partners, k, hx, hy):
@@ -342,8 +354,17 @@ def _wedged(forms, s, x, y):
 class _Tiles:
     """The grid's nodes in tiles of at most _TILE x _TILE, and each tile's
     candidate segments [a, b] of the curve: the state of the pruned
-    nearest-segment scan, which scan() runs on any subset of the tiles, and
-    partners, each end's other segment at its vertex (_segment_neighbours).
+    nearest-segment scan, which scan() runs on any subset of the tiles
+    that have their candidates, and partners, each end's other segment at
+    its vertex (_segment_neighbours).
+
+    With a reach W, a tile is near when its centre distance dc is at most
+    W + r (r its half-diagonal, both widened by the scan's slack), and far
+    otherwise.  The constructor measures every tile's dc, but builds the
+    candidates of the near tiles only; a far tile needs only dc, for its
+    provisional value and for the near/far decision, until add() builds
+    its candidates, by the same tests to the same lists.  The default
+    reach, inf, makes every tile near.
 
     Tile k is tile row k // kx and tile column k % kx.  Tile column c holds
     the w[c] node columns from x0[c], tile row r the h[r] node rows from
@@ -423,6 +444,9 @@ class _Tiles:
     by _SLACK, both far above the test's own rounding.  The test also
     skips a chunk of fewer than _REGION_PAIRS triangle candidates, where it
     would cost more than it saves; keeping every candidate is exact too.
+    The constructor takes that decision once per chunk of tiles, on all of
+    the chunk's triangle candidates, near and far, and add() follows it, so
+    a tile keeps the same candidates whenever they are built.
 
     Each tile's candidates, in increasing index order, are scanned by
     _point_segment_sq, so the minimum is bit-identical and the first index
@@ -438,8 +462,9 @@ class _Tiles:
     the (node, segment) pairs of a circle or a 5-fold star.
     """
 
-    def __init__(self, grid, curve):
+    def __init__(self, grid, curve, reach=np.inf):
         a, b = curve.segment_points()
+        self.curve = curve
         self.partners = _segment_neighbours(curve)
         seg = self.seg = _segments(a, b)
         scale = self.scale = _scale(grid, a, b)
@@ -452,39 +477,79 @@ class _Tiles:
                               for w in (min(nx, _TILE), nx - _TILE * (kx - 1))})
         lo_x, hi_x = self.xs[self.x0], self.xs[self.x0 + self.w - 1]
         lo_y, hi_y = self.ys[self.y0], self.ys[self.y0 + self.h - 1]
-        cx, cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
-        hx, hy = 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
-        self.r = np.hypot(hx, hy[:, None]).ravel()
-        k = int(np.frexp(scale)[1])
-        forms = None  # built for the first chunk that runs the region test
+        cx, cy = self.cx, self.cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
+        self.hx, self.hy = 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
+        self.r = np.hypot(self.hx, self.hy[:, None]).ravel()
+        self.k = int(np.frexp(scale)[1])
+        self.forms = None  # built for the first tiles that run the region test
+        n = kx * ky
+        self.dc, self.region = np.empty(n), np.zeros(n, dtype=bool)
+        self.n_cand, self.cand_start = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        self.cand = np.empty(0, dtype=np.intp)
 
-        # each tile's candidates, for as many tiles at a time as keep the
-        # centre distances within _BLOCK (tile, segment) pairs: whole tile
-        # rows, or part of one, so that a chunk's tiles are start to stop
+        # the centre distances, for as many tiles at a time as keep them
+        # within _BLOCK (tile, segment) pairs: whole tile rows, or part of
+        # one, so that a chunk's tiles are start to stop
         n_seg = seg[0].size
         cols = max(1, min(kx, _BLOCK // n_seg))
         rows = max(1, _BLOCK // (kx * n_seg)) if cols == kx else 1
-        n_cand, found, dc2 = [], [], []
+        window = _REGION_EXP <= self.k <= -_REGION_EXP
+        near, found = np.empty(n, dtype=bool), []
         for y, x in ((y, x) for y in range(0, ky, rows) for x in range(0, kx, cols)):
             start = y * kx + x
-            stop = min(y + rows, ky) * kx if cols == kx else start + min(cols, kx - x)
+            tiles = np.arange(start, min(y + rows, ky) * kx if cols == kx else start + min(cols, kx - x))
             d2 = _point_segment_sq(cx[x : x + cols, None], cy[y : y + rows, None, None], seg).reshape(-1, n_seg)
-            dc2.append(d2.min(axis=1))
-            bound = (np.sqrt(dc2[-1]) + 2.0 * self.r[start:stop]) * (1.0 + _SLACK) + _SLACK * scale
-            t, s = np.divmod(np.flatnonzero(d2 <= (bound**2)[:, None]), n_seg)
+            self.dc[tiles] = np.sqrt(d2.min(axis=1))
+            within = self._within(tiles, d2)
             del d2
-            if t.size >= _REGION_PAIRS and _REGION_EXP <= k <= -_REGION_EXP:
-                if forms is None:
-                    forms = _regions(curve, self.partners, k, np.ldexp(hx.max(), -k), np.ldexp(hy.max(), -k))
-                    sx, sy = np.ldexp(cx, -k), np.ldexp(cy, -k)
-                row, col = np.divmod(t, cols)
-                keep = ~_wedged(forms, s, sx[x:][col], sy[y:][row])
-                t, s = t[keep], s[keep]
-            n_cand.append(np.bincount(t, minlength=stop - start))
-            found.append(s)
-        self.n_cand, self.cand = np.concatenate(n_cand), np.concatenate(found)
-        self.cand_start = np.cumsum(self.n_cand) - self.n_cand
-        self.dc = np.sqrt(np.concatenate(dc2))
+            self.region[tiles] = window and np.count_nonzero(within) >= _REGION_PAIRS
+            near[tiles] = self.dc[tiles] <= (reach + self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale
+            found.append(self._candidates(tiles[near[tiles]], within[near[tiles]]))
+        self._store(found)
+        self.near = near
+
+    def _within(self, tiles, d2):
+        """The triangle test on the tiles' rows d2 of squared centre
+        distances: which segments lie within the tile's bound."""
+        bound = (self.dc[tiles] + 2.0 * self.r[tiles]) * (1.0 + _SLACK) + _SLACK * self.scale
+        return d2 <= (bound**2)[:, None]
+
+    def _candidates(self, tiles, within):
+        """The tiles and their candidate segments, from their rows within of
+        the triangle test, after the region test on the tiles that run it:
+        (tiles, candidates per tile, the candidates in tile order)."""
+        t, s = np.divmod(np.flatnonzero(within), within.shape[1])
+        test = self.region[tiles[t]]
+        if test.any():
+            k = self.k
+            if self.forms is None:
+                self.forms = _regions(self.curve, self.partners, k, np.ldexp(self.hx.max(), -k),
+                                      np.ldexp(self.hy.max(), -k))
+            at = tiles[t[test]]
+            keep = np.ones(t.size, dtype=bool)
+            keep[test] = ~_wedged(self.forms, s[test], np.ldexp(self.cx, -k)[at % self.kx],
+                                  np.ldexp(self.cy, -k)[at // self.kx])
+            t, s = t[keep], s[keep]
+        return tiles, np.bincount(t, minlength=tiles.size), s
+
+    def _store(self, found):
+        """Append the candidates of _candidates' results found."""
+        tiles, n_cand, cand = (np.concatenate(v) for v in zip(*found))
+        self.n_cand[tiles] = n_cand
+        self.cand_start[tiles] = self.cand.size + np.cumsum(n_cand) - n_cand
+        self.cand = np.concatenate((self.cand, cand))
+
+    def add(self, tiles):
+        """Build the candidates of tiles that the constructor left without
+        them (its far tiles), by the same two tests: their centre distances
+        again, and the region test on each tile whose chunk ran it there."""
+        step = max(1, _BLOCK // self.seg[0].size)
+        found = []
+        for p in range(0, tiles.size, step):
+            t = tiles[p : p + step]
+            d2 = _point_segment_sq(self.cx[t % self.kx, None], self.cy[t // self.kx, None], self.seg)
+            found.append(self._candidates(t, self._within(t, d2)))
+        self._store(found)
 
     def _shapes(self, tiles):
         """The tiles by node shape, in a fixed order: (h, w, positions in
@@ -510,18 +575,20 @@ class _Tiles:
             k[...] = at[:, None, None]
         return out
 
-    def scan(self, tiles):
-        """Least squared distance from each node of the tiles to a segment
-        and the first segment attaining it, flat in the order of nodes()."""
+    def scan(self, tiles, nearest):
+        """Least squared distance from each node of the tiles, which have
+        their candidates, to a segment, and with nearest the first segment
+        attaining it (else None), flat in the order of nodes()."""
         kx = self.kx
         shapes = self._shapes(tiles)
         size = sum(at.size * h * w for h, w, at in shapes)
         best = np.empty(size)
-        nearest = np.empty(size, dtype=np.intp)
+        first = np.empty(size, dtype=np.intp) if nearest else None
         done = 0
         for h, w, group in shapes:
             best_g = best[done : done + group.size * h * w].reshape(-1, h, w)
-            nearest_g = nearest[done : done + group.size * h * w].reshape(-1, h * w)
+            if nearest:
+                first_g = first[done : done + group.size * h * w].reshape(-1, h * w)
             done += group.size * h * w
             tiles_g = tiles[group]
             n_cand = self.n_cand[tiles_g]
@@ -535,9 +602,10 @@ class _Tiles:
                 cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
                 px = self.xs[self.x0[bl % kx, None] + np.arange(w)][:, None, :, None]
                 py = self.ys[self.y0[bl // kx, None] + np.arange(h)][:, :, None, None]
-                best_g[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg))
-                nearest_g[at] = cand[np.arange(at.size)[:, None], j.reshape(at.size, -1)]
-        return best, nearest
+                best_g[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg), nearest)
+                if nearest:
+                    first_g[at] = cand[np.arange(at.size)[:, None], j.reshape(at.size, -1)]
+        return best, first
 
 
 def _scale(grid, a, b):
@@ -736,7 +804,7 @@ class BandField(ScalarField):
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
         g = self.grid = f.grid
         self.curve = curve
-        self._tiles = tiles = _Tiles(g, curve)
+        self._tiles = tiles = _Tiles(g, curve, reach)
         slack = self.slack = _SLACK * tiles.scale
         self.below = self.above = slack
         self._frames = None
@@ -746,14 +814,14 @@ class BandField(ScalarField):
             self.below += np.max(np.abs(frames[7])) / 4.0
             self.above = self.below + np.max(frames[4])
         self.spread = float(np.max(tiles.r))
-        near = tiles.dc <= (reach + tiles.r) * (1.0 + _SLACK) + slack
         self.provisional = np.empty(g.shape)
         self.exact = np.zeros(g.shape, dtype=bool)
-        self._fill(np.flatnonzero(near), f.values)
-        far = self._far = np.flatnonzero(~near)
+        self._fill(np.flatnonzero(tiles.near), f.values)
+        far = self._far = np.flatnonzero(~tiles.near)
         j, i, k = tiles.nodes(far)
-        sign = f.values[j, i]
-        self.provisional[j, i] = np.copysign(tiles.dc[far][k], sign, out=sign)
+        at = j * g.nx + i  # flat indices: indexing by (j, i) is several times slower
+        sign = f.values.take(at)
+        self.provisional.ravel()[at] = np.copysign(tiles.dc[far][k], sign, out=sign)
         if not far.size:
             self._tiles = self._far = None
 
@@ -761,7 +829,7 @@ class BandField(ScalarField):
         """Compute the tiles exactly, with the sign bits of sign.  A distance
         whose square overflows is rejected, as every ScalarField rejects a
         non-finite value."""
-        best, nearest = self._tiles.scan(tiles)
+        best, nearest = self._tiles.scan(tiles, self._frames is not None)
         if self._frames is None:
             dist = np.sqrt(best)
         else:
@@ -773,8 +841,9 @@ class BandField(ScalarField):
             raise ValidationError("field contains non-finite values")
         # the index arrays come after the distances, out of the curved fill's peak memory
         j, i, _ = self._tiles.nodes(tiles)
-        self.provisional[j, i] = np.copysign(dist, sign[j, i])
-        self.exact[j, i] = True
+        at = j * self.grid.nx + i
+        self.provisional.ravel()[at] = np.copysign(dist, sign.take(at))
+        self.exact.ravel()[at] = True
 
     @property
     def values(self) -> np.ndarray:
@@ -789,6 +858,7 @@ class BandField(ScalarField):
         """Compute every provisional tile exactly, if any is left, and drop
         the scan's state; the sign bits are the provisional values' own."""
         if self._far is not None:
+            self._tiles.add(self._far)
             self._fill(self._far, self.provisional)
             self._tiles = self._far = None
 

@@ -42,9 +42,9 @@ def scan_shapes(monkeypatch):
     product of all but its last axis of nodes."""
     shapes, scan = [], interfaces._scan_block
 
-    def counting(px, py, seg):
+    def counting(px, py, seg, nearest):
         shapes.append(np.broadcast_shapes(px.shape, py.shape, seg[0].shape))
-        return scan(px, py, seg)
+        return scan(px, py, seg, nearest)
 
     monkeypatch.setattr(interfaces, "_scan_block", counting)
     return shapes

@@ -14,6 +14,7 @@ from hmbo.fields import (
     ScalarField,
     _laplacian_values,
     _mirror_ghosts,
+    _sub_grid,
     eval_bilinear,
     field_from_function,
     make_grid,
@@ -33,6 +34,27 @@ def test_grid_spacing_and_shape():
     X, Y = g.mesh()
     assert X.shape == (9, 5)
     assert X[0, 1] == -1.0 and Y[4, 0] == 1.0
+
+
+def test_sub_grid_keeps_the_spacing_its_bounds_lose():
+    """A box of a grid's nodes keeps the grid's dx and dy bit for bit, with
+    its first and last nodes as bounds, where a grid built from those
+    bounds does not: dx = 0.1, and fl(fl(3 * 0.1) / 3) != 0.1."""
+    g = make_grid(31, 21, (0.0, 3.0, 0.0, 2.0))
+    assert g.dx == g.dy == 0.1
+    box = _sub_grid(g, slice(5, 9), slice(0, 4))
+    assert box.shape == (4, 4)
+    xs, ys = g.x_coords(), g.y_coords()
+    assert (box.xmin, box.xmax, box.ymin, box.ymax) == (xs[0], xs[3], ys[5], ys[8])
+    assert box.dx == g.dx and box.dy == g.dy
+    assert make_grid(4, 4, (box.xmin, box.xmax, box.ymin, box.ymax)).dx != g.dx
+
+
+def test_grid_coordinates_are_read_only_and_built_once():
+    g = make_grid(5, 9, (-2.0, 2.0, 0.0, 2.0))
+    assert g.x_coords() is g.x_coords() and g.y_coords() is g.y_coords()
+    with pytest.raises(ValueError):
+        g.x_coords()[0] = 1.0
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 8), (8, 2), (1, 1)])

@@ -731,6 +731,66 @@ def test_curve_gap_stays_within_the_band_budget(n, shape, steps):
     assert 0.0 < max(gaps) <= 3.0 * max(g.dx, g.dy)
 
 
+def _exact_box(shape, rows, cols):
+    """A mask of the given shape that is True on [rows, cols]."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
+@pytest.mark.parametrize("alpha, k", [(1.0, 1), (0.0139, 3), (5.5e-4, 13)])
+@pytest.mark.parametrize(
+    "exact",
+    [
+        # the exact nodes away from every wall, along one wall, in a corner,
+        # and everywhere but a hole, whose box is the whole grid
+        lambda s: _exact_box(s, slice(2, 59), slice(2, 95)),
+        lambda s: _exact_box(s, slice(2, 59), slice(0, 60)),
+        lambda s: _exact_box(s, slice(0, 40), slice(0, 60)),
+        lambda s: ~_exact_box(s, slice(28, 33), slice(40, 50)),
+    ],
+    ids=["inside", "one-wall", "two-walls", "walls"],
+)
+def test_a_box_solve_is_the_whole_grid_solve_on_r(exact, alpha, k):
+    """_propagate on the box of R (its bounding box grown by k nodes,
+    clipped to the walls) gives the whole grid's u(tau) on R bit for bit,
+    and d_n's values everywhere else, on 97 x 61 nodes with dx != dy and
+    white-noise fields, whose wrong mirror ghosts past a side of the box
+    that is no wall differ from the nodes they stand for, at k = 1, 3 and
+    13 substeps a step.  R is the nodes whose k-neighbourhood along the
+    axes is exact, as _reach forms it."""
+    g = make_grid(97, 61, (-2, 2, -1.5, 1.5))
+    cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 0.7, 1.0), 1.0 / 300.0)
+    n_full, rem = flow.substeps(cfg.tau, cfg.dt)
+    assert n_full + (rem > 0.0) == k
+    rng = np.random.default_rng(k)
+    d_n, d_nm1 = (ScalarField(g, rng.standard_normal(g.shape)) for _ in range(2))
+    r = ~flow._dilate(~exact(g.shape), k)
+    assert r.any()
+    whole, _ = flow._propagate(d_n, d_nm1, cfg)
+    boxed, _ = flow._propagate(d_n, d_nm1, cfg, r, k)
+    assert boxed.values[r].tobytes() == whole.values[r].tobytes()
+    assert boxed.values[~r].tobytes() == d_n.values[~r].tobytes()
+
+
+def test_banded_mcf_run_propagates_on_a_fraction_of_the_grid(monkeypatch):
+    """The mcf run of the unit circle at N = 128 to extinction solves the
+    wave, through flow.wave_solve, on at most 0.6 of the grid's nodes per
+    propagation on average (0.54 measured over its 144 steps)."""
+    g = make_grid(128, 128, _BOX)
+    cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=160)
+    nodes, wave_solve = [], flow.wave_solve
+
+    def counting(u0, ut0, params, **kwargs):
+        nodes.append(u0.values.size)
+        return wave_solve(u0, ut0, params, **kwargs)
+
+    monkeypatch.setattr(flow, "wave_solve", counting)
+    assert run_flow(cfg, field_from_function(g, lambda x, y: 1.0 - np.hypot(x, y)))[-1].extinct
+    assert len(nodes) == 144
+    assert np.mean(nodes) <= 0.6 * g.nx * g.ny
+
+
 def _pairs(shapes):
     """The (node, segment) pairs of the scan_shapes fixture's calls."""
     return sum(int(np.prod(s)) for s in shapes)

@@ -291,6 +291,51 @@ def test_extraction_matches_the_case_table(field):
         assert np.array_equal(curve.segments, _marching_squares_reference(v)), curved
 
 
+def _all_cells_extraction(f, curved):
+    """extract_zero_set with its (cell, edge id) table built over every cell
+    of the grid, the form before the table was cut to the cells beside a
+    crossed edge: the vertices are the extraction's own, and the segments
+    the crossed ids of all cells in row-major order."""
+    v, neg = f.values, np.signbit(f.values)
+    hmask, vmask = neg[:, :-1] != neg[:, 1:], neg[:-1, :] != neg[1:, :]
+    h_idx = np.full(hmask.shape, -1, dtype=np.intp)
+    h_idx[hmask] = np.arange(np.count_nonzero(hmask))
+    v_idx = np.full(vmask.shape, -1, dtype=np.intp)
+    v_idx[vmask] = np.count_nonzero(hmask) + np.arange(np.count_nonzero(vmask))
+    ids = np.stack([h_idx[:-1], v_idx[:, 1:], h_idx[1:], v_idx[:, :-1]], axis=-1)
+    crossed = ids >= 0
+    centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) * 0.25
+    turn = crossed.all(axis=-1) & (centre != 0.0) & (np.signbit(centre) != neg[:-1, :-1])
+    ids[turn] = ids[turn][:, [0, 3, 1, 2]]
+    return extract_zero_set(f, curved=curved).vertices, ids[crossed].reshape(-1, 2)
+
+
+@pytest.mark.parametrize("field", ["noise-with-zeros", "integers", "checkerboard", "smooth", "3x3"])
+def test_extraction_equals_the_all_cells_table(field, rng):
+    """The table of the cells beside a crossed edge gives the segments of
+    the table over every cell, in both reconstructions: on white noise with
+    exact zeros, small integers (+0, -0 and many saddles), a checkerboard
+    of saddles only, a smooth random field, whose level sets meet the
+    walls, and 3 x 3 grids of random signs, on grids whose sizes are no
+    multiple of anything in particular."""
+    for trial in range(20):
+        nx, ny = (3, 3) if field == "3x3" else rng.integers(3, 45, size=2)
+        g = make_grid(nx, ny, (-1.1, 2.3, -0.7, 1.9))
+        v = {
+            "noise-with-zeros": lambda: _white_noise_with_zeros(g, seed=trial),
+            "integers": lambda: np.where(rng.random(g.shape) < 0.1, -0.0, np.round(rng.normal(size=g.shape))),
+            "checkerboard": lambda: _checkerboard(g) * rng.integers(1, 3, size=g.shape),
+            "smooth": lambda: _smooth_random_field(g, rng).values,
+            "3x3": lambda: rng.choice([-1.0, -0.0, 0.0, 1.0], size=g.shape),
+        }[field]()
+        f = ScalarField(g, v)
+        for curved in RECONSTRUCTIONS:
+            curve = extract_zero_set(f, curved=curved)
+            vertices, segments = _all_cells_extraction(f, curved)
+            assert curve.vertices.tobytes() == vertices.tobytes()
+            assert curve.segments.tobytes() == segments.tobytes(), (field, trial, curved)
+
+
 def test_curved_vertices_are_roots_of_their_edge_cubic(rng):
     """On white noise every vertex of the curved reconstruction, wall edges
     included, is a root of the cubic through the four nodes around its edge,
@@ -351,7 +396,7 @@ def _nearest_segment(g, a, b):
     every = np.arange(tiles.kx * tiles.ky)
     j, i, _ = tiles.nodes(every)
     out = []
-    for v in tiles.scan(every):
+    for v in tiles.scan(every, nearest=True):
         out.append(np.empty(g.shape, dtype=v.dtype))
         out[-1][j, i] = v
     return tuple(out)
@@ -728,6 +773,52 @@ def test_band_field_holds_the_certificate_premises(shape, nx, ny, curved):
         mag = np.abs(d.values)
         assert np.all(c - d.below <= mag) and np.all(mag <= c + d.above), reach
         assert d.values.tobytes() == whole.values.tobytes(), reach
+
+
+def _candidate_lists(tiles):
+    """Each tile's candidate segments, as a list of index arrays."""
+    return [tiles.cand[s : s + n] for s, n in zip(tiles.cand_start, tiles.n_cand)]
+
+
+@pytest.mark.parametrize(
+    "shape, pairs",
+    [("circle", 0), ("star", 0), ("wall-cut-circle", 0), ("circle", 256), ("star", 256), ("wall-cut-circle", 5000)],
+)
+def test_far_tiles_build_the_candidates_of_a_whole_scan(monkeypatch, shape, pairs):
+    """_Tiles with a finite reach builds candidates for its near tiles only,
+    and add() builds the far ones' later; each tile then holds the
+    candidates of the reach-inf _Tiles, index for index, so the scanned
+    pair counts are equal too.  The region test's decision is taken per
+    chunk on all of the chunk's triangle candidates: with _REGION_PAIRS at
+    0 every chunk runs it, and at 5000 the wall-cut circle's first chunk
+    (9669 triangle candidates) runs it and its second (3189) does not."""
+    monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", pairs)
+    g = make_grid(128, 128, (-2, 2, -2, 2))
+    curve = extract_zero_set(field_from_function(g, _BAND_SHAPES[shape]))
+    whole = _Tiles(g, curve)
+    assert whole.near.all()
+    band = _Tiles(g, curve, 4.0 * g.dx)
+    far = np.flatnonzero(~band.near)
+    assert far.size and not band.n_cand[far].any()
+    assert band.dc.tobytes() == whole.dc.tobytes() and band.region.tobytes() == whole.region.tobytes()
+    if pairs == 5000:
+        assert whole.region.any() and not whole.region.all()
+    band.add(far)
+    for got, want in zip(_candidate_lists(band), _candidate_lists(whole)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["circle", "star"])
+def test_the_minimum_alone_equals_the_nearest_scan(shape):
+    """scan() without the nearest index gives the least squared distances
+    of the scan that also finds the index, bit for bit, on every tile."""
+    g = make_grid(57, 64, (-2, 2, -2, 2))
+    tiles = _Tiles(g, extract_zero_set(field_from_function(g, _BAND_SHAPES[shape])))
+    every = np.arange(tiles.kx * tiles.ky)
+    best, nearest = tiles.scan(every, nearest=True)
+    alone, none = tiles.scan(every, nearest=False)
+    assert none is None and nearest.dtype == np.intp
+    assert alone.tobytes() == best.tobytes()
 
 
 @pytest.mark.parametrize("curved", RECONSTRUCTIONS, ids=["chord", "curved"])
