@@ -11,8 +11,9 @@ mirror image about the wall's node row, so a ghost value equals the value of
 the first node inside.  The centered normal derivative at every wall node of
 this extension is exactly zero, and a level set meets the wall at a right
 angle.  Every stencil that reaches past a wall reads the ghosts: the 5-point
-Laplacian here, and the curved reconstruction's four-node cubic and
-curvature differences in hmbo.interfaces.
+Laplacian here pads the array with them, and the point stencils of
+hmbo.interfaces (the curved reconstruction's four-node cubic and the
+curvature differences) read them through _fold, their index form.
 """
 
 import functools
@@ -144,6 +145,14 @@ def _mirror_ghosts(v: np.ndarray, out: np.ndarray | None = None, lo: int = 0, hi
     p[:, 0] = p[:, 2]
     p[:, -1] = p[:, -3]
     return p
+
+
+def _fold(k, n):
+    """The node that index k reads on an axis of n nodes under the mirror
+    ghost convention: k itself inside, -k past the low wall and 2 (n - 1) - k
+    past the high one, so for k in -1 .. n it reads the value that
+    _mirror_ghosts writes at k + 1."""
+    return np.where(k < 0, -k, np.where(k >= n, 2 * (n - 1) - k, k))
 
 
 def _laplacian_values(v: np.ndarray, dx: float, dy: float, ghost=None, work=None, out=None,

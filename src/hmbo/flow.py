@@ -410,24 +410,22 @@ def _reach(d_n: ScalarField, d_nm1: ScalarField, k: int) -> np.ndarray:
 
 
 def _propagate(d_n: ScalarField, d_nm1: ScalarField, cfg: HmboConfig,
-               exact: np.ndarray | None = None, k: int = 0) -> tuple[ScalarField, InterfaceCurve]:
+               exact: np.ndarray, k: int) -> tuple[ScalarField, InterfaceCurve]:
     """u(tau) from (d_n, d_nm1) as they are held, and its zero set: with
-    exact, the nonempty set R of a step of k substeps (_reach), the wave is
+    exact the nonempty set R of a step of k substeps (_reach), the wave is
     solved only on the box of hmbo_step, and u(tau) is that solve on R and
-    d_n elsewhere; without, on the whole grid."""
-    g, v_n, v_nm1 = cfg.grid, _known(d_n), _known(d_nm1)
-    box = np.s_[:, :]
-    if exact is not None:
-        j, i = (np.flatnonzero(exact.any(axis=axis)) for axis in (1, 0))
-        box = np.s_[max(j[0] - k, 0):j[-1] + k + 1, max(i[0] - k, 0):i[-1] + k + 1]
-        g = _sub_grid(g, *box)
+    d_n elsewhere.  The exhaustive step passes every node and k = 0, whose
+    box is the whole grid."""
+    v_n, v_nm1 = _known(d_n), _known(d_nm1)
+    j, i = (np.flatnonzero(exact.any(axis=axis)) for axis in (1, 0))
+    box = np.s_[max(j[0] - k, 0):j[-1] + k + 1, max(i[0] - k, 0):i[-1] + k + 1]
+    g = _sub_grid(cfg.grid, *box)
     with _stage("propagate"):
         u_tau = wave_solve(ScalarField(g, cfg.a * (2.0 * v_n[box] - v_nm1[box])), ScalarField(g, cfg.b * v_n[box]),
                            cfg.wave_params())
-    if exact is not None:
-        u = v_n.copy()
-        np.copyto(u[box], u_tau.values, where=exact[box])
-        u_tau = ScalarField(cfg.grid, u)
+    u = v_n.copy()
+    np.copyto(u[box], u_tau.values, where=exact[box])
+    u_tau = ScalarField(cfg.grid, u)
     with _stage("extract"):
         return u_tau, extract_zero_set(u_tau, curved=CURVED[cfg.mode])
 
@@ -502,14 +500,12 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
 
     Then u(tau) and U(tau) agree in every sign bit, outside R by (C2), for
     u(tau) takes d_n's sign bits there, and in R bit for bit, so they have
-    the same crossed cells (the former check (C3), that the computed
-    u(tau) has d_n's sign bit outside R, holds by construction), and by
-    (C1) the extraction and the curvature read equal values: the curve
-    and its curvature are the exhaustive ones.  An empty curve is an
-    extinction of both.  The exact tiles of d_new then hold the exhaustive
-    bits, since a tile's scan and its bent chords read only the curve, the
-    node and the curvature, and the provisional ones the exhaustive sign
-    bits.
+    the same crossed cells, and by (C1) the extraction and the curvature
+    read equal values: the curve and its curvature are the exhaustive
+    ones.  An empty curve is an extinction of both.  The exact tiles of
+    d_new then hold the exhaustive bits, since a tile's scan and its bent
+    chords read only the curve, the node and the curvature, and the
+    provisional ones the exhaustive sign bits.
 
     The three gaps of this argument:
 
@@ -537,9 +533,10 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     sign bit d_nm1 decides.
 
     A step that fails the check, or breaks down numerically, completes both
-    fields and runs again from the exhaustive ones on the whole grid,
-    which need no check; so does a step whose R is empty.  The box solve
-    checks finiteness on B only, the exhaustive rerun on the whole grid.
+    fields and runs again from the exhaustive ones, which need no check;
+    so does a step whose R is empty.  The rerun takes the same path with R
+    every node and k = 0, whose box B is the whole grid.  A solve checks
+    finiteness on its B only.
     The step redistances with reach W when it has a band and the next
     step's certificate can read d_n, which is then its d_nm1: d_n is a
     BandField, of either reconstruction.  It redistances with reach inf
@@ -560,7 +557,7 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     if not certified:
         for d in partial:
             d.complete()
-        u_tau, curve = _propagate(d_n, d_nm1, cfg)
+        u_tau, curve = _propagate(d_n, d_nm1, cfg, np.ones(cfg.grid.shape, dtype=bool), 0)
     if curve.is_empty:  # each sign change gives a segment, so u(tau) has one sign
         return None
     reach = band.width if band is not None and isinstance(d_n, BandField) else np.inf

@@ -25,32 +25,33 @@ d -> -d, and either side of the interface may be the positive one.
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_Tiles, which the exactness tests hold to an
 exhaustive scan over the whole grid).  The grid's nodes are grouped into
-blocks of 8 x 8 nodes (fewer in the last block row and column), and a
-block keeps a segment as a candidate only if it passes two tests, each
-with a margin far above rounding.  By the triangle inequality, the
-segment nearest to a node of the block lies within the centre's least
-distance plus the block's diagonal.  And a segment can be nearest only to
-points in its slab, between the normals at its ends, or beyond an end in
-the wedge that the normal of the segment sharing that end leaves it (the
-nearest-point regions of a closest-point transform), so a block whose box
+tiles of 8 x 8 nodes (fewer in the last tile row and column), and a tile
+keeps a segment as a candidate only if it passes two tests, each with a
+margin far above rounding.  By the triangle inequality, the segment
+nearest to a node of the tile lies within the centre's least distance
+plus the tile's diagonal.  And a segment can be nearest only to points in
+its slab, between the normals at its ends, or beyond an end in the wedge
+that the normal of the segment sharing that end leaves it (the
+nearest-point regions of a closest-point transform), so a tile whose box
 lies wholly past one end's wedge drops it.  The sharing segment is read
 from the vertex ids (_segment_neighbours), the one map from an end to the
 other segment at its vertex, built once per redistance; the curved
 reconstruction takes a segment's two neighbours from the same map.  Only
 the candidates are scanned, in increasing index order, by
 _point_segment_sq, the one copy of the per-pair arithmetic, which forms
-(x - ax) ux once per block column and (y - ay) uy once per block row.  So
+(x - ax) ux once per tile column and (y - ay) uy once per tile row.  So
 the field is bit-identical to an exhaustive scan's with that arithmetic,
 and the first segment wins ties.  signed_distance runs this scan and
-returns a BandField, its one kind of field.  A block's result does not
-depend on the other blocks, so with a finite reach W the field is exact on
-the blocks whose centre lies within W + r of the interface (r the block's
+returns a BandField, its one kind of field.  A tile's result does not
+depend on the other tiles, so with a finite reach W the field is exact on
+the tiles whose centre lies within W + r of the interface (r the tile's
 half-diagonal) and elsewhere provisional, the source field's sign bit times
 the centre's distance, until its values are first read, which completes
 them to the same bits; hmbo.flow's steps use that band.  A provisional
-block needs only its centre's distance: its candidates are built when it
-is filled.  With the default reach, inf, every block is computed at once,
-and the field is complete at construction.
+tile needs only its centre's distance; the candidates are built in one
+place, _Tiles' constructor, and completing a field builds a new _Tiles of
+reach inf for its provisional tiles.  With the default reach, inf, every
+tile is computed at once, and the field is complete at construction.
 
 Two reconstructions of the interface are offered:
 
@@ -85,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fields import ScalarField, _bilinear, _bilinear_cells, _mirror_ghosts
+from .fields import ScalarField, _bilinear, _bilinear_cells, _fold
 
 
 @dataclass
@@ -136,7 +137,7 @@ def _edge_roots(v: np.ndarray, r: np.ndarray, k: np.ndarray, curved: bool) -> np
     """Roots on the crossed edges (r, k) -- (r, k+1) of v, as fractions of
     the edge: the linear interpolant's, or with curved=True the cubic's
     through the nodes (r, k-1 .. k+2), past the walls the mirror ghost nodes
-    (_mirror_ghosts).  extract_zero_set calls it on v for the edges along x
+    (fields._fold).  extract_zero_set calls it on v for the edges along x
     and on v.T for those along y.
 
     An edge from -0 to +0 is crossed, and its linear root is its midpoint.
@@ -150,8 +151,7 @@ def _edge_roots(v: np.ndarray, r: np.ndarray, k: np.ndarray, curved: bool) -> np
     s = np.divide(f0, f0 - f1, out=np.full_like(f0, 0.5), where=f0 != f1)
     if not curved:
         return s
-    ghosted = _mirror_ghosts(v)  # node (r, k) is ghosted[r + 1, k + 1]
-    fm, f2 = ghosted[r + 1, k], ghosted[r + 1, k + 3]
+    fm, f2 = v[r, _fold(k - 1, v.shape[1])], v[r, _fold(k + 2, v.shape[1])]
     # p(s) = f0 + c1 s + c2 s^2 + c3 s^3 interpolates f at s = -1, 0, 1, 2
     c1 = f1 - fm / 3.0 - f0 / 2.0 - f2 / 6.0
     c2 = 0.5 * (fm + f1) - f0
@@ -360,11 +360,12 @@ class _Tiles:
 
     With a reach W, a tile is near when its centre distance dc is at most
     W + r (r its half-diagonal, both widened by the scan's slack), and far
-    otherwise.  The constructor measures every tile's dc, but builds the
-    candidates of the near tiles only; a far tile needs only dc, for its
-    provisional value and for the near/far decision, until add() builds
-    its candidates, by the same tests to the same lists.  The default
-    reach, inf, makes every tile near.
+    otherwise.  The constructor, the one place candidates are built,
+    measures every tile's dc but builds the candidates of the near tiles
+    only: a far tile needs only dc, for its provisional value and for the
+    near/far decision.  The default reach, inf, makes every tile near, and
+    a _Tiles of that reach holds every tile's candidates, the same lists
+    that a finite reach gives its near tiles.
 
     Tile k is tile row k // kx and tile column k % kx.  Tile column c holds
     the w[c] node columns from x0[c], tile row r the h[r] node rows from
@@ -445,8 +446,9 @@ class _Tiles:
     skips a chunk of fewer than _REGION_PAIRS triangle candidates, where it
     would cost more than it saves; keeping every candidate is exact too.
     The constructor takes that decision once per chunk of tiles, on all of
-    the chunk's triangle candidates, near and far, and add() follows it, so
-    a tile keeps the same candidates whenever they are built.
+    the chunk's triangle candidates, near and far, and the chunks do not
+    depend on the reach, so a tile gets the same candidates at any reach
+    that makes it near.
 
     Each tile's candidates, in increasing index order, are scanned by
     _point_segment_sq, so the minimum is bit-identical and the first index
@@ -483,9 +485,8 @@ class _Tiles:
         self.k = int(np.frexp(scale)[1])
         self.forms = None  # built for the first tiles that run the region test
         n = kx * ky
-        self.dc, self.region = np.empty(n), np.zeros(n, dtype=bool)
+        self.dc = np.empty(n)
         self.n_cand, self.cand_start = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-        self.cand = np.empty(0, dtype=np.intp)
 
         # the centre distances, for as many tiles at a time as keep them
         # within _BLOCK (tile, segment) pairs: whole tile rows, or part of
@@ -499,57 +500,32 @@ class _Tiles:
             start = y * kx + x
             tiles = np.arange(start, min(y + rows, ky) * kx if cols == kx else start + min(cols, kx - x))
             d2 = _point_segment_sq(cx[x : x + cols, None], cy[y : y + rows, None, None], seg).reshape(-1, n_seg)
-            self.dc[tiles] = np.sqrt(d2.min(axis=1))
-            within = self._within(tiles, d2)
+            dc = self.dc[tiles] = np.sqrt(d2.min(axis=1))
+            # the triangle test: the segments within each tile's bound
+            within = d2 <= (((dc + 2.0 * self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale) ** 2)[:, None]
             del d2
-            self.region[tiles] = window and np.count_nonzero(within) >= _REGION_PAIRS
-            near[tiles] = self.dc[tiles] <= (reach + self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale
-            found.append(self._candidates(tiles[near[tiles]], within[near[tiles]]))
-        self._store(found)
+            region = window and np.count_nonzero(within) >= _REGION_PAIRS
+            near[tiles] = dc <= (reach + self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale
+            found.append(self._candidates(tiles[near[tiles]], within[near[tiles]], region))
+        tiles, n_cand, self.cand = (np.concatenate(v) for v in zip(*found))
+        self.n_cand[tiles] = n_cand
+        self.cand_start[tiles] = np.cumsum(n_cand) - n_cand
         self.near = near
 
-    def _within(self, tiles, d2):
-        """The triangle test on the tiles' rows d2 of squared centre
-        distances: which segments lie within the tile's bound."""
-        bound = (self.dc[tiles] + 2.0 * self.r[tiles]) * (1.0 + _SLACK) + _SLACK * self.scale
-        return d2 <= (bound**2)[:, None]
-
-    def _candidates(self, tiles, within):
+    def _candidates(self, tiles, within, region):
         """The tiles and their candidate segments, from their rows within of
-        the triangle test, after the region test on the tiles that run it:
-        (tiles, candidates per tile, the candidates in tile order)."""
+        the triangle test, after the region test if region: (tiles,
+        candidates per tile, the candidates in tile order)."""
         t, s = np.divmod(np.flatnonzero(within), within.shape[1])
-        test = self.region[tiles[t]]
-        if test.any():
+        if region and t.size:
             k = self.k
             if self.forms is None:
                 self.forms = _regions(self.curve, self.partners, k, np.ldexp(self.hx.max(), -k),
                                       np.ldexp(self.hy.max(), -k))
-            at = tiles[t[test]]
-            keep = np.ones(t.size, dtype=bool)
-            keep[test] = ~_wedged(self.forms, s[test], np.ldexp(self.cx, -k)[at % self.kx],
-                                  np.ldexp(self.cy, -k)[at // self.kx])
+            at = tiles[t]
+            keep = ~_wedged(self.forms, s, np.ldexp(self.cx, -k)[at % self.kx], np.ldexp(self.cy, -k)[at // self.kx])
             t, s = t[keep], s[keep]
         return tiles, np.bincount(t, minlength=tiles.size), s
-
-    def _store(self, found):
-        """Append the candidates of _candidates' results found."""
-        tiles, n_cand, cand = (np.concatenate(v) for v in zip(*found))
-        self.n_cand[tiles] = n_cand
-        self.cand_start[tiles] = self.cand.size + np.cumsum(n_cand) - n_cand
-        self.cand = np.concatenate((self.cand, cand))
-
-    def add(self, tiles):
-        """Build the candidates of tiles that the constructor left without
-        them (its far tiles), by the same two tests: their centre distances
-        again, and the region test on each tile whose chunk ran it there."""
-        step = max(1, _BLOCK // self.seg[0].size)
-        found = []
-        for p in range(0, tiles.size, step):
-            t = tiles[p : p + step]
-            d2 = _point_segment_sq(self.cx[t % self.kx, None], self.cy[t // self.kx, None], self.seg)
-            found.append(self._candidates(t, self._within(t, d2)))
-        self._store(found)
 
     def _shapes(self, tiles):
         """The tiles by node shape, in a fixed order: (h, w, positions in
@@ -620,21 +596,18 @@ def _curvature_vector(f: ScalarField, nodes) -> tuple[np.ndarray, np.ndarray]:
     at the nodes (j, i), two index arrays of one shape; K's two components
     have that shape.
 
-    Central differences, reading the mirror ghost nodes past the walls (so
-    K is tangent to a wall at its nodes); nodes with a vanishing gradient
-    get K = 0.  K does not change under f -> -f or f -> 2^k f, so each
-    node's 3 x 3 stencil is first scaled by the power of two that brings the
-    largest |f| in it near dx: exact, and |grad f|^4 then neither overflows
-    nor underflows however large or small f is.  So K at a node reads f only
-    in its 3 x 3 box, folded at the walls, and is the same at any node set.
+    Central differences, reading the mirror ghost nodes past the walls
+    (fields._fold), so K is tangent to a wall at its nodes; nodes with a
+    vanishing gradient get K = 0.  K does not change under f -> -f or
+    f -> 2^k f, so each node's 3 x 3 stencil is first scaled by the power
+    of two that brings the largest |f| in it near dx: exact, and
+    |grad f|^4 then neither overflows nor underflows however large or
+    small f is.  So K at a node reads f only in its 3 x 3 box, folded at
+    the walls, and is the same at any node set.
     """
     g = f.grid
     j, i = (np.asarray(n, dtype=np.intp) for n in nodes)
-
-    def fold(k, n):  # a mirror ghost index past a wall is the node inside
-        return np.where(k < 0, -k, np.where(k >= n, 2 * (n - 1) - k, k))
-
-    box = {(dj, di): f.values[fold(j + dj, g.ny), fold(i + di, g.nx)] for dj in (-1, 0, 1) for di in (-1, 0, 1)}
+    box = {(dj, di): f.values[_fold(j + dj, g.ny), _fold(i + di, g.nx)] for dj in (-1, 0, 1) for di in (-1, 0, 1)}
     m = np.abs(np.stack(tuple(box.values()))).max(axis=0)
     e = np.frexp(min(g.dx, g.dy))[1] - np.frexp(m)[1]
 
@@ -783,7 +756,9 @@ class BandField(ScalarField):
     from the _Tiles' partners, with the sign bits of f.  Until then another
     tile's nodes hold a provisional value, f's sign bit times the tile's
     dc; provisional holds the values as they are, without completing them.
-    A complete field, one with W = inf included, keeps no _Tiles.
+    No field keeps scan state: the field holds only its far tiles' indices
+    after construction, and complete() fills them from a new _Tiles of
+    reach inf, whose candidates for them are the ones a finite reach skips.
 
     What hmbo.flow's certificate reads of the field: exact, the nodes
     whose value is final, and their values; curve, whose chords it
@@ -804,7 +779,7 @@ class BandField(ScalarField):
     def __init__(self, f: ScalarField, curve: InterfaceCurve, curved: bool, reach: float):
         g = self.grid = f.grid
         self.curve = curve
-        self._tiles = tiles = _Tiles(g, curve, reach)
+        tiles = _Tiles(g, curve, reach)
         slack = self.slack = _SLACK * tiles.scale
         self.below = self.above = slack
         self._frames = None
@@ -816,31 +791,31 @@ class BandField(ScalarField):
         self.spread = float(np.max(tiles.r))
         self.provisional = np.empty(g.shape)
         self.exact = np.zeros(g.shape, dtype=bool)
-        self._fill(np.flatnonzero(tiles.near), f.values)
-        far = self._far = np.flatnonzero(~tiles.near)
+        self._fill(tiles, np.flatnonzero(tiles.near), f.values)
+        far = np.flatnonzero(~tiles.near)
         j, i, k = tiles.nodes(far)
         at = j * g.nx + i  # flat indices: indexing by (j, i) is several times slower
         sign = f.values.take(at)
         self.provisional.ravel()[at] = np.copysign(tiles.dc[far][k], sign, out=sign)
-        if not far.size:
-            self._tiles = self._far = None
+        self._far = far if far.size else None
 
-    def _fill(self, tiles, sign):
-        """Compute the tiles exactly, with the sign bits of sign.  A distance
-        whose square overflows is rejected, as every ScalarField rejects a
-        non-finite value."""
-        best, nearest = self._tiles.scan(tiles, self._frames is not None)
+    def _fill(self, state, tiles, sign):
+        """Compute the tiles exactly from state, a _Tiles that holds their
+        candidates, with the sign bits of sign.  A distance whose square
+        overflows is rejected, as every ScalarField rejects a non-finite
+        value."""
+        best, nearest = state.scan(tiles, self._frames is not None)
         if self._frames is None:
             dist = np.sqrt(best)
         else:
-            j, i, _ = self._tiles.nodes(tiles)
-            x, y = self._tiles.xs[i], self._tiles.ys[j]
+            j, i, _ = state.nodes(tiles)
+            x, y = state.xs[i], state.ys[j]
             del j, i, _
-            dist = _curved_distance(x, y, nearest, self._frames, self._tiles.partners)
+            dist = _curved_distance(x, y, nearest, self._frames, state.partners)
         if not np.all(np.isfinite(dist)):
             raise ValidationError("field contains non-finite values")
         # the index arrays come after the distances, out of the curved fill's peak memory
-        j, i, _ = self._tiles.nodes(tiles)
+        j, i, _ = state.nodes(tiles)
         at = j * self.grid.nx + i
         self.provisional.ravel()[at] = np.copysign(dist, sign.take(at))
         self.exact.ravel()[at] = True
@@ -855,12 +830,12 @@ class BandField(ScalarField):
         return self._far is None
 
     def complete(self) -> None:
-        """Compute every provisional tile exactly, if any is left, and drop
-        the scan's state; the sign bits are the provisional values' own."""
+        """Compute every provisional tile exactly, if any is left, from a
+        new _Tiles of reach inf; the sign bits are the provisional values'
+        own."""
         if self._far is not None:
-            self._tiles.add(self._far)
-            self._fill(self._far, self.provisional)
-            self._tiles = self._far = None
+            self._fill(_Tiles(self.grid, self.curve), self._far, self.provisional)
+            self._far = None
 
 
 def average_radius(curve: InterfaceCurve) -> float:

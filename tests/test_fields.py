@@ -12,6 +12,7 @@ from hmbo.errors import ValidationError
 from hmbo.fields import (
     Grid2D,
     ScalarField,
+    _fold,
     _laplacian_values,
     _mirror_ghosts,
     _sub_grid,
@@ -137,6 +138,18 @@ def test_mirror_ghosts_match_reflect_padding(rng, shape):
     want = np.pad(v, 1, mode="reflect")
     assert np.array_equal(_bits(_mirror_ghosts(v)), _bits(want))
     assert np.array_equal(_bits(_mirror_ghosts(v.T)), _bits(np.pad(v.T, 1, mode="reflect")))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 3), (3, 11), (12, 3)])
+def test_fold_reads_what_mirror_ghosts_write(rng, shape):
+    """At every index j in -1 .. ny and i in -1 .. nx, ghosts included,
+    the node that _fold gives on each axis holds the value that
+    _mirror_ghosts writes at (j + 1, i + 1), bit for bit, on random arrays
+    and their transposes, with 3-node axes, the fewest make_grid allows."""
+    for v in (rng.standard_normal(shape), rng.standard_normal(shape).T):
+        ny, nx = v.shape
+        j, i = np.arange(-1, ny + 1)[:, None], np.arange(-1, nx + 1)
+        assert np.array_equal(_bits(v[_fold(j, ny), _fold(i, nx)]), _bits(_mirror_ghosts(v)))
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (2, 2), (5, 9)])

@@ -29,7 +29,7 @@ from hmbo.flow import (
 )
 from hmbo.interfaces import BandField, average_radius, extract_zero_set, signed_distance
 from hmbo.oracles import hmcf_circle_radius
-from hmbo.wave import cfl_max_dt, cfl_substep
+from hmbo.wave import cfl_max_dt, cfl_substep, wave_solve
 
 
 def _circle_sdf(grid, r0=1.0, inside_positive=False):
@@ -743,22 +743,26 @@ def _exact_box(shape, rows, cols):
     "exact",
     [
         # the exact nodes away from every wall, along one wall, in a corner,
-        # and everywhere but a hole, whose box is the whole grid
+        # everywhere but a hole, whose box is the whole grid, and every
+        # node, as the exhaustive rerun passes them
         lambda s: _exact_box(s, slice(2, 59), slice(2, 95)),
         lambda s: _exact_box(s, slice(2, 59), slice(0, 60)),
         lambda s: _exact_box(s, slice(0, 40), slice(0, 60)),
         lambda s: ~_exact_box(s, slice(28, 33), slice(40, 50)),
+        lambda s: np.ones(s, dtype=bool),
     ],
-    ids=["inside", "one-wall", "two-walls", "walls"],
+    ids=["inside", "one-wall", "two-walls", "walls", "every-node"],
 )
 def test_a_box_solve_is_the_whole_grid_solve_on_r(exact, alpha, k):
     """_propagate on the box of R (its bounding box grown by k nodes,
-    clipped to the walls) gives the whole grid's u(tau) on R bit for bit,
-    and d_n's values everywhere else, on 97 x 61 nodes with dx != dy and
-    white-noise fields, whose wrong mirror ghosts past a side of the box
-    that is no wall differ from the nodes they stand for, at k = 1, 3 and
-    13 substeps a step.  R is the nodes whose k-neighbourhood along the
-    axes is exact, as _reach forms it."""
+    clipped to the walls) gives the u(tau) of a direct wave_solve on the
+    whole grid on R bit for bit, and d_n's values everywhere else, on
+    97 x 61 nodes with dx != dy and white-noise fields, whose wrong mirror
+    ghosts past a side of the box that is no wall differ from the nodes
+    they stand for, at k = 1, 3 and 13 substeps a step.  R is the nodes
+    whose k-neighbourhood along the axes is exact, as _reach forms it; with
+    every node exact, the box is the whole grid at any k, k = 0 included,
+    which the exhaustive rerun passes."""
     g = make_grid(97, 61, (-2, 2, -1.5, 1.5))
     cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 0.7, 1.0), 1.0 / 300.0)
     n_full, rem = flow.substeps(cfg.tau, cfg.dt)
@@ -767,10 +771,12 @@ def test_a_box_solve_is_the_whole_grid_solve_on_r(exact, alpha, k):
     d_n, d_nm1 = (ScalarField(g, rng.standard_normal(g.shape)) for _ in range(2))
     r = ~flow._dilate(~exact(g.shape), k)
     assert r.any()
-    whole, _ = flow._propagate(d_n, d_nm1, cfg)
-    boxed, _ = flow._propagate(d_n, d_nm1, cfg, r, k)
-    assert boxed.values[r].tobytes() == whole.values[r].tobytes()
-    assert boxed.values[~r].tobytes() == d_n.values[~r].tobytes()
+    whole = wave_solve(ScalarField(g, cfg.a * (2.0 * d_n.values - d_nm1.values)), ScalarField(g, cfg.b * d_n.values),
+                       cfg.wave_params())
+    for grow in (k, 0) if r.all() else (k,):
+        boxed, _ = flow._propagate(d_n, d_nm1, cfg, r, grow)
+        assert boxed.values[r].tobytes() == whole.values[r].tobytes()
+        assert boxed.values[~r].tobytes() == d_n.values[~r].tobytes()
 
 
 def test_banded_mcf_run_propagates_on_a_fraction_of_the_grid(monkeypatch):

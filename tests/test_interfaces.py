@@ -784,28 +784,43 @@ def _candidate_lists(tiles):
     "shape, pairs",
     [("circle", 0), ("star", 0), ("wall-cut-circle", 0), ("circle", 256), ("star", 256), ("wall-cut-circle", 5000)],
 )
-def test_far_tiles_build_the_candidates_of_a_whole_scan(monkeypatch, shape, pairs):
+def test_far_tiles_build_the_candidates_of_a_whole_scan(monkeypatch, scan_shapes, shape, pairs):
     """_Tiles with a finite reach builds candidates for its near tiles only,
-    and add() builds the far ones' later; each tile then holds the
-    candidates of the reach-inf _Tiles, index for index, so the scanned
-    pair counts are equal too.  The region test's decision is taken per
-    chunk on all of the chunk's triangle candidates: with _REGION_PAIRS at
-    0 every chunk runs it, and at 5000 the wall-cut circle's first chunk
-    (9669 triangle candidates) runs it and its second (3189) does not."""
+    the reach-inf _Tiles' candidates index for index, and a BandField of
+    that reach, completed, hands _scan_block the same pairs for its far
+    tiles as the reach-inf _Tiles does for them, to the reach-inf field's
+    bytes.  The region test's decision is taken per chunk on all of the
+    chunk's triangle candidates: with _REGION_PAIRS at 0 every chunk runs
+    it, and at 5000 the wall-cut circle's first chunk (9669 triangle
+    candidates) runs it and its second (3189) does not, so its candidate
+    total lies strictly between those at 0 and at a threshold above every
+    chunk."""
     monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", pairs)
     g = make_grid(128, 128, (-2, 2, -2, 2))
-    curve = extract_zero_set(field_from_function(g, _BAND_SHAPES[shape]))
+    f = field_from_function(g, _BAND_SHAPES[shape])
+    curve = extract_zero_set(f)
     whole = _Tiles(g, curve)
     assert whole.near.all()
     band = _Tiles(g, curve, 4.0 * g.dx)
     far = np.flatnonzero(~band.near)
     assert far.size and not band.n_cand[far].any()
-    assert band.dc.tobytes() == whole.dc.tobytes() and band.region.tobytes() == whole.region.tobytes()
+    assert band.dc.tobytes() == whole.dc.tobytes()
+    got, want = _candidate_lists(band), _candidate_lists(whole)
+    assert all(got[t].tobytes() == want[t].tobytes() for t in np.flatnonzero(band.near))
+    d = signed_distance(f, curve, reach=4.0 * g.dx)
+    scan_shapes.clear()
+    d.complete()
+    completed = list(scan_shapes)
+    scan_shapes.clear()
+    whole.scan(far, nearest=False)
+    assert completed == scan_shapes
+    assert d.values.tobytes() == signed_distance(f, curve).values.tobytes()
     if pairs == 5000:
-        assert whole.region.any() and not whole.region.all()
-    band.add(far)
-    for got, want in zip(_candidate_lists(band), _candidate_lists(whole)):
-        assert got.tobytes() == want.tobytes()
+        totals = []
+        for threshold in (0, np.inf):
+            monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", threshold)
+            totals.append(_Tiles(g, curve).n_cand.sum())
+        assert totals[0] < whole.n_cand.sum() < totals[1]
 
 
 @pytest.mark.parametrize("shape", ["circle", "star"])
@@ -821,22 +836,27 @@ def test_the_minimum_alone_equals_the_nearest_scan(shape):
     assert alone.tobytes() == best.tobytes()
 
 
+def _holds_tiles(d):
+    """Whether any attribute of d is a _Tiles."""
+    return any(isinstance(v, _Tiles) for v in vars(d).values())
+
+
 @pytest.mark.parametrize("curved", RECONSTRUCTIONS, ids=["chord", "curved"])
 def test_a_complete_band_field_keeps_no_scan_state(curved):
-    """A BandField complete at construction (reach inf) keeps no _Tiles,
-    and a banded one drops its _Tiles when it is completed, whether by
-    complete() or by a read of its values; the completed field has the
-    reach-inf field's bytes."""
+    """No BandField holds a _Tiles after construction, complete at
+    construction (reach inf) or banded, and a banded one completed, whether
+    by complete() or by a read of its values, has the reach-inf field's
+    bytes."""
     g = make_grid(57, 64, (-2, 2, -2, 2))
     f = field_from_function(g, _BAND_SHAPES["star"])
     curve = extract_zero_set(f, curved=curved)
     whole = signed_distance(f, curve, curved=curved)
-    assert whole.is_complete and whole._tiles is None
+    assert whole.is_complete and not _holds_tiles(whole)
     for finish in (BandField.complete, lambda d: d.values):
         d = signed_distance(f, curve, curved=curved, reach=2.0 * g.dx)
-        assert not d.is_complete and d._tiles is not None
+        assert not d.is_complete and not _holds_tiles(d)
         finish(d)
-        assert d.is_complete and d._tiles is None
+        assert d.is_complete and not _holds_tiles(d)
         assert d.provisional.tobytes() == whole.values.tobytes()
 
 
