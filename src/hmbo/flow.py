@@ -362,11 +362,12 @@ def _curve_gap(a: BandField, b: BandField) -> float:
     """
     sa, sb = a.curve.segment_points()
     j, i, _, _ = _midpoint_cells(a.grid, sa, sb)
-    if not b.exact[j, i].all():
+    corners = j * a.grid.nx + i  # flat indices: take beats a 2-d gather
+    if not b.exact.take(corners).all():
         return np.inf
     ex, ey = a.grid.x_coords()[i], a.grid.y_coords()[j]
     ends = np.maximum(np.hypot(sa[:, 0] - ex, sa[:, 1] - ey), np.hypot(sb[:, 0] - ex, sb[:, 1] - ey))
-    return float(np.max(np.min(np.abs(b.provisional[j, i]) + ends, axis=0))) + b.below
+    return float(np.max(np.min(np.abs(b.provisional.take(corners)) + ends, axis=0))) + b.below
 
 
 def _certified(d_n: ScalarField, d_nm1: ScalarField, u_tau: ScalarField, cfg: HmboConfig, band: _Band,

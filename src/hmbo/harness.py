@@ -206,8 +206,8 @@ def error_integral(exact: RadiusSeries, numeric: RadiusSeries, tau: float, n_s: 
 
 def build_run(cfg: ExperimentConfig, n: int) -> tuple[HmboConfig, ScalarField]:
     """Grid size n's run, (HmboConfig, d0), checked as run_flow checks it,
-    and HMCF_THREADS with it (_worker_count), which a grid of any size may
-    read."""
+    and HMCF_THREADS with it (_worker_count), so that a bad value fails on a
+    grid of any size, though only a wave solve on row strips reads it."""
     _worker_count(1)
     flow_cfg = HmboConfig(cfg.mode, cfg.params, cfg.tau, cfg.steps, make_grid(n, n, cfg.bounds))
     d0 = field_from_function(flow_cfg.grid, lambda x, y: np.hypot(x, y) - cfg.r0)
@@ -250,11 +250,13 @@ def _reference_radius(cfg: ExperimentConfig, n_s: int) -> RadiusSeries:
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     """Run the shrinking-circle experiment over cfg.grid_sizes.
 
-    Every size's run is built and checked (build_run) before any runs.  The
-    pool runs each size's run_flow (worker count capped by the
-    HMCF_THREADS environment variable), and the sizes are scored in
-    ascending grid order while larger ones still run, so output files are
-    reproducible byte for byte.  A size whose run or scoring fails goes to
+    Every size's run is built and checked (build_run) before any runs.  A
+    pool of one worker thread runs each size's run_flow, one at a time in
+    ascending grid order, while the calling thread scores the sizes that
+    have finished, in the same order, so output files are reproducible
+    byte for byte.  One worker, whatever HMCF_THREADS says: a step is many
+    small numpy calls with Python between them, so two sizes at once only
+    hold up each other's GIL.  A size whose run or scoring fails goes to
     report.failures as (n, message), for the caller to print, and does not
     stop the others.  A study writes no interface snapshots, so
     save_interfaces is rejected; a damped study samples its RK4 reference
@@ -271,7 +273,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
         os.makedirs(cfg.out_dir, exist_ok=True)
     sizes = sorted(runs)
     report = ErrorReport()
-    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         futures = {n: pool.submit(run_flow, *runs[n], v0_normal=cfg.v0_normal) for n in sizes}
         for n in sizes:
             try:

@@ -607,7 +607,9 @@ def _curvature_vector(f: ScalarField, nodes) -> tuple[np.ndarray, np.ndarray]:
     """
     g = f.grid
     j, i = (np.asarray(n, dtype=np.intp) for n in nodes)
-    box = {(dj, di): f.values[_fold(j + dj, g.ny), _fold(i + di, g.nx)] for dj in (-1, 0, 1) for di in (-1, 0, 1)}
+    rows = {d: _fold(j + d, g.ny) * g.nx for d in (-1, 0, 1)}  # flat indices: take beats a 2-d gather
+    cols = {d: _fold(i + d, g.nx) for d in (-1, 0, 1)}
+    box = {(dj, di): f.values.take(rows[dj] + cols[di]) for dj in (-1, 0, 1) for di in (-1, 0, 1)}
     m = np.abs(np.stack(tuple(box.values()))).max(axis=0)
     e = np.frexp(min(g.dx, g.dy))[1] - np.frexp(m)[1]
 

@@ -23,13 +23,14 @@ written.
 
 A grid of at least 2 * _STRIP_NODES nodes runs each substep on row strips
 (_Strips), as many as HMCF_THREADS allows, on a thread pool of the solve's
-own; a smaller grid is one strip, run inline.  A strip writes only its own
-rows of the work arrays and of the new level, and its own ghost block,
-carved from the one ghost buffer with a ghost row above and below, so no
-strip writes where another reads.  The strips cover the ghost fill, the
-Laplacian, the update and the finiteness check.  The update runs with
-numpy's overflow and invalid-value warnings off, so a blow-up is the
-check's NumericalError under any warning filter.  The energy log's terms
+own; a smaller grid is one strip, run inline.  The strips are all that
+HMCF_THREADS caps: a convergence study runs its sizes one at a time.  A
+strip writes only its own rows of the work arrays and of the new level, and
+its own ghost block, carved from the one ghost buffer with a ghost row
+above and below, so no strip writes where another reads.  The strips cover
+the ghost fill, the Laplacian, the update and the finiteness check.  The
+update runs with numpy's overflow and invalid-value warnings off, so a
+blow-up is the check's NumericalError under any warning filter.  The energy log's terms
 are formed on the strips in two phases: the weighted velocity squares (in
 lap) and the time midpoint (in ghost); then, after the kinetic sum, the
 weighted gradient squares (in work and lap).  No buffer beyond these is
@@ -195,7 +196,7 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
     n_full, rem = substeps(tau, dt)
 
     # the buffers every Laplacian and energy evaluation of this solve works
-    # in; local to the call, as a study solves on a thread pool
+    # in; local to the call, so solves in different threads share none
     ny, nx = grid.shape
     work, lap = np.empty(grid.shape), np.empty(grid.shape)
     u0v, ut0v = u0.values, ut0.values

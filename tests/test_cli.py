@@ -616,10 +616,10 @@ def test_an_integer_radius_whose_square_overflows_exits_one(tmp_path, capsys, no
                                   ["run", "--n", "16", "--max-steps", "1"]],
                          ids=["study", "run-on-strips", "run-on-one-strip"])
 def test_a_bad_thread_count_exits_one(monkeypatch, capsys, argv):
-    """HMCF_THREADS is read in one place, which a study's pool and a solve
-    on strips (N = 385, above the strip threshold) share, and checked as
-    each run is built: a value that is no integer exits 1 with one error
-    line, also on a grid whose solves never read it (N = 16)."""
+    """HMCF_THREADS is read in one place, which only a solve on strips
+    (N = 385, above the strip threshold) uses, and checked as each run is
+    built: a value that is no integer exits 1 with one error line, also in
+    a study and on a grid whose solves never read it (N = 16)."""
     monkeypatch.setenv(harness.THREADS_ENV, "abc")
     rc = cli_main(argv)
     assert rc == 1

@@ -1,11 +1,13 @@
 """Experiment harness tests: config parsing, the time-weighted error metric,
-study plumbing (parallel workers, output files, failure containment), and the
+study plumbing (one worker thread, output files, failure containment), and the
 closed-form moment cross-checks."""
 
 import dataclasses
 import json
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -304,9 +306,9 @@ def test_worker_count_rejects_bad_env(monkeypatch, raw):
 
 @pytest.mark.parametrize("mode", ["mcf", "hmcf"])
 def test_a_study_leaves_its_shared_runs_unwritten(monkeypatch, mode):
-    """The study's threads read the d0 that build_run built and the study
-    scores, more threads than cores and a short switch interval included;
-    no run writes it."""
+    """The study's worker thread reads the d0 that build_run built and the
+    calling thread scores, with HMCF_THREADS above the cores and a short
+    switch interval; no run writes it."""
     built, before = {}, {}
 
     def build_and_keep(cfg, n):
@@ -327,6 +329,42 @@ def test_a_study_leaves_its_shared_runs_unwritten(monkeypatch, mode):
     assert sorted(built) == [16, 24, 32, 40]
     for n, d0 in built.items():
         assert np.array_equal(d0.values, before[n]), n
+
+
+@pytest.mark.parametrize("threads", [None, "2", "4"])
+def test_a_study_runs_one_size_at_a_time(monkeypatch, threads):
+    """The study runs its sizes one at a time, whatever HMCF_THREADS says: a
+    run_flow that sleeps while it counts the calls in flight never sees a
+    second one, under a short switch interval, and the rows come back in
+    ascending grid order."""
+    lock, live, most = threading.Lock(), [0], [0]
+    run_flow = harness.run_flow
+
+    def counted(*args, **kwargs):
+        with lock:
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+        time.sleep(0.01)
+        try:
+            return run_flow(*args, **kwargs)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(harness, "run_flow", counted)
+    if threads is None:
+        monkeypatch.delenv("HMCF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HMCF_THREADS", threads)
+    cfg = ExperimentConfig(grid_sizes=(16, 24, 32, 40), n_tau=10, max_steps=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = convergence_study(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row.n for row in report.rows] == [16, 24, 32, 40] and report.failures == []
+    assert most[0] == 1
 
 
 def test_convergence_study_single_size(tmp_path):
