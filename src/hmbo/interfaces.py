@@ -25,33 +25,34 @@ d -> -d, and either side of the interface may be the positive one.
 Redistancing finds, for every grid node, the nearest extracted segment by
 an exact pruned scan (_Tiles, which the exactness tests hold to an
 exhaustive scan over the whole grid).  The grid's nodes are grouped into
-tiles of 8 x 8 nodes (fewer in the last tile row and column), and a tile
-keeps a segment as a candidate only if it passes two tests, each with a
-margin far above rounding.  By the triangle inequality, the segment
-nearest to a node of the tile lies within the centre's least distance
-plus the tile's diagonal.  And a segment can be nearest only to points in
-its slab, between the normals at its ends, or beyond an end in the wedge
-that the normal of the segment sharing that end leaves it (the
-nearest-point regions of a closest-point transform), so a tile whose box
-lies wholly past one end's wedge drops it.  The sharing segment is read
-from the vertex ids (_segment_neighbours), the one map from an end to the
-other segment at its vertex, built once per redistance; the curved
-reconstruction takes a segment's two neighbours from the same map.  Only
-the candidates are scanned, in increasing index order, by
+tiles of 8 x 8 nodes (a tile where the grid ends repeats its last node
+column or row), and a tile keeps a segment as a candidate only if it
+passes two tests, each with a margin far above rounding.  By the triangle
+inequality, the segment nearest to a node of the tile lies within the
+centre's least distance plus the tile's diagonal.  And a segment can be
+nearest only to points in its slab, between the normals at its ends, or
+beyond an end in the wedge that the normal of the segment sharing that end
+leaves it (the nearest-point regions of a closest-point transform), so a
+tile whose box lies wholly past one end's wedge drops it.  The sharing
+segment is read from the vertex ids (_segment_neighbours), the one map
+from an end to the other segment at its vertex, built once per redistance;
+the curved reconstruction takes a segment's two neighbours from the same
+map.  Only the candidates are scanned, in increasing index order, by
 _point_segment_sq, the one copy of the per-pair arithmetic, which forms
-(x - ax) ux once per tile column and (y - ay) uy once per tile row.  So
-the field is bit-identical to an exhaustive scan's with that arithmetic,
-and the first segment wins ties.  signed_distance runs this scan and
-returns a BandField, its one kind of field.  A tile's result does not
-depend on the other tiles, so with a finite reach W the field is exact on
-the tiles whose centre lies within W + r of the interface (r the tile's
-half-diagonal) and elsewhere provisional, the source field's sign bit times
-the centre's distance, until its values are first read, which completes
-them to the same bits; hmbo.flow's steps use that band.  A provisional
-tile needs only its centre's distance; the candidates are built in one
-place, _Tiles' constructor, and completing a field builds a new _Tiles of
-reach inf for its provisional tiles.  With the default reach, inf, every
-tile is computed at once, and the field is complete at construction.
+(x - ax) ux once per tile column and (y - ay) uy once per tile row.  So the
+field is bit-identical to an exhaustive scan's with that arithmetic, and
+the first segment wins ties.  signed_distance runs this scan and returns a
+BandField, its one kind of field.  A tile's result does not depend on the
+other tiles, so with a finite reach W the field is exact on the tiles
+whose centre lies within W + r of the interface (r the tile's
+half-diagonal) and elsewhere provisional, the source field's sign bit
+times the centre's distance, until its values are first read, which
+completes them to the same bits; hmbo.flow's steps use that band.  A
+provisional tile needs only its centre's distance; the candidates are
+built in one place, _Tiles' constructor, and completing a field builds a
+new _Tiles of reach inf for its provisional tiles.  With the default
+reach, inf, every tile is computed at once, and the field is complete at
+construction.
 
 Two reconstructions of the interface are offered:
 
@@ -258,25 +259,21 @@ def _point_segment_sq(px, py, seg):
     return np.add(e, t, out=e)
 
 
-# The scan groups the grid's nodes into tiles of at most _TILE x _TILE nodes,
-# and hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
+# The scan groups the grid's nodes into tiles of _TILE x _TILE nodes, and
+# hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
 # (512 KiB of temporaries, small enough to stay in a typical L2 cache).
 # _SLACK widens the pruning bounds far beyond the rounding error of the
 # per-pair arithmetic.  The region test runs where the largest coordinate
-# lies in [2^(_REGION_EXP - 1), 2^-_REGION_EXP), on a chunk of at least
-# _REGION_PAIRS triangle candidates: its fixed cost, some fifty numpy calls,
-# outweighs the scan it saves (64 node distances for each candidate it
-# drops) on fewer, as on a 16 x 16 grid.
+# lies in [2^(_REGION_EXP - 1), 2^-_REGION_EXP).
 _TILE = 8
 _BLOCK = 1 << 15
 _SLACK = 1e-9
 _REGION_EXP = -500
-_REGION_PAIRS = 256
 
 
 def _scan_block(px, py, seg, nearest):
-    """Least squared distance from the nodes of T tiles of one shape, their
-    columns px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
+    """Least squared distance from the nodes of T tiles, their columns
+    px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
     segments seg of _segments, each (T, 1, 1, C), and with nearest the
     first position along C that attains it (else None), each (T, H, W); by
     _point_segment_sq on as many candidates at a time as keep each call
@@ -352,7 +349,7 @@ def _wedged(forms, s, x, y):
 
 
 class _Tiles:
-    """The grid's nodes in tiles of at most _TILE x _TILE, and each tile's
+    """The grid's nodes in tiles of _TILE x _TILE, and each tile's
     candidate segments [a, b] of the curve: the state of the pruned
     nearest-segment scan, which scan() runs on any subset of the tiles
     that have their candidates, and partners, each end's other segment at
@@ -368,12 +365,13 @@ class _Tiles:
     that a finite reach gives its near tiles.
 
     Tile k is tile row k // kx and tile column k % kx.  Tile column c holds
-    the w[c] node columns from x0[c], tile row r the h[r] node rows from
-    y0[r]: _TILE of each, and in the last tile column and row what is left
-    of the grid, so every node lies in exactly one tile.  Each tile has a
-    centre (cx, cy), the midpoint of its first and last nodes, a
-    half-diagonal r from that centre to them, and the least computed
-    distance dc from its centre to a segment.
+    the _TILE node columns cols[c], tile row r the _TILE node rows rows[r],
+    each starting at a multiple of _TILE; where the grid ends, a tile
+    repeats its last node column or row, so every node lies in one tile and
+    a repeated node is the same node again.  Each tile has a centre
+    (cx, cy), the midpoint of its first and last nodes, a half-diagonal r
+    from that centre to them, and the least computed distance dc from its
+    centre to a segment.
 
     The scan is exactly equal to the exhaustive one (there is at least one
     segment, and segment ends are finite).  A tile's candidates are the
@@ -442,23 +440,21 @@ class _Tiles:
     forms overflows.  Outside that window the test is off, and every
     triangle candidate is kept; only there can a bound's square overflow.
     The cut is widened by _SLACK (scaled) beyond eta's margin, and beyond v
-    by _SLACK, both far above the test's own rounding.  The test also
-    skips a chunk of fewer than _REGION_PAIRS triangle candidates, where it
-    would cost more than it saves; keeping every candidate is exact too.
-    The constructor takes that decision once per chunk of tiles, on all of
-    the chunk's triangle candidates, near and far, and the chunks do not
-    depend on the reach, so a tile gets the same candidates at any reach
-    that makes it near.
+    by _SLACK, both far above the test's own rounding.  The constructor
+    runs the test once, on the triangle candidates of every near tile, so a
+    tile's candidates depend only on its own triangle candidates, and a
+    tile gets the same ones at any reach that makes it near.
 
     Each tile's candidates, in increasing index order, are scanned by
     _point_segment_sq, so the minimum is bit-identical and the first index
-    among equal distances wins.  Tiles go in groups of one shape, in order
-    of decreasing candidate count, as dense (tile, row, column, candidate)
-    arrays of as many tiles as fit in _BLOCK pairs at the first one's
-    count; a shorter candidate list is padded with its own last candidate,
-    which does not change the first minimum.  A tile's result does not
-    depend on the tiles scanned with it, so any subset of the tiles scans
-    to the same bits.
+    among equal distances wins.  Tiles go in order of decreasing candidate
+    count, as dense (tile, row, column, candidate) arrays of as many tiles
+    as fit in _BLOCK pairs at the first one's count; a shorter candidate
+    list is padded with its own last candidate, which does not change the
+    first minimum.  A repeated node has its node's coordinates and its
+    tile's candidates, so it gets its node's bits.  A tile's result does
+    not depend on the tiles scanned with it, so any subset of the tiles
+    scans to the same bits.
 
     On a 128 x 128 grid the scan of every tile reads about a twentieth of
     the (node, segment) pairs of a circle or a 5-fold star.
@@ -466,122 +462,84 @@ class _Tiles:
 
     def __init__(self, grid, curve, reach=np.inf):
         a, b = curve.segment_points()
-        self.curve = curve
         self.partners = _segment_neighbours(curve)
         seg = self.seg = _segments(a, b)
         scale = self.scale = _scale(grid, a, b)
         ny, nx = grid.shape
         self.xs, self.ys = grid.x_coords(), grid.y_coords()
-        self.x0, self.y0 = np.arange(0, nx, _TILE), np.arange(0, ny, _TILE)
-        self.w, self.h = np.minimum(nx - self.x0, _TILE), np.minimum(ny - self.y0, _TILE)
-        kx, ky = self.kx, self.ky = self.x0.size, self.y0.size
-        self._kinds = sorted({(h, w) for h in (min(ny, _TILE), ny - _TILE * (ky - 1))
-                              for w in (min(nx, _TILE), nx - _TILE * (kx - 1))})
-        lo_x, hi_x = self.xs[self.x0], self.xs[self.x0 + self.w - 1]
-        lo_y, hi_y = self.ys[self.y0], self.ys[self.y0 + self.h - 1]
-        cx, cy = self.cx, self.cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
-        self.hx, self.hy = 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
-        self.r = np.hypot(self.hx, self.hy[:, None]).ravel()
-        self.k = int(np.frexp(scale)[1])
-        self.forms = None  # built for the first tiles that run the region test
+        self.cols = np.minimum(np.arange(0, nx, _TILE)[:, None] + np.arange(_TILE), nx - 1)
+        self.rows = np.minimum(np.arange(0, ny, _TILE)[:, None] + np.arange(_TILE), ny - 1)
+        kx, ky = self.kx, self.ky = len(self.cols), len(self.rows)
+        lo_x, hi_x = self.xs[self.cols[:, 0]], self.xs[self.cols[:, -1]]
+        lo_y, hi_y = self.ys[self.rows[:, 0]], self.ys[self.rows[:, -1]]
+        cx, cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
+        hx, hy = 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
+        self.r = np.hypot(hx, hy[:, None]).ravel()
         n = kx * ky
         self.dc = np.empty(n)
-        self.n_cand, self.cand_start = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
 
         # the centre distances, for as many tiles at a time as keep them
         # within _BLOCK (tile, segment) pairs: whole tile rows, or part of
         # one, so that a chunk's tiles are start to stop
         n_seg = seg[0].size
-        cols = max(1, min(kx, _BLOCK // n_seg))
-        rows = max(1, _BLOCK // (kx * n_seg)) if cols == kx else 1
-        window = _REGION_EXP <= self.k <= -_REGION_EXP
+        wide = max(1, min(kx, _BLOCK // n_seg))
+        tall = max(1, _BLOCK // (kx * n_seg)) if wide == kx else 1
         near, found = np.empty(n, dtype=bool), []
-        for y, x in ((y, x) for y in range(0, ky, rows) for x in range(0, kx, cols)):
+        for y, x in ((y, x) for y in range(0, ky, tall) for x in range(0, kx, wide)):
             start = y * kx + x
-            tiles = np.arange(start, min(y + rows, ky) * kx if cols == kx else start + min(cols, kx - x))
-            d2 = _point_segment_sq(cx[x : x + cols, None], cy[y : y + rows, None, None], seg).reshape(-1, n_seg)
+            tiles = np.arange(start, min(y + tall, ky) * kx if wide == kx else start + min(wide, kx - x))
+            d2 = _point_segment_sq(cx[x : x + wide, None], cy[y : y + tall, None, None], seg).reshape(-1, n_seg)
             dc = self.dc[tiles] = np.sqrt(d2.min(axis=1))
             # the triangle test: the segments within each tile's bound
             within = d2 <= (((dc + 2.0 * self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale) ** 2)[:, None]
             del d2
-            region = window and np.count_nonzero(within) >= _REGION_PAIRS
-            near[tiles] = dc <= (reach + self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale
-            found.append(self._candidates(tiles[near[tiles]], within[near[tiles]], region))
-        tiles, n_cand, self.cand = (np.concatenate(v) for v in zip(*found))
-        self.n_cand[tiles] = n_cand
-        self.cand_start[tiles] = np.cumsum(n_cand) - n_cand
-        self.near = near
-
-    def _candidates(self, tiles, within, region):
-        """The tiles and their candidate segments, from their rows within of
-        the triangle test, after the region test if region: (tiles,
-        candidates per tile, the candidates in tile order)."""
-        t, s = np.divmod(np.flatnonzero(within), within.shape[1])
-        if region and t.size:
-            k = self.k
-            if self.forms is None:
-                self.forms = _regions(self.curve, self.partners, k, np.ldexp(self.hx.max(), -k),
-                                      np.ldexp(self.hy.max(), -k))
-            at = tiles[t]
-            keep = ~_wedged(self.forms, s, np.ldexp(self.cx, -k)[at % self.kx], np.ldexp(self.cy, -k)[at // self.kx])
+            here = near[tiles] = dc <= (reach + self.r[tiles]) * (1.0 + _SLACK) + _SLACK * scale
+            t, s = np.divmod(np.flatnonzero(within[here]), n_seg)
+            found.append((tiles[here][t], s))
+        t, s = (np.concatenate(v) for v in zip(*found))
+        # the region test, on every near tile's triangle candidates at once
+        k = int(np.frexp(scale)[1])
+        if _REGION_EXP <= k <= -_REGION_EXP and t.size:
+            forms = _regions(curve, self.partners, k, np.ldexp(hx.max(), -k), np.ldexp(hy.max(), -k))
+            keep = ~_wedged(forms, s, np.ldexp(cx, -k)[t % kx], np.ldexp(cy, -k)[t // kx])
             t, s = t[keep], s[keep]
-        return tiles, np.bincount(t, minlength=tiles.size), s
-
-    def _shapes(self, tiles):
-        """The tiles by node shape, in a fixed order: (h, w, positions in
-        tiles) for each shape among them."""
-        h, w = self.h[tiles // self.kx], self.w[tiles % self.kx]
-        groups = [(th, tw, np.flatnonzero((h == th) & (w == tw))) for th, tw in self._kinds]
-        return [g for g in groups if g[2].size]
+        self.cand, self.n_cand = s, np.bincount(t, minlength=n)
+        self.cand_start = np.cumsum(self.n_cand) - self.n_cand
+        self.near = near
 
     def nodes(self, tiles):
         """Grid indices (j, i) of the tiles' nodes, and the position in
-        tiles of each node's tile, as the rows of a (3, nodes) array: the
-        tiles grouped by shape (_shapes), each tile's nodes row by row, the
+        tiles of each node's tile, as the rows of a (3, nodes) array: each
+        tile's _TILE x _TILE nodes row by row, in the order of tiles, the
         order of scan's results."""
-        shapes = self._shapes(tiles)
-        out = np.empty((3, sum(at.size * h * w for h, w, at in shapes)), dtype=np.intp)
-        done = 0
-        for h, w, at in shapes:
-            j, i, k = out[:, done : done + at.size * h * w].reshape(3, -1, h, w)
-            done += at.size * h * w
-            t = tiles[at]
-            j[...] = self.y0[t // self.kx, None, None] + np.arange(h)[:, None]
-            i[...] = self.x0[t % self.kx, None, None] + np.arange(w)
-            k[...] = at[:, None, None]
-        return out
+        out = np.empty((3, tiles.size, _TILE, _TILE), dtype=np.intp)
+        out[0] = self.rows[tiles // self.kx, :, None]
+        out[1] = self.cols[tiles % self.kx, None, :]
+        out[2] = np.arange(tiles.size)[:, None, None]
+        return out.reshape(3, -1)
 
     def scan(self, tiles, nearest):
         """Least squared distance from each node of the tiles, which have
         their candidates, to a segment, and with nearest the first segment
         attaining it (else None), flat in the order of nodes()."""
         kx = self.kx
-        shapes = self._shapes(tiles)
-        size = sum(at.size * h * w for h, w, at in shapes)
-        best = np.empty(size)
-        first = np.empty(size, dtype=np.intp) if nearest else None
-        done = 0
-        for h, w, group in shapes:
-            best_g = best[done : done + group.size * h * w].reshape(-1, h, w)
+        n_cand = self.n_cand[tiles]
+        best = np.empty((tiles.size, _TILE, _TILE))
+        first = np.empty(best.shape, dtype=np.intp) if nearest else None
+        order = np.argsort(-n_cand, kind="stable")
+        i = 0
+        while i < order.size:
+            width = n_cand[order[i]]
+            at = order[i : i + max(1, _BLOCK // (_TILE * _TILE * width))]
+            i += at.size
+            bl = tiles[at]
+            cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
+            px = self.xs[self.cols[bl % kx]][:, None, :, None]
+            py = self.ys[self.rows[bl // kx]][:, :, None, None]
+            best[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg), nearest)
             if nearest:
-                first_g = first[done : done + group.size * h * w].reshape(-1, h * w)
-            done += group.size * h * w
-            tiles_g = tiles[group]
-            n_cand = self.n_cand[tiles_g]
-            order = np.argsort(-n_cand, kind="stable")
-            i = 0
-            while i < order.size:
-                width = n_cand[order[i]]
-                at = order[i : i + max(1, _BLOCK // (h * w * width))]
-                i += at.size
-                bl = tiles_g[at]
-                cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
-                px = self.xs[self.x0[bl % kx, None] + np.arange(w)][:, None, :, None]
-                py = self.ys[self.y0[bl // kx, None] + np.arange(h)][:, :, None, None]
-                best_g[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg), nearest)
-                if nearest:
-                    first_g[at] = cand[np.arange(at.size)[:, None], j.reshape(at.size, -1)]
-        return best, first
+                first[at] = cand[np.arange(at.size)[:, None, None], j]
+        return best.ravel(), first.ravel() if nearest else None
 
 
 def _scale(grid, a, b):

@@ -577,10 +577,10 @@ def test_banded_run_is_the_exhaustive_run(monkeypatch, grid, shape, alpha, v0, s
     byte: on the unit circle of criterion 7, an off-centre 5-fold star, two
     disks, a circle cut by a wall, an initial speed of either sign, at
     alpha = 0.1 and 0.03, which take 2 and 3 substeps per step, the star on
-    97 x 61 nodes with dx != dy, whose last tiles hold fewer nodes, a thin
-    ellipse, and a circle of radius 0.7 at N = 128, negative inside, where
-    a curvature scale taken from the global max|u| would depend on the
-    provisional values on every step.  The ellipse is the one case where
+    97 x 61 nodes with dx != dy, whose last tiles repeat their last nodes,
+    a thin ellipse, and a circle of radius 0.7 at N = 128, negative inside,
+    where a curvature scale taken from the global max|u| would depend on
+    the provisional values on every step.  The ellipse is the one case where
     the certificate rejects steps of its own accord: its run completes 2
     fields, the others none."""
     g = make_grid(*grid)

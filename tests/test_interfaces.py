@@ -10,6 +10,7 @@ from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, eval_bilinear, field_from_function, make_grid
 from hmbo.flow import HmboConfig, PhysicalParams, _curve_gap, hmbo_step, init_history
 from hmbo.interfaces import (
+    _TILE,
     BandField,
     InterfaceCurve,
     _Tiles,
@@ -50,14 +51,6 @@ def _smooth_random_field(grid, rng, k_max=3):
                 j * np.pi * (Y - grid.ymin) / ly
             )
     return ScalarField(grid, out)
-
-
-@pytest.fixture(autouse=True)
-def _region_test_on_every_chunk(monkeypatch):
-    """_Tiles skips its region test on chunks of few candidates, where it
-    costs more than it saves; here it runs on every chunk, so the exactness
-    tests hold it to the exhaustive scan on small soups too."""
-    monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -698,16 +691,27 @@ def test_nearest_segment_exact_where_the_region_test_decides(soup):
     _assert_scan_exact(g, a, b)
 
 
-def test_scan_reads_each_node_once(scan_shapes):
-    """The scan hands _scan_block each node of the grid once, on grids
-    whose node counts are no multiple of the tile size too: the last tile
-    row and column hold only the grid's own nodes."""
+def test_every_tile_scans_its_full_square(scan_shapes):
+    """Every tile has _TILE x _TILE nodes, on grids whose node counts are
+    no multiple of the tile size too: nodes() lists kx ky _TILE^2 of them,
+    covering every node of the grid, _scan_block receives that many, and
+    a tile that the grid ends repeats its last node column or row, whose
+    repeats carry the bits of their first occurrence in the scan."""
     for nx, ny in ((20, 20), (97, 61), (8, 8), (3, 5)):
         g = make_grid(nx, ny, (-2, 2, -1.5, 1.7))
-        a, b = extract_zero_set(_circle_field(g)).segment_points()
+        tiles = _Tiles(g, extract_zero_set(_circle_field(g)))
+        every = np.arange(tiles.kx * tiles.ky)
+        j, i, _ = tiles.nodes(every)
+        size = tiles.kx * tiles.ky * _TILE**2
+        assert j.size == size, (nx, ny)
+        covered, first, inverse = np.unique(j * nx + i, return_index=True, return_inverse=True)
+        assert np.array_equal(covered, np.arange(nx * ny)), (nx, ny)
         scan_shapes.clear()
-        _nearest_segment(g, a, b)
-        assert sum(int(np.prod(s[:-1])) for s in scan_shapes) == nx * ny, (nx, ny)
+        best, nearest = tiles.scan(every, nearest=True)
+        assert sum(int(np.prod(s[:-1])) for s in scan_shapes) == size, (nx, ny)
+        at = first[inverse]
+        assert best.tobytes() == best[at].tobytes(), (nx, ny)
+        assert np.array_equal(nearest, nearest[at]), (nx, ny)
 
 
 def test_signed_distance_equals_brute_build(rng):
@@ -715,7 +719,7 @@ def test_signed_distance_equals_brute_build(rng):
     the exhaustive scan: the square root of _brute_nearest's minimum, or
     the bent chords' distance (_curved_distance) from each node's
     exhaustive nearest segment and its neighbours, with f's sign bits.  On
-    57 x 64 nodes, so the last tile column holds one node column."""
+    57 x 64 nodes, so the last tile column repeats one node column."""
     g = make_grid(57, 64, (-2, 2, -2, 2))
     x, y = g.x_coords()[None, :], g.y_coords()[:, None]
     for f in (_circle_field(g), _smooth_random_field(g, rng)):
@@ -780,22 +784,13 @@ def _candidate_lists(tiles):
     return [tiles.cand[s : s + n] for s, n in zip(tiles.cand_start, tiles.n_cand)]
 
 
-@pytest.mark.parametrize(
-    "shape, pairs",
-    [("circle", 0), ("star", 0), ("wall-cut-circle", 0), ("circle", 256), ("star", 256), ("wall-cut-circle", 5000)],
-)
-def test_far_tiles_build_the_candidates_of_a_whole_scan(monkeypatch, scan_shapes, shape, pairs):
+@pytest.mark.parametrize("shape", ["circle", "star", "wall-cut-circle"])
+def test_far_tiles_build_the_candidates_of_a_whole_scan(scan_shapes, shape):
     """_Tiles with a finite reach builds candidates for its near tiles only,
     the reach-inf _Tiles' candidates index for index, and a BandField of
     that reach, completed, hands _scan_block the same pairs for its far
     tiles as the reach-inf _Tiles does for them, to the reach-inf field's
-    bytes.  The region test's decision is taken per chunk on all of the
-    chunk's triangle candidates: with _REGION_PAIRS at 0 every chunk runs
-    it, and at 5000 the wall-cut circle's first chunk (9669 triangle
-    candidates) runs it and its second (3189) does not, so its candidate
-    total lies strictly between those at 0 and at a threshold above every
-    chunk."""
-    monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", pairs)
+    bytes."""
     g = make_grid(128, 128, (-2, 2, -2, 2))
     f = field_from_function(g, _BAND_SHAPES[shape])
     curve = extract_zero_set(f)
@@ -815,12 +810,6 @@ def test_far_tiles_build_the_candidates_of_a_whole_scan(monkeypatch, scan_shapes
     whole.scan(far, nearest=False)
     assert completed == scan_shapes
     assert d.values.tobytes() == signed_distance(f, curve).values.tobytes()
-    if pairs == 5000:
-        totals = []
-        for threshold in (0, np.inf):
-            monkeypatch.setattr("hmbo.interfaces._REGION_PAIRS", threshold)
-            totals.append(_Tiles(g, curve).n_cand.sum())
-        assert totals[0] < whole.n_cand.sum() < totals[1]
 
 
 @pytest.mark.parametrize("shape", ["circle", "star"])
