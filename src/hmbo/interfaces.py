@@ -260,8 +260,9 @@ def _point_segment_sq(px, py, seg):
 
 
 # The scan groups the grid's nodes into tiles of _TILE x _TILE nodes, and
-# hands _point_segment_sq at most _BLOCK (node, segment) pairs at a time
-# (512 KiB of temporaries, small enough to stay in a typical L2 cache).
+# hands _point_segment_sq as many whole tiles at a time as fit in _BLOCK
+# (node, segment) pairs (512 KiB of temporaries, small enough to stay in a
+# typical L2 cache), and at least one.
 # _SLACK widens the pruning bounds far beyond the rounding error of the
 # per-pair arithmetic.  The region test runs where the largest coordinate
 # lies in [2^(_REGION_EXP - 1), 2^-_REGION_EXP).
@@ -276,28 +277,15 @@ def _scan_block(px, py, seg, nearest):
     px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
     segments seg of _segments, each (T, 1, 1, C), and with nearest the
     first position along C that attains it (else None), each (T, H, W); by
-    _point_segment_sq on as many candidates at a time as keep each call
-    within _BLOCK pairs (at least one).  The pairs are formed with the
-    candidates along the leading axis, where the least over them is taken
-    slab by slab: the arithmetic is elementwise, so its bits do not depend
+    one _point_segment_sq call on all the pairs, which _Tiles.scan keeps
+    within _BLOCK but for a lone tile of more candidates.  The pairs are
+    formed with the candidates along the leading axis, where the least over
+    them is taken: the arithmetic is elementwise, so its bits do not depend
     on the layout.
     """
-    shape = np.broadcast_shapes(px.shape, py.shape)[:-1]
     px, py = px.transpose(3, 0, 1, 2), py.transpose(3, 0, 1, 2)
-    seg = tuple(v.transpose(3, 0, 1, 2) for v in seg)
-    best = first = None
-    step = max(1, _BLOCK // (shape[0] * shape[1] * shape[2]))
-    for s in range(0, seg[0].shape[0], step):
-        d2 = _point_segment_sq(px, py, tuple(v[s : s + step] for v in seg))
-        m = np.minimum.reduce(d2, axis=0)
-        if best is None:
-            best, first = m, d2.argmin(axis=0) if nearest else None
-            continue
-        closer = m < best
-        best[closer] = m[closer]
-        if nearest:
-            first[closer] = d2.argmin(axis=0)[closer] + s
-    return best, first
+    d2 = _point_segment_sq(px, py, tuple(v.transpose(3, 0, 1, 2) for v in seg))
+    return np.minimum.reduce(d2, axis=0), d2.argmin(axis=0) if nearest else None
 
 
 def _regions(curve, partners, k, hx, hy):
@@ -448,13 +436,14 @@ class _Tiles:
     Each tile's candidates, in increasing index order, are scanned by
     _point_segment_sq, so the minimum is bit-identical and the first index
     among equal distances wins.  Tiles go in order of decreasing candidate
-    count, as dense (tile, row, column, candidate) arrays of as many tiles
-    as fit in _BLOCK pairs at the first one's count; a shorter candidate
-    list is padded with its own last candidate, which does not change the
-    first minimum.  A repeated node has its node's coordinates and its
-    tile's candidates, so it gets its node's bits.  A tile's result does
-    not depend on the tiles scanned with it, so any subset of the tiles
-    scans to the same bits.
+    count, as dense (tile, row, column, candidate) arrays of as many whole
+    tiles as fit in _BLOCK pairs at the first one's count, and at least one,
+    each scanned in one _scan_block call; a shorter candidate list is padded
+    with its own last candidate, which does not change the first minimum.
+    A repeated node has its node's coordinates and its tile's candidates,
+    so it gets its node's bits.  A tile's result does not depend on the
+    tiles scanned with it, so any subset of the tiles scans to the same
+    bits.
 
     On a 128 x 128 grid the scan of every tile reads about a twentieth of
     the (node, segment) pairs of a circle or a 5-fold star.

@@ -227,7 +227,14 @@ def test_criterion_8_one_step_rate_order():
 
 
 def test_criterion_9_thread_count_invariance(tmp_path, monkeypatch):
-    """Study outputs are byte-identical for 1 and 2 worker threads."""
+    """Study outputs are byte-identical under HMCF_THREADS=1 and =2, and
+    on a repeat run.  A study runs its sizes one at a time whatever
+    HMCF_THREADS says, and the setting caps only the wave's row strips,
+    which start at N >= 363: at N = 16 and 32 neither value starts a
+    thread, so this checks that the setting and a rerun leave the outputs
+    unchanged.  The strips on one thread and on two are held bit for bit
+    by tests/test_wave.py::test_strips_are_bit_identical, and CI's N = 385
+    step compares a run's radius log on one thread and on two."""
 
     def run(tag, threads):
         out = tmp_path / tag

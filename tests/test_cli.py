@@ -383,6 +383,7 @@ def test_validation_errors_exit_one(capsys):
     [
         ("convergence", None, [], None),  # --config names a file that does not exist
         ("convergence", "{not json", [], None),
+        ("run", "[16, 32]", [], None),  # a JSON array, not an object
         ("convergence", '{"n_tau": "abc"}', [], "n_tau"),
         ("convergence", '{"grid_sizes": 16}', [], "grid_sizes"),
         ("convergence", "{}", ["--sizes", "16,abc"], None),
@@ -453,7 +454,7 @@ def test_validation_errors_exit_one(capsys):
          ("r0", "gamma", "n_tau")),
     ],
     ids=[
-        "missing-file", "malformed-json", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
+        "missing-file", "malformed-json", "config-array", "n_tau-string", "grid_sizes-scalar", "sizes-flag",
         "bounds-string-entry", "alpha-string", "max_steps-string", "v0_normal-string",
         "max_steps-negative", "dt_policy-removed", "fixed_dt-removed",
         "mcf-v0-flag", "mcf-v0_normal-key", "run-n-too-small",
@@ -571,6 +572,38 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[PASS]") == 2
+
+
+def test_a_missed_moment_identity_fails_verify(monkeypatch, capsys):
+    """A quadrature that misses the moment identities by more than 1e-6
+    (here 1e-3 relative on every ut0-only evaluation) turns verify's first
+    line into [FAIL], followed by one line for each case it misses, with
+    its values; the solver check still passes, and verify exits 2."""
+    poisson_eval = harness.poisson_eval
+
+    def off(u0_fn, grad_u0_fn, ut0_fn, *args):
+        got = poisson_eval(u0_fn, grad_u0_fn, ut0_fn, *args)
+        return got * (1.0 + 1e-3) if u0_fn is None else got
+
+    monkeypatch.setattr(harness, "poisson_eval", off)
+    rc = cli_main(["verify"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert out[0].startswith("[FAIL] moment identities: worst rel err 1.000e-03")
+    assert len(out) > 2 and out[-1].startswith("[PASS] solver vs disk quadrature")
+    assert all(line.startswith("       ") and " got " in line and " want " in line for line in out[1:-1])
+
+
+def test_a_breakdown_under_run_exits_two(monkeypatch, capsys):
+    """A NumericalError in the first wave solve of `hmbo run` ends it with
+    exit code 2 and one line that names the step and the stage."""
+    def broken(*args, **kwargs):
+        raise NumericalError("non-finite field values at substep 2")
+
+    monkeypatch.setattr(flow, "wave_solve", broken)
+    rc = cli_main(["run", "--n", "16", "--max-steps", "2"])
+    assert rc == 2
+    assert _lines(capsys.readouterr().err) == ["numerical failure: step 1, propagate: non-finite field values at substep 2"]
 
 
 def test_unknown_subcommand(capsys):

@@ -339,7 +339,8 @@ def test_damped_run_builds_and_checks_its_start_once(monkeypatch):
 
 def test_step_grid_mismatch_rejected():
     """Both fields must lie on the config's grid: another shape, or the same
-    shape over other bounds, is rejected for either field."""
+    shape over other bounds, is rejected for either field, and for a run's
+    start by check_start."""
     g = make_grid(32, 32, (-2, 2, -2, 2))
     cfg = HmboConfig.mcf(g, gamma=1.0, tau=0.05, max_steps=1)
     d = _circle_sdf(g)
@@ -348,6 +349,8 @@ def test_step_grid_mismatch_rejected():
         for d_n, d_nm1 in ((off, off), (d, off)):
             with pytest.raises(ValidationError, match="different grids"):
                 hmbo_step(d_n, d_nm1, cfg)
+        with pytest.raises(ValidationError, match="d0 grid does not match config grid"):
+            check_start(cfg, off, 0.0)
 
 
 def test_velocity_sign_flip_same_interfaces():
@@ -695,6 +698,60 @@ def test_a_rejected_mcf_certificate_completes_the_fields_and_keeps_the_bytes(mon
     _assert_rejected_certificates_keep_the_bytes(monkeypatch, cfg)
 
 
+def test_c1_rejects_an_r_that_misses_the_new_crossings(monkeypatch):
+    """A banded step whose R misses the nodes within 3h of d_n's interface,
+    and so beside the new crossings, is rejected by (C1) alone: C2's bound
+    is forced to accept anything.  Each step from a field with provisional
+    tiles then completes it and runs again, and the curves are the
+    exhaustive loop's, byte for byte.  Without C1 the steps would take
+    d_n's values next to the crossings for u(tau)'s."""
+    g = make_grid(96, 96, _BOX)
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=12)
+    d0 = field_from_function(g, _star)
+    want = _exhaustive_curves(cfg, d0, 0.0, cfg.max_steps)
+    band, reach = flow._band(cfg), flow._reach
+
+    def narrow(d_n, d_nm1, k):
+        r = reach(d_n, d_nm1, k) & (np.abs(flow._known(d_n)) > 3.0 * g.dx)
+        assert r.any()
+        return r
+
+    monkeypatch.setattr(flow, "_band", lambda cfg: dataclasses.replace(band, s1=-np.inf))
+    monkeypatch.setattr(flow, "_reach", narrow)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert len(done) == cfg.max_steps - 2
+
+
+def test_a_step_from_a_plain_d_n_and_a_banded_d_nm1_is_the_exhaustive_step(monkeypatch):
+    """A damped step from a plain ScalarField d_n and a BandField d_nm1
+    with provisional tiles propagates on R, which only d_nm1 limits, but
+    the certificate reads a gap of each field that a plain field lacks: it
+    rejects the step, d_nm1 is completed, and the step runs again from the
+    exhaustive fields, to the exhaustive step's bits."""
+    g = make_grid(96, 96, _BOX)
+    cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0)
+    d_n = field_from_function(g, _star)
+    before = ScalarField(g, d_n.values + 0.01)
+    curve = extract_zero_set(before, curved=True)
+    d_nm1 = signed_distance(before, curve, curved=True, reach=flow._band(cfg).width)
+    assert not d_nm1.is_complete
+    want, want_curve = hmbo_step(d_n, signed_distance(before, curve, curved=True), cfg)
+    certified, verdicts = flow._certified, []
+
+    def judged(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(flow, "_certified", judged)
+    done = _count_completions(monkeypatch)
+    got, got_curve = hmbo_step(d_n, d_nm1, cfg)
+    assert verdicts == [False]
+    assert len(done) == 1 and done[0] is d_nm1
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got_curve.vertices.tobytes() == want_curve.vertices.tobytes()
+
+
 def test_criterion_7_run_never_completes_a_field(monkeypatch):
     """The certificate holds on each of criterion 7's 90 steps (unit
     circle, N = 128, alpha = beta = gamma = 1, tau = 1/300): no field is
@@ -877,3 +934,35 @@ def test_a_breakdown_in_run_flow_names_its_step_and_stage(monkeypatch, mode):
     with pytest.raises(NumericalError) as exc:
         run_flow(cfg, _circle_sdf(g))
     assert str(exc.value) == "step 3, propagate: non-finite field values at substep 2"
+
+
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_a_breakdown_in_a_banded_propagation_reruns_the_exhaustive_step(monkeypatch, mode):
+    """A NumericalError in the first propagation from fields that hold
+    provisional values is not the run's: the step completes its fields and
+    runs again from the exhaustive ones, so the run completes one field
+    and gives the exhaustive loop's curves, byte for byte."""
+    g = make_grid(96, 96, _BOX)
+    if mode == "mcf":
+        cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=8)
+    else:
+        cfg = HmboConfig.hmcf(g, PhysicalParams(1.0, 1.0, 1.0), 1.0 / 300.0, max_steps=8)
+    d0 = field_from_function(g, _star)
+    want = _exhaustive_curves(cfg, d0, 0.0, cfg.max_steps)
+    banded, failed, reach, wave = [], [], flow._reach, flow.wave_solve
+
+    def reaching(*args):
+        banded.append(None)
+        return reach(*args)
+
+    def flaky(*args, **kwargs):
+        if banded and not failed:
+            failed.append(None)
+            raise NumericalError("non-finite field values at substep 2")
+        return wave(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_reach", reaching)
+    monkeypatch.setattr(flow, "wave_solve", flaky)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert len(done) == 1

@@ -10,6 +10,7 @@ from hmbo.errors import ValidationError
 from hmbo.fields import ScalarField, eval_bilinear, field_from_function, make_grid
 from hmbo.flow import HmboConfig, PhysicalParams, _curve_gap, hmbo_step, init_history
 from hmbo.interfaces import (
+    _BLOCK,
     _TILE,
     BandField,
     InterfaceCurve,
@@ -689,6 +690,21 @@ def test_nearest_segment_exact_where_the_region_test_decides(soup):
         ends = np.vstack([a, b])
         assert len(np.unique(ends, axis=0)) < len(ends) // 2
     _assert_scan_exact(g, a, b)
+
+
+def test_a_tile_of_more_candidates_than_a_block_scans_exactly(scan_shapes):
+    """A regular 700-gon of radius 0.2 about the centre of a tile keeps all
+    700 segments as that tile's candidates, more than fit in _BLOCK pairs
+    at _TILE^2 nodes: the tile is scanned alone, in one _scan_block call
+    over more than _BLOCK pairs, and the scan still equals the exhaustive
+    one, bit for bit and in the index."""
+    g = make_grid(24, 24, (-1, 1, -1, 1))
+    centre = 0.5 * (g.x_coords()[8] + g.x_coords()[15]), 0.5 * (g.y_coords()[8] + g.y_coords()[15])
+    ring = _polygon(centre, 0.2, 700)
+    a, b = ring, np.roll(ring, -1, axis=0)
+    assert _Tiles(g, _soup_curve(a, b)).n_cand.max() == 700 > _BLOCK // _TILE**2
+    _assert_scan_exact(g, a, b)
+    assert any(np.prod(s) > _BLOCK for s in scan_shapes)
 
 
 def test_every_tile_scans_its_full_square(scan_shapes):

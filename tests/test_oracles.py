@@ -204,6 +204,38 @@ def test_rk4_zero_stage_radius_halts_the_step_before_dividing():
     assert abs(t_ext - 0.32783977) < 2e-4
 
 
+def test_a_t_end_off_the_sample_lattice_is_the_last_sample():
+    """Samples lie every dt from 0, and a t_end between two of them is
+    appended as the last sample, where the radius is that of a run whose
+    lattice holds t_end."""
+    p = PhysicalParams(1.0, 1.0, 1.0)
+    series = hmcf_circle_radius(p, 1.0, 0.0, 0.33, 0.1)
+    assert np.allclose(series.times, [0.0, 0.1, 0.2, 0.3, 0.33], rtol=0.0, atol=1e-15)
+    assert series.times[-1] == 0.33 and series.extinction_time is None
+    assert abs(series.radii[-1] - hmcf_circle_radius(p, 1.0, 0.0, 0.33, 0.01).radii[-1]) < 1e-8
+
+
+def test_refinements_that_disagree_on_extinction_refine_further(monkeypatch):
+    """With t_end just past the extinction time, the coarsest refinements
+    step over the zero within their last sample interval (RK4 lands on a
+    positive radius) and see no extinction, and finer ones do.  Refinements
+    that disagree on whether the circle vanishes are not converged: the
+    refinement goes on, and the extinction time is the one a t_end far past
+    it gives, to 1e-8."""
+    passes = []
+
+    def counted(*args):
+        passes.append(_rk4_run(*args))
+        return passes[-1]
+
+    p = PhysicalParams(1.0, 1.0, 1.0)
+    far = hmcf_circle_radius(p, 1.0, 0.0, 5.0, 0.1).extinction_time
+    monkeypatch.setattr(oracles, "_rk4_run", counted)
+    series = hmcf_circle_radius(p, 1.0, 0.0, 1.4995, 0.1)
+    assert passes[0][1] is None and passes[-1][1] is not None
+    assert abs(series.extinction_time - far) < 1e-8
+
+
 def test_extinction_refinement_converges_at_rk4_order(monkeypatch):
     """The extinction time is bisected inside the step that crosses zero,
     so alpha = 0.005 agrees to 1e-8 after 4 passes (n_sub 16 to 128), not

@@ -71,6 +71,9 @@ def test_cfl_numbers():
     # the combination used by the shrinking-circle experiment at N=256
     g3 = make_grid(256, 256, (-2, 2, -2, 2))
     assert cfl_max_dt(6.0 * 300.0, g3) == pytest.approx(2.614e-4, rel=1e-3)
+    for c2 in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="c2 must be positive"):
+            cfl_max_dt(c2, g)
 
 
 def test_wave_solve_rejects_cfl_violation():
