@@ -57,9 +57,11 @@ callers see the exhaustive field bit for bit, and run_flow, which reads
 only the curves, never pays for those tiles.  The band, its certificate
 and the proof are in the hmbo_step docstring.  A step redistances with
 reach W whenever it has a band and d_n is a BandField, of either
-reconstruction.  Every other redistance (init_history, a step past
-_band's limit, or a step from a field that is not a BandField) has reach
-inf: its field is complete at construction.
+reconstruction.  Every other redistance (init_history, a step with no band,
+or a step from a field that is not a BandField) has reach inf: its field is
+complete at construction.  A step has no band where the band's stencils'
+box of (2k + 3)^2 nodes would hold more nodes than the grid, or where W
+would span the grid's diagonal (_band).
 """
 
 import functools
@@ -275,16 +277,32 @@ class _Band:
         inf gap is nan)."""
         return self.s1 + self.s0 * gap + self.a_u0 * h_max + self.rho * d_max
 
+    @staticmethod
+    def rounding(k: int) -> float:
+        """rho of a step of k substeps, per unit of 3a + b*tau: the
+        polynomial 2^-40 (k + 1)^3 (2k + 1) that hmbo_step derives, finite
+        for every k up to MAX_SUBSTEPS."""
+        return 2.0**-40 * (k + 1) ** 3 * (2 * k + 1)
+
 
 @functools.lru_cache(maxsize=16)
 def _band(cfg: HmboConfig) -> _Band | None:
-    """The band of cfg's step, or None where its width would span the
-    grid: where (k + 1) h plus the rounding bound rho of hmbo_step, taken
-    at the grid's diagonal and divided by a + b*tau, reaches the diagonal.
-    A band that wide holds every tile.  rho grows like 4^k, so past some k
-    no grid has a band: the default mcf study has one at N = 128, with
-    k = 13, and none at N = 256, with k = 26 and rho about 1e5 times
-    a + b*tau.
+    """The band of cfg's step, or None in two cases.  Where its width
+    would span the grid: where (k + 1) h plus the rounding bound rho of
+    hmbo_step, taken at the grid's diagonal and divided by a + b*tau,
+    reaches the diagonal; a band that wide holds every tile.  And where the
+    stencils' box of (2k + 3)^2 nodes holds more nodes than the grid, so
+    that the two one-time stencil solves never cost more than two
+    whole-grid propagations, nor take more memory than the grid.
+    rho = 2^-40 (k + 1)^3 (2k + 1) (3a + b*tau) (_Band.rounding) is a
+    polynomial in k, from the leapfrog's Chebyshev form (hmbo_step): an
+    error injected at one level reaches level k through U_m, whose kernel
+    has l1 norm at most (sqrt(2) m + 1)(m + 1), and every level is at most
+    (sqrt(2) k + 1)(3a + b*tau) max|D|.  So the default mcf study has a
+    band at every size: 0.624 wide at N = 128 (k = 13) and 0.578 (36.9 h)
+    at N = 256 (k = 26), and the damped step at N = 256 one of 0.921 at
+    alpha = 1e-3 (k = 27) and 1.942 at alpha = 1e-4 (k = 85).  On a square
+    grid the box gives out first, at k > (N - 3)/2.
 
     The stencils S (of u0) and T (of ut0) are the step's response to a unit
     impulse, propagated by wave_solve itself on a box of 2k + 3 nodes a
@@ -301,16 +319,14 @@ def _band(cfg: HmboConfig) -> _Band | None:
     k = n_full + int(rem > 0.0)
     h, diag = max(g.dx, g.dy), float(np.hypot(g.xmax - g.xmin, g.ymax - g.ymin))
     mass = cfg.a + cfg.b * cfg.tau
-    with np.errstate(over="ignore"):  # an inf rho has no band
-        rho = float(np.ldexp((k + 1) * (3.0 * cfg.a + cfg.b * cfg.tau), 2 * k - 40))
-    if (k + 1) * h + rho * diag / mass >= diag:
-        return None
+    rho = _Band.rounding(k) * (3.0 * cfg.a + cfg.b * cfg.tau)
     m = 2 * k + 3
+    if m * m > g.nx * g.ny or (k + 1) * h + rho * diag / mass >= diag:
+        return None
     box = Grid2D(m, m, 0.0, (m - 1) * g.dx, 0.0, (m - 1) * g.dy)
-    impulse, zero = np.zeros((m, m)), ScalarField(box, np.zeros((m, m)))
-    impulse[k + 1, k + 1] = 1.0
-    s = _stencil_solve(ScalarField(box, impulse), zero, cfg.wave_params()).values
-    t = _stencil_solve(zero, ScalarField(box, impulse), cfg.wave_params()).values
+    one, zero = ScalarField(box, np.pad([[1.0]], k + 1)), ScalarField(box, np.zeros((m, m)))
+    s = _stencil_solve(one, zero, cfg.wave_params()).values
+    t = _stencil_solve(zero, one, cfg.wave_params()).values
     w = np.abs(cfg.a * s + cfg.b * t)
     w[k + 1, k + 1] = 0.0
     off = np.arange(m) - (k + 1)
@@ -318,8 +334,7 @@ def _band(cfg: HmboConfig) -> _Band | None:
     reach = np.hypot(off * g.dx, off[:, None] * g.dy)
     s0, s1, n_u0 = ((1.0 + 2.0**-30) * float(np.sum(v)) for v in (w, w * reach, np.abs(s)))
     band = _Band(k, np.inf, s0, s1, cfg.a * n_u0, mass * (1.0 - 1e-9), rho)
-    need = band.bound(2.0 * h, 3.0 * h, diag) / mass
-    return replace(band, width=(k + 1) * h + max(3.0 * np.sqrt(2.0) * h, need))
+    return replace(band, width=(k + 1) * h + max(3.0 * np.sqrt(2.0) * h, band.bound(2.0 * h, 3.0 * h, diag) / mass))
 
 
 def _dilate(mask: np.ndarray, k: int, box: bool = False) -> np.ndarray:
@@ -520,10 +535,33 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
       holds, and (C2) gives a one-signed U(tau), so both go extinct;
     * rounding: the computed D's carry the scan's relative slack in below
       and above, the stencil sums are widened by 2^-30 relative, a + b*tau
-      is rounded down by 1e-9, and rho = 2^-40 4^k (k + 1) (3a + b*tau)
-      max|D| bounds the rounding of U(tau): each of the k levels of the
-      solve is at most 4 times the larger of the two before in max norm,
-      and its at most 8 roundings per node are of 2^-53 relative.
+      is rounded down by 1e-9, and rho = 2^-40 (k + 1)^3 (2k + 1)
+      (3a + b*tau) max|D| (_Band.rounding) bounds the rounding of U(tau),
+      by the leapfrog's Fourier form.  A step runs at CFL number <= 1/2
+      (cfl_substep), so each eigenvalue lambda of (c dt)^2 Lap lies in
+      [-1, 0], and a substep multiplies by 2x, x = 1 + lambda/2 in [-1, 1],
+      less the level before: the Chebyshev recurrence.  Level n is
+      T_n(x) u0 + dt U_{n-1}(x) ut0 (the starter is x u0 + dt ut0), and an
+      error injected at level j reaches level n through U_{n-j}(x).  On
+      [-1, 1], |T_m| <= 1 and |U_m| <= m + 1, so the kernel of U_m has l2
+      norm <= m + 1; it is supported on the 2m^2 + 2m + 1 nodes with
+      |q|_1 <= m, so its l1 norm is <= (sqrt(2) m + 1)(m + 1), and T_m's is
+      <= sqrt(2) m + 1.  (Measured at CFL number 1/2: the l1 norm of U_26's
+      kernel is 29.2, against the bound's 1012.)  At a mirror wall the
+      solve is the free one on the reflected extension, and the fold maps
+      each lattice node to exactly one grid node, so no row sum of the
+      walled kernels is larger.  Hence every level is at most
+      (sqrt(2) k + 1)(3a + b*tau) max|D|, since n dt <= tau.  A level's
+      roundings, about a dozen per node, are each 2^-53 of a value, and
+      those values (the Laplacian's terms scaled by (c dt)^2) sum to at
+      most 16 times that bound, so they add at most 2^-49 of it; the sum
+      over the levels of U's l1 norms is at most (k + 1)^2 (sqrt(2) k + 1).
+      The shortened last substep scales the errors of the two levels it
+      reads by at most 3 and 1 and rounds like a level, and the data
+      products and the starter add less than the levels do, so the
+      rounding stays below 2^-44 (k + 1)^2 (sqrt(2) k + 1)^2 (3a + b*tau)
+      max|D|; and (sqrt(2) k + 1)^2 <= (2k + 1)(k + 1), so rho keeps a
+      margin of 2^4 over it.  It is finite for every k up to MAX_SUBSTEPS.
 
     In mcf a = 0, and the argument above holds with the terms that a
     scales left out: P = b T, U(tau)(p) = b*tau D_n(p) + sum over q != 0
@@ -541,8 +579,10 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     The step redistances with reach W when it has a band and the next
     step's certificate can read d_n, which is then its d_nm1: d_n is a
     BandField, of either reconstruction.  It redistances with reach inf
-    otherwise: a step past _band's limit and a step from a field that is
-    not a BandField return fields that are complete at construction.
+    otherwise: a step with no band (_band: its stencils' box would
+    outnumber the grid's nodes, or W would span the diagonal) and a step
+    from a field that is not a BandField return fields that are complete
+    at construction.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
         raise ValidationError("the step's fields and its config lie on different grids")

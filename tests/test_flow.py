@@ -29,7 +29,7 @@ from hmbo.flow import (
 )
 from hmbo.interfaces import BandField, average_radius, extract_zero_set, signed_distance
 from hmbo.oracles import hmcf_circle_radius
-from hmbo.wave import cfl_max_dt, cfl_substep, wave_solve
+from hmbo.wave import WaveParams, cfl_max_dt, cfl_substep, substeps, wave_solve
 
 
 def _circle_sdf(grid, r0=1.0, inside_positive=False):
@@ -630,21 +630,142 @@ def test_banded_mcf_run_is_the_exhaustive_run(monkeypatch, grid, shape, tau, ste
 
 
 def test_step_band_reaches_as_far_as_its_rounding_bound_allows():
-    """_band derives its limit: a band is given up only where its width,
-    with the rounding bound that grows like 4^k, would span the grid.  mcf
-    at N = 128 (13 substeps a step) and the damped step at alpha = 0.002
-    (10 substeps) have a band; mcf at N = 256 (26 substeps) has none."""
-    def config(n, mode, alpha=1.0):
-        g = make_grid(n, n, _BOX)
+    """_band derives its limits.  Its rounding bound is a polynomial in the
+    substeps k, so mcf at N = 128 (13 substeps a step) and at N = 256 (26)
+    and the damped step at alpha = 0.002 (10 substeps at N = 128) and
+    alpha = 1e-3 (27 at N = 256) all have bands narrower than the diagonal,
+    those at N = 256 0.578 and 0.921 wide.
+    A band is given up where its stencils' box of (2k + 3)^2 nodes holds
+    more nodes than the grid: the damped step at alpha = 1e-3, tau = 1/75
+    on 16 x 16 nodes (k = 7), and at alpha = 1e-6 (k = 50), where (k + 1) h
+    spans the diagonal too; and where (k + 1) h alone reaches the diagonal,
+    on a grid of 256 x 4 nodes whose larger spacing is 4/3."""
+    def config(n, mode, alpha=1.0, tau=1.0 / 300.0, ny=None):
+        g = make_grid(n, ny or n, _BOX)
         if mode == "mcf":
-            return HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0)
-        return HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0)
+            return HmboConfig.mcf(g, gamma=1.0, tau=tau)
+        return HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), tau)
 
-    for cfg, k in ((config(128, "mcf"), 13), (config(128, "hmcf", 0.002), 10)):
+    diag = np.hypot(4.0, 4.0)
+    for cfg, k, widest in ((config(128, "mcf"), 13, diag), (config(128, "hmcf", 0.002), 10, diag),
+                           (config(256, "mcf"), 26, 0.6), (config(256, "hmcf", 1e-3), 27, 0.95)):
         band = flow._band(cfg)
         assert band is not None and band.k == k
-        assert band.width < np.hypot(4.0, 4.0)
-    assert flow._band(config(256, "mcf")) is None
+        assert band.width < widest
+
+    def k_of(cfg):
+        n_full, rem = substeps(cfg.tau, cfg.dt)
+        return n_full + int(rem > 0.0)
+
+    boxed = config(16, "hmcf", 1e-3, tau=1.0 / 75.0)
+    assert k_of(boxed) == 7 and (2 * 7 + 3) ** 2 > 16 * 16
+    wide = config(16, "hmcf", 1e-6)
+    assert k_of(wide) == 50 and (50 + 1) * wide.grid.dx >= diag
+    flat = config(256, "mcf", tau=1.0 / 1200.0, ny=4)
+    k = k_of(flat)
+    assert (2 * k + 3) ** 2 <= 256 * 4 and (k + 1) * flat.grid.dy >= diag
+    for cfg in (boxed, wide, flat):
+        assert flow._band(cfg) is None
+
+
+def _leapfrog_longdouble(u0, ut0, grid, params):
+    """wave_solve's scheme (starter, leapfrog, shortened last substep, mirror
+    ghost nodes) in np.longdouble, from float64 data and coefficients."""
+    ld = np.longdouble
+    c2, dt, tau, dx, dy = (ld(v) for v in (params.c2, params.dt, params.tau, grid.dx, grid.dy))
+
+    def lap(u):
+        p = np.pad(u, 1, mode="reflect")
+        return (p[1:-1, :-2] - 2 * u + p[1:-1, 2:]) / (dx * dx) + (p[:-2, 1:-1] - 2 * u + p[2:, 1:-1]) / (dy * dy)
+
+    n_full, rem = substeps(params.tau, params.dt)
+    prev, cur = u0, u0 + dt * ut0 + dt * dt / 2 * c2 * lap(u0)
+    for _ in range(n_full - 1):
+        prev, cur = cur, 2 * cur - prev + c2 * dt * dt * lap(cur)
+    if rem > 0.0:
+        r = tau - n_full * dt
+        vel = (cur - prev) / dt + dt / 2 * c2 * lap(cur)
+        cur = cur + r * vel + r * r / 2 * c2 * lap(cur)
+    return cur
+
+
+@pytest.mark.parametrize("k", [1, 13, 26, 51])
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_step_rounding_stays_within_its_chebyshev_bound(mode, k):
+    """rho of hmbo_step bounds the rounding of U(tau): wave_solve's u(tau)
+    from a*(2 D_n - D_nm1) and b*D_n, random |D| <= 1 on a 9 x 7 box with
+    dx != dy, whose walls every k past 4 reaches, lies within
+    rho * max|D| of the same scheme run in np.longdouble, at k substeps
+    whose last one is shortened to half a substep (at k = 1 the substep is
+    tau itself).  rho is finite at MAX_SUBSTEPS."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    g = make_grid(9, 7, (0.0, 1.0, 0.0, 0.75))
+    s, tau = np.sqrt(1.0 / g.dx**2 + 1.0 / g.dy**2), 1.0 / 300.0
+    # gamma such that tau/dt = k - 1/2 at CFL number 1/2 (c2 = 6 gamma/tau
+    # in mcf, 2 gamma/alpha damped)
+    c = (k - 0.5) / (2.0 * tau * s)
+    if mode == "mcf":
+        cfg = HmboConfig.mcf(g, gamma=c * c * tau / 6.0, tau=tau)
+    else:
+        cfg = HmboConfig.hmcf(g, PhysicalParams(1e-3, 1.0, c * c * 1e-3 / 2.0), tau)
+    n_full, rem = substeps(cfg.tau, cfg.dt)
+    assert (n_full, round(rem / cfg.dt, 6)) == ((k - 1, 0.5) if k > 1 else (1, 0.0))
+    rng = np.random.default_rng(k)
+    d_n, d_nm1 = rng.uniform(-1.0, 1.0, (2, *g.shape))
+    u = wave_solve(ScalarField(g, cfg.a * (2.0 * d_n - d_nm1)), ScalarField(g, cfg.b * d_n), cfg.wave_params()).values
+    ld = np.longdouble
+    want = _leapfrog_longdouble(ld(cfg.a) * (2 * ld(d_n) - ld(d_nm1)), ld(cfg.b) * ld(d_n), g, cfg.wave_params())
+    rho = flow._Band.rounding(k) * (3.0 * cfg.a + cfg.b * cfg.tau)
+    gap = float(np.max(np.abs(u - want)))
+    assert 0.0 < gap <= rho * max(np.max(np.abs(d_n)), np.max(np.abs(d_nm1)))
+    assert flow._Band.rounding(flow.MAX_SUBSTEPS) < np.inf
+
+
+def test_leapfrog_error_kernel_is_within_its_chebyshev_bound():
+    """The error kernel G_m of hmbo_step's rounding bound: a unit impulse at
+    one level and zero at the level before, m leapfrog substeps later, at
+    CFL number 1/2 on a square grid, (c dt/dx)^2 = 1/8.  Its symbol is the
+    Chebyshev polynomial U_m, so its l2 norm is at most m + 1, and its l1
+    norm at most sqrt(2m^2 + 2m + 1) (m + 1), the nodes with |q|_1 <= m
+    being its support.  Its l1 norms, to one decimal, grow about linearly
+    in m: 2.0 at m = 1, 29.2 at m = 26, against the bound's 1012 there."""
+    table = {1: 2.0, 5: 6.7, 10: 12.8, 20: 22.6, 26: 29.2, 30: 34.5}
+    for m, l1 in table.items():
+        n = 2 * m + 5
+        g = make_grid(n, n, (0.0, n - 1.0, 0.0, n - 1.0))
+        impulse = np.zeros(g.shape)
+        impulse[m + 2, m + 2] = 2.0  # ut0 = impulse/dt: the first level is the unit impulse
+        # c2 dt^2 = 1/8 exactly, and the walls lie past the kernel's reach
+        kernel = wave_solve(ScalarField(g, np.zeros(g.shape)), ScalarField(g, impulse),
+                            WaveParams(0.5, 0.5, (m + 1) * 0.5)).values
+        assert np.count_nonzero(kernel) <= 2 * m * m + 2 * m + 1
+        assert np.sqrt(np.sum(kernel**2)) <= m + 1
+        assert round(float(np.sum(np.abs(kernel))), 1) == l1 <= np.sqrt(2 * m * m + 2 * m + 1) * (m + 1)
+
+
+@pytest.mark.parametrize(
+    "mode, shape, alpha",
+    [("mcf", lambda x, y: 1.0 - np.hypot(x, y), None), ("mcf", _star, None),
+     ("hmcf", lambda x, y: 1.0 - np.hypot(x, y), 1e-3)],
+    ids=["mcf-circle", "mcf-star", "damped-1e-3-circle"],
+)
+def test_banded_run_at_n256_is_the_exhaustive_run(monkeypatch, mode, shape, alpha):
+    """At N = 256 a step takes 26 substeps (mcf) or 27 (damped, alpha =
+    1e-3), and has a band: 8 run_flow steps of the unit circle and of the
+    star give the curves of the exhaustive loop byte for byte, and no field
+    is completed."""
+    g = make_grid(256, 256, _BOX)
+    if mode == "mcf":
+        cfg = HmboConfig.mcf(g, gamma=1.0, tau=1.0 / 300.0, max_steps=8)
+    else:
+        cfg = HmboConfig.hmcf(g, PhysicalParams(alpha, 1.0, 1.0), 1.0 / 300.0, max_steps=8)
+    assert flow._band(cfg) is not None
+    d0 = field_from_function(g, shape)
+    want = _exhaustive_curves(cfg, d0, 0.0, 8)
+    done = _count_completions(monkeypatch)
+    _assert_same_curves(run_flow(cfg, d0, record_interfaces=True), want)
+    assert done == []
 
 
 @pytest.mark.parametrize("start", ["chord", "mcf-step"])
