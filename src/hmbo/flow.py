@@ -59,9 +59,10 @@ and the proof are in the hmbo_step docstring.  A step redistances with
 reach W whenever it has a band and d_n is a BandField, of either
 reconstruction.  Every other redistance (init_history, a step with no band,
 or a step from a field that is not a BandField) has reach inf: its field is
-complete at construction.  A step has no band where the band's stencils'
-box of (2k + 3)^2 nodes would hold more nodes than the grid, or where W
-would span the grid's diagonal (_band).
+complete at construction.  A step has no band only where the band's
+stencils' box of (2k + 3)^2 nodes would hold more nodes than the grid
+(_band); a band as wide as the grid's diagonal is a band of every tile,
+whose fields are complete at construction too.
 """
 
 import functools
@@ -287,13 +288,13 @@ class _Band:
 
 @functools.lru_cache(maxsize=16)
 def _band(cfg: HmboConfig) -> _Band | None:
-    """The band of cfg's step, or None in two cases.  Where its width
-    would span the grid: where (k + 1) h plus the rounding bound rho of
-    hmbo_step, taken at the grid's diagonal and divided by a + b*tau,
-    reaches the diagonal; a band that wide holds every tile.  And where the
-    stencils' box of (2k + 3)^2 nodes holds more nodes than the grid, so
-    that the two one-time stencil solves never cost more than two
-    whole-grid propagations, nor take more memory than the grid.
+    """The band of cfg's step, or None where the stencils' box of
+    (2k + 3)^2 nodes holds more nodes than the grid, so that the two
+    one-time stencil solves never cost more than two whole-grid
+    propagations, nor take more memory than the grid.  A band whose width
+    W reaches the grid's diagonal is a band of every tile: every tile's
+    centre lies within the diagonal of the chords, so signed_distance with
+    reach W fills every tile at construction, as reach inf does.
     rho = 2^-40 (k + 1)^3 (2k + 1) (3a + b*tau) (_Band.rounding) is a
     polynomial in k, from the leapfrog's Chebyshev form (hmbo_step): an
     error injected at one level reaches level k through U_m, whose kernel
@@ -321,7 +322,7 @@ def _band(cfg: HmboConfig) -> _Band | None:
     mass = cfg.a + cfg.b * cfg.tau
     rho = _Band.rounding(k) * (3.0 * cfg.a + cfg.b * cfg.tau)
     m = 2 * k + 3
-    if m * m > g.nx * g.ny or (k + 1) * h + rho * diag / mass >= diag:
+    if m * m > g.nx * g.ny:
         return None
     box = Grid2D(m, m, 0.0, (m - 1) * g.dx, 0.0, (m - 1) * g.dy)
     one, zero = ScalarField(box, np.pad([[1.0]], k + 1)), ScalarField(box, np.zeros((m, m)))
@@ -580,9 +581,9 @@ def hmbo_step(d_n: ScalarField, d_nm1: ScalarField,
     step's certificate can read d_n, which is then its d_nm1: d_n is a
     BandField, of either reconstruction.  It redistances with reach inf
     otherwise: a step with no band (_band: its stencils' box would
-    outnumber the grid's nodes, or W would span the diagonal) and a step
-    from a field that is not a BandField return fields that are complete
-    at construction.
+    outnumber the grid's nodes) and a step from a field that is not a
+    BandField return fields that are complete at construction.  So does a
+    step whose W spans the grid's diagonal: that band holds every tile.
     """
     if d_n.grid != cfg.grid or d_nm1.grid != cfg.grid:
         raise ValidationError("the step's fields and its config lie on different grids")

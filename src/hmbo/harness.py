@@ -74,6 +74,11 @@ class ExperimentConfig:
     flow.HmboConfig, never set.  alpha, beta and gamma are nonnegative in
     either mode; the damped mode alone reads alpha and beta
     (flow.wave_data) and v0_normal, so mcf rejects a nonzero one.
+    The circle is centred on the origin, and each wall of bounds lies
+    farther than r0 from it or passes through it: a wall through the
+    centre is a mirror line of the circle, which the Neumann walls keep,
+    so a quarter circle at a corner or a half circle on a wall runs by
+    the circle's own law.
     The field names are the keys of a JSON config file.  Construction makes
     every check that needs no grid, with a ValidationError naming its key:
     each value's type first, then its range, a repeated size, and the mode
@@ -115,7 +120,9 @@ class ExperimentConfig:
         xmin, xmax, ymin, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValidationError(f"degenerate bounds {self.bounds!r}")
-        if self.r0 >= 0.5 * min(xmax - xmin, ymax - ymin):
+        # each wall lies past the circle or through its centre, a mirror line
+        r0 = self.r0
+        if not all((lo < -r0 or lo == 0) and (r0 < hi or hi == 0) for lo, hi in ((xmin, xmax), (ymin, ymax))):
             raise ValidationError("r0 does not fit inside the domain")
         if self.gamma <= 0:  # before tau, which divides by it
             raise ValidationError(f"gamma must be positive, got {self.gamma}")

@@ -274,17 +274,14 @@ _REGION_EXP = -500
 
 def _scan_block(px, py, seg, nearest):
     """Least squared distance from the nodes of T tiles, their columns
-    px (T, 1, W, 1) and rows py (T, H, 1, 1), to their candidate
-    segments seg of _segments, each (T, 1, 1, C), and with nearest the
-    first position along C that attains it (else None), each (T, H, W); by
-    one _point_segment_sq call on all the pairs, which _Tiles.scan keeps
-    within _BLOCK but for a lone tile of more candidates.  The pairs are
-    formed with the candidates along the leading axis, where the least over
-    them is taken: the arithmetic is elementwise, so its bits do not depend
-    on the layout.
+    px (T, 1, W) and rows py (T, H, 1), to their candidate segments seg of
+    _segments, each (C, T, 1, 1), and with nearest the first position along
+    C that attains it (else None), each (T, H, W); by one _point_segment_sq
+    call on all the pairs, which _Tiles.scan keeps within _BLOCK but for a
+    lone tile of more candidates.  The candidates lead the pairs, and the
+    least over them is taken along that axis.
     """
-    px, py = px.transpose(3, 0, 1, 2), py.transpose(3, 0, 1, 2)
-    d2 = _point_segment_sq(px, py, tuple(v.transpose(3, 0, 1, 2) for v in seg))
+    d2 = _point_segment_sq(px, py, seg)
     return np.minimum.reduce(d2, axis=0), d2.argmin(axis=0) if nearest else None
 
 
@@ -436,9 +433,11 @@ class _Tiles:
     Each tile's candidates, in increasing index order, are scanned by
     _point_segment_sq, so the minimum is bit-identical and the first index
     among equal distances wins.  Tiles go in order of decreasing candidate
-    count, as dense (tile, row, column, candidate) arrays of as many whole
-    tiles as fit in _BLOCK pairs at the first one's count, and at least one,
-    each scanned in one _scan_block call; a shorter candidate list is padded
+    count, as many whole tiles as fit in _BLOCK pairs at the first one's
+    count, and at least one, each chunk scanned in one _scan_block call on
+    dense (candidate, tile, row, column) pairs, built candidate-first so
+    that the least over the candidates is taken along the leading axis
+    without a transpose; a shorter candidate list is padded
     with its own last candidate, which does not change the first minimum.
     A repeated node has its node's coordinates and its tile's candidates,
     so it gets its node's bits.  A tile's result does not depend on the
@@ -523,9 +522,9 @@ class _Tiles:
             i += at.size
             bl = tiles[at]
             cand = self.cand[self.cand_start[bl, None] + np.minimum(np.arange(width), n_cand[at, None] - 1)]
-            px = self.xs[self.cols[bl % kx]][:, None, :, None]
-            py = self.ys[self.rows[bl // kx]][:, :, None, None]
-            best[at], j = _scan_block(px, py, tuple(v[cand][:, None, None, :] for v in self.seg), nearest)
+            px = self.xs[self.cols[bl % kx]][:, None, :]
+            py = self.ys[self.rows[bl // kx]][:, :, None]
+            best[at], j = _scan_block(px, py, tuple(v[cand].T[:, :, None, None] for v in self.seg), nearest)
             if nearest:
                 first[at] = cand[np.arange(at.size)[:, None, None], j]
         return best.ravel(), first.ravel() if nearest else None

@@ -15,11 +15,13 @@ shortened to land exactly on tau: the velocity at the last stored pair is
 recovered to second order and the starter formula is reused for the
 remaining fraction.
 
-A solve allocates its work once: one ghost buffer and two (ny, nx) work
-arrays, shared by the starter, every leapfrog substep, the shortened last
-substep and the energy log.  From the third level on, a new level is written
-over the storage of the level two back; the caller's u0 and ut0 are never
-written.
+The substeps run in one loop.  Each pass forms Lap of the current level,
+then by its index the starter (the first pass), the leapfrog or the
+shortened last substep, and logs the energy of the new pair.  A solve
+allocates its work once: one ghost buffer and two (ny, nx) work arrays,
+shared by every pass and the energy log.  From the third level on, a new
+level is written over the storage of the level two back; the caller's u0
+and ut0 are never written.
 
 A grid of at least 2 * _STRIP_NODES nodes runs each substep on row strips
 (_Strips), as many as HMCF_THREADS allows, on a thread pool of the solve's
@@ -48,7 +50,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -203,11 +204,6 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
 
     coeff = c2 * dt * dt
 
-    def new_level(u):
-        """u's storage for a new level once u is read for the last time,
-        unless it is the caller's u0 (then a new array)."""
-        return np.empty(grid.shape) if u is u0v else u
-
     def starter(u, vel, h, l, w, dest):
         """u + h*vel + (0.5*h*h*c2)*l into dest, in w; vel may be w, and
         l, which holds Lap(u), is overwritten."""
@@ -216,53 +212,46 @@ def wave_solve(u0: ScalarField, ut0: ScalarField, params: WaveParams, energy_log
         np.multiply(0.5 * h * h * c2, l, out=l)
         np.add(w, l, out=dest)
 
-    def first(dest, s, l, block):
-        starter(u0v[s], ut0v[s], dt, l, work[s], dest[s])
-
-    def leapfrog(u_prev, u_cur, dest, s, l, block):
-        # 2*u_cur - u_prev + coeff*Lap(u_cur)
-        np.multiply(coeff, l, out=l)
-        w = np.multiply(2.0, u_cur[s], out=work[s])
-        np.subtract(w, u_prev[s], out=w)
-        np.add(w, l, out=dest[s])
-
-    def last(u_prev, u_cur, dest, s, l, block):
-        # second-order velocity estimate at the current time, then the
-        # starter formula for the leftover fraction of a substep
-        vel = np.subtract(u_cur[s], u_prev[s], out=work[s])
-        vel /= dt
-        vel += np.multiply(0.5 * dt * c2, l, out=_leading(block, l.shape))
-        starter(u_cur[s], vel, rem, l, vel, dest[s])
-
     with _Strips(ny, nx) as strips, open(energy_log, "w", newline="") if energy_log is not None else nullcontext() as log:
         if log is not None:
             log.write("step,t,energy\n")
+        u_prev, u_cur = u0v, u0v
+        for k in range(1, n_full + 1 + (rem > 0.0)):
+            # the level two back is read for the last time in this pass: its
+            # storage takes the new level, unless it is the caller's u0
+            dest = np.empty(grid.shape) if u_prev is u0v else u_prev
 
-        def substep(k, t, h, u, dest, update):
-            """Substep k, of length h to time t, from the level u: on each
-            strip, Lap(u)'s rows and then update(rows, Lap rows, block), which
-            writes dest's rows, checked finite.  The pair (u, dest) is
-            logged."""
             def strip(lo, hi, block):
+                """Substep k on rows lo:hi: Lap(u_cur)'s rows, then the
+                starter, the leapfrog or the shortened last substep into
+                dest's rows, checked finite."""
                 s = slice(lo, hi)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    update(s, _laplacian_values(u, dx, dy, block, work[s], lap[s], lo, hi), block)
+                    l = _laplacian_values(u_cur, dx, dy, block, work[s], lap[s], lo, hi)
+                    if k == 1:
+                        starter(u0v[s], ut0v[s], dt, l, work[s], dest[s])
+                    elif k <= n_full:
+                        # 2*u_cur - u_prev + coeff*Lap(u_cur)
+                        np.multiply(coeff, l, out=l)
+                        w = np.multiply(2.0, u_cur[s], out=work[s])
+                        np.subtract(w, u_prev[s], out=w)
+                        np.add(w, l, out=dest[s])
+                    else:
+                        # second-order velocity estimate at the current time,
+                        # then the starter formula for the leftover fraction
+                        vel = np.subtract(u_cur[s], u_prev[s], out=work[s])
+                        vel /= dt
+                        vel += np.multiply(0.5 * dt * c2, l, out=_leading(block, l.shape))
+                        starter(u_cur[s], vel, rem, l, vel, dest[s])
                 _check_finite(dest[s], k)
 
+            # run returns once every strip has, so no worker sees k move on
             strips.run(strip)
             if log is not None:
-                e = _energy_values(u, dest, c2, h, dx, dy, strips.ghost, work, lap, strips.run)
+                h, t = (dt, k * dt) if k <= n_full else (rem, tau)
+                e = _energy_values(u_cur, dest, c2, h, dx, dy, strips.ghost, work, lap, strips.run)
                 log.write(f"{k},{t:.17g},{e:.17g}\n")
-            return dest
-
-        dest = np.empty(grid.shape)
-        u_prev, u_cur = u0v, substep(1, dt, dt, u0v, dest, partial(first, dest))
-        for k in range(2, n_full + 1):
-            dest = new_level(u_prev)
-            u_prev, u_cur = u_cur, substep(k, k * dt, dt, u_cur, dest, partial(leapfrog, u_prev, u_cur, dest))
-        if rem > 0.0:
-            dest = new_level(u_prev)
-            u_cur = substep(n_full + 1, tau, rem, u_cur, dest, partial(last, u_prev, u_cur, dest))
+            u_prev, u_cur = u_cur, dest
     return ScalarField(grid, u_cur)
 
 
@@ -277,7 +266,7 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_square(f, rows, cols, lo=0, hi=None):
+def _weighted_square(f, rows, cols, lo, hi):
     """(w*f)*f in place on f's rows lo:hi, w the trapezoid weights of f's
     nodes: 1/2 on the first and last row if rows, on the first and last
     column if cols, and their product at the corners.  Inside, w is 1 and
@@ -285,7 +274,6 @@ def _weighted_square(f, rows, cols, lo=0, hi=None):
     multiplied by w, into row- and column-sized arrays formed before f is
     squared."""
     m, n = f.shape
-    hi = m if hi is None else hi
     g = f[lo:hi]
     walls = []
     if rows:

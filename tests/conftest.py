@@ -37,13 +37,14 @@ def fail_at_64(monkeypatch):
 @pytest.fixture
 def scan_shapes(monkeypatch):
     """A list that gains, for each call of interfaces._scan_block, the
-    broadcast shape (tiles, rows, columns, candidates) of its arguments:
-    the call scans the shape's product of (node, segment) pairs, and the
-    product of all but its last axis of nodes."""
+    broadcast shape of its arguments, reordered to (tiles, rows, columns,
+    candidates): the call scans the shape's product of (node, segment)
+    pairs, and the product of all but its last axis of nodes."""
     shapes, scan = [], interfaces._scan_block
 
     def counting(px, py, seg, nearest):
-        shapes.append(np.broadcast_shapes(px.shape, py.shape, seg[0].shape))
+        candidates, *nodes = np.broadcast_shapes(px.shape, py.shape, seg[0].shape)
+        shapes.append((*nodes, candidates))
         return scan(px, py, seg, nearest)
 
     monkeypatch.setattr(interfaces, "_scan_block", counting)

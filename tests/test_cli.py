@@ -210,6 +210,23 @@ def test_damped_study_converges_to_the_damped_law(capsys):
     assert rows[64] < 0.01
 
 
+@pytest.mark.parametrize("mode", ["mcf", "hmcf"])
+def test_a_corner_study_runs_by_the_circles_law(tmp_path, capsys, mode):
+    """A quarter circle centred on a corner of the box, whose walls are its
+    mirror lines, runs in either mode with exit code 0; in mcf its error
+    against the circle's law falls from N = 32 to N = 64."""
+    cfg_path = tmp_path / "corner.json"
+    cfg_path.write_text('{"bounds": [0, 2, 0, 2]}')
+    rc = cli_main(["convergence", "--config", str(cfg_path), "--mode", mode, "--sizes", "32,64", "--n-tau", "20"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert "error" not in err and "failed" not in err
+    rows = {int(n): float(e) for n, _, e in (ln.split(",") for ln in _lines(out)[1:])}
+    assert sorted(rows) == [32, 64]
+    if mode == "mcf":
+        assert rows[64] < rows[32]
+
+
 def test_convergence_partial_failure_exit_code(fail_at_64, capsys):
     rc = cli_main(["convergence", "--sizes", "16,64", "--n-tau", "10"])
     out, err = capsys.readouterr()

@@ -635,11 +635,13 @@ def test_step_band_reaches_as_far_as_its_rounding_bound_allows():
     and the damped step at alpha = 0.002 (10 substeps at N = 128) and
     alpha = 1e-3 (27 at N = 256) all have bands narrower than the diagonal,
     those at N = 256 0.578 and 0.921 wide.
-    A band is given up where its stencils' box of (2k + 3)^2 nodes holds
-    more nodes than the grid: the damped step at alpha = 1e-3, tau = 1/75
-    on 16 x 16 nodes (k = 7), and at alpha = 1e-6 (k = 50), where (k + 1) h
-    spans the diagonal too; and where (k + 1) h alone reaches the diagonal,
-    on a grid of 256 x 4 nodes whose larger spacing is 4/3."""
+    A band is given up only where its stencils' box of (2k + 3)^2 nodes
+    holds more nodes than the grid: the damped step at alpha = 1e-3,
+    tau = 1/75 on 16 x 16 nodes (k = 7), and at alpha = 1e-6 (k = 50).
+    On a grid of 256 x 4 nodes, whose larger spacing is 4/3, (k + 1) h
+    alone reaches the diagonal, and the band is at least as wide: it holds
+    every tile, so a step from a BandField returns a field that is complete
+    at construction, with the exhaustive step's bytes."""
     def config(n, mode, alpha=1.0, tau=1.0 / 300.0, ny=None):
         g = make_grid(n, ny or n, _BOX)
         if mode == "mcf":
@@ -660,12 +662,24 @@ def test_step_band_reaches_as_far_as_its_rounding_bound_allows():
     boxed = config(16, "hmcf", 1e-3, tau=1.0 / 75.0)
     assert k_of(boxed) == 7 and (2 * 7 + 3) ** 2 > 16 * 16
     wide = config(16, "hmcf", 1e-6)
-    assert k_of(wide) == 50 and (50 + 1) * wide.grid.dx >= diag
+    assert k_of(wide) == 50 and (2 * 50 + 3) ** 2 > 16 * 16
+    for cfg in (boxed, wide):
+        assert flow._band(cfg) is None
+
     flat = config(256, "mcf", tau=1.0 / 1200.0, ny=4)
     k = k_of(flat)
     assert (2 * k + 3) ** 2 <= 256 * 4 and (k + 1) * flat.grid.dy >= diag
-    for cfg in (boxed, wide, flat):
-        assert flow._band(cfg) is None
+    band = flow._band(flat)
+    assert band is not None and band.k == k and band.width >= diag
+    f = field_from_function(flat.grid, lambda x, y: 1.0 - np.hypot(x, y))
+    d_n = signed_distance(f, extract_zero_set(f))
+    assert isinstance(d_n, BandField) and d_n.is_complete
+    got, got_curve = hmbo_step(d_n, d_n, flat)
+    assert isinstance(got, BandField) and got.is_complete
+    plain = ScalarField(flat.grid, d_n.values.copy())
+    want, want_curve = hmbo_step(plain, plain, flat)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got_curve.vertices.tobytes() == want_curve.vertices.tobytes()
 
 
 def _leapfrog_longdouble(u0, ut0, grid, params):

@@ -44,6 +44,8 @@ def test_default_step_length():
     "kw",
     [
         {"r0": 2.5},  # circle does not fit in the default domain
+        {"bounds": (0.5, 4.5, -2.0, 2.0)},  # a wall cuts the circle off its centre
+        {"bounds": (-0.5, 4.0, -2.0, 2.0)},  # a wall cuts the circle short of its centre
         {"r0": -1.0},
         {"grid_sizes": (4, 16)},
         {"grid_sizes": ()},
@@ -68,6 +70,15 @@ def test_default_step_length():
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValidationError):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 2.0, 0.0, 2.0), (0.0, 4.0, -2.0, 2.0), (-2.0, 2.0, -2.0, 0.0)],
+                         ids=["corner", "left-wall", "top-wall"])
+def test_config_accepts_walls_through_the_centre(bounds):
+    """A wall through the circle's centre is a mirror line of the circle:
+    a quarter circle at a corner and half circles on a wall are accepted,
+    though the whole unit circle would not fit these boxes."""
+    assert ExperimentConfig(bounds=bounds).r0 == 1.0
 
 
 def _python_typed(value):
